@@ -35,7 +35,7 @@ bosonized-fermion     [b†[r], b[s]]  = delta(r+s)        even (half-odd r,s)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -50,6 +50,7 @@ class AlgebraMismatchError(VirfockError):
 
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -223,12 +224,20 @@ def mode_level(x: Mode) -> Fraction:
 
 @dataclass(frozen=True)
 class Algebra:
-    """Identifies one of the concrete mode algebras (and carries M if needed)."""
+    """One of the concrete mode algebras (carrying M if needed) and its brackets.
+
+    brackets maps a (kind of x, kind of y) pair to its nonzero [x, y} when the
+    two indices sum to zero; with index_weighted the entry is further scaled
+    by the index of x.  Both are fixed by name and M, so they stay out of
+    equality and hashing, which key the caches and every mismatch check.
+    """
 
     name: str
     M: Fraction | None = None
     kinds: tuple = ()
     has_zero_modes: bool = False
+    brackets: dict = field(default_factory=dict, compare=False, repr=False)
+    index_weighted: bool = field(default=False, compare=False, repr=False)
 
     def __contains__(self, mode: Mode) -> bool:
         return mode.kind in self.kinds
@@ -239,11 +248,17 @@ class Algebra:
         return self.name
 
 
-BOSON = Algebra("boson-unconstrained", None, (FieldKind.A, FieldKind.ADAG), True)
-FERMION = Algebra("fermion-unconstrained", None, (FieldKind.B, FieldKind.BDAG), False)
-REDUCED_FERMION = Algebra("fermion-reduced", None, (FieldKind.RED_B,), False)
-BOSONIZED_FERMION = Algebra("bosonized-fermion", None,
-                            (FieldKind.EVEN_B, FieldKind.EVEN_BDAG), False)
+_A, _ADAG, _B, _BDAG = FieldKind.A, FieldKind.ADAG, FieldKind.B, FieldKind.BDAG
+_EVEN_B, _EVEN_BDAG = FieldKind.EVEN_B, FieldKind.EVEN_BDAG
+
+BOSON = Algebra("boson-unconstrained", None, (_A, _ADAG), True,
+                {(_ADAG, _A): ONE, (_A, _ADAG): -ONE})
+FERMION = Algebra("fermion-unconstrained", None, (_B, _BDAG), False,
+                  {(_B, _BDAG): ONE, (_BDAG, _B): ONE})
+REDUCED_FERMION = Algebra("fermion-reduced", None, (FieldKind.RED_B,), False,
+                          {(FieldKind.RED_B, FieldKind.RED_B): HALF})
+BOSONIZED_FERMION = Algebra("bosonized-fermion", None, (_EVEN_B, _EVEN_BDAG), False,
+                            {(_EVEN_BDAG, _EVEN_B): ONE, (_EVEN_B, _EVEN_BDAG): -ONE})
 
 
 def reduced_boson(M) -> Algebra:
@@ -252,7 +267,9 @@ def reduced_boson(M) -> Algebra:
     if M == 0:
         raise ValueError("reduced boson algebra needs M != 0 "
                          "(the brackets scale with M and the generator kernel carries 1/M)")
-    return Algebra("boson-reduced", M, (FieldKind.RED_ADAG,), False)
+    # [a†[m], a†[n]] = -(M/2) m delta(m+n)
+    return Algebra("boson-reduced", M, (FieldKind.RED_ADAG,), False,
+                   {(FieldKind.RED_ADAG, FieldKind.RED_ADAG): -M / 2}, True)
 
 
 def _require_member(x: Mode, algebra: Algebra):
@@ -270,29 +287,8 @@ def canonical_bracket(x: Mode, y: Mode, algebra: Algebra) -> Fraction:
     _require_member(y, algebra)
     if x.two + y.two != 0:
         return ZERO
-    kx, ky = x.kind, y.kind
-    if algebra.name == "boson-unconstrained":
-        if kx is FieldKind.ADAG and ky is FieldKind.A:
-            return Fraction(1)
-        if kx is FieldKind.A and ky is FieldKind.ADAG:
-            return Fraction(-1)
-        return ZERO
-    if algebra.name == "fermion-unconstrained":
-        if kx is not ky:
-            return Fraction(1)
-        return ZERO
-    if algebra.name == "boson-reduced":
-        # [a†[m], a†[n]] = -(M/2) m delta(m+n)
-        return -algebra.M * Fraction(x.two, 4)
-    if algebra.name == "fermion-reduced":
-        return HALF
-    if algebra.name == "bosonized-fermion":
-        if kx is FieldKind.EVEN_BDAG and ky is FieldKind.EVEN_B:
-            return Fraction(1)
-        if kx is FieldKind.EVEN_B and ky is FieldKind.EVEN_BDAG:
-            return Fraction(-1)
-        return ZERO
-    raise AlgebraMismatchError(f"unknown algebra {algebra}")
+    value = algebra.brackets.get((x.kind, y.kind), ZERO)
+    return value * x.index if algebra.index_weighted else value
 
 
 def is_creator(x: Mode) -> bool:

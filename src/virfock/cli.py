@@ -11,6 +11,7 @@ import json
 import sys
 from .algebra import format_rational, parse_rational
 from .dirac import Window
+from .operators import FAMILIES
 from .verify import (
     ScenarioParams,
     claimed_central_charge,
@@ -20,13 +21,7 @@ from .verify import (
     run_family_scenario,
 )
 
-FAMILY_SCENARIOS = (
-    "boson-unconstrained",
-    "boson-reduced",
-    "fermion-unconstrained",
-    "fermion-reduced",
-)
-SCENARIOS = FAMILY_SCENARIOS + ("dirac-checks", "all")
+SCENARIOS = tuple(FAMILIES) + ("dirac-checks", "all")
 
 
 class ConfigError(Exception):
@@ -66,16 +61,14 @@ def _parse_args(argv):
     return args
 
 
-def _scenario_params(family, args) -> ScenarioParams:
-    if family == "boson-reduced" and args.M == 0:
-        raise ConfigError("boson-reduced needs M != 0: the generator kernel carries 1/M")
+def _scenario_params(family, M, lam, args) -> ScenarioParams:
     trunc = default_truncation(family, args.level, args.zmax)
-    return ScenarioParams(family, args.M, args.lam, trunc, args.mmax, Window(args.window))
+    return ScenarioParams(family, M, lam, trunc, args.mmax, Window(args.window))
 
 
 def _run_scenarios(args):
     runs = []
-    names = FAMILY_SCENARIOS + ("dirac-checks",) if args.scenario == "all" else (args.scenario,)
+    names = SCENARIOS[:-1] if args.scenario == "all" else (args.scenario,)
     for name in names:
         if name == "dirac-checks":
             if args.M == 0:
@@ -83,7 +76,7 @@ def _run_scenarios(args):
             reports = run_dirac_checks(args.M, Window(args.window))
             runs.append({"scenario": name, "reports": reports})
         else:
-            params = _scenario_params(name, args)
+            params = _scenario_params(name, args.M, args.lam, args)
             reports, c_formula, c_oracle = run_family_scenario(params)
             runs.append({"scenario": name, "reports": reports,
                          "c_formula": c_formula, "c_oracle": c_oracle})
@@ -91,7 +84,7 @@ def _run_scenarios(args):
 
 
 def _sweep(args):
-    if args.scenario not in FAMILY_SCENARIOS:
+    if args.scenario not in FAMILIES:
         raise ConfigError("--sweep needs a generator-family scenario")
     try:
         with open(args.sweep) as fh:
@@ -114,10 +107,7 @@ def _sweep(args):
         raise ConfigError("sweep grid is empty")
     rows = []
     for M, lam in grid:
-        if args.scenario == "boson-reduced" and M == 0:
-            raise ConfigError("boson-reduced needs M != 0: the generator kernel carries 1/M")
-        trunc = default_truncation(args.scenario, args.level, args.zmax)
-        params = ScenarioParams(args.scenario, M, lam, trunc, args.mmax, Window(args.window))
+        params = _scenario_params(args.scenario, M, lam, args)
         formula = claimed_central_charge(args.scenario, M, lam)
         oracle = extract_central_charge(params)
         rows.append({"M": M, "lambda": lam, "c_formula": formula,

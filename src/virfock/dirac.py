@@ -86,156 +86,235 @@ class Window:
             raise ValueError("window half-width must be positive")
 
 
-@dataclass(frozen=True)
 class ConstraintFamily:
-    style: str  # "boson" | "fermion" | "even-copy" | "finite"
-    M: Fraction | None = None
-    with_zero_gauge: bool = True
-    members: tuple = ()  # finite user families: ((label, expr), ...)
+    """An indexed set of linear constraints chi_P over one algebra.
 
-    @property
-    def algebra(self):
-        if self.style == "finite":
-            return self.members[0][1].algebra
-        return {"boson": BOSON, "fermion": FERMION, "even-copy": BOSONIZED_FERMION}[self.style]
+    C and Delta are computed from the expressions unless a subclass states a
+    closed form.  Subclasses are frozen dataclasses: their instances key the
+    expression and inverse caches.
+    """
 
-    @property
-    def fully_second_class(self) -> bool:
-        if self.style == "boson":
-            return self.with_zero_gauge
-        if self.style == "finite":
-            try:
-                _finite_delta(self)
-                return True
-            except (SingularBlockError, NotSecondClassError):
-                return False
-        return self.style == "fermion"
+    name = ""
+    closed_form = False
+    fully_second_class = False
 
     def labels(self, window: Window):
-        if self.style == "boson":
-            out = list(range(-window.half_width, window.half_width + 1))
-            if self.with_zero_gauge:
-                out.append(ZERO_GAUGE_LABEL)
-            return out
-        if self.style == "finite":
-            return [label for label, _ in self.members]
-        return [Fraction(t, 2) for t in range(-2 * window.half_width + 1,
-                                              2 * window.half_width, 2)]
+        raise NotImplementedError
 
-    def parity(self, label) -> int:
-        if self.style == "finite":
-            return self.expr(label).parity
-        return 1 if self.style == "fermion" else 0
+    def _build_expr(self, label) -> OperatorSpec:
+        raise NotImplementedError
+
+    def _delta_row(self, p):
+        raise NotImplementedError
+
+    def support_labels(self, expr: OperatorSpec):
+        """Every label P with [expr, chi_P] possibly nonzero; exact, not sampled."""
+        raise NotImplementedError
 
     def expr(self, label) -> OperatorSpec:
-        if self.style == "finite":
-            for name, spec in self.members:
-                if name == label:
-                    return spec
-            raise KeyError(f"no constraint labelled {label!r}")
-        return _family_expr(self, label)
+        return _cached_expr(self, label)
+
+    def parity(self, label) -> int:
+        return self.expr(label).parity
 
     def label_of_expr(self, label) -> str:
         return ZERO_GAUGE_LABEL if label == ZERO_GAUGE_LABEL else f"chi[{label}]"
 
     def c_entry(self, p, r) -> Fraction:
         """Bracket matrix entry C_PR; closed form where registered."""
-        if self.style == "boson":
-            if p == ZERO_GAUGE_LABEL and r == ZERO_GAUGE_LABEL:
-                return ZERO
-            if p == ZERO_GAUGE_LABEL:
-                return Fraction(-1) if r == 0 else ZERO
-            if r == ZERO_GAUGE_LABEL:
-                return Fraction(1) if p == 0 else ZERO
-            return 2 * self.M * p if p + r == 0 else ZERO
-        if self.style == "fermion":
-            return Fraction(-2) if p + r == 0 else ZERO
-        # even copy and finite user families: computed from the expressions
-        return linear_bracket(self.expr(p), self.expr(r))
+        return self.computed_c_entry(p, r)
 
     def computed_c_entry(self, p, r) -> Fraction:
         """C_PR recomputed from the constraint expressions and canonical brackets."""
         return linear_bracket(self.expr(p), self.expr(r))
 
-    def delta_entry(self, p, r) -> Fraction:
-        """Inverse entry Delta^PR: closed form for the banded families,
-        exact elimination for finite ones (second class required)."""
-        self._require_second_class()
-        if self.style == "boson":
-            if p == ZERO_GAUGE_LABEL:
-                return Fraction(1) if r == 0 else ZERO
-            if r == ZERO_GAUGE_LABEL:
-                return Fraction(-1) if p == 0 else ZERO
-            if p == 0 or r == 0 or p + r != 0:
-                return ZERO
-            return Fraction(-1) / (2 * self.M * p)
-        if self.style == "finite":
-            return _finite_delta(self).get((p, r), ZERO)
-        return Fraction(1, 2) if p + r == 0 else ZERO
-
     def delta_row(self, p):
-        """Nonzero (R, Delta^PR) partners of a fixed first label."""
+        """Nonzero (R, Delta^PR) partners of a fixed first label (second class required)."""
         self._require_second_class()
-        if self.style == "boson":
-            if p == ZERO_GAUGE_LABEL:
-                return ((0, Fraction(1)),)
-            if p == 0:
-                return ((ZERO_GAUGE_LABEL, Fraction(-1)),)
-            return ((-p, Fraction(-1) / (2 * self.M * p)),)
-        if self.style == "finite":
-            delta = _finite_delta(self)
-            return tuple((r, v) for (pp, r), v in delta.items() if pp == p)
-        return ((-p, Fraction(1, 2)),)
+        return self._delta_row(p)
+
+    def delta_entry(self, p, r) -> Fraction:
+        """Inverse entry Delta^PR."""
+        for rr, value in self.delta_row(p):
+            if rr == r:
+                return value
+        return ZERO
 
     def delta_col(self, r):
-        """Nonzero (P, Delta^PR) partners of a fixed second label."""
-        self._require_second_class()
-        if self.style == "boson":
-            if r == ZERO_GAUGE_LABEL:
-                return ((0, Fraction(-1)),)
-            if r == 0:
-                return ((ZERO_GAUGE_LABEL, Fraction(1)),)
-            return ((-r, Fraction(1) / (2 * self.M * r)),)
-        if self.style == "finite":
-            delta = _finite_delta(self)
-            return tuple((p, v) for (p, rr), v in delta.items() if rr == r)
-        return ((-r, Fraction(1, 2)),)
+        """Nonzero (P, Delta^PR) partners of a fixed second label.
 
-    def support_labels(self, expr: OperatorSpec):
-        """Every label P with [expr, chi_P] possibly nonzero; exact, not sampled."""
-        if self.style == "finite":
-            return [label for label, _ in self.members]
-        out = set()
-        for mode, _ in expr.linear:
-            if self.style == "boson":
-                out.add(int(-mode.index))
-                if mode.two == 0:
-                    out.add(ZERO_GAUGE_LABEL)
-            else:
-                out.add(-mode.index)
-        return out
+        Delta inverts a graded-antisymmetric C, so its support is symmetric
+        and the row partners of r are exactly the column partners.
+        """
+        return tuple((p, self.delta_entry(p, r)) for p, _ in self.delta_row(r))
 
     def _require_second_class(self):
         if not self.fully_second_class:
             raise NotSecondClassError(
-                f"{self.style} constraint family is not fully second class; "
+                f"{self.name} constraint family is not fully second class; "
                 "add gauge conditions (for the boson family, include the a[0] constraint)")
+
+
+@lru_cache(maxsize=None)
+def _cached_expr(family: ConstraintFamily, label) -> OperatorSpec:
+    return family._build_expr(label)
+
+
+@dataclass(frozen=True)
+class BosonConstraints(ConstraintFamily):
+    """chi_m = a†[m] - M m a[m], plus the zero-mode gauge condition a[0]."""
+
+    M: Fraction
+    with_zero_gauge: bool = True
+    name = "boson"
+    closed_form = True
+    algebra = BOSON
+
+    @property
+    def fully_second_class(self) -> bool:
+        return self.with_zero_gauge
+
+    def labels(self, window: Window):
+        out = list(range(-window.half_width, window.half_width + 1))
+        if self.with_zero_gauge:
+            out.append(ZERO_GAUGE_LABEL)
+        return out
+
+    def parity(self, label) -> int:
+        return 0
+
+    def _build_expr(self, label) -> OperatorSpec:
+        if label == ZERO_GAUGE_LABEL:
+            return build_chi_bar0()
+        return build_chi_boson(int(label), self.M)
+
+    def c_entry(self, p, r) -> Fraction:
+        if p == ZERO_GAUGE_LABEL and r == ZERO_GAUGE_LABEL:
+            return ZERO
+        if p == ZERO_GAUGE_LABEL:
+            return Fraction(-1) if r == 0 else ZERO
+        if r == ZERO_GAUGE_LABEL:
+            return Fraction(1) if p == 0 else ZERO
+        return 2 * self.M * p if p + r == 0 else ZERO
+
+    def _delta_row(self, p):
+        if p == ZERO_GAUGE_LABEL:
+            return ((0, Fraction(1)),)
+        if p == 0:
+            return ((ZERO_GAUGE_LABEL, Fraction(-1)),)
+        return ((-p, Fraction(-1) / (2 * self.M * p)),)
+
+    def support_labels(self, expr: OperatorSpec):
+        out = set()
+        for mode, _ in expr.linear:
+            out.add(int(-mode.index))
+            if mode.two == 0:
+                out.add(ZERO_GAUGE_LABEL)
+        return out
+
+    def chi_transform(self, m, label):
+        """(coefficient, target label) of [L_m, chi_n] = n chi[m+n]."""
+        return Fraction(label), label + int(m)
+
+
+class _HalfOddConstraints(ConstraintFamily):
+    """chi_r = x[r] - y[r] on half-odd r, for the mode pair chi_modes = (x, y)."""
+
+    def labels(self, window: Window):
+        return [Fraction(t, 2) for t in range(-2 * window.half_width + 1,
+                                              2 * window.half_width, 2)]
+
+    def _build_expr(self, label) -> OperatorSpec:
+        r = Fraction(label)
+        lower, upper = self.chi_modes
+        return linear_operator(self.algebra, {lower(r): 1, upper(r): -1}, shift=r)
+
+    def support_labels(self, expr: OperatorSpec):
+        return {-mode.index for mode, _ in expr.linear}
+
+
+@dataclass(frozen=True)
+class FermionConstraints(_HalfOddConstraints):
+    """chi_r = b[r] - b†[r], with C_rs = -2 delta(r+s): second class."""
+
+    name = "fermion"
+    closed_form = True
+    fully_second_class = True
+    algebra = FERMION
+    chi_modes = (b, bdag)
+
+    def parity(self, label) -> int:
+        return 1
+
+    def c_entry(self, p, r) -> Fraction:
+        return Fraction(-2) if p + r == 0 else ZERO
+
+    def _delta_row(self, p):
+        return ((-p, Fraction(1, 2)),)
+
+    def chi_transform(self, m, label):
+        """(coefficient, target label) of [L_m, chi_r] = (m/2 + r) chi[m+r]."""
+        return Fraction(m) / 2 + Fraction(label), label + Fraction(m)
+
+
+@dataclass(frozen=True)
+class EvenCopyConstraints(_HalfOddConstraints):
+    """The fermion constraint shape with bosonic statistics; degenerates to C = 0."""
+
+    name = "even-copy"
+    algebra = BOSONIZED_FERMION
+    chi_modes = (even_b, even_bdag)
+
+
+@dataclass(frozen=True)
+class FiniteConstraints(ConstraintFamily):
+    """User-supplied finite family of (label, linear expression) members."""
+
+    members: tuple
+    name = "finite"
+
+    @property
+    def algebra(self):
+        return self.members[0][1].algebra
+
+    @property
+    def fully_second_class(self) -> bool:
+        try:
+            _finite_delta(self)
+            return True
+        except (SingularBlockError, NotSecondClassError):
+            return False
+
+    def labels(self, window: Window):
+        return [label for label, _ in self.members]
+
+    def expr(self, label) -> OperatorSpec:
+        for name, spec in self.members:
+            if name == label:
+                return spec
+        raise KeyError(f"no constraint labelled {label!r}")
+
+    def _delta_row(self, p):
+        return tuple((r, v) for (pp, r), v in _finite_delta(self).items() if pp == p)
+
+    def support_labels(self, expr: OperatorSpec):
+        return [label for label, _ in self.members]
 
 
 def boson_constraints(M, with_zero_gauge=True) -> ConstraintFamily:
     M = Fraction(M)
     if M == 0:
         raise ValueError("boson constraint family needs M != 0 (C scales with M)")
-    return ConstraintFamily("boson", M, with_zero_gauge)
+    return BosonConstraints(M, with_zero_gauge)
 
 
 def fermion_constraints() -> ConstraintFamily:
-    return ConstraintFamily("fermion", None, False)
+    return FermionConstraints()
 
 
 def even_fermion_copy_constraints() -> ConstraintFamily:
     """The fermionic constraint shape with bosonic statistics; degenerates to C = 0."""
-    return ConstraintFamily("even-copy", None, False)
+    return EvenCopyConstraints()
 
 
 def finite_constraints(members) -> ConstraintFamily:
@@ -253,7 +332,7 @@ def finite_constraints(members) -> ConstraintFamily:
             raise ValueError(f"constraint {label!r} is not a linear expression")
         if spec.algebra != algebra:
             raise AlgebraMismatchError("finite family mixes algebras")
-    return ConstraintFamily("finite", None, False, members)
+    return FiniteConstraints(members)
 
 
 @lru_cache(maxsize=None)
@@ -271,20 +350,6 @@ def _finite_delta(family: ConstraintFamily) -> dict:
     return {(p, r): inverse[i][j]
             for i, p in enumerate(labels) for j, r in enumerate(labels)
             if inverse[i][j]}
-
-
-@lru_cache(maxsize=None)
-def _family_expr(family: ConstraintFamily, label) -> OperatorSpec:
-    if family.style == "boson":
-        if label == ZERO_GAUGE_LABEL:
-            return build_chi_bar0()
-        return build_chi_boson(int(label), family.M)
-    if family.style == "fermion":
-        r = Fraction(label)
-        return linear_operator(FERMION, {b(r): 1, bdag(r): -1}, shift=r, parity=1)
-    r = Fraction(label)
-    return linear_operator(BOSONIZED_FERMION, {even_b(r): 1, even_bdag(r): -1},
-                           shift=r, parity=0)
 
 
 @dataclass
@@ -312,7 +377,7 @@ def classify(family: ConstraintFamily, window: Window) -> Classification:
             _invert_exact(matrix)
         except SingularBlockError as exc:
             raise SingularBlockError(
-                f"putative second-class block of {family.style} family is singular "
+                f"putative second-class block of {family.name} family is singular "
                 f"on window N={window.half_width}: {exc}") from exc
     return Classification(first, second)
 
@@ -358,7 +423,7 @@ def invert_c(family: ConstraintFamily, window: Window) -> dict:
             val = inverse[i][j]
             if val:
                 delta[(p, r)] = val
-    if family.fully_second_class and family.style in ("boson", "fermion"):
+    if family.closed_form and family.fully_second_class:
         for i, p in enumerate(labels):
             for j, r in enumerate(labels):
                 if inverse[i][j] != family.delta_entry(p, r):
@@ -488,9 +553,8 @@ def verify_compatibility(op: OperatorSpec, family: ConstraintFamily, index_range
     for label in index_range:
         chi = family.expr(label)
         got = commutator_with_linear(op, chi)
-        target_label = label + (int(m) if family.style == "boson" else Fraction(m))
+        coeff, target_label = family.chi_transform(m, label)
         target = family.expr(target_label)
-        coeff = Fraction(label) if family.style == "boson" else Fraction(m) / 2 + Fraction(label)
         expected = coeff * target
         ok = got == expected
         reports.append(report(

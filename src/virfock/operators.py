@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .algebra import (
     Algebra,
@@ -61,26 +61,6 @@ from .fock import BasisState, StateVector, Truncation, apply_mode
 
 class UnsafeLevelError(VirfockError):
     """A commutator probe state violates the safe-window rule."""
-
-
-FAMILIES = (
-    "boson-unconstrained",
-    "boson-reduced",
-    "fermion-unconstrained",
-    "fermion-reduced",
-)
-
-
-def algebra_for(family: str, M=0) -> Algebra:
-    if family == "boson-unconstrained":
-        return BOSON
-    if family == "boson-reduced":
-        return reduced_boson(M)
-    if family == "fermion-unconstrained":
-        return FERMION
-    if family == "fermion-reduced":
-        return REDUCED_FERMION
-    raise ValueError(f"unknown generator family {family!r}")
 
 
 class BilinearTerm(NamedTuple):
@@ -240,40 +220,105 @@ def build_K(m: int) -> OperatorSpec:
     return OperatorSpec(BOSON, Fraction(m), (term,))
 
 
-def build_L(family: str, m: int, M=0, lam=0) -> OperatorSpec:
-    """The Virasoro generator labelled m of one of the four families.
+def _boson_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
+    # K[m] + lam*(m+1)*(a†[m] + M*m*a[m])
+    return build_K(m) + (lam * (m + 1)) * build_B(m, M)
 
-    boson-unconstrained   K[m] + lam*(m+1)*(a†[m] + M*m*a[m])
-    boson-reduced         sum_r (1/M) :a†[m-r]a†[r]: + 2*lam*(m+1)*a†[m],
-                          every a†[0] factor skipped (M must be nonzero)
-    fermion-unconstrained -sum_r (-lam*m + r) :b†[m-r] b[r]:
-    fermion-reduced       -sum_r (-m/2 + r) :b[m-r] b[r]:
-    """
-    m = int(m)
-    M = Fraction(M)
-    lam = Fraction(lam)
-    if family == "boson-unconstrained":
-        return build_K(m) + (lam * (m + 1)) * build_B(m, M)
-    if family == "boson-reduced":
-        algebra = algebra_for(family, M)  # raises for M = 0
-        term = BilinearTerm(FieldKind.RED_ADAG, FieldKind.RED_ADAG, m, 1 / M, ZERO)
-        lin = {}
-        if m != 0 and lam:
-            lin[red_adag(m)] = 2 * lam * (m + 1)
-        return OperatorSpec(algebra, Fraction(m), (term,), _norm_linear(lin))
-    if family == "fermion-unconstrained":
-        term = BilinearTerm(FieldKind.BDAG, FieldKind.B, m, lam * m, Fraction(-1))
-        # Zero-mode normal-ordering constant.  On the half-odd-integer mode
-        # lattice the kernel's subtraction point sits at r = 0, not at the
-        # weight-lam Fourier origin, so L_0 must carry -(1-2*lam)^2/8 for the
-        # commutator anomaly to close on the (m^3 - m) shape (it vanishes at
-        # lam = 1/2, where the lattice and the weight agree).
-        const = -((1 - 2 * lam) ** 2) / 8 if m == 0 else ZERO
-        return OperatorSpec(FERMION, Fraction(m), (term,), (), const)
-    if family == "fermion-reduced":
-        term = BilinearTerm(FieldKind.RED_B, FieldKind.RED_B, m, Fraction(m, 2), Fraction(-1))
-        return OperatorSpec(REDUCED_FERMION, Fraction(m), (term,))
-    raise ValueError(f"unknown generator family {family!r}")
+
+def _reduced_boson_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
+    # sum_r (1/M) :a†[m-r]a†[r]: + 2*lam*(m+1)*a†[m], every a†[0] factor skipped
+    algebra = reduced_boson(M)  # raises for M = 0
+    term = BilinearTerm(FieldKind.RED_ADAG, FieldKind.RED_ADAG, m, 1 / M, ZERO)
+    lin = {red_adag(m): 2 * lam * (m + 1)} if m != 0 and lam else {}
+    return OperatorSpec(algebra, Fraction(m), (term,), _norm_linear(lin))
+
+
+def _fermion_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
+    # -sum_r (-lam*m + r) :b†[m-r] b[r]:
+    term = BilinearTerm(FieldKind.BDAG, FieldKind.B, m, lam * m, Fraction(-1))
+    # Zero-mode normal-ordering constant.  On the half-odd-integer mode
+    # lattice the kernel's subtraction point sits at r = 0, not at the
+    # weight-lam Fourier origin, so L_0 must carry -(1-2*lam)^2/8 for the
+    # commutator anomaly to close on the (m^3 - m) shape (it vanishes at
+    # lam = 1/2, where the lattice and the weight agree).
+    const = -((1 - 2 * lam) ** 2) / 8 if m == 0 else ZERO
+    return OperatorSpec(FERMION, Fraction(m), (term,), (), const)
+
+
+def _reduced_fermion_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
+    # -sum_r (-m/2 + r) :b[m-r] b[r]:
+    term = BilinearTerm(FieldKind.RED_B, FieldKind.RED_B, m, Fraction(m, 2), Fraction(-1))
+    return OperatorSpec(REDUCED_FERMION, Fraction(m), (term,))
+
+
+def _fermion_truncation(level: int, zmax: int) -> Truncation:
+    return Truncation(Fraction(2 * level - 1, 2), 0)
+
+
+class PrimaryLaws(NamedTuple):
+    """[G_m, x[n]] = coefficient(m, n, lam) x[m+n] for each listed mode kind x."""
+
+    generator: Callable  # (m, M, lam) -> G_m
+    modes: tuple  # ((kind, coefficient), ...)
+
+
+class GeneratorFamily(NamedTuple):
+    """Everything that differs between the four Virasoro generator families."""
+
+    algebra: Callable  # M -> Algebra
+    build: Callable  # (m, M, lam) -> L_m, arguments already exact
+    central_charge: Callable  # (M, lam) -> the closed-form c claimed for it
+    truncation: Callable  # (level, zmax) -> default Truncation
+    primary_laws: PrimaryLaws | None = None
+    # (m, M, lam) -> the anomaly of [L_m, a†[-m]] in the Christoffel law
+    # [L_m, a†[n]] = n a†[m+n] + anomaly delta(m+n), checked on the reduced
+    # module and through the Dirac bracket of the unconstrained boson
+    christoffel_anomaly: Callable | None = None
+
+
+FAMILIES = {
+    "boson-unconstrained": GeneratorFamily(
+        lambda M: BOSON, _boson_L,
+        lambda M, lam: 2 - 24 * M * lam * lam,
+        lambda level, zmax: Truncation(Fraction(level), zmax),
+        # lambda and M enter only through the linear part, which commutes
+        # with the modes up to scalars, so the laws are stated for K_m
+        PrimaryLaws(lambda m, M, lam: build_K(m),
+                    ((FieldKind.A, lambda m, n, lam: m + n),
+                     (FieldKind.ADAG, lambda m, n, lam: n)))),
+    "boson-reduced": GeneratorFamily(
+        reduced_boson, _reduced_boson_L,
+        lambda M, lam: 1 - 24 * M * lam * lam,
+        lambda level, zmax: Truncation(Fraction(level), 0),
+        christoffel_anomaly=lambda m, M, lam: -M * lam * m * (m + 1)),
+    "fermion-unconstrained": GeneratorFamily(
+        lambda M: FERMION, _fermion_L,
+        lambda M, lam: -2 * (1 - 6 * lam + 6 * lam * lam),
+        _fermion_truncation,
+        PrimaryLaws(_fermion_L,
+                    ((FieldKind.B, lambda m, r, lam: (1 - lam) * m + r),
+                     (FieldKind.BDAG, lambda m, r, lam: lam * m + r)))),
+    "fermion-reduced": GeneratorFamily(
+        lambda M: REDUCED_FERMION, _reduced_fermion_L,
+        lambda M, lam: Fraction(1, 2),
+        _fermion_truncation),
+}
+
+
+def generator_family(family: str) -> GeneratorFamily:
+    try:
+        return FAMILIES[family]
+    except KeyError:
+        raise ValueError(f"unknown generator family {family!r}") from None
+
+
+def algebra_for(family: str, M=0) -> Algebra:
+    return generator_family(family).algebra(M)
+
+
+def build_L(family: str, m: int, M=0, lam=0) -> OperatorSpec:
+    """The Virasoro generator labelled m of one of the four families."""
+    return generator_family(family).build(int(m), Fraction(M), Fraction(lam))
 
 
 def _mode_exists(kind: FieldKind, two: int) -> bool:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import VirfockError, ZERO, a, adag, b, bdag, format_rational, red_adag
+from .algebra import BOSON, Mode, VirfockError, ZERO, a, adag, b, format_rational, red_adag
 from .dirac import (
     Window,
     boson_constraints,
@@ -40,11 +40,12 @@ from .fock import (
 )
 from .operators import (
     FAMILIES,
+    GeneratorFamily,
     OperatorSpec,
-    algebra_for,
     apply_operator,
     build_L,
     commutator_action,
+    generator_family,
     is_safe_state,
     linear_operator,
     mode_operator,
@@ -59,11 +60,7 @@ class OracleInconsistencyError(VirfockError):
 
 def default_truncation(family: str, level: int = 6, zmax: int = 4) -> Truncation:
     """Default caps: integer level for bosons, (2*level-1)/2 for fermions."""
-    if family.startswith("fermion"):
-        return Truncation(Fraction(2 * level - 1, 2), 0)
-    if family == "boson-unconstrained":
-        return Truncation(Fraction(level), zmax)
-    return Truncation(Fraction(level), 0)
+    return generator_family(family).truncation(level, zmax)
 
 
 @dataclass(frozen=True)
@@ -86,22 +83,17 @@ class ScenarioParams:
             object.__setattr__(self, "trunc", default_truncation(self.family))
 
     @property
+    def generators(self) -> GeneratorFamily:
+        return FAMILIES[self.family]
+
+    @property
     def algebra(self):
-        return algebra_for(self.family, self.M)
+        return self.generators.algebra(self.M)
 
 
 def claimed_central_charge(family: str, M=0, lam=0) -> Fraction:
     """The closed-form central charge asserted for each generator family."""
-    M, lam = Fraction(M), Fraction(lam)
-    if family == "boson-unconstrained":
-        return 2 - 24 * M * lam * lam
-    if family == "boson-reduced":
-        return 1 - 24 * M * lam * lam
-    if family == "fermion-unconstrained":
-        return -2 * (1 - 6 * lam + 6 * lam * lam)
-    if family == "fermion-reduced":
-        return Fraction(1, 2)
-    raise ValueError(f"unknown family {family!r}")
+    return generator_family(family).central_charge(Fraction(M), Fraction(lam))
 
 
 @lru_cache(maxsize=None)
@@ -165,44 +157,27 @@ def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
     return reports
 
 
-_PRIMARY_LAWS = {
-    # family -> (generator family, [(mode ctor, coefficient(m, idx))])
-    "boson-unconstrained": [
-        ("a", a, lambda m, n, lam: m + n),
-        ("a†", adag, lambda m, n, lam: n),
-    ],
-    "fermion-unconstrained": [
-        ("b", b, lambda m, r, lam: (1 - lam) * m + r),
-        ("b†", bdag, lambda m, r, lam: lam * m + r),
-    ],
-}
-
-
 def check_primary_laws(params: ScenarioParams) -> list:
     """Mode transformation laws [G_m, phi_n] = ((1-h)m + n) phi_{m+n}.
 
-    For the boson family the generator is the pure bilinear K_m (lambda and
-    M enter only through the linear part, which commutes with the modes up
-    to scalars); for the fermion family it is L_m with its lambda.
+    G_m and the modes phi are the family's stated primary laws; families
+    without them get no reports.
     """
-    if params.family not in _PRIMARY_LAWS:
+    laws = params.generators.primary_laws
+    if laws is None:
         return []
     trunc, R = params.trunc, params.m_range
     algebra = params.algebra
-    boson = params.family == "boson-unconstrained"
     reports = []
     for m in range(-R, R + 1):
-        if boson:
-            gen = build_L("boson-unconstrained", m, 0, 0)  # K_m
-        else:
-            gen = _gen(params.family, m, params.M, params.lam)
-        for sym, ctor, coeff_fn in _PRIMARY_LAWS[params.family]:
-            indices = (range(-R, R + 1) if boson
-                       else [Fraction(t, 2) for t in range(-2 * R + 1, 2 * R, 2)])
-            for idx in indices:
-                x = ctor(idx)
-                target = ctor(idx + m)
-                coeff = Fraction(coeff_fn(m, Fraction(idx), params.lam))
+        gen = laws.generator(m, params.M, params.lam)
+        for kind, coeff_fn in laws.modes:
+            start = -2 * R + 1 if kind.half_integer_moded else -2 * R
+            for two in range(start, 2 * R + 1, 2):
+                x = Mode(kind, two)
+                target = Mode(kind, two + 2 * m)
+                idx = x.index
+                coeff = Fraction(coeff_fn(m, idx, params.lam))
                 xop = mode_operator(algebra, x)
                 ok, witness = True, None
                 for psi in safe_basis_for_pair(algebra, trunc, gen, xop):
@@ -213,28 +188,30 @@ def check_primary_laws(params: ScenarioParams) -> list:
                         ok, witness = False, psi
                         break
                 reports.append(report(
-                    f"primary[{sym},m={m},n={idx}]", ok,
+                    f"primary[{kind.symbol},m={m},n={idx}]", ok,
                     f"{format_rational(coeff)}·{target}",
                     "as expected" if ok else "mismatch", "" if ok else str(witness)))
     return reports
 
 
 def check_christoffel(params: ScenarioParams) -> list:
-    """Reduced-boson transformation [L_m, a†[n]] = n a†[m+n] - M lam m(m+1) delta(m+n).
+    """Reduced-boson transformation [L_m, a†[n]] = n a†[m+n] + anomaly delta(m+n).
 
     Checked on the reduced Fock module (a†[0] terms skipped) and
-    cross-checked against the Dirac-bracket machinery route.
+    cross-checked against the Dirac-bracket machinery route, for the
+    families that state a Christoffel anomaly.
     """
-    if params.family != "boson-reduced":
+    anomaly_fn = params.generators.christoffel_anomaly
+    if anomaly_fn is None:
         return []
     trunc, R = params.trunc, params.m_range
     algebra = params.algebra
     M, lam = params.M, params.lam
     reports = []
     for m in range(-R, R + 1):
-        lm = _gen("boson-reduced", m, M, lam)
+        lm = _gen(params.family, m, M, lam)
         for n in [k for k in range(-R, R + 1) if k != 0]:
-            anomaly = -M * lam * m * (m + 1) if m + n == 0 else ZERO
+            anomaly = anomaly_fn(m, M, lam) if m + n == 0 else ZERO
             xop = mode_operator(algebra, red_adag(n))
             ok, witness = True, None
             for psi in safe_basis_for_pair(algebra, trunc, lm, xop):
@@ -253,8 +230,7 @@ def check_christoffel(params: ScenarioParams) -> list:
             # independent route through the Dirac bracket of the unconstrained form
             via_dirac = dirac_transform_adagger(m, n, M, lam)
             expected = linear_operator(
-                algebra_for("boson-unconstrained"),
-                {adag(m + n): n} if m + n != 0 else {},
+                BOSON, {adag(m + n): n} if m + n != 0 else {},
                 constant=anomaly, shift=Fraction(m + n), parity=0)
             dir_ok = via_dirac == expected
             reports.append(report(
