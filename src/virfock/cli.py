@@ -158,7 +158,8 @@ def _emit_runs(runs, args):
                 print(f"c_formula={format_rational(run['c_formula'])} "
                       f"c_oracle={format_rational(run['c_oracle'])}")
         s = _summary(all_reports)
-        print(f"summary: {s['passed']}/{s['total']} passed, {s['failed']} failed")
+        print(f"summary: {s['passed']}/{s['total']} passed, {s['failed']} failed, "
+              f"{s['skipped']} skipped")
     return 0 if all(r.ok for r in all_reports) else 1
 
 

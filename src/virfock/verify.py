@@ -51,7 +51,7 @@ from .operators import (
     mode_operator,
     safe_basis_for_pair,
 )
-from .report import report
+from .report import CheckReport, report
 
 
 class OracleInconsistencyError(VirfockError):
@@ -126,6 +126,24 @@ def extract_central_charge(params: ScenarioParams) -> Fraction:
     return c2
 
 
+def _probe(name, expected, states, sides, got="as expected", mismatch="mismatch"):
+    """One report for an identity lhs == rhs asserted on every probe state.
+
+    sides(psi) returns (lhs, rhs).  An empty probe set proves nothing, so it
+    is reported skipped, with the reason in `got`, never as a pass.  A
+    failure names its first witness state and shows `mismatch`, or the
+    residual lhs - rhs when mismatch is None.
+    """
+    if not states:
+        return CheckReport(name, "skipped", str(expected), "no safe probe state")
+    for psi in states:
+        lhs, rhs = sides(psi)
+        if lhs != rhs:
+            return report(name, False, expected,
+                          str(lhs - rhs) if mismatch is None else mismatch, psi)
+    return report(name, True, expected, got)
+
+
 def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
     """[L_m, L_n] = (n-m) L_{m+n} - (c/12)(m^3-m) delta(m+n), state by state.
 
@@ -140,20 +158,17 @@ def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
         for n in range(-R, R + 1):
             ln = _gen(params.family, n, params.M, params.lam)
             lmn = _gen(params.family, m + n, params.M, params.lam)
-            ok, witness, residual = True, None, None
-            states = safe_basis_for_pair(algebra, trunc, lm, ln)
-            for psi in states:
+
+            def sides(psi):
                 vec = StateVector.basis(algebra, psi)
-                lhs = commutator_action(lm, ln, psi, trunc)
                 rhs = (n - m) * apply_operator(lmn, vec, trunc)
                 if m + n == 0:
                     rhs = rhs - (c_expected * Fraction(m ** 3 - m, 12)) * vec
-                if lhs != rhs:
-                    ok, witness, residual = False, psi, lhs - rhs
-                    break
-            reports.append(report(
-                f"virasoro[m={m},n={n}]", ok, "0",
-                "0" if ok else str(residual), "" if ok else str(witness)))
+                return commutator_action(lm, ln, psi, trunc), rhs
+
+            reports.append(_probe(f"virasoro[m={m},n={n}]", "0",
+                                  safe_basis_for_pair(algebra, trunc, lm, ln), sides,
+                                  got="0", mismatch=None))
     return reports
 
 
@@ -179,18 +194,15 @@ def check_primary_laws(params: ScenarioParams) -> list:
                 idx = x.index
                 coeff = Fraction(coeff_fn(m, idx, params.lam))
                 xop = mode_operator(algebra, x)
-                ok, witness = True, None
-                for psi in safe_basis_for_pair(algebra, trunc, gen, xop):
+
+                def sides(psi):
                     vec = StateVector.basis(algebra, psi)
-                    lhs = commutator_action(gen, xop, psi, trunc)
-                    rhs = coeff * apply_mode(target, vec, trunc)
-                    if lhs != rhs:
-                        ok, witness = False, psi
-                        break
-                reports.append(report(
-                    f"primary[{kind.symbol},m={m},n={idx}]", ok,
-                    f"{format_rational(coeff)}·{target}",
-                    "as expected" if ok else "mismatch", "" if ok else str(witness)))
+                    return (commutator_action(gen, xop, psi, trunc),
+                            coeff * apply_mode(target, vec, trunc))
+
+                reports.append(_probe(f"primary[{kind.symbol},m={m},n={idx}]",
+                                      f"{format_rational(coeff)}·{target}",
+                                      safe_basis_for_pair(algebra, trunc, gen, xop), sides))
     return reports
 
 
@@ -213,20 +225,17 @@ def check_christoffel(params: ScenarioParams) -> list:
         for n in [k for k in range(-R, R + 1) if k != 0]:
             anomaly = anomaly_fn(m, M, lam) if m + n == 0 else ZERO
             xop = mode_operator(algebra, red_adag(n))
-            ok, witness = True, None
-            for psi in safe_basis_for_pair(algebra, trunc, lm, xop):
+
+            def sides(psi):
                 vec = StateVector.basis(algebra, psi)
-                lhs = commutator_action(lm, xop, psi, trunc)
                 rhs = anomaly * vec
                 if m + n != 0:
                     rhs = rhs + n * apply_mode(red_adag(m + n), vec, trunc)
-                if lhs != rhs:
-                    ok, witness = False, psi
-                    break
-            reports.append(report(
-                f"christoffel[m={m},n={n}]", ok,
-                (f"{n}·a†[{m + n}]" if m + n else format_rational(anomaly)),
-                "as expected" if ok else "mismatch", "" if ok else str(witness)))
+                return commutator_action(lm, xop, psi, trunc), rhs
+
+            reports.append(_probe(f"christoffel[m={m},n={n}]",
+                                  f"{n}·a†[{m + n}]" if m + n else format_rational(anomaly),
+                                  safe_basis_for_pair(algebra, trunc, lm, xop), sides))
             # independent route through the Dirac bracket of the unconstrained form
             via_dirac = dirac_transform_adagger(m, n, M, lam)
             expected = linear_operator(
@@ -243,12 +252,8 @@ def check_jacobi(params: ScenarioParams, triple=(1, 2, -3)) -> list:
     """Jacobi identity spot check on nested commutators of three generators."""
     trunc = params.trunc
     algebra = params.algebra
-    ops = {m: _gen(params.family, m, params.M, params.lam) for m in triple}
-    la, lb, lc = (ops[m] for m in triple)
-    partials = []
-    for i in triple:
-        partials.append(Fraction(i))
-    aa, bb, cc = partials
+    la, lb, lc = (_gen(params.family, m, params.M, params.lam) for m in triple)
+    aa, bb, cc = (Fraction(m) for m in triple)
     sums = (aa, bb, cc, aa + bb, aa + cc, bb + cc, aa + bb + cc)
 
     def nested(x, y, z, psi):
@@ -262,17 +267,16 @@ def check_jacobi(params: ScenarioParams, triple=(1, 2, -3)) -> list:
                 - apply_operator(z, apply_operator(x, ypsi, trunc), trunc)
                 + apply_operator(z, apply_operator(y, xpsi, trunc), trunc))
 
-    ok, witness = True, None
-    for psi in enumerate_basis(algebra, trunc):
-        if not is_safe_state(psi, sums, algebra, trunc, zero_uses=3):
-            continue
+    states = [psi for psi in enumerate_basis(algebra, trunc)
+              if is_safe_state(psi, sums, algebra, trunc, zero_uses=3)]
+
+    def sides(psi):
         total = (nested(la, lb, lc, psi) + nested(lb, lc, la, psi)
                  + nested(lc, la, lb, psi))
-        if not total.is_zero():
-            ok, witness = False, psi
-            break
-    return [report(f"jacobi[{triple[0]},{triple[1]},{triple[2]}]", ok, "0",
-                   "0" if ok else "nonzero", "" if ok else str(witness))]
+        return total, StateVector.zero(algebra)
+
+    return [_probe(f"jacobi[{triple[0]},{triple[1]},{triple[2]}]", "0", states, sides,
+                   got="0", mismatch="nonzero")]
 
 
 def check_window_doubling(params: ScenarioParams, probes: int = 100, seed: int = 7) -> list:

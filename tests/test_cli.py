@@ -143,3 +143,18 @@ def test_failed_check_exits_one(capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "doomed expected=0 got=1 fail probe=probe" in out
+
+
+def test_empty_probe_sets_are_skipped_not_passed(capsys):
+    # at level 3 the pairs with max(0, m, n, m+n) > 3 have no safe state
+    code, out, _ = run_cli(capsys, "--scenario", "boson-reduced", "--level", "3",
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    skipped = [c["name"] for c in doc["checks"] if c["status"] == "skipped"]
+    assert doc["summary"]["skipped"] == len(skipped) == 12
+    assert sum(name.startswith("virasoro[") for name in skipped) == 6
+    assert sum(name.startswith("christoffel[") for name in skipped) == 6
+    code, out, _ = run_cli(capsys, "--scenario", "boson-reduced", "--level", "3")
+    assert code == 0
+    assert out.splitlines()[-1] == "summary: 124/136 passed, 0 failed, 12 skipped"

@@ -155,3 +155,21 @@ def test_run_dirac_checks_all_pass():
     names = {r.name for r in reports}
     assert "classify[even-copy]" in names
     assert "incompatibility_detected[fermion,lambda=0]" in names
+
+
+@pytest.mark.parametrize("family,level", [("boson-unconstrained", 6), ("boson-reduced", 8),
+                                          ("fermion-unconstrained", 8), ("fermion-reduced", 8)])
+def test_benchmark_levels_skip_nothing(monkeypatch, family, level):
+    # Whether a check is skipped depends only on its probe set, never on the
+    # action, so a zero action keeps the benchmark's caps affordable here.
+    import virfock.verify as verify
+    from virfock import StateVector
+    from virfock.verify import default_truncation
+    monkeypatch.setattr(verify, "commutator_action",
+                        lambda op_a, op_b, state, trunc: StateVector(op_a.algebra))
+    monkeypatch.setattr(verify, "apply_operator",
+                        lambda op, v, trunc, window=None: StateVector(v.algebra))
+    monkeypatch.setattr(verify, "apply_mode", lambda x, v, trunc: StateVector(v.algebra))
+    params = ScenarioParams(family, 1, H, default_truncation(family, level), 3, Window(8))
+    reports, _, _ = run_family_scenario(params)
+    assert reports and not [r.name for r in reports if r.status == "skipped"]
