@@ -75,40 +75,21 @@ class FieldKind(Enum):
     given the wrong statistics.
     """
 
-    A = 0
-    ADAG = 1
-    B = 2
-    BDAG = 3
-    RED_ADAG = 4
-    RED_B = 5
-    EVEN_B = 6
-    EVEN_BDAG = 7
+    # value, symbol, parity (1 for odd kinds), half-odd-integer moded
+    A = 0, "a", 0, False
+    ADAG = 1, "a†", 0, False
+    B = 2, "b", 1, True
+    BDAG = 3, "b†", 1, True
+    RED_ADAG = 4, "a†", 0, False
+    RED_B = 5, "b", 1, True
+    EVEN_B = 6, "b", 0, True
+    EVEN_BDAG = 7, "b†", 0, True
 
-    @property
-    def parity(self) -> int:
-        """1 for odd (fermionic) kinds, 0 for even."""
-        return 1 if self in (FieldKind.B, FieldKind.BDAG, FieldKind.RED_B) else 0
-
-    @property
-    def half_integer_moded(self) -> bool:
-        return self in (FieldKind.B, FieldKind.BDAG, FieldKind.RED_B,
-                        FieldKind.EVEN_B, FieldKind.EVEN_BDAG)
-
-    @property
-    def symbol(self) -> str:
-        return _SYMBOL[self]
-
-
-_SYMBOL = {
-    FieldKind.A: "a",
-    FieldKind.ADAG: "a†",
-    FieldKind.B: "b",
-    FieldKind.BDAG: "b†",
-    FieldKind.RED_ADAG: "a†",
-    FieldKind.RED_B: "b",
-    FieldKind.EVEN_B: "b",
-    FieldKind.EVEN_BDAG: "b†",
-}
+    def __new__(cls, value, symbol, parity, half_integer_moded):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.symbol, kind.parity, kind.half_integer_moded = symbol, parity, half_integer_moded
+        return kind
 
 
 def conformal_weight(kind: FieldKind, lam=None) -> Fraction:
@@ -238,9 +219,6 @@ class Algebra:
     has_zero_modes: bool = False
     brackets: dict = field(default_factory=dict, compare=False, repr=False)
     index_weighted: bool = field(default=False, compare=False, repr=False)
-
-    def __contains__(self, mode: Mode) -> bool:
-        return mode.kind in self.kinds
 
     def __str__(self):
         if self.M is not None:

@@ -46,9 +46,17 @@ def _build_parser():
 
 
 def _parse_args(argv):
+    # argparse takes a value such as -1/2 for an option flag, so the rational
+    # parameters are joined to their flag before parsing.
+    joined = []
+    values = iter(argv)
+    for arg in values:
+        if arg in ("--M", "--lambda"):
+            arg = f"{arg}={next(values, '')}"
+        joined.append(arg)
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(joined)
     except SystemExit as exc:
         raise ConfigError("bad command line") from exc
     try:

@@ -89,27 +89,17 @@ class Window:
 class ConstraintFamily:
     """An indexed set of linear constraints chi_P over one algebra.
 
-    C and Delta are computed from the expressions unless a subclass states a
-    closed form.  Subclasses are frozen dataclasses: their instances key the
-    expression and inverse caches.
+    Each subclass gives labels(window), the expression of a label
+    (_build_expr), support_labels(expr) (every label P with [expr, chi_P]
+    possibly nonzero; exact, not sampled) and, when second class, the nonzero
+    Delta partners of a label (_delta_row).  C is computed from the
+    expressions unless a subclass states a closed form.  Subclasses are
+    frozen dataclasses: their instances key the expression and inverse caches.
     """
 
     name = ""
     closed_form = False
     fully_second_class = False
-
-    def labels(self, window: Window):
-        raise NotImplementedError
-
-    def _build_expr(self, label) -> OperatorSpec:
-        raise NotImplementedError
-
-    def _delta_row(self, p):
-        raise NotImplementedError
-
-    def support_labels(self, expr: OperatorSpec):
-        """Every label P with [expr, chi_P] possibly nonzero; exact, not sampled."""
-        raise NotImplementedError
 
     def expr(self, label) -> OperatorSpec:
         return _cached_expr(self, label)
@@ -135,10 +125,7 @@ class ConstraintFamily:
 
     def delta_entry(self, p, r) -> Fraction:
         """Inverse entry Delta^PR."""
-        for rr, value in self.delta_row(p):
-            if rr == r:
-                return value
-        return ZERO
+        return dict(self.delta_row(p)).get(r, ZERO)
 
     def delta_col(self, r):
         """Nonzero (P, Delta^PR) partners of a fixed second label.
@@ -339,13 +326,17 @@ def finite_constraints(members) -> ConstraintFamily:
 def _finite_delta(family: ConstraintFamily) -> dict:
     """Exact Delta of a finite family; raises when it is not second class."""
     labels = [label for label, _ in family.members]
-    rows = {p: [family.c_entry(p, r) for r in labels] for p in labels}
-    dead = [p for p in labels if not any(rows[p])]
+    dead = [p for p in labels if not any(family.c_entry(p, r) for r in labels)]
     if dead:
         raise NotSecondClassError(
             f"constraints {dead} have identically zero bracket rows (first class)")
-    signed = [[(-1 if family.parity(r) else 1) * rows[r][j]
-               for j, _ in enumerate(labels)] for r in labels]
+    return _signed_inverse(family, labels)
+
+
+def _signed_inverse(family: ConstraintFamily, labels) -> dict:
+    """Nonzero entries of Delta over labels, by exact elimination of (-1)^p(R) C_RS."""
+    signed = [[(-1 if family.parity(r) else 1) * family.c_entry(r, s) for s in labels]
+              for r in labels]
     inverse = _invert_exact(signed)
     return {(p, r): inverse[i][j]
             for i, p in enumerate(labels) for j, r in enumerate(labels)
@@ -414,22 +405,15 @@ def invert_c(family: ConstraintFamily, window: Window) -> dict:
             f"first-class constraints {split.first_class} present; "
             "the bracket matrix is not invertible")
     labels = split.second_class
-    signed = [[(-1 if family.parity(r) else 1) * family.c_entry(r, s) for s in labels]
-              for r in labels]
-    inverse = _invert_exact(signed)
-    delta = {}
-    for i, p in enumerate(labels):
-        for j, r in enumerate(labels):
-            val = inverse[i][j]
-            if val:
-                delta[(p, r)] = val
+    delta = _signed_inverse(family, labels)
     if family.closed_form and family.fully_second_class:
-        for i, p in enumerate(labels):
-            for j, r in enumerate(labels):
-                if inverse[i][j] != family.delta_entry(p, r):
+        for p in labels:
+            for r in labels:
+                got = delta.get((p, r), ZERO)
+                if got != family.delta_entry(p, r):
                     raise VirfockError(
                         f"windowed inversion disagrees with the closed form at ({p},{r}): "
-                        f"{inverse[i][j]} vs {family.delta_entry(p, r)}")
+                        f"{got} vs {family.delta_entry(p, r)}")
     return delta
 
 
@@ -508,18 +492,9 @@ def solve_boson_constraints(expr: OperatorSpec, M) -> OperatorSpec:
     M = Fraction(M)
     if M == 0:
         raise ValueError("solving the boson constraints needs M != 0")
-    out = {}
-    for mode, c in expr.linear:
-        if mode.two == 0:
-            continue
-        if mode.kind is FieldKind.A:
-            target = adag(mode.index)
-            out[target] = out.get(target, ZERO) + c / (M * mode.index)
-        else:
-            out[mode] = out.get(mode, ZERO) + c
-    return OperatorSpec(BOSON, expr.shift, (), tuple(sorted(
-        ((m, c) for m, c in out.items() if c), key=lambda mc: mc[0].sort_key)),
-        expr.constant, expr.parity)
+    solved = [(adag(mode.index), c / (M * mode.index)) if mode.kind is FieldKind.A else (mode, c)
+              for mode, c in expr.linear if mode.two]
+    return linear_operator(BOSON, solved, expr.constant, expr.shift, expr.parity)
 
 
 def dirac_transform_adagger(m: int, n: int, M, lam) -> OperatorSpec:
@@ -542,25 +517,21 @@ def verify_compatibility(op: OperatorSpec, family: ConstraintFamily, index_range
                          window: Window | None = None):
     """Check that a generator preserves the constraint ideal.
 
-    (i) [op, chi_n] must equal the stated multiple of chi at the shifted
-    label: n chi[m+n] for the boson family, (m/2 + r) chi[m+r] for the
-    fermion family (which holds only at lambda = 1/2; other lambdas are
-    reported as incompatible).  (ii) With a window, additionally checks
-    dirac_bracket(x, chi) = 0 for every basic mode x in the window.
+    (i) [op, chi_n] must equal the multiple of chi at the shifted label that
+    the family's chi_transform states (the fermion law holds only at
+    lambda = 1/2; other lambdas are reported as incompatible).  (ii) With a
+    window, additionally checks dirac_bracket(x, chi) = 0 for every basic
+    mode x in the window.
     """
     m = op.shift
     reports = []
     for label in index_range:
-        chi = family.expr(label)
-        got = commutator_with_linear(op, chi)
         coeff, target_label = family.chi_transform(m, label)
-        target = family.expr(target_label)
-        expected = coeff * target
-        ok = got == expected
-        reports.append(report(
-            f"chi_transform[m={m},n={label}]", ok,
-            f"{format_rational(coeff)}·{family.label_of_expr(target_label)}",
-            str(got) if not ok else f"{format_rational(coeff)}·{family.label_of_expr(target_label)}"))
+        got = commutator_with_linear(op, family.expr(label))
+        want = f"{format_rational(coeff)}·{family.label_of_expr(target_label)}"
+        ok = got == coeff * family.expr(target_label)
+        reports.append(report(f"chi_transform[m={m},n={label}]", ok, want,
+                              want if ok else str(got)))
     if window is not None:
         reports.extend(mode_compatibility_reports(family, window))
     return reports
@@ -576,15 +547,13 @@ def mode_compatibility_reports(family: ConstraintFamily, window: Window):
             modes.append(Mode(kind, two))
             if two:
                 modes.append(Mode(kind, -two))
-    reports = []
     bad = []
     for x in sorted(modes, key=lambda mm: mm.sort_key):
         for label in family.labels(window):
             val = dirac_bracket(mode_operator(algebra, x), family.expr(label), family)
             if val:
                 bad.append((x, label, val))
-    reports.append(report(
+    return [report(
         f"dirac_mode_compatibility[N={window.half_width}]", not bad, "0",
         "0" if not bad else "; ".join(f"[{x},{family.label_of_expr(lb)}]*={format_rational(v)}"
-                                      for x, lb, v in bad[:4])))
-    return reports
+                                      for x, lb, v in bad[:4]))]

@@ -126,9 +126,6 @@ class StateVector:
     def vacuum_component(self) -> Fraction:
         return self.amp.get(VACUUM, ZERO)
 
-    def items(self):
-        return self.amp.items()
-
     def __eq__(self, other):
         return (isinstance(other, StateVector)
                 and self.algebra == other.algebra and self.amp == other.amp)
@@ -173,11 +170,6 @@ class StateVector:
 
 def _state_key(state: BasisState):
     return (state.level, state.zero_occ, tuple(m.sort_key for m in state.creators))
-
-
-def vacuum_component(v: StateVector) -> Fraction:
-    """Amplitude of the vacuum basis state (0 if absent)."""
-    return v.vacuum_component()
 
 
 def enumerate_basis(algebra: Algebra, trunc: Truncation):

@@ -56,7 +56,7 @@ from .algebra import (
     red_adag,
     reduced_boson,
 )
-from .fock import BasisState, StateVector, Truncation, apply_mode
+from .fock import BasisState, StateVector, Truncation, apply_mode, enumerate_basis
 
 
 class UnsafeLevelError(VirfockError):
@@ -108,12 +108,6 @@ class OperatorSpec:
     @property
     def is_constant_only(self) -> bool:
         return not self.bilinears and not self.linear
-
-    def linear_dict(self):
-        return dict(self.linear)
-
-    def coeff(self, mode: Mode) -> Fraction:
-        return self.linear_dict().get(mode, ZERO)
 
     def __add__(self, other: "OperatorSpec") -> "OperatorSpec":
         if self.algebra != other.algebra:
@@ -321,9 +315,14 @@ def build_L(family: str, m: int, M=0, lam=0) -> OperatorSpec:
     return generator_family(family).build(int(m), Fraction(M), Fraction(lam))
 
 
-def _mode_exists(kind: FieldKind, two: int) -> bool:
-    # the reduced boson algebra has no zero mode; everything else is populated
-    return not (kind is FieldKind.RED_ADAG and two == 0)
+def _kernel_term(term: BilinearTerm, two_r: int):
+    """(coefficient, X[m-r], Y[r]) of one kernel term, or None when it vanishes
+    or names a mode that does not exist (the reduced boson has no zero mode)."""
+    coeff = term.alpha + term.beta * Fraction(two_r, 2)
+    x, y = Mode(term.left, 2 * term.m - two_r), Mode(term.right, two_r)
+    if not coeff or any(v.kind is FieldKind.RED_ADAG and v.two == 0 for v in (x, y)):
+        return None
+    return coeff, x, y
 
 
 @lru_cache(maxsize=None)
@@ -334,20 +333,13 @@ def _realized(term: BilinearTerm, algebra: Algebra, width: Fraction):
     coefficient absorbs the normal-ordering sign.
     """
     out = []
-    two_m = 2 * term.m
     odd_bit = 1 if term.left.half_integer_moded else 0
     two_w = math.floor(2 * width)
     for two_r in range(-two_w, two_w + 1):
-        if (two_r & 1) != odd_bit:
+        kernel = (two_r & 1) == odd_bit and _kernel_term(term, two_r)
+        if not kernel:
             continue
-        r = Fraction(two_r, 2)
-        coeff = term.alpha + term.beta * r
-        if not coeff:
-            continue
-        if not (_mode_exists(term.left, two_m - two_r) and _mode_exists(term.right, two_r)):
-            continue
-        x = Mode(term.left, two_m - two_r)
-        y = Mode(term.right, two_r)
+        coeff, x, y = kernel
         if not is_creator(x) and is_creator(y):
             sign = -1 if (x.parity and y.parity) else 1
             out.append((coeff * sign, x, y))
@@ -428,7 +420,6 @@ def pair_shifts(op_a: OperatorSpec, op_b: OperatorSpec):
 
 
 def safe_basis_for_pair(algebra, trunc, op_a, op_b):
-    from .fock import enumerate_basis
     return [s for s in enumerate_basis(algebra, trunc)
             if is_safe_state(s, pair_shifts(op_a, op_b), algebra, trunc)]
 
@@ -483,32 +474,22 @@ def commutator_with_linear(op: OperatorSpec, lin: OperatorSpec) -> OperatorSpec:
     if not lin.is_linear:
         raise ValueError("second argument must be a linear expression")
     algebra = op.algebra
-    out_linear = {}
+    out_linear = []
     out_const = ZERO
-
-    def add_mode(mode, c):
-        if c:
-            out_linear[mode] = out_linear.get(mode, ZERO) + c
-
     for z, cz in lin.linear:
         for term in op.bilinears:
-            two_m = 2 * term.m
-            for two_r in {-z.two, two_m + z.two}:
-                r = Fraction(two_r, 2)
-                coeff = term.alpha + term.beta * r
-                if not coeff:
+            for two_r in {-z.two, 2 * term.m + z.two}:
+                kernel = _kernel_term(term, two_r)
+                if kernel is None:
                     continue
-                if not (_mode_exists(term.left, two_m - two_r) and _mode_exists(term.right, two_r)):
-                    continue
-                x = Mode(term.left, two_m - two_r)
-                y = Mode(term.right, two_r)
+                coeff, x, y = kernel
                 by = canonical_bracket(y, z, algebra)
                 if by:
-                    add_mode(x, cz * coeff * by)
+                    out_linear.append((x, cz * coeff * by))
                 bx = canonical_bracket(x, z, algebra)
                 if bx:
                     sign = -1 if (z.parity and y.parity) else 1
-                    add_mode(y, cz * coeff * sign * bx)
+                    out_linear.append((y, cz * coeff * sign * bx))
         for w, cw in op.linear:
             val = canonical_bracket(w, z, algebra)
             if val:

@@ -336,10 +336,8 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
                               "identity", "identity" if not bad else str(bad[:3])))
 
     # closed-form bracket matrix against the one recomputed from expressions
-    agree = all(bos.c_entry(p, r) == bos.computed_c_entry(p, r)
-                for p in bos.labels(window) for r in bos.labels(window))
-    agree &= all(fer.c_entry(p, r) == fer.computed_c_entry(p, r)
-                 for p in fer.labels(window) for r in fer.labels(window))
+    agree = all(fam.c_entry(p, r) == fam.computed_c_entry(p, r) for fam in (bos, fer)
+                for p in fam.labels(window) for r in fam.labels(window))
     reports.append(report(f"bracket_matrix_closed_form[N={N}]", agree,
                           "matches expressions", "matches" if agree else "mismatch"))
 
@@ -387,13 +385,11 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
                           "all first class" if ok else str(split.second_class)))
 
     # generator compatibility with the constraint ideal
-    for m in range(-5, 6):
-        lm = build_L("boson-unconstrained", m, M, Fraction(1, 2))
-        reports += verify_compatibility(lm, bos, range(-5, 6))
     half5 = [Fraction(t, 2) for t in range(-9, 10, 2)]
-    for m in range(-5, 6):
-        lm = build_L("fermion-unconstrained", m, 0, Fraction(1, 2))
-        reports += verify_compatibility(lm, fer, half5)
+    for family, fam, labels in (("boson-unconstrained", bos, range(-5, 6)),
+                                ("fermion-unconstrained", fer, half5)):
+        for m in range(-5, 6):
+            reports += verify_compatibility(build_L(family, m, M, Fraction(1, 2)), fam, labels)
     incompatible = [r for m in (1, 2)
                     for r in verify_compatibility(build_L("fermion-unconstrained", m, 0, 0),
                                                   fer, half5)

@@ -158,3 +158,13 @@ def test_empty_probe_sets_are_skipped_not_passed(capsys):
     code, out, _ = run_cli(capsys, "--scenario", "boson-reduced", "--level", "3")
     assert code == 0
     assert out.splitlines()[-1] == "summary: 124/136 passed, 0 failed, 12 skipped"
+
+
+def test_negative_rational_parameters_parse_in_both_spellings(capsys):
+    spaced = run_cli(capsys, "--scenario", "fermion-unconstrained", "--M", "-3/2",
+                     "--lambda", "-1/2", *FAST)
+    joined = run_cli(capsys, "--scenario", "fermion-unconstrained", "--M=-3/2",
+                     "--lambda=-1/2", *FAST)
+    assert spaced == joined
+    assert spaced[0] == 0
+    assert "c_formula=-11 c_oracle=-11" in spaced[1]

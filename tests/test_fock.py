@@ -24,7 +24,6 @@ from virfock import (
     enumerate_basis,
     red_b,
     reduced_boson,
-    vacuum_component,
 )
 
 H = Fraction(1, 2)
@@ -209,13 +208,13 @@ def test_truncation_overflow_is_signalled():
 
 
 def test_vacuum_component_examples():
-    assert vacuum_component(StateVector.vacuum(REDUCED_FERMION)) == 1
+    assert StateVector.vacuum(REDUCED_FERMION).vacuum_component() == 1
     one = StateVector.basis(BOSON, BasisState((adag(1),)))
-    assert vacuum_component(one) == 0
+    assert one.vacuum_component() == 0
     two_modes = BasisState((red_b(H), red_b(Fraction(3, 2))))
     v = Fraction(3, 2) * StateVector.vacuum(REDUCED_FERMION) \
         + (-2) * StateVector.basis(REDUCED_FERMION, two_modes)
-    assert vacuum_component(v) == Fraction(3, 2)
+    assert v.vacuum_component() == Fraction(3, 2)
 
 
 def test_truncation_validation():
