@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -239,8 +240,9 @@ BOSONIZED_FERMION = Algebra("bosonized-fermion", None, (_EVEN_B, _EVEN_BDAG), Fa
                             {(_EVEN_BDAG, _EVEN_B): ONE, (_EVEN_B, _EVEN_BDAG): -ONE})
 
 
+@lru_cache(maxsize=None)
 def reduced_boson(M) -> Algebra:
-    """Reduced boson algebra; M scales the brackets and must be nonzero."""
+    """Reduced boson algebra, one instance per M; M scales the brackets and must be nonzero."""
     M = Fraction(M)
     if M == 0:
         raise ValueError("reduced boson algebra needs M != 0 "

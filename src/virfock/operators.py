@@ -300,10 +300,9 @@ FAMILIES = {
 
 
 def generator_family(family: str) -> GeneratorFamily:
-    try:
-        return FAMILIES[family]
-    except KeyError:
-        raise ValueError(f"unknown generator family {family!r}") from None
+    if family not in FAMILIES:
+        raise ValueError(f"unknown generator family {family!r}")
+    return FAMILIES[family]
 
 
 def algebra_for(family: str, M=0) -> Algebra:

@@ -241,10 +241,8 @@ def check_christoffel(params: ScenarioParams) -> list:
             expected = linear_operator(
                 BOSON, {adag(m + n): n} if m + n != 0 else {},
                 constant=anomaly, shift=Fraction(m + n), parity=0)
-            dir_ok = via_dirac == expected
-            reports.append(report(
-                f"christoffel_dirac[m={m},n={n}]", dir_ok, str(expected),
-                str(via_dirac) if not dir_ok else str(expected)))
+            reports.append(report(f"christoffel_dirac[m={m},n={n}]", via_dirac == expected,
+                                  str(expected), str(via_dirac)))
     return reports
 
 
