@@ -142,6 +142,14 @@ def test_algebra_membership_errors():
         reduced_boson(0)
 
 
+def test_bracket_table_stays_out_of_equality():
+    # caches and mismatch checks key on (name, M, kinds, zero modes) only
+    from virfock import Algebra
+    bare = Algebra("boson-reduced", Fraction(2), (FieldKind.RED_ADAG,), False)
+    assert reduced_boson(2) == bare and hash(reduced_boson(2)) == hash(bare)
+    assert reduced_boson(2) != reduced_boson(3)
+
+
 def test_parity_table():
     assert a(1).parity == 0 and adag(1).parity == 0 and red_adag(1).parity == 0
     assert b(H).parity == 1 and bdag(H).parity == 1 and red_b(H).parity == 1
