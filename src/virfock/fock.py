@@ -9,8 +9,8 @@ factor of -1 per transposition of two odd modes.
 Truncation is an explicit contract: producing a state beyond the caps raises
 TruncationOverflowError instead of silently dropping amplitude, because a
 silently truncated commutator check would be unsound.  Callers restrict
-their probes to the safe window (see operators.commutator_action), inside
-which the level grading guarantees nothing ever leaves the truncation.
+their probes to the safe window (see operators.safe_basis), inside which
+the level grading guarantees nothing ever leaves the truncation.
 """
 
 from __future__ import annotations
@@ -88,6 +88,18 @@ class BasisState(NamedTuple):
 VACUUM = BasisState()
 
 
+def accumulate(acc: dict, pairs, scale=1) -> dict:
+    """Add scale·q into acc for each (key, q) of pairs, dropping keys whose
+    sum cancels to zero; returns acc."""
+    for key, q in pairs:
+        val = acc.get(key, ZERO) + scale * q
+        if val:
+            acc[key] = val
+        else:
+            acc.pop(key, None)
+    return acc
+
+
 class StateVector:
     """Finite rational linear combination of basis states of one algebra."""
 
@@ -98,14 +110,7 @@ class StateVector:
         amp = {}
         if amplitudes:
             items = amplitudes.items() if isinstance(amplitudes, dict) else amplitudes
-            for state, q in items:
-                q = Fraction(q)
-                if q:
-                    prev = amp.get(state, ZERO) + q
-                    if prev:
-                        amp[state] = prev
-                    else:
-                        amp.pop(state, None)
+            accumulate(amp, ((state, Fraction(q)) for state, q in items))
         self.amp = amp
 
     @classmethod
@@ -133,15 +138,8 @@ class StateVector:
     def __add__(self, other):
         if self.algebra != other.algebra:
             raise AlgebraMismatchError("cannot add vectors from different algebras")
-        out = dict(self.amp)
-        for s, q in other.amp.items():
-            new = out.get(s, ZERO) + q
-            if new:
-                out[s] = new
-            else:
-                out.pop(s, None)
         v = StateVector(self.algebra)
-        v.amp = out
+        v.amp = accumulate(dict(self.amp), other.amp.items())
         return v
 
     def __sub__(self, other):
@@ -172,11 +170,13 @@ def _state_key(state: BasisState):
     return (state.level, state.zero_occ, tuple(m.sort_key for m in state.creators))
 
 
-def enumerate_basis(algebra: Algebra, trunc: Truncation):
+@lru_cache(maxsize=None)
+def enumerate_basis(algebra: Algebra, trunc: Truncation) -> tuple:
     """All basis states within the truncation, each once, in canonical order.
 
     Canonical order is by (level, zero occupancy, creator tuple); the level-0
-    sector is exactly the vacuum when zero_mode_cap = 0.
+    sector is exactly the vacuum when zero_mode_cap = 0.  Computed once per
+    (algebra, truncation); the tuple is shared by every caller.
     """
     modes = []
     for kind in algebra.kinds:
@@ -206,7 +206,7 @@ def enumerate_basis(algebra: Algebra, trunc: Truncation):
     occs = range(trunc.zero_mode_cap + 1) if algebra.has_zero_modes else (0,)
     states = [BasisState(c, z) for c in combos for z in occs]
     states.sort(key=_state_key)
-    return states
+    return tuple(states)
 
 
 @lru_cache(maxsize=None)
@@ -263,12 +263,7 @@ def apply_mode(x: Mode, v: StateVector, trunc: Truncation) -> StateVector:
         raise AlgebraMismatchError(f"mode {x} does not belong to {v.algebra}")
     acc = {}
     for state, q in v.amp.items():
-        for new_state, w in _apply_to_basis(v.algebra, x, state, trunc):
-            val = acc.get(new_state, ZERO) + q * w
-            if val:
-                acc[new_state] = val
-            else:
-                acc.pop(new_state, None)
+        accumulate(acc, _apply_to_basis(v.algebra, x, state, trunc), q)
     out = StateVector(v.algebra)
     out.amp = acc
     return out

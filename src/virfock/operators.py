@@ -56,7 +56,8 @@ from .algebra import (
     red_adag,
     reduced_boson,
 )
-from .fock import BasisState, StateVector, Truncation, apply_mode, enumerate_basis
+from .fock import BasisState, StateVector, Truncation, accumulate, enumerate_basis
+from .fock import _apply_to_basis as _mode_images
 
 
 class UnsafeLevelError(VirfockError):
@@ -331,6 +332,9 @@ def _realized(term: BilinearTerm, algebra: Algebra, width: Fraction):
     Yields (coefficient, first, second) with `first` applied first; the
     coefficient absorbs the normal-ordering sign.
     """
+    for kind in (term.left, term.right):
+        if kind not in algebra.kinds:
+            raise AlgebraMismatchError(f"mode kind {kind.symbol} does not belong to {algebra}")
     out = []
     odd_bit = 1 if term.left.half_integer_moded else 0
     two_w = math.floor(2 * width)
@@ -349,27 +353,20 @@ def _realized(term: BilinearTerm, algebra: Algebra, width: Fraction):
 
 @lru_cache(maxsize=None)
 def _apply_to_basis(op: OperatorSpec, state: BasisState, trunc: Truncation, width: Fraction):
-    base = StateVector.basis(op.algebra, state)
+    """Action of an operator on a basis state, as ((state, amplitude), ...),
+    assembled from the cached images of single modes on basis states."""
+    algebra = op.algebra
     acc = {}
-
-    def merge(vec: StateVector, scale: Fraction):
-        for s, q in vec.amp.items():
-            val = acc.get(s, ZERO) + scale * q
-            if val:
-                acc[s] = val
-            else:
-                acc.pop(s, None)
-
     for term in op.bilinears:
-        for coeff, first, second in _realized(term, op.algebra, width):
-            tmp = apply_mode(first, base, trunc)
-            if tmp.is_zero():
-                continue
-            merge(apply_mode(second, tmp, trunc), coeff)
+        for coeff, first, second in _realized(term, algebra, width):
+            for mid, w in _mode_images(algebra, first, state, trunc):
+                accumulate(acc, _mode_images(algebra, second, mid, trunc), coeff * w)
     for mode, c in op.linear:
-        merge(apply_mode(mode, base, trunc), c)
+        if mode.kind not in algebra.kinds:
+            raise AlgebraMismatchError(f"mode {mode} does not belong to {algebra}")
+        accumulate(acc, _mode_images(algebra, mode, state, trunc), c)
     if op.constant:
-        merge(base, op.constant)
+        accumulate(acc, ((state, op.constant),))
     return tuple(acc.items())
 
 
@@ -385,12 +382,7 @@ def apply_operator(op: OperatorSpec, v: StateVector, trunc: Truncation, window=N
     width = Fraction(window) if window is not None else trunc.level_cap + abs(op.shift)
     acc = {}
     for state, q in v.amp.items():
-        for new_state, w in _apply_to_basis(op, state, trunc, width):
-            val = acc.get(new_state, ZERO) + q * w
-            if val:
-                acc[new_state] = val
-            else:
-                acc.pop(new_state, None)
+        accumulate(acc, _apply_to_basis(op, state, trunc, width), q)
     out = StateVector(v.algebra)
     out.amp = acc
     return out
@@ -418,9 +410,14 @@ def pair_shifts(op_a: OperatorSpec, op_b: OperatorSpec):
     return (op_a.shift, op_b.shift, op_a.shift + op_b.shift)
 
 
-def safe_basis_for_pair(algebra, trunc, op_a, op_b):
+def safe_basis(algebra: Algebra, trunc: Truncation, shifts, zero_uses: int = 2) -> list:
+    """The basis states inside the safe window of the given level shifts."""
     return [s for s in enumerate_basis(algebra, trunc)
-            if is_safe_state(s, pair_shifts(op_a, op_b), algebra, trunc)]
+            if is_safe_state(s, shifts, algebra, trunc, zero_uses)]
+
+
+def safe_basis_for_pair(algebra, trunc, op_a, op_b):
+    return safe_basis(algebra, trunc, pair_shifts(op_a, op_b))
 
 
 def commutator_action(op_a: OperatorSpec, op_b: OperatorSpec, state: BasisState,

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from virfock import (
     BOSON,
@@ -71,7 +72,13 @@ def test_enumerate_reduced_fermion_level_2():
 
 def test_enumerate_level_zero_is_vacuum():
     for algebra in (BOSON, FERMION, reduced_boson(1), REDUCED_FERMION):
-        assert enumerate_basis(algebra, Truncation(Fraction(0), 0)) == [VACUUM]
+        assert enumerate_basis(algebra, Truncation(Fraction(0), 0)) == (VACUUM,)
+
+
+def test_enumerate_basis_once_per_truncation():
+    # equal (algebra, truncation) arguments share one basis tuple
+    first = enumerate_basis(BOSON, Truncation(Fraction(3), 2))
+    assert enumerate_basis(BOSON, Truncation(Fraction(3), 2)) is first
 
 
 def test_enumerate_unconstrained_fermion_level_1():
@@ -95,6 +102,22 @@ def test_enumerate_matches_bruteforce(algebra, trunc):
     assert set(states) == brute_states(algebra, trunc)
     levels = [(s.level, s.zero_occ) for s in states]
     assert levels == sorted(levels)  # canonical order leads with the level
+
+
+_POOL = enumerate_basis(FERMION, Truncation(Fraction(3, 2)))
+
+
+@given(st.lists(st.tuples(st.sampled_from(_POOL), st.fractions(max_denominator=4),
+                          st.booleans()), max_size=12),
+       st.randoms(use_true_random=False))
+def test_constructor_sums_and_drops_cancelled_amplitudes(entries, rng):
+    # each entry flagged True is also added negated, so some states cancel exactly
+    pairs = [(s, q) for s, q, _ in entries] + [(s, -q) for s, q, neg in entries if neg]
+    rng.shuffle(pairs)
+    naive = {}
+    for s, q in pairs:
+        naive[s] = naive.get(s, 0) + q
+    assert StateVector(FERMION, pairs).amp == {s: q for s, q in naive.items() if q}
 
 
 def test_apply_creator_then_conjugate_annihilator():

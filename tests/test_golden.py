@@ -1,13 +1,19 @@
-"""Byte-for-byte regression of the full CLI report against committed output.
+"""Byte-for-byte regression of CLI reports against committed output.
 
-The golden files hold the output of
+all.txt and all.json hold the output of
 
     virfock --scenario all --level 4 --zmax 2 --mmax 2 --window 4 [--format json]
 
-and are regenerated, after a deliberate output change, with
+and boson_reduced_level3_mmax4.txt that of
+
+    virfock --scenario boson-reduced --level 3 --mmax 4
+
+where label 4 has no safe state, so window doubling draws from the other
+labels only.  After a deliberate output change they are regenerated with
 
     PYTHONPATH=src python -m virfock.cli --scenario all --level 4 --zmax 2 --mmax 2 --window 4 > tests/golden/all.txt
     PYTHONPATH=src python -m virfock.cli --scenario all --level 4 --zmax 2 --mmax 2 --window 4 --format json > tests/golden/all.json
+    PYTHONPATH=src python -m virfock.cli --scenario boson-reduced --level 3 --mmax 4 > tests/golden/boson_reduced_level3_mmax4.txt
 """
 
 from pathlib import Path
@@ -17,11 +23,16 @@ import pytest
 from virfock.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-ARGV = ["--scenario", "all", "--level", "4", "--zmax", "2", "--mmax", "2", "--window", "4"]
+ALL = ["--scenario", "all", "--level", "4", "--zmax", "2", "--mmax", "2", "--window", "4"]
 
 
-@pytest.mark.parametrize("fmt,filename", [("text", "all.txt"), ("json", "all.json")])
-def test_all_scenario_matches_golden(capsys, fmt, filename):
-    assert main(ARGV + ["--format", fmt]) == 0
+@pytest.mark.parametrize("argv,filename", [
+    pytest.param(ALL + ["--format", "text"], "all.txt", id="text-all.txt"),
+    pytest.param(ALL + ["--format", "json"], "all.json", id="json-all.json"),
+    pytest.param(["--scenario", "boson-reduced", "--level", "3", "--mmax", "4"],
+                 "boson_reduced_level3_mmax4.txt", id="text-boson_reduced_level3_mmax4.txt"),
+])
+def test_cli_output_matches_golden(capsys, argv, filename):
+    assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / filename).read_bytes()

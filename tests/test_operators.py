@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from virfock import (
+    AlgebraMismatchError,
     BOSON,
     BasisState,
     BilinearTerm,
     FERMION,
     FieldKind,
+    OperatorSpec,
     REDUCED_FERMION,
     StateVector,
     Truncation,
@@ -149,6 +151,18 @@ def test_K0_counts_level():
     for state in enumerate_basis(BOSON, trunc):
         v = StateVector.basis(BOSON, state)
         assert apply_operator(k0, v, trunc) == state.level * v
+
+
+def test_operator_naming_a_foreign_mode_is_rejected():
+    # specs built directly, past linear_operator's own membership check
+    trunc = Truncation(Fraction(3), 2)
+    vac = StateVector.vacuum(BOSON)
+    linear = OperatorSpec(BOSON, H, (), ((b(H), Fraction(1)),), parity=1)
+    bilinear = OperatorSpec(BOSON, Fraction(0), (
+        BilinearTerm(FieldKind.BDAG, FieldKind.B, 0, Fraction(0), Fraction(1)),))
+    for op in (linear, bilinear):
+        with pytest.raises(AlgebraMismatchError):
+            apply_operator(op, vac, trunc)
 
 
 def test_operator_on_zero_vector():
