@@ -4,16 +4,19 @@ all.txt and all.json hold the output of
 
     virfock --scenario all --level 4 --zmax 2 --mmax 2 --window 4 [--format json]
 
-and boson_reduced_level3_mmax4.txt that of
+boson_reduced_level3_mmax4.txt that of
 
     virfock --scenario boson-reduced --level 3 --mmax 4
 
 where label 4 has no safe state, so window doubling draws from the other
-labels only.  After a deliberate output change they are regenerated with
+labels only, and all_defaults.txt that of `virfock --scenario all` with
+every flag at its default (the acceptance caps).  After a deliberate output
+change they are regenerated with
 
     PYTHONPATH=src python -m virfock.cli --scenario all --level 4 --zmax 2 --mmax 2 --window 4 > tests/golden/all.txt
     PYTHONPATH=src python -m virfock.cli --scenario all --level 4 --zmax 2 --mmax 2 --window 4 --format json > tests/golden/all.json
     PYTHONPATH=src python -m virfock.cli --scenario boson-reduced --level 3 --mmax 4 > tests/golden/boson_reduced_level3_mmax4.txt
+    PYTHONPATH=src python -m virfock.cli --scenario all > tests/golden/all_defaults.txt
 """
 
 from pathlib import Path
@@ -31,6 +34,7 @@ ALL = ["--scenario", "all", "--level", "4", "--zmax", "2", "--mmax", "2", "--win
     pytest.param(ALL + ["--format", "json"], "all.json", id="json-all.json"),
     pytest.param(["--scenario", "boson-reduced", "--level", "3", "--mmax", "4"],
                  "boson_reduced_level3_mmax4.txt", id="text-boson_reduced_level3_mmax4.txt"),
+    pytest.param(["--scenario", "all"], "all_defaults.txt", id="text-all_defaults.txt"),
 ])
 def test_cli_output_matches_golden(capsys, argv, filename):
     assert main(argv) == 0
