@@ -11,6 +11,10 @@ TruncationOverflowError instead of silently dropping amplitude, because a
 silently truncated commutator check would be unsound.  Callers restrict
 their probes to the safe window (see operators.safe_basis), inside which
 the level grading guarantees nothing ever leaves the truncation.
+
+The basis of one (algebra, truncation) pair is enumerated once; a state's
+id is its position in that tuple (basis_index), which lets the operator
+layer keep its tables and inner loops on integers.
 """
 
 from __future__ import annotations
@@ -73,8 +77,13 @@ class BasisState(NamedTuple):
     zero_occ: int = 0
 
     @property
+    def two_level(self) -> int:
+        """Twice the level, an exact integer on both mode ladders."""
+        return sum(m.two for m in self.creators)
+
+    @property
     def level(self) -> Fraction:
-        return Fraction(sum(m.two for m in self.creators), 2)
+        return Fraction(self.two_level, 2)
 
     def __str__(self):
         parts = [str(m) for m in self.creators]
@@ -90,9 +99,9 @@ VACUUM = BasisState()
 
 def accumulate(acc: dict, pairs, scale=1) -> dict:
     """Add scale·q into acc for each (key, q) of pairs, dropping keys whose
-    sum cancels to zero; returns acc."""
+    sum cancels to zero; returns acc.  Integer amplitudes stay integers."""
     for key, q in pairs:
-        val = acc.get(key, ZERO) + scale * q
+        val = acc.get(key, 0) + scale * q
         if val:
             acc[key] = val
         else:
@@ -207,6 +216,12 @@ def enumerate_basis(algebra: Algebra, trunc: Truncation) -> tuple:
     states = [BasisState(c, z) for c in combos for z in occs]
     states.sort(key=_state_key)
     return tuple(states)
+
+
+@lru_cache(maxsize=None)
+def basis_index(algebra: Algebra, trunc: Truncation) -> dict:
+    """State id of each basis state: its position in enumerate_basis."""
+    return {state: i for i, state in enumerate(enumerate_basis(algebra, trunc))}
 
 
 @lru_cache(maxsize=None)

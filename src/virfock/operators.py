@@ -20,8 +20,18 @@ through the swap X <-> Y) or both factors creating (|r| < |m|), so the
 window provably contains every contribution; widening it can only add terms
 that act as zero.
 
-commutator_action evaluates graded commutators on basis states restricted
-to the safe window
+On one truncation an operator is a row table keyed by state id (the
+position of a state in fock.enumerate_basis): row i lists (j, n) with
+op|basis[i]> = sum of (n/den)|basis[j]>.  The common denominator den is
+fixed by the operator before any row exists: the lcm of each realized
+kernel coefficient's denominator times the square of the algebra's bracket
+denominator (two contractions), of each linear coefficient's times that
+denominator, and of the constant's.  A row whose scaled amplitude is not an
+integer raises.  apply_operator and commutator therefore add and multiply
+integers only, and build Fractions only for the vectors they return.
+
+commutator evaluates graded commutators on basis states restricted to the
+safe window
 
     level + max(0, m, n, m+n) <= level_cap      (labels m, n of the pair)
     zero_occ + 2 <= zero_mode_cap               (zero-moded algebras only)
@@ -56,7 +66,15 @@ from .algebra import (
     red_adag,
     reduced_boson,
 )
-from .fock import BasisState, StateVector, Truncation, accumulate, enumerate_basis
+from .fock import (
+    BasisState,
+    StateVector,
+    Truncation,
+    TruncationOverflowError,
+    accumulate,
+    basis_index,
+    enumerate_basis,
+)
 from .fock import _apply_to_basis as _mode_images
 
 
@@ -351,95 +369,200 @@ def _realized(term: BilinearTerm, algebra: Algebra, width: Fraction):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _apply_to_basis(op: OperatorSpec, state: BasisState, trunc: Truncation, width: Fraction):
-    """Action of an operator on a basis state, as ((state, amplitude), ...),
-    assembled from the cached images of single modes on basis states."""
-    algebra = op.algebra
-    acc = {}
-    for term in op.bilinears:
-        for coeff, first, second in _realized(term, algebra, width):
+def _bracket_denominator(algebra: Algebra) -> int:
+    """A multiple of the denominator of every [x, y} in the algebra."""
+    den = math.lcm(*(q.denominator for q in algebra.brackets.values()))
+    if algebra.index_weighted and any(k.half_integer_moded for k in algebra.kinds):
+        den *= 2  # the weighting index is then a half-odd integer
+    return den
+
+
+def _common_denominator(op: OperatorSpec, realized) -> int:
+    """A denominator den with den·amplitude an integer for every amplitude
+    the operator can produce from a basis state.
+
+    A bilinear term applies two modes, each contributing at most one bracket
+    value (creators and the a[0] contraction give integers), a linear term
+    one, and the constant none.
+    """
+    bd = _bracket_denominator(op.algebra)
+    return math.lcm(*(coeff.denominator * bd * bd for coeff, _, _ in realized),
+                    *(c.denominator * bd for _, c in op.linear),
+                    op.constant.denominator)
+
+
+class RowTable:
+    """An operator on the basis of one truncation, as integer rows by state id.
+
+    op|basis[i]> = sum of (n / den)|basis[j]> over (j, n) in row(i); rows
+    are built on demand from the cached images of single modes on basis
+    states, and kept.
+    """
+
+    __slots__ = ("op", "trunc", "realized", "den", "basis", "index", "rows")
+
+    def __init__(self, op: OperatorSpec, trunc: Truncation, width: Fraction):
+        algebra = op.algebra
+        self.op, self.trunc = op, trunc
+        self.realized = tuple(t for term in op.bilinears for t in _realized(term, algebra, width))
+        for mode, _ in op.linear:
+            if mode.kind not in algebra.kinds:
+                raise AlgebraMismatchError(f"mode {mode} does not belong to {algebra}")
+        self.den = _common_denominator(op, self.realized)
+        self.basis = enumerate_basis(algebra, trunc)
+        self.index = basis_index(algebra, trunc)
+        self.rows = {}
+
+    def row(self, i: int) -> tuple:
+        row = self.rows.get(i)
+        if row is None:
+            row = self.rows[i] = self._build(i)
+        return row
+
+    def _build(self, i: int) -> tuple:
+        op, trunc, algebra = self.op, self.trunc, self.op.algebra
+        state = self.basis[i]
+        acc = {}
+        for coeff, first, second in self.realized:
             for mid, w in _mode_images(algebra, first, state, trunc):
                 accumulate(acc, _mode_images(algebra, second, mid, trunc), coeff * w)
-    for mode, c in op.linear:
-        if mode.kind not in algebra.kinds:
-            raise AlgebraMismatchError(f"mode {mode} does not belong to {algebra}")
-        accumulate(acc, _mode_images(algebra, mode, state, trunc), c)
-    if op.constant:
-        accumulate(acc, ((state, op.constant),))
-    return tuple(acc.items())
+        for mode, c in op.linear:
+            accumulate(acc, _mode_images(algebra, mode, state, trunc), c)
+        if op.constant:
+            accumulate(acc, ((state, op.constant),))
+        row = []
+        for image, q in acc.items():
+            n = q * self.den
+            if n.denominator != 1:
+                raise ArithmeticError(
+                    f"amplitude {q} of {image} in {op} on {state} is not a multiple of 1/{self.den}")
+            row.append((self.index[image], n.numerator))
+        return tuple(row)
+
+
+@lru_cache(maxsize=None)
+def _apply_to_basis(op: OperatorSpec, trunc: Truncation, width: Fraction) -> RowTable:
+    """The row table of an operator on one truncation at one kernel half-width."""
+    return RowTable(op, trunc, width)
+
+
+def _table(op: OperatorSpec, trunc: Truncation, window=None) -> RowTable:
+    width = Fraction(window) if window is not None else trunc.level_cap + abs(op.shift)
+    return _apply_to_basis(op, trunc, width)
+
+
+def _state_id(index: dict, state: BasisState, trunc: Truncation) -> int:
+    i = index.get(state)
+    if i is None:
+        raise TruncationOverflowError(f"state {state} is not a basis state within {trunc}")
+    return i
+
+
+def _vector(algebra: Algebra, basis: tuple, acc: dict, den: int) -> StateVector:
+    """The StateVector sum of (n / den)|basis[j]> over acc's (j, n)."""
+    out = StateVector(algebra)
+    out.amp = {basis[j]: Fraction(n, den) for j, n in acc.items()}
+    return out
 
 
 def apply_operator(op: OperatorSpec, v: StateVector, trunc: Truncation, window=None) -> StateVector:
     """Apply an operator to a state vector, exactly, within the truncation.
 
     window overrides the summation half-width (default level_cap + |m|,
-    which provably contains every contributing term).  Overflow beyond the
-    truncation propagates as TruncationOverflowError.
+    which provably contains every contributing term).  The input is scaled
+    to integers by the lcm of its denominators, so the loop over the rows
+    adds integers only.  Overflow beyond the truncation, including an input
+    state outside it, propagates as TruncationOverflowError.
     """
     if op.algebra != v.algebra:
         raise AlgebraMismatchError("operator and vector belong to different algebras")
-    width = Fraction(window) if window is not None else trunc.level_cap + abs(op.shift)
+    table = _table(op, trunc, window)
+    scale = math.lcm(*(q.denominator for q in v.amp.values()))
     acc = {}
     for state, q in v.amp.items():
-        accumulate(acc, _apply_to_basis(op, state, trunc, width), q)
-    out = StateVector(v.algebra)
-    out.amp = acc
-    return out
+        accumulate(acc, table.row(_state_id(table.index, state, trunc)),
+                   q.numerator * (scale // q.denominator))
+    return _vector(v.algebra, table.basis, acc, scale * table.den)
 
 
-def is_safe_state(state: BasisState, shifts, algebra: Algebra, trunc: Truncation,
-                  zero_uses: int = 2) -> bool:
-    """Safe-window rule for a composite of operators with the given level shifts.
+def _doubled_rise(shifts) -> int:
+    """Twice the largest of 0 and the given half-integer level shifts."""
+    return max(0, *(int(2 * s) for s in shifts))
 
-    For a pair (m, n) the partial shifts are {0, m, n, m+n}; a state is safe
-    when its level plus the largest partial shift stays within the cap (and
-    the zero-mode occupancy leaves room for `zero_uses` more quanta on
-    zero-moded algebras).  Inside this window a truncated commutator equals
-    the untruncated one exactly, because the algebra is level graded.
+
+def _safe_test(algebra: Algebra, trunc: Truncation, two_rise: int, zero_uses: int):
+    """Safe-window rule for a composite of operators, as a predicate on states.
+
+    For a pair (m, n) the partial shifts are {0, m, n, m+n}, and two_rise is
+    twice the largest of them and 0; a state is safe when its level plus
+    that rise stays within the cap (and the zero-mode occupancy leaves room
+    for `zero_uses` more quanta on zero-moded algebras).  Inside this window
+    a truncated commutator equals the untruncated one exactly, because the
+    algebra is level graded.  Levels are compared doubled, as integers.
     """
-    rise = max(ZERO, *[Fraction(s) for s in shifts])
-    if state.level + rise > trunc.level_cap:
-        return False
-    if algebra.has_zero_modes and state.zero_occ + zero_uses > trunc.zero_mode_cap:
-        return False
-    return True
+    top = int(2 * trunc.level_cap) - two_rise
+    zmax = trunc.zero_mode_cap - zero_uses if algebra.has_zero_modes else math.inf
+    return lambda state: state.two_level <= top and state.zero_occ <= zmax
 
 
 def pair_shifts(op_a: OperatorSpec, op_b: OperatorSpec):
     return (op_a.shift, op_b.shift, op_a.shift + op_b.shift)
 
 
-def safe_basis(algebra: Algebra, trunc: Truncation, shifts, zero_uses: int = 2) -> list:
-    """The basis states inside the safe window of the given level shifts."""
-    return [s for s in enumerate_basis(algebra, trunc)
-            if is_safe_state(s, shifts, algebra, trunc, zero_uses)]
+@lru_cache(maxsize=None)
+def _safe_basis(algebra: Algebra, trunc: Truncation, two_rise: int, zero_uses: int) -> tuple:
+    return tuple(filter(_safe_test(algebra, trunc, two_rise, zero_uses),
+                        enumerate_basis(algebra, trunc)))
+
+
+def safe_basis(algebra: Algebra, trunc: Truncation, shifts, zero_uses: int = 2) -> tuple:
+    """The basis states inside the safe window of the given level shifts, in
+    basis order; computed once per (algebra, truncation, rise, zero_uses)."""
+    return _safe_basis(algebra, trunc, _doubled_rise(shifts), zero_uses)
 
 
 def safe_basis_for_pair(algebra, trunc, op_a, op_b):
     return safe_basis(algebra, trunc, pair_shifts(op_a, op_b))
 
 
-def commutator_action(op_a: OperatorSpec, op_b: OperatorSpec, state: BasisState,
-                      trunc: Truncation) -> StateVector:
-    """Exact action of the graded commutator [A, B} on a safe basis state.
+def _compose(outer: RowTable, inner: RowTable, i: int) -> dict:
+    """Integer row i of outer·inner, over the denominator outer.den·inner.den."""
+    acc = {}
+    for j, w in inner.row(i):
+        accumulate(acc, outer.row(j), w)
+    return acc
 
-    Raises UnsafeLevelError when the state violates the safe-window rule;
+
+def commutator(op_a: OperatorSpec, op_b: OperatorSpec, trunc: Truncation):
+    """The graded commutator [A, B} as a map from safe basis states to vectors.
+
+    Both row tables are fetched once; each call composes their integer rows.
+    The map raises UnsafeLevelError on a state outside the safe-window rule;
     the caller must shrink its probe set, never ignore the signal.
     """
     if op_a.algebra != op_b.algebra:
         raise AlgebraMismatchError("commutator of operators over different algebras")
     algebra = op_a.algebra
-    if not is_safe_state(state, pair_shifts(op_a, op_b), algebra, trunc):
-        raise UnsafeLevelError(
-            f"state {state} (level {state.level}) is outside the safe window for "
-            f"shifts ({op_a.shift}, {op_b.shift}) at level_cap {trunc.level_cap}")
-    v = StateVector.basis(algebra, state)
-    ab = apply_operator(op_a, apply_operator(op_b, v, trunc), trunc)
-    ba = apply_operator(op_b, apply_operator(op_a, v, trunc), trunc)
-    if op_a.parity and op_b.parity:
-        return ab + ba
-    return ab - ba
+    ta, tb = _table(op_a, trunc), _table(op_b, trunc)
+    is_safe = _safe_test(algebra, trunc, _doubled_rise(pair_shifts(op_a, op_b)), 2)
+    sign = 1 if op_a.parity and op_b.parity else -1
+
+    def action(state: BasisState) -> StateVector:
+        if not is_safe(state):
+            raise UnsafeLevelError(
+                f"state {state} (level {state.level}) is outside the safe window for "
+                f"shifts ({op_a.shift}, {op_b.shift}) at level_cap {trunc.level_cap}")
+        i = _state_id(ta.index, state, trunc)
+        acc = accumulate(_compose(ta, tb, i), _compose(tb, ta, i).items(), sign)
+        return _vector(algebra, ta.basis, acc, ta.den * tb.den)
+
+    return action
+
+
+def commutator_action(op_a: OperatorSpec, op_b: OperatorSpec, state: BasisState,
+                      trunc: Truncation) -> StateVector:
+    """Exact action of the graded commutator [A, B} on a safe basis state."""
+    return commutator(op_a, op_b, trunc)(state)
 
 
 def linear_bracket(x: OperatorSpec, y: OperatorSpec) -> Fraction:

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from virfock import (
     AlgebraMismatchError,
@@ -39,7 +40,13 @@ from virfock import (
     red_adag,
     red_b,
 )
-from virfock.operators import safe_basis_for_pair
+from virfock.operators import (
+    FAMILIES,
+    _apply_to_basis,
+    _realized,
+    safe_basis,
+    safe_basis_for_pair,
+)
 
 H = Fraction(1, 2)
 
@@ -308,3 +315,78 @@ def test_operator_addition_and_scaling():
     assert (0 * build_K(1)).bilinears == ()
     with pytest.raises(ValueError):
         build_K(1) + build_K(2)  # inhomogeneous sum
+
+
+def test_safe_basis_is_computed_once_per_rise():
+    trunc = Truncation(Fraction(4), 3)
+    probes = safe_basis(BOSON, trunc, (Fraction(1), Fraction(-2), Fraction(-1)))
+    assert safe_basis(BOSON, trunc, (1, 0, 1)) is probes  # same rise, same tuple
+    assert probes == tuple(s for s in enumerate_basis(BOSON, trunc)
+                           if s.level + 1 <= 4 and s.zero_occ + 2 <= 3)
+
+
+def test_rows_are_integers_over_the_common_denominator():
+    # L_2 = (1/M) sum_r :a†[2-r]a†[r]: + 2 lam (2+1) a†[2] on the reduced boson;
+    # on the vacuum only r = 1 survives: (3/2) a†[1]a†[1]|0> + (6/5) a†[2]|0>
+    M, lam = Fraction(2, 3), Fraction(1, 5)
+    op = build_L("boson-reduced", 2, M, lam)
+    trunc = Truncation(Fraction(5))
+    table = _apply_to_basis(op, trunc, trunc.level_cap + 2)
+    # kernel 3/2 times the bracket denominator 3 (of -M/2) squared, linear 6/5 times 3
+    assert table.den == 90
+    index = {s: i for i, s in enumerate(enumerate_basis(op.algebra, trunc))}
+    twice = BasisState((red_adag(1), red_adag(1)))
+    assert dict(table.row(index[VACUUM])) == {index[twice]: 135,
+                                              index[BasisState((red_adag(2),))]: 108}
+
+
+def test_non_integral_scaled_amplitude_raises(monkeypatch):
+    import virfock.operators as operators
+    # a denominator too small for L_0 = (1/7)(1/2)... on b[1/2]|0>; the scaled
+    # operator and the caps are used nowhere else, so no other test sees the table
+    monkeypatch.setattr(operators, "_common_denominator", lambda op, realized: 1)
+    op = Fraction(1, 7) * build_L("fermion-reduced", 0)
+    psi = StateVector.basis(REDUCED_FERMION, BasisState((red_b(H),)))
+    with pytest.raises(ArithmeticError):
+        apply_operator(op, psi, Truncation(Fraction(13, 2)))
+
+
+def test_input_state_outside_the_truncation_raises():
+    trunc = Truncation(Fraction(2))
+    high = BasisState((red_b(H), red_b(Fraction(5, 2))))  # level 3 > cap 2
+    psi = StateVector(REDUCED_FERMION, {VACUUM: 1, high: H})
+    with pytest.raises(TruncationOverflowError):
+        apply_operator(build_L("fermion-reduced", 0), psi, trunc)
+
+
+def _reference(op, v, trunc):
+    """op v summed term by term through apply_mode, in Fractions throughout."""
+    out = StateVector(op.algebra)
+    for term in op.bilinears:
+        for coeff, first, second in _realized(term, op.algebra, trunc.level_cap + abs(op.shift)):
+            out = out + coeff * apply_mode(second, apply_mode(first, v, trunc), trunc)
+    for mode, c in op.linear:
+        out = out + c * apply_mode(mode, v, trunc)
+    return out + op.constant * v
+
+
+_CAPS = {
+    "boson-unconstrained": Truncation(Fraction(4), 2),
+    "boson-reduced": Truncation(Fraction(5)),
+    "fermion-unconstrained": Truncation(Fraction(9, 2)),
+    "fermion-reduced": Truncation(Fraction(9, 2)),
+}
+_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), _RATIONALS.filter(bool), _RATIONALS,
+       st.integers(-3, 3), st.data())
+def test_integer_engine_matches_fraction_reference(family, M, lam, m, data):
+    trunc = _CAPS[family]
+    op = build_L(family, m, M, lam)
+    pool = safe_basis(op.algebra, trunc, (op.shift,), zero_uses=1)
+    entries = data.draw(st.lists(st.tuples(st.sampled_from(pool), _RATIONALS),
+                                 min_size=1, max_size=3))
+    v = StateVector(op.algebra, entries)
+    assert apply_operator(op, v, trunc) == _reference(op, v, trunc)

@@ -167,9 +167,50 @@ def test_benchmark_levels_skip_nothing(monkeypatch, family, level):
     from virfock.verify import default_truncation
     monkeypatch.setattr(verify, "commutator_action",
                         lambda op_a, op_b, state, trunc: StateVector(op_a.algebra))
+    monkeypatch.setattr(verify, "commutator",
+                        lambda op_a, op_b, trunc: lambda state: StateVector(op_a.algebra))
     monkeypatch.setattr(verify, "apply_operator",
                         lambda op, v, trunc, window=None: StateVector(v.algebra))
     monkeypatch.setattr(verify, "apply_mode", lambda x, v, trunc: StateVector(v.algebra))
     params = ScenarioParams(family, 1, H, default_truncation(family, level), 3, Window(8))
     reports, _, _ = run_family_scenario(params)
     assert reports and not [r.name for r in reports if r.status == "skipped"]
+
+
+def test_window_doubling_failure_names_its_draw(monkeypatch):
+    import virfock.verify as verify
+    real = verify.apply_operator
+
+    def wide_window_differs(op, v, trunc, window=None):
+        out = real(op, v, trunc)
+        return out if window is None else out + v
+
+    monkeypatch.setattr(verify, "apply_operator", wide_window_differs)
+    (r,) = check_window_doubling(small_params("fermion-unconstrained", 0, H), probes=5)
+    assert r.status == "fail"
+    assert r.probe.startswith("m=") and "|0⟩" in r.probe and "BasisState(" not in r.probe
+    assert r.got.startswith("-1·")  # the residual narrow - wide = -psi
+
+
+def test_law_failures_show_the_residual(monkeypatch):
+    # with every mode action on the right-hand side replaced by zero, each
+    # failing law's residual is its commutator on the witness state
+    import virfock.verify as verify
+    from virfock import FERMION, StateVector, b, build_L, commutator_action, \
+        enumerate_basis, mode_operator, red_adag
+    monkeypatch.setattr(verify, "apply_mode", lambda x, v, trunc: StateVector(v.algebra))
+    lam = Fraction(1, 3)
+    fermion = small_params("fermion-unconstrained", 0, lam)
+    boson = small_params("boson-reduced", 1, 1)
+    cases = [
+        (check_primary_laws(fermion), "primary[b,m=1,n=1/2]", fermion,
+         build_L("fermion-unconstrained", 1, 0, lam), mode_operator(FERMION, b(H))),
+        (check_christoffel(boson), "christoffel[m=1,n=1]", boson,
+         build_L("boson-reduced", 1, 1, 1), mode_operator(boson.algebra, red_adag(1))),
+    ]
+    for reports, name, params, gen, xop in cases:
+        (r,) = [r for r in reports if r.name == name]
+        assert r.status == "fail"
+        states = {str(s): s for s in enumerate_basis(params.algebra, params.trunc)}
+        residual = commutator_action(gen, xop, states[r.probe], params.trunc)
+        assert not residual.is_zero() and r.got == str(residual)
