@@ -369,23 +369,17 @@ def _realized(term: BilinearTerm, algebra: Algebra, width: Fraction):
     return tuple(out)
 
 
-def _bracket_denominator(algebra: Algebra) -> int:
-    """A multiple of the denominator of every [x, y} in the algebra."""
-    den = math.lcm(*(q.denominator for q in algebra.brackets.values()))
-    if algebra.index_weighted and any(k.half_integer_moded for k in algebra.kinds):
-        den *= 2  # the weighting index is then a half-odd integer
-    return den
-
-
 def _common_denominator(op: OperatorSpec, realized) -> int:
     """A denominator den with den·amplitude an integer for every amplitude
     the operator can produce from a basis state.
 
-    A bilinear term applies two modes, each contributing at most one bracket
-    value (creators and the a[0] contraction give integers), a linear term
-    one, and the constant none.
+    A bilinear term applies two modes and a linear term one, each mode
+    contributing at most one bracket value (creators and the a[0]
+    contraction give integers); the constant contributes none.  A bracket
+    value is a table entry of the algebra, times an integer index for the
+    index-weighted (integer-moded) reduced boson.
     """
-    bd = _bracket_denominator(op.algebra)
+    bd = math.lcm(*(q.denominator for q in op.algebra.brackets.values()))
     return math.lcm(*(coeff.denominator * bd * bd for coeff, _, _ in realized),
                     *(c.denominator * bd for _, c in op.linear),
                     op.constant.denominator)
@@ -412,6 +406,18 @@ class RowTable:
         self.basis = enumerate_basis(algebra, trunc)
         self.index = basis_index(algebra, trunc)
         self.rows = {}
+
+    def state_id(self, state: BasisState) -> int:
+        i = self.index.get(state)
+        if i is None:
+            raise TruncationOverflowError(f"state {state} is not a basis state within {self.trunc}")
+        return i
+
+    def vector(self, acc: dict, den: int) -> StateVector:
+        """The StateVector sum of (n / den)|basis[j]> over the (j, n) of acc."""
+        out = StateVector(self.op.algebra)
+        out.amp = {self.basis[j]: Fraction(n, den) for j, n in acc.items()}
+        return out
 
     def row(self, i: int) -> tuple:
         row = self.rows.get(i)
@@ -451,20 +457,6 @@ def _table(op: OperatorSpec, trunc: Truncation, window=None) -> RowTable:
     return _apply_to_basis(op, trunc, width)
 
 
-def _state_id(index: dict, state: BasisState, trunc: Truncation) -> int:
-    i = index.get(state)
-    if i is None:
-        raise TruncationOverflowError(f"state {state} is not a basis state within {trunc}")
-    return i
-
-
-def _vector(algebra: Algebra, basis: tuple, acc: dict, den: int) -> StateVector:
-    """The StateVector sum of (n / den)|basis[j]> over acc's (j, n)."""
-    out = StateVector(algebra)
-    out.amp = {basis[j]: Fraction(n, den) for j, n in acc.items()}
-    return out
-
-
 def apply_operator(op: OperatorSpec, v: StateVector, trunc: Truncation, window=None) -> StateVector:
     """Apply an operator to a state vector, exactly, within the truncation.
 
@@ -480,9 +472,8 @@ def apply_operator(op: OperatorSpec, v: StateVector, trunc: Truncation, window=N
     scale = math.lcm(*(q.denominator for q in v.amp.values()))
     acc = {}
     for state, q in v.amp.items():
-        accumulate(acc, table.row(_state_id(table.index, state, trunc)),
-                   q.numerator * (scale // q.denominator))
-    return _vector(v.algebra, table.basis, acc, scale * table.den)
+        accumulate(acc, table.row(table.state_id(state)), q.numerator * (scale // q.denominator))
+    return table.vector(acc, scale * table.den)
 
 
 def _doubled_rise(shifts) -> int:
@@ -552,9 +543,9 @@ def commutator(op_a: OperatorSpec, op_b: OperatorSpec, trunc: Truncation):
             raise UnsafeLevelError(
                 f"state {state} (level {state.level}) is outside the safe window for "
                 f"shifts ({op_a.shift}, {op_b.shift}) at level_cap {trunc.level_cap}")
-        i = _state_id(ta.index, state, trunc)
+        i = ta.state_id(state)
         acc = accumulate(_compose(ta, tb, i), _compose(tb, ta, i).items(), sign)
-        return _vector(algebra, ta.basis, acc, ta.den * tb.den)
+        return ta.vector(acc, ta.den * tb.den)
 
     return action
 
