@@ -14,9 +14,14 @@ and the Dirac bracket is
 The two families of interest are infinite but banded (C couples P with -P,
 plus one zero-mode pair), so Delta has a registered closed form; windowed
 exact elimination must reproduce it entry by entry and is also available for
-finite user families.  All P, R sums in the Dirac bracket run over their
-exact, finite support, computed from the modes present in A and B; nothing
-is ever sampled.
+finite user families.  The closed form and the elimination stay independent
+routes: the elimination is generic Gauss-Jordan and never reads the closed
+form.  C and Delta are held as sparse rows, so the elimination and the
+Delta·C contract cost time in proportion to their nonzeros, not to the cube
+of the window; one elimination per label set serves both classify and
+invert_c.  All P, R sums in the Dirac bracket run over their exact, finite
+support, computed from the modes present in A and B; nothing is ever
+sampled.
 
 Families:
 
@@ -43,6 +48,7 @@ from .algebra import (
     FERMION,
     FieldKind,
     Mode,
+    ONE,
     VirfockError,
     ZERO,
     adag,
@@ -121,11 +127,12 @@ class ConstraintFamily:
     def delta_row(self, p):
         """Nonzero (R, Delta^PR) partners of a fixed first label (second class required)."""
         self._require_second_class()
-        return self._delta_row(p)
+        return _cached_delta_row(self, p).items()
 
     def delta_entry(self, p, r) -> Fraction:
         """Inverse entry Delta^PR."""
-        return dict(self.delta_row(p)).get(r, ZERO)
+        self._require_second_class()
+        return _cached_delta_row(self, p).get(r, ZERO)
 
     def delta_col(self, r):
         """Nonzero (P, Delta^PR) partners of a fixed second label.
@@ -145,6 +152,11 @@ class ConstraintFamily:
 @lru_cache(maxsize=None)
 def _cached_expr(family: ConstraintFamily, label) -> OperatorSpec:
     return family._build_expr(label)
+
+
+@lru_cache(maxsize=None)
+def _cached_delta_row(family: ConstraintFamily, label) -> dict:
+    return dict(family._delta_row(label))
 
 
 @dataclass(frozen=True)
@@ -194,7 +206,7 @@ class BosonConstraints(ConstraintFamily):
     def support_labels(self, expr: OperatorSpec):
         out = set()
         for mode, _ in expr.linear:
-            out.add(int(-mode.index))
+            out.add(-mode.two // 2)
             if mode.two == 0:
                 out.add(ZERO_GAUGE_LABEL)
         return out
@@ -217,7 +229,7 @@ class _HalfOddConstraints(ConstraintFamily):
         return linear_operator(self.algebra, {lower(r): 1, upper(r): -1}, shift=r)
 
     def support_labels(self, expr: OperatorSpec):
-        return {-mode.index for mode, _ in expr.linear}
+        return {Fraction(-mode.two, 2) for mode, _ in expr.linear}
 
 
 @dataclass(frozen=True)
@@ -282,7 +294,7 @@ class FiniteConstraints(ConstraintFamily):
         raise KeyError(f"no constraint labelled {label!r}")
 
     def _delta_row(self, p):
-        return tuple((r, v) for (pp, r), v in _finite_delta(self).items() if pp == p)
+        return _finite_delta(self).get(p, ())
 
     def support_labels(self, expr: OperatorSpec):
         return [label for label, _ in self.members]
@@ -324,23 +336,40 @@ def finite_constraints(members) -> ConstraintFamily:
 
 @lru_cache(maxsize=None)
 def _finite_delta(family: ConstraintFamily) -> dict:
-    """Exact Delta of a finite family; raises when it is not second class."""
-    labels = [label for label, _ in family.members]
-    dead = [p for p in labels if not any(family.c_entry(p, r) for r in labels)]
+    """Exact Delta rows {P: ((R, Delta^PR), ...)} of a finite family.
+
+    Raises when the family is not second class.
+    """
+    labels = tuple(label for label, _ in family.members)
+    dead = [p for p, row in zip(labels, _c_rows(family, labels)) if not row]
     if dead:
         raise NotSecondClassError(
             f"constraints {dead} have identically zero bracket rows (first class)")
-    return _signed_inverse(family, labels)
+    return {p: tuple((labels[j], v) for j, v in row.items())
+            for p, row in zip(labels, _signed_inverse(family, labels))}
 
 
-def _signed_inverse(family: ConstraintFamily, labels) -> dict:
-    """Nonzero entries of Delta over labels, by exact elimination of (-1)^p(R) C_RS."""
-    signed = [[(-1 if family.parity(r) else 1) * family.c_entry(r, s) for s in labels]
-              for r in labels]
-    inverse = _invert_exact(signed)
-    return {(p, r): inverse[i][j]
-            for i, p in enumerate(labels) for j, r in enumerate(labels)
-            if inverse[i][j]}
+@lru_cache(maxsize=None)
+def _c_rows(family: ConstraintFamily, labels: tuple) -> list:
+    """C over labels as sparse rows: row i maps position j to C_PR when nonzero.
+
+    Every entry is evaluated once, so a zero row is an exact zero row.
+    """
+    return [{j: v for j, r in enumerate(labels) if (v := family.c_entry(p, r))}
+            for p in labels]
+
+
+@lru_cache(maxsize=None)
+def _signed_inverse(family: ConstraintFamily, labels: tuple) -> list:
+    """Sparse rows of Delta over labels, by exact elimination of (-1)^p(R) C_RS.
+
+    Cached, so classify and invert_c share one elimination per label set.
+    """
+    signed = []
+    for r, row in zip(labels, _c_rows(family, labels)):
+        sign = -1 if family.parity(r) else 1
+        signed.append({j: sign * v for j, v in row.items()})
+    return _invert_exact(signed)
 
 
 @dataclass
@@ -355,17 +384,13 @@ def classify(family: ConstraintFamily, window: Window) -> Classification:
     The rest must form an invertible block, otherwise SingularBlockError.
     Exact zero rows, no rank tolerances: the arithmetic is exact.
     """
-    labels = family.labels(window)
-    first, second = [], []
-    for p in labels:
-        if all(family.c_entry(p, r) == 0 for r in labels):
-            first.append(p)
-        else:
-            second.append(p)
+    labels = tuple(family.labels(window))
+    rows = _c_rows(family, labels)
+    first = [p for p, row in zip(labels, rows) if not row]
+    second = [p for p, row in zip(labels, rows) if row]
     if second:
-        matrix = [[family.c_entry(p, r) for r in second] for p in second]
         try:
-            _invert_exact(matrix)
+            _signed_inverse(family, tuple(second))
         except SingularBlockError as exc:
             raise SingularBlockError(
                 f"putative second-class block of {family.name} family is singular "
@@ -373,23 +398,33 @@ def classify(family: ConstraintFamily, window: Window) -> Classification:
     return Classification(first, second)
 
 
-def _invert_exact(matrix):
-    """Exact Gauss-Jordan inverse of a square Fraction matrix."""
-    n = len(matrix)
-    aug = [list(row) + [Fraction(1) if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(matrix)]
+def _invert_exact(rows) -> list:
+    """Exact Gauss-Jordan inverse of a square matrix held as sparse rows.
+
+    rows[i] maps column j to the nonzero rational entry (i, j); the inverse
+    comes back in the same form.  The pivot of column k is the first
+    row at or below k with a nonzero entry there.  Only nonzero entries are
+    stored or touched, so the work follows the fill-in, not the width.
+    """
+    n = len(rows)
+    aug = [{**{j: v for j, v in row.items() if v}, n + i: ONE} for i, row in enumerate(rows)]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
+        pivot = next((r for r in range(col, n) if col in aug[r]), None)
         if pivot is None:
             raise SingularBlockError(f"no pivot in column {col}")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+        inv = ONE / aug[col][col]
+        prow = aug[col] = {j: v * inv for j, v in aug[col].items()}
+        for r, row in enumerate(aug):
+            f = row.get(col) if r != col else None
+            if f:
+                for j, w in prow.items():
+                    v = row.get(j, ZERO) - f * w
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+    return [{j - n: v for j, v in sorted(row.items()) if j >= n} for row in aug]
 
 
 def invert_c(family: ConstraintFamily, window: Window) -> dict:
@@ -404,34 +439,43 @@ def invert_c(family: ConstraintFamily, window: Window) -> dict:
         raise SingularBlockError(
             f"first-class constraints {split.first_class} present; "
             "the bracket matrix is not invertible")
-    labels = split.second_class
-    delta = _signed_inverse(family, labels)
+    labels = tuple(split.second_class)
+    inverse = _signed_inverse(family, labels)
     if family.closed_form and family.fully_second_class:
-        for p in labels:
-            for r in labels:
-                got = delta.get((p, r), ZERO)
-                if got != family.delta_entry(p, r):
+        position = {p: i for i, p in enumerate(labels)}
+        for p, row in zip(labels, inverse):
+            closed = {position[r]: v for r, v in family.delta_row(p) if r in position}
+            for j, r in enumerate(labels):
+                got = row.get(j, ZERO)
+                if got != closed.get(j, ZERO):
                     raise VirfockError(
                         f"windowed inversion disagrees with the closed form at ({p},{r}): "
                         f"{got} vs {family.delta_entry(p, r)}")
-    return delta
+    return {(p, labels[j]): v for p, row in zip(labels, inverse) for j, v in row.items()}
 
 
 def delta_contract_residuals(family: ConstraintFamily, window: Window):
-    """All (P,S) with sum_R (-1)^p(R) Delta^PR C_RS != delta^P_S on the window."""
-    labels = family.labels(window)
-    delta = invert_c(family, window)
+    """All (P,S) with sum_R (-1)^p(R) Delta^PR C_RS != delta^P_S on the window.
+
+    Delta is grouped by P once; each (P,S) sum runs over the nonzero R of
+    row P only, against the sparse rows of C.
+    """
+    labels = tuple(family.labels(window))
+    position = {p: i for i, p in enumerate(labels)}
+    c_rows = _c_rows(family, labels)
+    delta_rows = [[] for _ in labels]
+    for (p, r), d in invert_c(family, window).items():
+        sign = -1 if family.parity(r) else 1
+        delta_rows[position[p]].append((sign * d, c_rows[position[r]]))
     bad = []
-    for p in labels:
-        for s in labels:
-            total = ZERO
-            for r in labels:
-                d = delta.get((p, r), ZERO)
-                if d:
-                    sign = -1 if family.parity(r) else 1
-                    total += sign * d * family.c_entry(r, s)
-            want = Fraction(1) if p == s else ZERO
-            if total != want:
+    for i, (p, delta_row) in enumerate(zip(labels, delta_rows)):
+        product = {}
+        for d, c_row in delta_row:
+            for k, c in c_row.items():
+                product[k] = product.get(k, ZERO) + d * c
+        for k, s in enumerate(labels):
+            total = product.get(k, ZERO)
+            if total != (ONE if i == k else ZERO):
                 bad.append((p, s, total))
     return bad
 
@@ -451,15 +495,22 @@ def dirac_bracket(A: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) ->
     base = linear_bracket(A, B)
     corr = ZERO
     for p in family.support_labels(A):
-        bra = linear_bracket(A, family.expr(p))
+        chi_p, partners = _correction_terms(family, p)
+        bra = linear_bracket(A, chi_p)
         if not bra:
             continue
-        for r, d_pr in family.delta_row(p):
-            ket = linear_bracket(family.expr(r), B)
+        for chi_r, signed_d in partners:
+            ket = linear_bracket(chi_r, B)
             if ket:
-                sign = -1 if family.parity(r) else 1
-                corr += sign * bra * d_pr * ket
+                corr += bra * signed_d * ket
     return base - corr
+
+
+@lru_cache(maxsize=None)
+def _correction_terms(family: ConstraintFamily, p):
+    """chi_P and its partners ((chi_R, (-1)^p(R) Delta^PR), ...), built once per label."""
+    return family.expr(p), tuple((family.expr(r), -d if family.parity(r) else d)
+                                 for r, d in family.delta_row(p))
 
 
 def dirac_op_bracket(op: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) -> OperatorSpec:
@@ -547,10 +598,12 @@ def mode_compatibility_reports(family: ConstraintFamily, window: Window):
             modes.append(Mode(kind, two))
             if two:
                 modes.append(Mode(kind, -two))
+    chis = [(label, family.expr(label)) for label in family.labels(window)]
     bad = []
     for x in sorted(modes, key=lambda mm: mm.sort_key):
-        for label in family.labels(window):
-            val = dirac_bracket(mode_operator(algebra, x), family.expr(label), family)
+        op = mode_operator(algebra, x)
+        for label, chi in chis:
+            val = dirac_bracket(op, chi, family)
             if val:
                 bad.append((x, label, val))
     return [report(

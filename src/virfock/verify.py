@@ -332,6 +332,11 @@ def run_family_scenario(params: ScenarioParams):
     return reports, c_formula, c_oracle
 
 
+def _witnesses(template: str, bad) -> str:
+    """The first three failing (x, y, value) probes, as `template: p/q`."""
+    return "; ".join(f"{template.format(x, y)}: {format_rational(v)}" for x, y, v in bad[:3])
+
+
 def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
     """Constraint-machinery suite: inversion contract, bracket tables,
     classification, and generator compatibility for both families."""
@@ -345,8 +350,8 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
 
     for name, fam in (("boson", bos), ("fermion", fer)):
         bad = delta_contract_residuals(fam, window)
-        reports.append(report(f"delta_contract[{name},N={N}]", not bad,
-                              "identity", "identity" if not bad else str(bad[:3])))
+        reports.append(report(f"delta_contract[{name},N={N}]", not bad, "identity",
+                              "identity" if not bad else _witnesses("(P={},S={})", bad)))
 
     # closed-form bracket matrix against the one recomputed from expressions
     agree = all(fam.c_entry(p, r) == fam.computed_c_entry(p, r) for fam in (bos, fer)
@@ -357,31 +362,33 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
     # Dirac bracket tables
     bad = []
     balg = bos.algebra
-    for m in range(-N, N + 1):
-        for n in range(-N, N + 1):
+    ops = [mode_operator(balg, adag(m)) for m in range(-N, N + 1)]
+    for m, op_m in zip(range(-N, N + 1), ops):
+        for n, op_n in zip(range(-N, N + 1), ops):
             want = -(M / 2) * m if m + n == 0 else ZERO
-            got = dirac_bracket(mode_operator(balg, adag(m)), mode_operator(balg, adag(n)), bos)
+            got = dirac_bracket(op_m, op_n, bos)
             if got != want:
-                bad.append((m, n, got))
+                bad.append((adag(m), adag(n), got))
     for x, y in ((adag(0), adag(0)), (adag(0), a(0)), (a(0), a(0))):
         got = dirac_bracket(mode_operator(balg, x), mode_operator(balg, y), bos)
         if got != 0:
-            bad.append((str(x), str(y), got))
+            bad.append((x, y, got))
     reports.append(report(f"dirac_bracket_boson[N={N}]", not bad,
                           "-(M/2) m delta(m+n), zero modes 0",
-                          "as expected" if not bad else str(bad[:3])))
+                          "as expected" if not bad else _witnesses("[{},{}]*", bad)))
 
     bad = []
     falg = fer.algebra
     half = [Fraction(t, 2) for t in range(-2 * N + 1, 2 * N, 2)]
-    for r in half:
-        for s in half:
+    ops = [mode_operator(falg, b(r)) for r in half]
+    for r, op_r in zip(half, ops):
+        for s, op_s in zip(half, ops):
             want = Fraction(1, 2) if r + s == 0 else ZERO
-            got = dirac_bracket(mode_operator(falg, b(r)), mode_operator(falg, b(s)), fer)
+            got = dirac_bracket(op_r, op_s, fer)
             if got != want:
-                bad.append((r, s, got))
-    reports.append(report(f"dirac_bracket_fermion[N={N}]", not bad,
-                          "(1/2) delta(r+s)", "as expected" if not bad else str(bad[:3])))
+                bad.append((b(r), b(s), got))
+    reports.append(report(f"dirac_bracket_fermion[N={N}]", not bad, "(1/2) delta(r+s)",
+                          "as expected" if not bad else _witnesses("[{},{}]*", bad)))
 
     # classification
     split = classify(boson_constraints(M, with_zero_gauge=False), window)

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from virfock import (
     AlgebraMismatchError,
@@ -29,7 +31,14 @@ from virfock import (
     mode_operator,
     verify_compatibility,
 )
-from virfock.dirac import ZERO_GAUGE_LABEL, delta_contract_residuals, solve_boson_constraints
+from virfock import dirac
+from virfock.dirac import (
+    ZERO_GAUGE_LABEL,
+    _invert_exact,
+    delta_contract_residuals,
+    mode_compatibility_reports,
+    solve_boson_constraints,
+)
 
 H = Fraction(1, 2)
 HALF_LABELS = lambda n: [Fraction(t, 2) for t in range(-2 * n + 1, 2 * n, 2)]
@@ -313,3 +322,79 @@ def test_finite_family_first_class_detected():
     assert split.first_class == ["central"]
     with pytest.raises(NotSecondClassError):
         dirac_bracket(mode_operator(BOSON, adag(1)), mode_operator(BOSON, a(-1)), fam)
+
+
+# --- sparse elimination on dense inputs -------------------------------------
+
+_entry = st.one_of(st.just(Fraction(0)),
+                   st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+_square = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(_entry, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _sparse(matrix):
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
+def _det(matrix):
+    """Leibniz determinant: exact and independent of any elimination."""
+    n, total = len(matrix), Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= matrix[i][j]
+        total += term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square)
+def test_invert_exact_dense_random(matrix):
+    n = len(matrix)
+    if _det(matrix) == 0:
+        with pytest.raises(SingularBlockError):
+            _invert_exact(_sparse(matrix))
+        return
+    inverse = _invert_exact(_sparse(matrix))
+    assert all(v for row in inverse for v in row.values())  # only nonzeros are stored
+    for i in range(n):
+        for k in range(n):
+            total = sum((v * matrix[j][k] for j, v in inverse[i].items()), Fraction(0))
+            assert total == (1 if i == k else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_square.filter(lambda m: len(m) > 1), st.data())
+def test_invert_exact_zero_or_repeated_row_is_singular(matrix, data):
+    n = len(matrix)
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1).filter(lambda k: k != i))
+    zero_row = [list(row) for row in matrix]
+    zero_row[i] = [Fraction(0)] * n
+    with pytest.raises(SingularBlockError):
+        _invert_exact(_sparse(zero_row))
+    repeated = [list(row) for row in matrix]
+    repeated[i] = list(repeated[j])
+    with pytest.raises(SingularBlockError):
+        _invert_exact(_sparse(repeated))
+
+
+def test_mode_compatibility_probes_every_mode_label_pair(monkeypatch):
+    # every (mode, label) pair goes through dirac_bracket: none is skipped
+    calls = []
+    original = dirac.dirac_bracket
+
+    def counting(A, B, family):
+        calls.append((A, B))
+        return original(A, B, family)
+
+    monkeypatch.setattr(dirac, "dirac_bracket", counting)
+    # boson: a and a† at -3..3 (14 modes) x labels -3..3 plus a0 (8)
+    # fermion: b and b† at -5/2..5/2 (12 modes) x labels -5/2..5/2 (6)
+    for family, expected in ((boson_constraints(Fraction(2, 3)), 14 * 8),
+                             (fermion_constraints(), 12 * 6)):
+        calls.clear()
+        reports = mode_compatibility_reports(family, Window(3))
+        assert [r.status for r in reports] == ["pass"]
+        assert len(calls) == len(set(calls)) == expected

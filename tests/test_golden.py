@@ -9,14 +9,17 @@ boson_reduced_level3_mmax4.txt that of
     virfock --scenario boson-reduced --level 3 --mmax 4
 
 where label 4 has no safe state, so window doubling draws from the other
-labels only, and all_defaults.txt that of `virfock --scenario all` with
-every flag at its default (the acceptance caps).  After a deliberate output
+labels only, all_defaults.txt that of `virfock --scenario all` with every
+flag at its default (the acceptance caps), and dirac_m2_3_window12.json that
+of `virfock --scenario dirac-checks --M 2/3 --window 12 --format json`, the
+constraint machinery at M != 1 on a wider window.  After a deliberate output
 change they are regenerated with
 
     PYTHONPATH=src python -m virfock.cli --scenario all --level 4 --zmax 2 --mmax 2 --window 4 > tests/golden/all.txt
     PYTHONPATH=src python -m virfock.cli --scenario all --level 4 --zmax 2 --mmax 2 --window 4 --format json > tests/golden/all.json
     PYTHONPATH=src python -m virfock.cli --scenario boson-reduced --level 3 --mmax 4 > tests/golden/boson_reduced_level3_mmax4.txt
     PYTHONPATH=src python -m virfock.cli --scenario all > tests/golden/all_defaults.txt
+    PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --M 2/3 --window 12 --format json > tests/golden/dirac_m2_3_window12.json
 """
 
 from pathlib import Path
@@ -35,6 +38,8 @@ ALL = ["--scenario", "all", "--level", "4", "--zmax", "2", "--mmax", "2", "--win
     pytest.param(["--scenario", "boson-reduced", "--level", "3", "--mmax", "4"],
                  "boson_reduced_level3_mmax4.txt", id="text-boson_reduced_level3_mmax4.txt"),
     pytest.param(["--scenario", "all"], "all_defaults.txt", id="text-all_defaults.txt"),
+    pytest.param(["--scenario", "dirac-checks", "--M", "2/3", "--window", "12", "--format", "json"],
+                 "dirac_m2_3_window12.json", id="json-dirac_m2_3_window12.json"),
 ])
 def test_cli_output_matches_golden(capsys, argv, filename):
     assert main(argv) == 0

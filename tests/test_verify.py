@@ -157,6 +157,39 @@ def test_run_dirac_checks_all_pass():
     assert "incompatibility_detected[fermion,lambda=0]" in names
 
 
+def test_dirac_check_failures_print_exact_rationals(monkeypatch):
+    # A perturbed Delta entry must break the contract of both families, and
+    # every witness must print as p/q, never as a Python repr.
+    import virfock.dirac as dirac
+    import virfock.verify as verify
+    from virfock import boson_constraints, fermion_constraints
+    from virfock.dirac import delta_contract_residuals
+
+    invert_c = dirac.invert_c
+    perturbed = {"boson": (-2, 2), "fermion": (-H, H)}
+
+    def perturbed_invert_c(family, window):
+        delta = dict(invert_c(family, window))
+        delta[perturbed[family.name]] += Fraction(1, 7)
+        return delta
+
+    monkeypatch.setattr(dirac, "invert_c", perturbed_invert_c)
+    M, w = Fraction(2, 3), Window(2)
+    assert delta_contract_residuals(boson_constraints(M), w) == [(-2, -2, Fraction(29, 21))]
+    assert delta_contract_residuals(fermion_constraints(), w) == [(-H, -H, Fraction(9, 7))]
+
+    dirac_bracket = verify.dirac_bracket
+    monkeypatch.setattr(verify, "dirac_bracket",
+                        lambda A, B, family: dirac_bracket(A, B, family) + Fraction(1, 7))
+    got = {r.name: r.got for r in run_dirac_checks(M, w) if r.status == "fail"}
+    assert got["delta_contract[boson,N=2]"] == "(P=-2,S=-2): 29/21"
+    assert got["delta_contract[fermion,N=2]"] == "(P=-1/2,S=-1/2): 9/7"
+    assert got["dirac_bracket_boson[N=2]"] == ("[a†[-2],a†[-2]]*: 1/7; [a†[-2],a†[-1]]*: 1/7; "
+                                               "[a†[-2],a†[0]]*: 1/7")
+    assert got["dirac_bracket_fermion[N=2]"].startswith("[b[-3/2],b[-3/2]]*: 1/7; ")
+    assert not any("Fraction(" in text for text in got.values())
+
+
 @pytest.mark.parametrize("family,level", [("boson-unconstrained", 6), ("boson-reduced", 8),
                                           ("fermion-unconstrained", 8), ("fermion-reduced", 8)])
 def test_benchmark_levels_skip_nothing(monkeypatch, family, level):
