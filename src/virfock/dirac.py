@@ -607,6 +607,6 @@ def mode_compatibility_reports(family: ConstraintFamily, window: Window):
             if val:
                 bad.append((x, label, val))
     return [report(
-        f"dirac_mode_compatibility[N={window.half_width}]", not bad, "0",
+        f"dirac_mode_compatibility[{family.name},N={window.half_width}]", not bad, "0",
         "0" if not bad else "; ".join(f"[{x},{family.label_of_expr(lb)}]*={format_rational(v)}"
                                       for x, lb, v in bad[:4]))]
