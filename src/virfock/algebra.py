@@ -35,6 +35,7 @@ bosonized-fermion     [b†[r], b[s]]  = delta(r+s)        even (half-odd r,s)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -220,6 +221,12 @@ class Algebra:
     has_zero_modes: bool = False
     brackets: dict = field(default_factory=dict, compare=False, repr=False)
     index_weighted: bool = field(default=False, compare=False, repr=False)
+
+    @property
+    def bracket_denominator(self) -> int:
+        """The lcm of the bracket values' denominators; every bracket value,
+        index-weighted ones included, is an integer over it."""
+        return math.lcm(*(q.denominator for q in self.brackets.values()))
 
     def __str__(self):
         if self.M is not None:

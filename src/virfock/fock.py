@@ -13,12 +13,17 @@ their probes to the safe window (see operators.safe_basis), inside which
 the level grading guarantees nothing ever leaves the truncation.
 
 The basis of one (algebra, truncation) pair is enumerated once; a state's
-id is its position in that tuple (basis_index), which lets the operator
-layer keep its tables and inner loops on integers.
+id is its position in that tuple (basis_index).  A single mode acts through
+its ModeTable, one per (algebra, truncation, mode): a list indexed by state
+id whose row i is ((j, w), ...) with x|basis[i]> = sum of (w/bd)|basis[j]>,
+w an integer and bd the algebra's bracket denominator.  Rows are built on
+demand and kept, so the operator and verification layers run on integers
+and build Fractions only for the vectors they return.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -224,47 +229,120 @@ def basis_index(algebra: Algebra, trunc: Truncation) -> dict:
     return {state: i for i, state in enumerate(enumerate_basis(algebra, trunc))}
 
 
-@lru_cache(maxsize=None)
-def _apply_to_basis(algebra: Algebra, x: Mode, state: BasisState, trunc: Truncation):
-    """Action of a single mode on a basis state, as ((state, amplitude), ...)."""
-    creators, z = state.creators, state.zero_occ
-    if is_creator(x):
-        if x.two == 0:  # a†[0]
-            if z + 1 > trunc.zero_mode_cap:
-                raise TruncationOverflowError(
-                    f"a†[0] occupancy {z + 1} exceeds zero_mode_cap {trunc.zero_mode_cap} on {state}")
-            return ((BasisState(creators, z + 1), Fraction(1)),)
-        if x.parity and x in creators:
-            return ()
-        if state.level + x.index > trunc.level_cap:
-            raise TruncationOverflowError(
-                f"level {state.level + x.index} exceeds level_cap {trunc.level_cap} "
-                f"applying {x} to {state}")
-        pos = 0
-        crossed_odd = 0
-        for c in creators:
-            if c.sort_key < x.sort_key:
-                pos += 1
-                crossed_odd += c.parity
-            else:
-                break
-        sign = -1 if (x.parity and crossed_odd % 2) else 1
-        new = creators[:pos] + (x,) + creators[pos:]
-        return ((BasisState(new, z), Fraction(sign)),)
+class IdRows:
+    """A linear map on the basis of one truncation, as integer rows by state id.
 
-    # annihilator: contract against each creator in turn, tracking crossings
-    out = []
-    sign = 1
-    for j, c in enumerate(creators):
-        val = canonical_bracket(x, c, algebra)
-        if val:
-            out.append((BasisState(creators[:j] + creators[j + 1:], z), sign * val))
-        if x.parity and c.parity:
-            sign = -sign
-    if x.two == 0 and x.kind is FieldKind.A and z > 0:
-        # a[0] against (a†[0])^z: [a[0], a†[0]] = -1 per power
-        out.append((BasisState(creators, z - 1), Fraction(-z)))
-    return tuple(out)
+    map|basis[i]> = sum of (n / den)|basis[j]> over (j, n) in row(i); each
+    row lists every image state once, with a nonzero integer.  Subclasses
+    build the rows; a row whose build raises is never stored, so it raises
+    again each time it is asked for.
+    """
+
+    __slots__ = ("algebra", "trunc", "den", "basis", "index", "rows")
+
+    def __init__(self, algebra: Algebra, trunc: Truncation, den: int):
+        self.algebra, self.trunc, self.den = algebra, trunc, den
+        self.basis = enumerate_basis(algebra, trunc)
+        self.index = basis_index(algebra, trunc)
+
+    def state_id(self, state: BasisState) -> int:
+        i = self.index.get(state)
+        if i is None:
+            raise TruncationOverflowError(f"state {state} is not a basis state within {self.trunc}")
+        return i
+
+    def vector(self, acc: dict, den: int) -> StateVector:
+        """The StateVector sum of (n / den)|basis[j]> over the (j, n) of acc."""
+        out = StateVector(self.algebra)
+        out.amp = {self.basis[j]: Fraction(n, den) for j, n in acc.items()}
+        return out
+
+    def act(self, v: StateVector) -> StateVector:
+        """The map applied to a vector: its amplitudes are scaled to integers by
+        the lcm of their denominators, so the rows are summed in integers."""
+        scale = math.lcm(*(q.denominator for q in v.amp.values()))
+        acc = self.apply((self.state_id(state), q.numerator * (scale // q.denominator))
+                         for state, q in v.amp.items())
+        return self.vector(acc, scale * self.den)
+
+    def apply(self, pairs) -> dict:
+        """The map applied to sum of n|basis[j]> over the (j, n) of pairs, as
+        the dict {image id: integer} over den times the input's denominator."""
+        acc = {}
+        for j, n in pairs:
+            accumulate(acc, self.row(j), n)
+        return acc
+
+
+class ModeTable(IdRows):
+    """One mode on one truncation; den is the algebra's bracket denominator.
+
+    Rows are kept in a list indexed by state id.  A row that would leave the
+    caps raises TruncationOverflowError every time it is asked for.
+    """
+
+    __slots__ = ("mode",)
+
+    def __init__(self, algebra: Algebra, x: Mode, trunc: Truncation):
+        if x.kind not in algebra.kinds:
+            raise AlgebraMismatchError(f"mode {x} does not belong to {algebra}")
+        super().__init__(algebra, trunc, algebra.bracket_denominator)
+        self.mode = x
+        self.rows = [None] * len(self.basis)
+
+    def row(self, i: int) -> tuple:
+        row = self.rows[i]
+        if row is None:
+            row = self.rows[i] = self._build(i)
+        return row
+
+    def _build(self, i: int) -> tuple:
+        x, trunc, den, index = self.mode, self.trunc, self.den, self.index
+        state = self.basis[i]
+        creators, z = state.creators, state.zero_occ
+        if is_creator(x):
+            if x.two == 0:  # a†[0]
+                if z + 1 > trunc.zero_mode_cap:
+                    raise TruncationOverflowError(
+                        f"a†[0] occupancy {z + 1} exceeds zero_mode_cap {trunc.zero_mode_cap} on {state}")
+                return ((index[BasisState(creators, z + 1)], den),)
+            if x.parity and x in creators:
+                return ()
+            if state.level + x.index > trunc.level_cap:
+                raise TruncationOverflowError(
+                    f"level {state.level + x.index} exceeds level_cap {trunc.level_cap} "
+                    f"applying {x} to {state}")
+            pos = 0
+            crossed_odd = 0
+            for c in creators:
+                if c.sort_key < x.sort_key:
+                    pos += 1
+                    crossed_odd += c.parity
+                else:
+                    break
+            sign = -1 if (x.parity and crossed_odd % 2) else 1
+            return ((index[BasisState(creators[:pos] + (x,) + creators[pos:], z)], sign * den),)
+
+        # annihilator: contract against each creator in turn, tracking crossings
+        acc = {}
+        sign = 1
+        for j, c in enumerate(creators):
+            val = canonical_bracket(x, c, self.algebra)
+            if val:
+                image = index[BasisState(creators[:j] + creators[j + 1:], z)]
+                accumulate(acc, ((image, sign * val.numerator * (den // val.denominator)),))
+            if x.parity and c.parity:
+                sign = -sign
+        if x.two == 0 and x.kind is FieldKind.A and z > 0:
+            # a[0] against (a†[0])^z: [a[0], a†[0]] = -1 per power
+            accumulate(acc, ((index[BasisState(creators, z - 1)], -z * den),))
+        return tuple(acc.items())
+
+
+@lru_cache(maxsize=None)
+def _apply_to_basis(algebra: Algebra, x: Mode, trunc: Truncation) -> ModeTable:
+    """The mode table of a single mode on one truncation."""
+    return ModeTable(algebra, x, trunc)
 
 
 def apply_mode(x: Mode, v: StateVector, trunc: Truncation) -> StateVector:
@@ -272,13 +350,7 @@ def apply_mode(x: Mode, v: StateVector, trunc: Truncation) -> StateVector:
 
     Creators insert into canonical position with the fermionic crossing sign;
     annihilators contract against matching creators via canonical_bracket.
-    Raises TruncationOverflowError when a produced state exceeds the caps.
+    Raises TruncationOverflowError when a produced state, or a state of v,
+    exceeds the caps.
     """
-    if x.kind not in v.algebra.kinds:
-        raise AlgebraMismatchError(f"mode {x} does not belong to {v.algebra}")
-    acc = {}
-    for state, q in v.amp.items():
-        accumulate(acc, _apply_to_basis(v.algebra, x, state, trunc), q)
-    out = StateVector(v.algebra)
-    out.amp = acc
-    return out
+    return _apply_to_basis(v.algebra, x, trunc).act(v)

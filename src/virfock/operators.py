@@ -26,12 +26,16 @@ op|basis[i]> = sum of (n/den)|basis[j]>.  The common denominator den is
 fixed by the operator before any row exists: the lcm of each realized
 kernel coefficient's denominator times the square of the algebra's bracket
 denominator (two contractions), of each linear coefficient's times that
-denominator, and of the constant's.  A row whose scaled amplitude is not an
-integer raises.  apply_operator and commutator therefore add and multiply
-integers only, and build Fractions only for the vectors they return.
+denominator, and of the constant's.  A table resolves the fock mode tables
+of its terms when it is made; the kernel's mode pairs form a skeleton
+shared by every operator with the same kinds, label and width, and the
+table keeps only the integers of its coefficients.  A row build therefore
+looks states up by id only and adds and multiplies integers, and so do
+apply_operator and commutator_rows, the commutator as integer rows over
+den_a·den_b; Fractions appear only in the vectors they return.
 
-commutator evaluates graded commutators on basis states restricted to the
-safe window
+commutator_rows evaluates graded commutators on basis states restricted to
+the safe window
 
     level + max(0, m, n, m+n) <= level_cap      (labels m, n of the pair)
     zero_occ + 2 <= zero_mode_cap               (zero-moded algebras only)
@@ -68,14 +72,13 @@ from .algebra import (
 )
 from .fock import (
     BasisState,
+    IdRows,
     StateVector,
     Truncation,
-    TruncationOverflowError,
     accumulate,
-    basis_index,
     enumerate_basis,
 )
-from .fock import _apply_to_basis as _mode_images
+from .fock import _apply_to_basis as mode_table
 
 
 class UnsafeLevelError(VirfockError):
@@ -333,91 +336,114 @@ def build_L(family: str, m: int, M=0, lam=0) -> OperatorSpec:
     return generator_family(family).build(int(m), Fraction(M), Fraction(lam))
 
 
+def _kernel_modes(left: FieldKind, right: FieldKind, m: int, two_r: int):
+    """(X[m-r], Y[r]) of one kernel term, or None when either names a mode
+    that does not exist (the reduced boson has no zero mode)."""
+    x, y = Mode(left, 2 * m - two_r), Mode(right, two_r)
+    if any(v.kind is FieldKind.RED_ADAG and v.two == 0 for v in (x, y)):
+        return None
+    return x, y
+
+
+def _kernel_coeff(term: BilinearTerm, two_r: int) -> Fraction:
+    return term.alpha + term.beta * Fraction(two_r, 2)
+
+
 def _kernel_term(term: BilinearTerm, two_r: int):
     """(coefficient, X[m-r], Y[r]) of one kernel term, or None when it vanishes
-    or names a mode that does not exist (the reduced boson has no zero mode)."""
-    coeff = term.alpha + term.beta * Fraction(two_r, 2)
-    x, y = Mode(term.left, 2 * term.m - two_r), Mode(term.right, two_r)
-    if not coeff or any(v.kind is FieldKind.RED_ADAG and v.two == 0 for v in (x, y)):
+    or names a mode that does not exist."""
+    coeff = _kernel_coeff(term, two_r)
+    modes = _kernel_modes(term.left, term.right, term.m, two_r)
+    if not coeff or modes is None:
         return None
-    return coeff, x, y
+    return (coeff, *modes)
 
 
 @lru_cache(maxsize=None)
-def _realized(term: BilinearTerm, algebra: Algebra, width: Fraction):
-    """Expand a bilinear kernel over |r| <= width into ordered mode pairs.
+def _skeleton(algebra: Algebra, trunc: Truncation, left: FieldKind, right: FieldKind,
+              m: int, width: Fraction) -> tuple:
+    """The coefficient-free expansion of sum_r :left[m-r] right[r]: over
+    |r| <= width, on one truncation.
 
-    Yields (coefficient, first, second) with `first` applied first; the
-    coefficient absorbs the normal-ordering sign.
+    One (2r, sign, first, second) per realized term, where first and second
+    are the mode tables of the factor applied first and second and sign is
+    the normal-ordering sign.  Shared by every operator with the same kinds,
+    label and width, whatever its coefficients.
     """
-    for kind in (term.left, term.right):
+    for kind in (left, right):
         if kind not in algebra.kinds:
             raise AlgebraMismatchError(f"mode kind {kind.symbol} does not belong to {algebra}")
     out = []
-    odd_bit = 1 if term.left.half_integer_moded else 0
+    odd_bit = 1 if left.half_integer_moded else 0
     two_w = math.floor(2 * width)
     for two_r in range(-two_w, two_w + 1):
-        kernel = (two_r & 1) == odd_bit and _kernel_term(term, two_r)
-        if not kernel:
+        modes = (two_r & 1) == odd_bit and _kernel_modes(left, right, m, two_r)
+        if not modes:
             continue
-        coeff, x, y = kernel
+        x, y = modes
         if not is_creator(x) and is_creator(y):
             sign = -1 if (x.parity and y.parity) else 1
-            out.append((coeff * sign, x, y))
+            out.append((two_r, sign, mode_table(algebra, x, trunc), mode_table(algebra, y, trunc)))
         else:
-            out.append((coeff, y, x))
+            out.append((two_r, 1, mode_table(algebra, y, trunc), mode_table(algebra, x, trunc)))
     return tuple(out)
 
 
-def _common_denominator(op: OperatorSpec, realized) -> int:
+def _common_denominator(op: OperatorSpec, kernel_denominators) -> int:
     """A denominator den with den·amplitude an integer for every amplitude
     the operator can produce from a basis state.
 
     A bilinear term applies two modes and a linear term one, each mode
-    contributing at most one bracket value (creators and the a[0]
-    contraction give integers); the constant contributes none.  A bracket
-    value is a table entry of the algebra, times an integer index for the
-    index-weighted (integer-moded) reduced boson.
+    contributing at most one bracket value, an integer over the algebra's
+    bracket denominator; the constant contributes none.
+    kernel_denominators are those of the nonzero realized kernel coefficients.
     """
-    bd = math.lcm(*(q.denominator for q in op.algebra.brackets.values()))
-    return math.lcm(*(coeff.denominator * bd * bd for coeff, _, _ in realized),
+    bd = op.algebra.bracket_denominator
+    return math.lcm(*(q * bd * bd for q in kernel_denominators),
                     *(c.denominator * bd for _, c in op.linear),
                     op.constant.denominator)
 
 
-class RowTable:
-    """An operator on the basis of one truncation, as integer rows by state id.
+def _integer(q: Fraction, what) -> int:
+    if q.denominator != 1:
+        raise ArithmeticError(f"{what} is not an integer")
+    return q.numerator
 
-    op|basis[i]> = sum of (n / den)|basis[j]> over (j, n) in row(i); rows
-    are built on demand from the cached images of single modes on basis
-    states, and kept.
+
+class RowTable(IdRows):
+    """An operator on one truncation, as integer rows by state id.
+
+    Rows are built on demand and kept in a dict, since most tables are
+    asked for few rows.  The mode tables are resolved when the table is
+    made, so a row build only indexes lists and adds and multiplies
+    integers.  Each bilinear term is held as its shared skeleton and the
+    integers (a, b, d) with kernel coefficient·den/bd² = (a + b·2r)/d at
+    each realized r, bd being the algebra's bracket denominator; a scaled
+    coefficient that is not an integer raises ArithmeticError.
     """
 
-    __slots__ = ("op", "trunc", "realized", "den", "basis", "index", "rows")
+    __slots__ = ("op", "terms", "linear", "constant")
 
     def __init__(self, op: OperatorSpec, trunc: Truncation, width: Fraction):
         algebra = op.algebra
-        self.op, self.trunc = op, trunc
-        self.realized = tuple(t for term in op.bilinears for t in _realized(term, algebra, width))
-        for mode, _ in op.linear:
-            if mode.kind not in algebra.kinds:
-                raise AlgebraMismatchError(f"mode {mode} does not belong to {algebra}")
-        self.den = _common_denominator(op, self.realized)
-        self.basis = enumerate_basis(algebra, trunc)
-        self.index = basis_index(algebra, trunc)
+        # each kernel coefficient alpha + beta r as (a + b·2r) / d in integers
+        kernels = []
+        for t in op.bilinears:
+            d = 2 * math.lcm(t.alpha.denominator, t.beta.denominator)
+            kernels.append((_skeleton(algebra, trunc, t.left, t.right, t.m, width),
+                            t.alpha.numerator * (d // t.alpha.denominator),
+                            t.beta.numerator * (d // 2 // t.beta.denominator), d))
+        linear = [(mode_table(algebra, mode, trunc), c) for mode, c in op.linear]
+        den = _common_denominator(op, [d // math.gcd(a + b * k[0], d) for sk, a, b, d in kernels
+                                       for k in sk if a + b * k[0]])
+        super().__init__(algebra, trunc, den)
+        bd = algebra.bracket_denominator
+        self.op = op
+        self.terms = tuple((sk, a * den, b * den, d * bd * bd) for sk, a, b, d in kernels)
+        self.linear = tuple((table, _integer(c * den / bd, f"coefficient {c}·{den}/{bd}"))
+                            for table, c in linear)
+        self.constant = _integer(op.constant * den, f"constant {op.constant}·{den}")
         self.rows = {}
-
-    def state_id(self, state: BasisState) -> int:
-        i = self.index.get(state)
-        if i is None:
-            raise TruncationOverflowError(f"state {state} is not a basis state within {self.trunc}")
-        return i
-
-    def vector(self, acc: dict, den: int) -> StateVector:
-        """The StateVector sum of (n / den)|basis[j]> over the (j, n) of acc."""
-        out = StateVector(self.op.algebra)
-        out.amp = {self.basis[j]: Fraction(n, den) for j, n in acc.items()}
-        return out
 
     def row(self, i: int) -> tuple:
         row = self.rows.get(i)
@@ -426,24 +452,23 @@ class RowTable:
         return row
 
     def _build(self, i: int) -> tuple:
-        op, trunc, algebra = self.op, self.trunc, self.op.algebra
-        state = self.basis[i]
         acc = {}
-        for coeff, first, second in self.realized:
-            for mid, w in _mode_images(algebra, first, state, trunc):
-                accumulate(acc, _mode_images(algebra, second, mid, trunc), coeff * w)
-        for mode, c in op.linear:
-            accumulate(acc, _mode_images(algebra, mode, state, trunc), c)
-        if op.constant:
-            accumulate(acc, ((state, op.constant),))
-        row = []
-        for image, q in acc.items():
-            n = q * self.den
-            if n.denominator != 1:
-                raise ArithmeticError(
-                    f"amplitude {q} of {image} in {op} on {state} is not a multiple of 1/{self.den}")
-            row.append((self.index[image], n.numerator))
-        return tuple(row)
+        for skeleton, a, b, d in self.terms:
+            for two_r, sign, first, second in skeleton:
+                c, rem = divmod(a + b * two_r, d)
+                if rem:
+                    raise ArithmeticError(
+                        f"kernel coefficient of {self.op} at 2r={two_r} is not a multiple "
+                        f"of 1/{self.den} over the bracket denominator squared")
+                if c:
+                    c *= sign
+                    for mid, w in first.row(i):
+                        accumulate(acc, second.row(mid), c * w)
+        for table, c in self.linear:
+            accumulate(acc, table.row(i), c)
+        if self.constant:
+            accumulate(acc, ((i, self.constant),))
+        return tuple(acc.items())
 
 
 @lru_cache(maxsize=None)
@@ -452,7 +477,9 @@ def _apply_to_basis(op: OperatorSpec, trunc: Truncation, width: Fraction) -> Row
     return RowTable(op, trunc, width)
 
 
-def _table(op: OperatorSpec, trunc: Truncation, window=None) -> RowTable:
+def row_table(op: OperatorSpec, trunc: Truncation, window=None) -> RowTable:
+    """The row table of an operator; window overrides the kernel half-width
+    (default level_cap + |m|, which provably contains every contributing term)."""
     width = Fraction(window) if window is not None else trunc.level_cap + abs(op.shift)
     return _apply_to_basis(op, trunc, width)
 
@@ -468,12 +495,7 @@ def apply_operator(op: OperatorSpec, v: StateVector, trunc: Truncation, window=N
     """
     if op.algebra != v.algebra:
         raise AlgebraMismatchError("operator and vector belong to different algebras")
-    table = _table(op, trunc, window)
-    scale = math.lcm(*(q.denominator for q in v.amp.values()))
-    acc = {}
-    for state, q in v.amp.items():
-        accumulate(acc, table.row(table.state_id(state)), q.numerator * (scale // q.denominator))
-    return table.vector(acc, scale * table.den)
+    return row_table(op, trunc, window).act(v)
 
 
 def _doubled_rise(shifts) -> int:
@@ -501,14 +523,26 @@ def pair_shifts(op_a: OperatorSpec, op_b: OperatorSpec):
 
 
 @lru_cache(maxsize=None)
+def _safe_ids(algebra: Algebra, trunc: Truncation, two_rise: int, zero_uses: int) -> tuple:
+    is_safe = _safe_test(algebra, trunc, two_rise, zero_uses)
+    return tuple(i for i, state in enumerate(enumerate_basis(algebra, trunc)) if is_safe(state))
+
+
+@lru_cache(maxsize=None)
 def _safe_basis(algebra: Algebra, trunc: Truncation, two_rise: int, zero_uses: int) -> tuple:
-    return tuple(filter(_safe_test(algebra, trunc, two_rise, zero_uses),
-                        enumerate_basis(algebra, trunc)))
+    basis = enumerate_basis(algebra, trunc)
+    return tuple(basis[i] for i in _safe_ids(algebra, trunc, two_rise, zero_uses))
+
+
+def safe_ids(algebra: Algebra, trunc: Truncation, shifts, zero_uses: int = 2) -> tuple:
+    """The state ids of the safe window of the given level shifts, in
+    increasing order; computed once per (algebra, truncation, rise, zero_uses)."""
+    return _safe_ids(algebra, trunc, _doubled_rise(shifts), zero_uses)
 
 
 def safe_basis(algebra: Algebra, trunc: Truncation, shifts, zero_uses: int = 2) -> tuple:
-    """The basis states inside the safe window of the given level shifts, in
-    basis order; computed once per (algebra, truncation, rise, zero_uses)."""
+    """The basis states of safe_ids, in basis order; one tuple per
+    (algebra, truncation, rise, zero_uses)."""
     return _safe_basis(algebra, trunc, _doubled_rise(shifts), zero_uses)
 
 
@@ -516,38 +550,38 @@ def safe_basis_for_pair(algebra, trunc, op_a, op_b):
     return safe_basis(algebra, trunc, pair_shifts(op_a, op_b))
 
 
-def _compose(outer: RowTable, inner: RowTable, i: int) -> dict:
-    """Integer row i of outer·inner, over the denominator outer.den·inner.den."""
-    acc = {}
-    for j, w in inner.row(i):
-        accumulate(acc, outer.row(j), w)
-    return acc
+def commutator_rows(op_a: OperatorSpec, op_b: OperatorSpec, trunc: Truncation):
+    """The graded commutator [A, B} on one truncation, as integer rows by state id.
 
-
-def commutator(op_a: OperatorSpec, op_b: OperatorSpec, trunc: Truncation):
-    """The graded commutator [A, B} as a map from safe basis states to vectors.
-
-    Both row tables are fetched once; each call composes their integer rows.
-    The map raises UnsafeLevelError on a state outside the safe-window rule;
+    Returns (rows, den): rows(i) is the dict {j: n} with
+    [A, B}|basis[i]> = sum of (n / den)|basis[j]>, den = den_a·den_b.  Both
+    row tables are fetched once; each call composes their integer rows.
+    rows raises UnsafeLevelError on a state outside the safe-window rule;
     the caller must shrink its probe set, never ignore the signal.
     """
     if op_a.algebra != op_b.algebra:
         raise AlgebraMismatchError("commutator of operators over different algebras")
-    algebra = op_a.algebra
-    ta, tb = _table(op_a, trunc), _table(op_b, trunc)
-    is_safe = _safe_test(algebra, trunc, _doubled_rise(pair_shifts(op_a, op_b)), 2)
+    ta, tb = row_table(op_a, trunc), row_table(op_b, trunc)
+    is_safe = _safe_test(op_a.algebra, trunc, _doubled_rise(pair_shifts(op_a, op_b)), 2)
     sign = 1 if op_a.parity and op_b.parity else -1
+    basis = ta.basis
 
-    def action(state: BasisState) -> StateVector:
+    def rows(i: int) -> dict:
+        state = basis[i]
         if not is_safe(state):
             raise UnsafeLevelError(
                 f"state {state} (level {state.level}) is outside the safe window for "
                 f"shifts ({op_a.shift}, {op_b.shift}) at level_cap {trunc.level_cap}")
-        i = ta.state_id(state)
-        acc = accumulate(_compose(ta, tb, i), _compose(tb, ta, i).items(), sign)
-        return ta.vector(acc, ta.den * tb.den)
+        return accumulate(ta.apply(tb.row(i)), tb.apply(ta.row(i)).items(), sign)
 
-    return action
+    return rows, ta.den * tb.den
+
+
+def commutator(op_a: OperatorSpec, op_b: OperatorSpec, trunc: Truncation):
+    """[A, B} as a map from safe basis states to vectors, over commutator_rows."""
+    rows, den = commutator_rows(op_a, op_b, trunc)
+    table = row_table(op_a, trunc)
+    return lambda state: table.vector(rows(table.state_id(state)), den)
 
 
 def commutator_action(op_a: OperatorSpec, op_b: OperatorSpec, state: BasisState,

@@ -13,11 +13,11 @@ are then tested against this oracle, never assumed.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .algebra import BOSON, Mode, VirfockError, ZERO, a, adag, b, format_rational, red_adag
 from .dirac import (
@@ -33,25 +33,27 @@ from .dirac import (
     verify_compatibility,
 )
 from .fock import (
-    BasisState,
     StateVector,
     Truncation,
     VACUUM,
-    apply_mode,
+    accumulate,
+    enumerate_basis,
 )
+from .fock import _apply_to_basis as mode_table
 from .operators import (
     FAMILIES,
     GeneratorFamily,
     OperatorSpec,
     apply_operator,
     build_L,
-    commutator,
     commutator_action,
+    commutator_rows,
     generator_family,
     linear_operator,
     mode_operator,
-    safe_basis,
-    safe_basis_for_pair,
+    pair_shifts,
+    row_table,
+    safe_ids,
 )
 from .report import CheckReport, report
 
@@ -128,20 +130,31 @@ def extract_central_charge(params: ScenarioParams) -> Fraction:
     return c2
 
 
-def _probe(name, expected, states, sides, got="as expected"):
-    """One report for an identity lhs == rhs asserted on every probe state.
+def _probe(name, expected, params, probes, sides, got="as expected", show=None):
+    """One report for an identity lhs == rhs asserted on every probe.
 
-    sides(psi) returns (lhs, rhs).  An empty probe set proves nothing, so it
-    is reported skipped, with the reason in `got`, never as a pass.  A
-    failure names its first witness state and shows the residual lhs - rhs.
+    A probe is a state id of the truncation's basis.  sides(p) returns
+    (lhs, rhs, den): both sides on p as dicts {state id: nonzero integer}
+    over the one denominator den, so comparing them compares integers only.
+    An empty probe set proves nothing, so it is reported skipped, with the
+    reason in `got`, never as a pass.  A failure names its first witness,
+    show(p) (by default the basis state), and shows the residual lhs - rhs.
     """
-    if not states:
+    if not probes:
         return CheckReport(name, "skipped", str(expected), "no safe probe state")
-    for psi in states:
-        lhs, rhs = sides(psi)
+    for p in probes:
+        lhs, rhs, den = sides(p)
         if lhs != rhs:
-            return report(name, False, expected, lhs - rhs, psi)
+            basis = enumerate_basis(params.algebra, params.trunc)
+            diff = accumulate(dict(lhs), rhs.items(), -1)
+            residual = StateVector(params.algebra, {basis[j]: Fraction(n, den) for j, n in diff.items()})
+            return report(name, False, expected, residual, show(p) if show else basis[p])
     return report(name, True, expected, got)
+
+
+def _times(s: int, pairs) -> dict:
+    """s times an integer row whose (id, n) pairs name each id once."""
+    return {j: s * n for j, n in pairs} if s else {}
 
 
 def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
@@ -157,18 +170,21 @@ def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
         lm = _gen(params.family, m, params.M, params.lam)
         for n in range(-R, R + 1):
             ln = _gen(params.family, n, params.M, params.lam)
-            lmn = _gen(params.family, m + n, params.M, params.lam)
-            bracket = commutator(lm, ln, trunc)
+            lmn = row_table(_gen(params.family, m + n, params.M, params.lam), trunc)
+            bracket, den = commutator_rows(lm, ln, trunc)
+            central = c_expected * Fraction(m ** 3 - m, 12) if m + n == 0 else ZERO
+            top = math.lcm(den, lmn.den, central.denominator)
+            s_rhs = (n - m) * (top // lmn.den)
+            s_central = central.numerator * (top // central.denominator)
 
-            def sides(psi):
-                vec = StateVector.basis(algebra, psi)
-                rhs = (n - m) * apply_operator(lmn, vec, trunc)
-                if m + n == 0:
-                    rhs = rhs - (c_expected * Fraction(m ** 3 - m, 12)) * vec
-                return bracket(psi), rhs
+            def sides(i):
+                rhs = _times(s_rhs, lmn.row(i))
+                if s_central:
+                    accumulate(rhs, ((i, -s_central),))
+                return _times(top // den, bracket(i).items()), rhs, top
 
-            reports.append(_probe(f"virasoro[m={m},n={n}]", "0",
-                                  safe_basis_for_pair(algebra, trunc, lm, ln), sides, got="0"))
+            reports.append(_probe(f"virasoro[m={m},n={n}]", "0", params,
+                                  safe_ids(algebra, trunc, pair_shifts(lm, ln)), sides, got="0"))
     return reports
 
 
@@ -194,15 +210,17 @@ def check_primary_laws(params: ScenarioParams) -> list:
                 idx = x.index
                 coeff = Fraction(coeff_fn(m, idx, params.lam))
                 xop = mode_operator(algebra, x)
-                bracket = commutator(gen, xop, trunc)
+                bracket, den = commutator_rows(gen, xop, trunc)
+                phi = mode_table(algebra, target, trunc)
+                top = math.lcm(den, coeff.denominator * phi.den)
+                s_phi = coeff.numerator * (top // (coeff.denominator * phi.den))
 
-                def sides(psi):
-                    vec = StateVector.basis(algebra, psi)
-                    return bracket(psi), coeff * apply_mode(target, vec, trunc)
+                def sides(i):
+                    return _times(top // den, bracket(i).items()), _times(s_phi, phi.row(i)), top
 
                 reports.append(_probe(f"primary[{kind.symbol},m={m},n={idx}]",
-                                      f"{format_rational(coeff)}·{target}",
-                                      safe_basis_for_pair(algebra, trunc, gen, xop), sides))
+                                      f"{format_rational(coeff)}·{target}", params,
+                                      safe_ids(algebra, trunc, pair_shifts(gen, xop)), sides))
     return reports
 
 
@@ -223,20 +241,23 @@ def check_christoffel(params: ScenarioParams) -> list:
     for m in range(-R, R + 1):
         lm = _gen(params.family, m, M, lam)
         for n in [k for k in range(-R, R + 1) if k != 0]:
-            anomaly = anomaly_fn(m, M, lam) if m + n == 0 else ZERO
+            anomaly = Fraction(anomaly_fn(m, M, lam)) if m + n == 0 else ZERO
             xop = mode_operator(algebra, red_adag(n))
-            bracket = commutator(lm, xop, trunc)
+            bracket, den = commutator_rows(lm, xop, trunc)
+            phi = mode_table(algebra, red_adag(m + n), trunc) if m + n else None
+            top = math.lcm(den, algebra.bracket_denominator, anomaly.denominator)
+            s_phi = n * (top // algebra.bracket_denominator)
+            s_anomaly = anomaly.numerator * (top // anomaly.denominator)
 
-            def sides(psi):
-                vec = StateVector.basis(algebra, psi)
-                rhs = anomaly * vec
-                if m + n != 0:
-                    rhs = rhs + n * apply_mode(red_adag(m + n), vec, trunc)
-                return bracket(psi), rhs
+            def sides(i):
+                rhs = _times(s_phi, phi.row(i)) if phi else {}
+                if s_anomaly:
+                    accumulate(rhs, ((i, s_anomaly),))
+                return _times(top // den, bracket(i).items()), rhs, top
 
             reports.append(_probe(f"christoffel[m={m},n={n}]",
-                                  f"{n}·a†[{m + n}]" if m + n else format_rational(anomaly),
-                                  safe_basis_for_pair(algebra, trunc, lm, xop), sides))
+                                  f"{n}·a†[{m + n}]" if m + n else format_rational(anomaly), params,
+                                  safe_ids(algebra, trunc, pair_shifts(lm, xop)), sides))
             # independent route through the Dirac bracket of the unconstrained form
             via_dirac = dirac_transform_adagger(m, n, M, lam)
             expected = linear_operator(
@@ -251,38 +272,27 @@ def check_jacobi(params: ScenarioParams, triple=(1, 2, -3)) -> list:
     """Jacobi identity spot check on nested commutators of three generators."""
     trunc = params.trunc
     algebra = params.algebra
-    la, lb, lc = (_gen(params.family, m, params.M, params.lam) for m in triple)
+    ops = [_gen(params.family, m, params.M, params.lam) for m in triple]
+    ta, tb, tc = (row_table(op, trunc) for op in ops)
     aa, bb, cc = (Fraction(m) for m in triple)
     sums = (aa, bb, cc, aa + bb, aa + cc, bb + cc, aa + bb + cc)
 
-    def nested(x, y, z, psi):
-        # [[X, Y], Z] psi for even operators
-        vec = StateVector.basis(algebra, psi)
-        zpsi = apply_operator(z, vec, trunc)
-        xpsi = apply_operator(x, vec, trunc)
-        ypsi = apply_operator(y, vec, trunc)
-        return (apply_operator(x, apply_operator(y, zpsi, trunc), trunc)
-                - apply_operator(y, apply_operator(x, zpsi, trunc), trunc)
-                - apply_operator(z, apply_operator(x, ypsi, trunc), trunc)
-                + apply_operator(z, apply_operator(y, xpsi, trunc), trunc))
+    def nested(x, y, z, i):
+        # [[X, Y], Z] on basis[i] for even operators, over x.den·y.den·z.den
+        zpsi, xpsi, ypsi = z.row(i), x.row(i), y.row(i)
+        acc = x.apply(y.apply(zpsi).items())
+        accumulate(acc, y.apply(x.apply(zpsi).items()).items(), -1)
+        accumulate(acc, z.apply(x.apply(ypsi).items()).items(), -1)
+        return accumulate(acc, z.apply(y.apply(xpsi).items()).items())
 
-    def sides(psi):
-        total = (nested(la, lb, lc, psi) + nested(lb, lc, la, psi)
-                 + nested(lc, la, lb, psi))
-        return total, StateVector.zero(algebra)
+    def sides(i):
+        total = nested(ta, tb, tc, i)
+        accumulate(total, nested(tb, tc, ta, i).items())
+        accumulate(total, nested(tc, ta, tb, i).items())
+        return total, {}, ta.den * tb.den * tc.den
 
-    return [_probe(f"jacobi[{triple[0]},{triple[1]},{triple[2]}]", "0",
-                   safe_basis(algebra, trunc, sums, zero_uses=3), sides, got="0")]
-
-
-class _Draw(NamedTuple):
-    """A window-doubling probe: a generator label and a state from its pool."""
-
-    m: int
-    psi: BasisState
-
-    def __str__(self):
-        return f"m={self.m} {self.psi}"
+    return [_probe(f"jacobi[{triple[0]},{triple[1]},{triple[2]}]", "0", params,
+                   safe_ids(algebra, trunc, sums, zero_uses=3), sides, got="0")]
 
 
 def check_window_doubling(params: ScenarioParams, probes: int = 100, seed: int = 7) -> list:
@@ -296,23 +306,25 @@ def check_window_doubling(params: ScenarioParams, probes: int = 100, seed: int =
     rng = random.Random(seed)
     ops = {m: _gen(params.family, m, params.M, params.lam)
            for m in range(-params.m_range, params.m_range + 1)}
-    pools = {m: safe_basis(algebra, trunc, (op.shift,), zero_uses=1) for m, op in ops.items()}
+    pools = {m: safe_ids(algebra, trunc, (op.shift,), zero_uses=1) for m, op in ops.items()}
     labels = [m for m, pool in pools.items() if pool]
     draws = []
     if labels:
         for _ in range(probes):
             m = rng.choice(labels)
-            draws.append(_Draw(m, rng.choice(pools[m])))
+            draws.append((m, rng.choice(pools[m])))
 
     def sides(draw):
-        m, psi = draw
+        m, i = draw
         op = ops[m]
-        vec = StateVector.basis(algebra, psi)
-        return (apply_operator(op, vec, trunc),
-                apply_operator(op, vec, trunc, window=2 * (trunc.level_cap + abs(op.shift))))
+        narrow = row_table(op, trunc)
+        wide = row_table(op, trunc, window=2 * (trunc.level_cap + abs(op.shift)))
+        top = math.lcm(narrow.den, wide.den)
+        return _times(top // narrow.den, narrow.row(i)), _times(top // wide.den, wide.row(i)), top
 
-    return [_probe(f"window_doubling[{probes} probes]", "identical action", draws, sides,
-                   got="identical action")]
+    basis = enumerate_basis(algebra, trunc)
+    return [_probe(f"window_doubling[{probes} probes]", "identical action", params, draws, sides,
+                   got="identical action", show=lambda draw: f"m={draw[0]} {basis[draw[1]]}")]
 
 
 def run_family_scenario(params: ScenarioParams):

@@ -13,6 +13,7 @@ from virfock import (
     BilinearTerm,
     FERMION,
     FieldKind,
+    Mode,
     OperatorSpec,
     REDUCED_FERMION,
     StateVector,
@@ -40,10 +41,10 @@ from virfock import (
     red_adag,
     red_b,
 )
+from virfock.algebra import is_creator
 from virfock.operators import (
     FAMILIES,
     _apply_to_basis,
-    _realized,
     safe_basis,
     safe_basis_for_pair,
 )
@@ -360,11 +361,23 @@ def test_input_state_outside_the_truncation_raises():
 
 
 def _reference(op, v, trunc):
-    """op v summed term by term through apply_mode, in Fractions throughout."""
+    """op v summed term by term through apply_mode, in Fractions throughout;
+    each kernel term is normal ordered here, independently of the engine."""
     out = StateVector(op.algebra)
-    for term in op.bilinears:
-        for coeff, first, second in _realized(term, op.algebra, trunc.level_cap + abs(op.shift)):
-            out = out + coeff * apply_mode(second, apply_mode(first, v, trunc), trunc)
+    width = trunc.level_cap + abs(op.shift)
+    for t in op.bilinears:
+        odd = 1 if t.right.half_integer_moded else 0
+        for two_r in range(-int(2 * width), int(2 * width) + 1):
+            x, y = Mode(t.left, 2 * t.m - two_r), Mode(t.right, two_r)
+            coeff = t.alpha + t.beta * Fraction(two_r, 2)
+            no_mode = FieldKind.RED_ADAG in (x.kind, y.kind) and 0 in (x.two, y.two)
+            if two_r % 2 != odd or not coeff or no_mode:  # the reduced boson has no a†[0]
+                continue
+            if not is_creator(x) and is_creator(y):  # :x y: = ±y x
+                sign = -1 if x.parity and y.parity else 1
+                out = out + (sign * coeff) * apply_mode(y, apply_mode(x, v, trunc), trunc)
+            else:
+                out = out + coeff * apply_mode(x, apply_mode(y, v, trunc), trunc)
     for mode, c in op.linear:
         out = out + c * apply_mode(mode, v, trunc)
     return out + op.constant * v

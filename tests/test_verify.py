@@ -1,6 +1,7 @@
 """Central-charge oracle, Virasoro relation checks, law suites, self-checks."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -198,13 +199,14 @@ def test_benchmark_levels_skip_nothing(monkeypatch, family, level):
     import virfock.verify as verify
     from virfock import StateVector
     from virfock.verify import default_truncation
+    zero = SimpleNamespace(den=1, row=lambda i: (), apply=lambda pairs: {})
     monkeypatch.setattr(verify, "commutator_action",
                         lambda op_a, op_b, state, trunc: StateVector(op_a.algebra))
-    monkeypatch.setattr(verify, "commutator",
-                        lambda op_a, op_b, trunc: lambda state: StateVector(op_a.algebra))
+    monkeypatch.setattr(verify, "commutator_rows", lambda op_a, op_b, trunc: (lambda i: {}, 1))
     monkeypatch.setattr(verify, "apply_operator",
                         lambda op, v, trunc, window=None: StateVector(v.algebra))
-    monkeypatch.setattr(verify, "apply_mode", lambda x, v, trunc: StateVector(v.algebra))
+    monkeypatch.setattr(verify, "row_table", lambda op, trunc, window=None: zero)
+    monkeypatch.setattr(verify, "mode_table", lambda algebra, x, trunc: zero)
     params = ScenarioParams(family, 1, H, default_truncation(family, level), 3, Window(8))
     reports, _, _ = run_family_scenario(params)
     assert reports and not [r.name for r in reports if r.status == "skipped"]
@@ -212,13 +214,18 @@ def test_benchmark_levels_skip_nothing(monkeypatch, family, level):
 
 def test_window_doubling_failure_names_its_draw(monkeypatch):
     import virfock.verify as verify
-    real = verify.apply_operator
+    from virfock.fock import accumulate
+    real = verify.row_table
 
-    def wide_window_differs(op, v, trunc, window=None):
-        out = real(op, v, trunc)
-        return out if window is None else out + v
+    def wide_window_differs(op, trunc, window=None):
+        # the wide table's rows gain the identity: psi -> row(psi) + psi
+        table = real(op, trunc, window)
+        if window is None:
+            return table
+        return SimpleNamespace(den=table.den, row=lambda i: tuple(
+            accumulate(dict(table.row(i)), ((i, table.den),)).items()))
 
-    monkeypatch.setattr(verify, "apply_operator", wide_window_differs)
+    monkeypatch.setattr(verify, "row_table", wide_window_differs)
     (r,) = check_window_doubling(small_params("fermion-unconstrained", 0, H), probes=5)
     assert r.status == "fail"
     assert r.probe.startswith("m=") and "|0⟩" in r.probe and "BasisState(" not in r.probe
@@ -226,12 +233,13 @@ def test_window_doubling_failure_names_its_draw(monkeypatch):
 
 
 def test_law_failures_show_the_residual(monkeypatch):
-    # with every mode action on the right-hand side replaced by zero, each
+    # with every mode table on the right-hand side replaced by zero rows, each
     # failing law's residual is its commutator on the witness state
     import virfock.verify as verify
-    from virfock import FERMION, StateVector, b, build_L, commutator_action, \
-        enumerate_basis, mode_operator, red_adag
-    monkeypatch.setattr(verify, "apply_mode", lambda x, v, trunc: StateVector(v.algebra))
+    from virfock import FERMION, b, build_L, commutator_action, enumerate_basis, \
+        mode_operator, red_adag
+    monkeypatch.setattr(verify, "mode_table",
+                        lambda algebra, x, trunc: SimpleNamespace(den=1, row=lambda i: ()))
     lam = Fraction(1, 3)
     fermion = small_params("fermion-unconstrained", 0, lam)
     boson = small_params("boson-reduced", 1, 1)
