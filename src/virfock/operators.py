@@ -577,17 +577,13 @@ def commutator_rows(op_a: OperatorSpec, op_b: OperatorSpec, trunc: Truncation):
     return rows, ta.den * tb.den
 
 
-def commutator(op_a: OperatorSpec, op_b: OperatorSpec, trunc: Truncation):
-    """[A, B} as a map from safe basis states to vectors, over commutator_rows."""
-    rows, den = commutator_rows(op_a, op_b, trunc)
-    table = row_table(op_a, trunc)
-    return lambda state: table.vector(rows(table.state_id(state)), den)
-
-
 def commutator_action(op_a: OperatorSpec, op_b: OperatorSpec, state: BasisState,
                       trunc: Truncation) -> StateVector:
-    """Exact action of the graded commutator [A, B} on a safe basis state."""
-    return commutator(op_a, op_b, trunc)(state)
+    """Exact action of the graded commutator [A, B} on a safe basis state, as a
+    vector; a StateVector wrapper of commutator_rows."""
+    rows, den = commutator_rows(op_a, op_b, trunc)
+    table = row_table(op_a, trunc)
+    return table.vector(rows(table.state_id(state)), den)
 
 
 def linear_bracket(x: OperatorSpec, y: OperatorSpec) -> Fraction:

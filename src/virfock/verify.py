@@ -9,6 +9,12 @@ vacuum component of [L_m, L_-m]|0> via
 computed at m = 2 and cross-checked at m = 3 (a disagreement means a
 truncation-soundness bug, not a formula failure).  The closed-form claims
 are then tested against this oracle, never assumed.
+
+The family checks run on integers from the mode image to the comparison:
+each fetches its row and mode tables once, builds both sides of its
+identity on every probe state id as integer rows over one denominator, and
+compares the two dicts.  Fractions appear only in a failure's residual and
+in the oracle's vacuum component.
 """
 
 from __future__ import annotations
@@ -133,7 +139,8 @@ def extract_central_charge(params: ScenarioParams) -> Fraction:
 def _probe(name, expected, params, probes, sides, got="as expected", show=None):
     """One report for an identity lhs == rhs asserted on every probe.
 
-    A probe is a state id of the truncation's basis.  sides(p) returns
+    A probe is a state id of the truncation's basis (or a draw that show
+    names).  sides(p) returns
     (lhs, rhs, den): both sides on p as dicts {state id: nonzero integer}
     over the one denominator den, so comparing them compares integers only.
     An empty probe set proves nothing, so it is reported skipped, with the

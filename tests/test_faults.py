@@ -1,0 +1,117 @@
+"""Injected faults that the family checks must catch, at small caps.
+
+Each fault is monkeypatched into the engine or into a family's stated laws,
+and names the checks that must flip to `fail`.  A check that stays `pass`
+under a fault that changes its identity compares nothing.  The engine's
+caches are cleared around every fault, so a faulty table built here is
+never seen by another test.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+import virfock.fock as fock
+import virfock.operators as operators
+import virfock.verify as verify
+from virfock import (
+    OperatorSpec,
+    ScenarioParams,
+    Truncation,
+    Window,
+    check_virasoro_relation,
+    claimed_central_charge,
+    run_family_scenario,
+)
+
+H = Fraction(1, 2)
+
+
+def small_params(family, M, lam):
+    trunc = (Truncation(Fraction(7, 2)) if family.startswith("fermion")
+             else Truncation(Fraction(4), 3 if family == "boson-unconstrained" else 0))
+    return ScenarioParams(family, M, lam, trunc, 2, Window(4))
+
+
+def _failed(reports):
+    return {r.name for r in reports if r.status == "fail"}
+
+
+@pytest.fixture(autouse=True)
+def fresh_caches():
+    caches = (verify._gen, operators._apply_to_basis, operators._skeleton, fock._apply_to_basis)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _replace_family(monkeypatch, family, **fields):
+    monkeypatch.setitem(operators.FAMILIES, family, operators.FAMILIES[family]._replace(**fields))
+
+
+def test_central_charge_off_by_a_twelfth(monkeypatch):
+    # c enters only the oracle comparison and the m + n = 0 rows with m^3 != m
+    real = verify.claimed_central_charge
+    monkeypatch.setattr(verify, "claimed_central_charge",
+                        lambda family, M, lam: real(family, M, lam) + Fraction(1, 12))
+    reports, _, _ = run_family_scenario(small_params("fermion-reduced", 0, 0))
+    assert _failed(reports) == {"central_charge", "virasoro[m=2,n=-2]", "virasoro[m=-2,n=2]"}
+
+
+def test_one_primary_law_coefficient_off_by_one(monkeypatch):
+    # [L_1, b†[1/2]] = (lam + 1/2) b†[3/2]; only that law reads the changed value
+    laws = operators.FAMILIES["fermion-unconstrained"].primary_laws
+    (b_kind, b_coeff), (bdag_kind, bdag_coeff) = laws.modes
+
+    def off(m, r, lam):
+        return bdag_coeff(m, r, lam) + (1 if (m, r) == (1, H) else 0)
+
+    _replace_family(monkeypatch, "fermion-unconstrained",
+                    primary_laws=laws._replace(modes=((b_kind, b_coeff), (bdag_kind, off))))
+    reports, _, _ = run_family_scenario(small_params("fermion-unconstrained", 0, Fraction(1, 3)))
+    assert _failed(reports) == {"primary[b†,m=1,n=1/2]"}
+
+
+def test_christoffel_anomaly_off(monkeypatch):
+    # the anomaly enters only the n = -m rows, on both the Fock and the Dirac route
+    real = operators.FAMILIES["boson-reduced"].christoffel_anomaly
+    _replace_family(monkeypatch, "boson-reduced",
+                    christoffel_anomaly=lambda m, M, lam: real(m, M, lam) + 1)
+    reports, _, _ = run_family_scenario(small_params("boson-reduced", 1, 1))
+    assert _failed(reports) == {f"christoffel{route}[m={k},n={-k}]"
+                                for route in ("", "_dirac") for k in (-2, -1, 1, 2)}
+
+
+def test_one_kernel_alpha_off(monkeypatch):
+    # L_1 gains delta = (sum_r :a†[1-r]a†[r]:); the oracle never reads L_1, and
+    # [L_2, L_-1] = -3 L_1 must now miss -3 delta, [L_1, a†[1]] must change
+    family = "boson-reduced"
+    real = operators.FAMILIES[family].build
+
+    def build(m, M, lam):
+        op = real(m, M, lam)
+        if m != 1:
+            return op
+        (term,) = op.bilinears
+        return OperatorSpec(op.algebra, op.shift, (term._replace(alpha=term.alpha + 1),),
+                            op.linear, op.constant, op.parity)
+
+    _replace_family(monkeypatch, family, build=build)
+    reports, c_formula, c_oracle = run_family_scenario(small_params(family, 1, 1))
+    assert c_formula == c_oracle
+    assert {"virasoro[m=2,n=-1]", "virasoro[m=-1,n=2]", "christoffel[m=1,n=1]"} <= _failed(reports)
+
+
+@pytest.mark.parametrize("family,lam", [("fermion-reduced", 0), ("fermion-unconstrained", Fraction(1, 3))])
+def test_normal_ordering_sign_flipped(monkeypatch, family, lam):
+    # every swapped odd pair of the kernel loses its -1: L_0 stops grading by
+    # level, so [L_0, L_2] = 2 L_2 fails
+    real = operators._skeleton
+    monkeypatch.setattr(operators, "_skeleton",
+                        lambda *key: tuple((two_r, 1, first, second)
+                                           for two_r, _, first, second in real(*key)))
+    params = small_params(family, 0, lam)
+    failed = _failed(check_virasoro_relation(params, claimed_central_charge(family, 0, lam)))
+    assert {"virasoro[m=0,n=2]", "virasoro[m=2,n=0]"} <= failed

@@ -4,10 +4,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from virfock import (
     BOSON,
+    BOSONIZED_FERMION,
     BasisState,
     FERMION,
     Mode,
@@ -26,6 +27,8 @@ from virfock import (
     red_b,
     reduced_boson,
 )
+from virfock.algebra import is_creator
+from virfock.fock import _apply_to_basis
 
 H = Fraction(1, 2)
 
@@ -257,3 +260,80 @@ def test_state_vector_arithmetic():
     assert (s1 - s1).is_zero()
     assert str(StateVector.vacuum(FERMION)) == "1·|0⟩"
     assert str(BasisState((b(H), bdag(Fraction(3, 2))))) == "b[1/2]b†[3/2]|0⟩"
+
+
+def _canonical(factors, algebra):
+    """Product of creators on |0>, as (BasisState, sign) or None when it vanishes:
+    a†[0] factors become the zero occupancy, the rest is bubble sorted into
+    canonical order with -1 per swap of two odd modes."""
+    z = sum(1 for f in factors if f.kind.name == "ADAG" and f.two == 0)
+    rest = [f for f in factors if not (f.kind.name == "ADAG" and f.two == 0)]
+    sign = 1
+    for end in range(len(rest) - 1, 0, -1):
+        for k in range(end):
+            if rest[k].sort_key > rest[k + 1].sort_key:
+                rest[k], rest[k + 1] = rest[k + 1], rest[k]
+                sign *= -1 if rest[k].parity and rest[k + 1].parity else 1
+    if any(p.parity and p == q for p, q in zip(rest, rest[1:])):
+        return None  # a repeated odd creator
+    return BasisState(tuple(rest), z), sign
+
+
+def _reference_action(algebra, x, state):
+    """x|state> in Fractions, independent of the engine: a creator joins the
+    product, an annihilator is commuted through it with canonical_bracket."""
+    factors = list(state.creators) + [adag(0)] * state.zero_occ
+    terms = []
+    if is_creator(x):
+        terms.append(([x] + factors, Fraction(1)))
+    else:
+        sign = 1
+        for k, c in enumerate(factors):
+            val = canonical_bracket(x, c, algebra)
+            if val:
+                terms.append((factors[:k] + factors[k + 1:], sign * val))
+            if x.parity and c.parity:
+                sign = -sign
+    out = {}
+    for product, q in terms:
+        canon = _canonical(product, algebra)
+        if canon:
+            image, sign = canon
+            out[image] = out.get(image, 0) + sign * q
+    return {s: q for s, q in out.items() if q}
+
+
+_ALGEBRAS = st.one_of(
+    st.sampled_from([BOSON, FERMION, REDUCED_FERMION, BOSONIZED_FERMION]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool).map(reduced_boson))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ALGEBRAS, st.integers(0, 7), st.integers(0, 3), st.data())
+@example(BOSON, 4, 3, None)
+@example(FERMION, 5, 0, None)
+def test_mode_table_rows_match_fraction_reference(algebra, two_cap, zmax, data):
+    trunc = Truncation(Fraction(two_cap, 2), zmax)
+    basis = enumerate_basis(algebra, trunc)
+    if data is None:  # the a[0]/a†[0] tower, and a fermion insertion crossing odd modes
+        cases = ([(s, m) for s in basis for m in (a(0), adag(0))] if algebra is BOSON else
+                 [(s, bdag(H)) for s in basis] + [(s, b(Fraction(3, 2))) for s in basis])
+    else:
+        kind = data.draw(st.sampled_from(algebra.kinds))
+        odd = 1 if kind.half_integer_moded else 0
+        two = data.draw(st.integers(-5, 5).map(lambda k: 2 * k + odd)
+                        .filter(lambda t: t or kind.name != "RED_ADAG"))
+        cases = [(data.draw(st.sampled_from(basis)), Mode(kind, two))]
+    for state, x in cases:
+        table = _apply_to_basis(algebra, x, trunc)
+        i = basis.index(state)
+        want = _reference_action(algebra, x, state)
+        if any(s.two_level > 2 * trunc.level_cap or s.zero_occ > zmax for s in want):
+            for _ in range(2):  # raises on every request; never kept as an empty row
+                with pytest.raises(TruncationOverflowError):
+                    table.row(i)
+            assert table.rows[i] is None
+            continue
+        row = table.row(i)
+        assert len({j for j, _ in row}) == len(row) and all(w for _, w in row)
+        assert {basis[j]: Fraction(w, table.den) for j, w in row} == want, (x, state)
