@@ -349,16 +349,6 @@ def _kernel_coeff(term: BilinearTerm, two_r: int) -> Fraction:
     return term.alpha + term.beta * Fraction(two_r, 2)
 
 
-def _kernel_term(term: BilinearTerm, two_r: int):
-    """(coefficient, X[m-r], Y[r]) of one kernel term, or None when it vanishes
-    or names a mode that does not exist."""
-    coeff = _kernel_coeff(term, two_r)
-    modes = _kernel_modes(term.left, term.right, term.m, two_r)
-    if not coeff or modes is None:
-        return None
-    return (coeff, *modes)
-
-
 @lru_cache(maxsize=None)
 def _skeleton(algebra: Algebra, trunc: Truncation, left: FieldKind, right: FieldKind,
               m: int, width: Fraction) -> tuple:
@@ -619,10 +609,11 @@ def commutator_with_linear(op: OperatorSpec, lin: OperatorSpec) -> OperatorSpec:
     for z, cz in lin.linear:
         for term in op.bilinears:
             for two_r in {-z.two, 2 * term.m + z.two}:
-                kernel = _kernel_term(term, two_r)
-                if kernel is None:
+                coeff = _kernel_coeff(term, two_r)
+                modes = _kernel_modes(term.left, term.right, term.m, two_r)
+                if not coeff or modes is None:
                     continue
-                coeff, x, y = kernel
+                x, y = modes
                 by = canonical_bracket(y, z, algebra)
                 if by:
                     out_linear.append((x, cz * coeff * by))
