@@ -259,9 +259,22 @@ def reduced_boson(M) -> Algebra:
                    {(FieldKind.RED_ADAG, FieldKind.RED_ADAG): -M / 2}, True)
 
 
-def _require_member(x: Mode, algebra: Algebra):
-    if x.kind not in algebra.kinds:
-        raise AlgebraMismatchError(f"mode {x} does not belong to {algebra}")
+def require_members(modes, algebra: Algebra):
+    """Raise AlgebraMismatchError unless every mode belongs to the algebra."""
+    for x in modes:
+        if x.kind not in algebra.kinds:
+            raise AlgebraMismatchError(f"mode {x} does not belong to {algebra}")
+
+
+def paired_bracket(x: Mode, y: Mode, algebra: Algebra) -> Fraction:
+    """[x, y} of two member modes whose indices sum to zero: the algebra's
+    bracket table entry, weighted by the index of x where the algebra says so.
+
+    The one lookup behind canonical_bracket, the mode tables and every
+    linear bracket; the caller has checked membership and pairing.
+    """
+    value = algebra.brackets.get((x.kind, y.kind), ZERO)
+    return value * x.index if algebra.index_weighted else value
 
 
 def canonical_bracket(x: Mode, y: Mode, algebra: Algebra) -> Fraction:
@@ -270,12 +283,8 @@ def canonical_bracket(x: Mode, y: Mode, algebra: Algebra) -> Fraction:
     Antisymmetric on even pairs, symmetric on odd pairs; nonzero only when
     the two indices sum to zero.
     """
-    _require_member(x, algebra)
-    _require_member(y, algebra)
-    if x.two + y.two != 0:
-        return ZERO
-    value = algebra.brackets.get((x.kind, y.kind), ZERO)
-    return value * x.index if algebra.index_weighted else value
+    require_members((x, y), algebra)
+    return paired_bracket(x, y, algebra) if x.two + y.two == 0 else ZERO
 
 
 def is_creator(x: Mode) -> bool:

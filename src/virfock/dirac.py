@@ -21,7 +21,10 @@ Delta·C contract cost time in proportion to their nonzeros, not to the cube
 of the window; one elimination per label set serves both classify and
 invert_c.  All P, R sums in the Dirac bracket run over their exact, finite
 support, computed from the modes present in A and B; nothing is ever
-sampled.
+sampled.  Brackets pair modes by doubled index before any Fraction
+arithmetic: a term of the correction is computed only for partners R with a
+mode that pairs with one of B's, and [A, chi_P} only once such a term is
+nonzero.
 
 Families:
 
@@ -493,24 +496,28 @@ def dirac_bracket(A: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) ->
         raise AlgebraMismatchError("expressions do not belong to the family's algebra")
     family._require_second_class()
     base = linear_bracket(A, B)
+    b_twos = {mode.two for mode, _ in B.linear}
     corr = ZERO
     for p in family.support_labels(A):
         chi_p, partners = _correction_terms(family, p)
-        bra = linear_bracket(A, chi_p)
-        if not bra:
-            continue
-        for chi_r, signed_d in partners:
-            ket = linear_bracket(chi_r, B)
-            if ket:
-                corr += bra * signed_d * ket
-    return base - corr
+        kets = [(signed_d, ket) for chi_r, signed_d, needs in partners
+                if not needs.isdisjoint(b_twos) and (ket := linear_bracket(chi_r, B))]
+        if kets and (bra := linear_bracket(A, chi_p)):
+            corr += bra * sum(signed_d * ket for signed_d, ket in kets)
+    return base - corr if corr else base
 
 
 @lru_cache(maxsize=None)
 def _correction_terms(family: ConstraintFamily, p):
-    """chi_P and its partners ((chi_R, (-1)^p(R) Delta^PR), ...), built once per label."""
-    return family.expr(p), tuple((family.expr(r), -d if family.parity(r) else d)
-                                 for r, d in family.delta_row(p))
+    """chi_P and its partners ((chi_R, (-1)^p(R) Delta^PR, twos), ...), built
+    once per label; [chi_R, B} can be nonzero only when B has a mode whose
+    doubled index is in twos, the negatives of those of chi_R."""
+    partners = []
+    for r, d in family.delta_row(p):
+        chi_r = family.expr(r)
+        partners.append((chi_r, -d if family.parity(r) else d,
+                         frozenset(-mode.two for mode, _ in chi_r.linear)))
+    return family.expr(p), tuple(partners)
 
 
 def dirac_op_bracket(op: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) -> OperatorSpec:

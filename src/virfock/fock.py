@@ -36,9 +36,10 @@ from .algebra import (
     Mode,
     VirfockError,
     ZERO,
-    canonical_bracket,
     format_rational,
     is_creator,
+    paired_bracket,
+    require_members,
 )
 
 
@@ -284,8 +285,7 @@ class ModeTable(IdRows):
     __slots__ = ("mode",)
 
     def __init__(self, algebra: Algebra, x: Mode, trunc: Truncation):
-        if x.kind not in algebra.kinds:
-            raise AlgebraMismatchError(f"mode {x} does not belong to {algebra}")
+        require_members((x,), algebra)
         super().__init__(algebra, trunc, algebra.bracket_denominator)
         self.mode = x
         self.rows = [None] * len(self.basis)
@@ -323,12 +323,12 @@ class ModeTable(IdRows):
             sign = -1 if (x.parity and crossed_odd % 2) else 1
             return ((index[BasisState(creators[:pos] + (x,) + creators[pos:], z)], sign * den),)
 
-        # annihilator: contract against each creator in turn, tracking crossings
+        # annihilator: contract against each creator in turn, tracking
+        # crossings; x and every creator of a basis state are members
         acc = {}
         sign = 1
         for j, c in enumerate(creators):
-            val = canonical_bracket(x, c, self.algebra)
-            if val:
+            if x.two + c.two == 0 and (val := paired_bracket(x, c, self.algebra)):
                 image = index[BasisState(creators[:j] + creators[j + 1:], z)]
                 accumulate(acc, ((image, sign * val.numerator * (den // val.denominator)),))
             if x.parity and c.parity:
@@ -349,7 +349,7 @@ def apply_mode(x: Mode, v: StateVector, trunc: Truncation) -> StateVector:
     """Apply a single mode to a state vector, exactly.
 
     Creators insert into canonical position with the fermionic crossing sign;
-    annihilators contract against matching creators via canonical_bracket.
+    annihilators contract against matching creators through the bracket table.
     Raises TruncationOverflowError when a produced state, or a state of v,
     exceeds the caps.
     """

@@ -64,11 +64,12 @@ from .algebra import (
     ZERO,
     a,
     adag,
-    canonical_bracket,
     is_creator,
     format_rational,
+    paired_bracket,
     red_adag,
     reduced_boson,
+    require_members,
 )
 from .fock import (
     BasisState,
@@ -203,9 +204,7 @@ def linear_operator(algebra: Algebra, mapping, constant=0, shift=None, parity=No
         if len(levels) > 1:
             raise ValueError("cannot infer the level shift of an inhomogeneous expression")
         shift = levels.pop() if levels else ZERO
-    for mode, _ in linear:
-        if mode.kind not in algebra.kinds:
-            raise AlgebraMismatchError(f"mode {mode} does not belong to {algebra}")
+    require_members((mode for mode, _ in linear), algebra)
     return OperatorSpec(algebra, Fraction(shift), (), linear, Fraction(constant), parity)
 
 
@@ -549,6 +548,12 @@ def commutator_rows(op_a: OperatorSpec, op_b: OperatorSpec, trunc: Truncation):
     rows raises UnsafeLevelError on a state outside the safe-window rule;
     the caller must shrink its probe set, never ignore the signal.
     """
+    rows, den, _ = _commutator(op_a, op_b, trunc)
+    return rows, den
+
+
+def _commutator(op_a: OperatorSpec, op_b: OperatorSpec, trunc: Truncation):
+    """commutator_rows, and the row table of A, whose basis names the rows' ids."""
     if op_a.algebra != op_b.algebra:
         raise AlgebraMismatchError("commutator of operators over different algebras")
     ta, tb = row_table(op_a, trunc), row_table(op_b, trunc)
@@ -564,30 +569,36 @@ def commutator_rows(op_a: OperatorSpec, op_b: OperatorSpec, trunc: Truncation):
                 f"shifts ({op_a.shift}, {op_b.shift}) at level_cap {trunc.level_cap}")
         return accumulate(ta.apply(tb.row(i)), tb.apply(ta.row(i)).items(), sign)
 
-    return rows, ta.den * tb.den
+    return rows, ta.den * tb.den, ta
 
 
 def commutator_action(op_a: OperatorSpec, op_b: OperatorSpec, state: BasisState,
                       trunc: Truncation) -> StateVector:
     """Exact action of the graded commutator [A, B} on a safe basis state, as a
     vector; a StateVector wrapper of commutator_rows."""
-    rows, den = commutator_rows(op_a, op_b, trunc)
-    table = row_table(op_a, trunc)
+    rows, den, table = _commutator(op_a, op_b, trunc)
     return table.vector(rows(table.state_id(state)), den)
 
 
 def linear_bracket(x: OperatorSpec, y: OperatorSpec) -> Fraction:
-    """Graded bracket of two linear expressions; a scalar, computed exactly."""
+    """Graded bracket of two linear expressions; a scalar, computed exactly.
+
+    Every mode is checked against the algebra once; a pair of modes is
+    looked up only when its doubled indices sum to zero.
+    """
     if not (x.is_linear and y.is_linear):
         raise ValueError("linear_bracket needs linear expressions on both sides")
-    if x.algebra != y.algebra:
+    algebra = x.algebra
+    if y.algebra != algebra:
         raise AlgebraMismatchError("bracket of expressions over different algebras")
+    require_members((mode for mode, _ in x.linear + y.linear), algebra)
     total = ZERO
     for mx, cx in x.linear:
         for my, cy in y.linear:
-            val = canonical_bracket(mx, my, x.algebra)
-            if val:
-                total += cx * cy * val
+            if mx.two + my.two == 0:
+                val = paired_bracket(mx, my, algebra)
+                if val:
+                    total += cx * cy * val
     return total
 
 
@@ -597,13 +608,15 @@ def commutator_with_linear(op: OperatorSpec, lin: OperatorSpec) -> OperatorSpec:
     Uses [:XY:, z} = [Y,z} X + (-1)^{p(z)p(Y)} [X,z} Y termwise (the normal
     ordering constant commutes away), so the result is linear and the sum
     over the kernel index has support of at most two points per mode of
-    `lin`.  Exact; no windowing involved.
+    `lin`: the r where Y[r] pairs with z and the r where X[m-r] does.
+    Exact; no windowing involved.
     """
     if op.algebra != lin.algebra:
         raise AlgebraMismatchError("commutator of expressions over different algebras")
     if not lin.is_linear:
         raise ValueError("second argument must be a linear expression")
     algebra = op.algebra
+    require_members((mode for mode, _ in lin.linear + op.linear), algebra)
     out_linear = []
     out_const = ZERO
     for z, cz in lin.linear:
@@ -614,16 +627,14 @@ def commutator_with_linear(op: OperatorSpec, lin: OperatorSpec) -> OperatorSpec:
                 if not coeff or modes is None:
                     continue
                 x, y = modes
-                by = canonical_bracket(y, z, algebra)
-                if by:
+                require_members(modes, algebra)
+                if y.two + z.two == 0 and (by := paired_bracket(y, z, algebra)):
                     out_linear.append((x, cz * coeff * by))
-                bx = canonical_bracket(x, z, algebra)
-                if bx:
+                if x.two + z.two == 0 and (bx := paired_bracket(x, z, algebra)):
                     sign = -1 if (z.parity and y.parity) else 1
                     out_linear.append((y, cz * coeff * sign * bx))
         for w, cw in op.linear:
-            val = canonical_bracket(w, z, algebra)
-            if val:
+            if w.two + z.two == 0 and (val := paired_bracket(w, z, algebra)):
                 out_const += cw * cz * val
     return OperatorSpec(algebra, op.shift + lin.shift, (), _norm_linear(out_linear),
                         out_const, (op.parity + lin.parity) % 2)
