@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import virfock.dirac as dirac
 import virfock.fock as fock
 import virfock.operators as operators
 import virfock.verify as verify
@@ -18,11 +19,16 @@ from virfock import (
     OperatorSpec,
     ScenarioParams,
     Truncation,
+    VirfockError,
     Window,
+    boson_constraints,
     check_virasoro_relation,
     claimed_central_charge,
+    fermion_constraints,
+    run_dirac_checks,
     run_family_scenario,
 )
+from virfock.dirac import mode_compatibility_reports
 
 H = Fraction(1, 2)
 
@@ -39,7 +45,9 @@ def _failed(reports):
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    caches = (verify._gen, operators._apply_to_basis, operators._skeleton, fock._apply_to_basis)
+    caches = (verify._gen, operators._apply_to_basis, operators._skeleton, fock._apply_to_basis,
+              dirac._cached_expr, dirac._cached_delta_row, dirac._correction_terms,
+              dirac._c_rows, dirac._signed_inverse, dirac._finite_delta)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -115,3 +123,42 @@ def test_normal_ordering_sign_flipped(monkeypatch, family, lam):
     params = small_params(family, 0, lam)
     failed = _failed(check_virasoro_relation(params, claimed_central_charge(family, 0, lam)))
     assert {"virasoro[m=0,n=2]", "virasoro[m=2,n=0]"} <= failed
+
+
+# --- Dirac reduction, at M = 2/3 on Window(3) --------------------------------
+
+DIRAC_M, DIRAC_WINDOW = Fraction(2, 3), Window(3)
+
+
+def _perturb_delta(monkeypatch, family_type, change):
+    """Every Delta entry of the family's closed form passes through change(p, d)."""
+    real = family_type._delta_row
+    monkeypatch.setattr(family_type, "_delta_row",
+                        lambda self, p: tuple((r, change(p, d)) for r, d in real(self, p)))
+
+
+def test_boson_delta_entry_doubled(monkeypatch):
+    # the elimination no longer matches the closed form, and the Dirac
+    # brackets that read Delta^{2,-2} stop vanishing against the constraints
+    _perturb_delta(monkeypatch, dirac.BosonConstraints, lambda p, d: 2 * d if p == 2 else d)
+    with pytest.raises(VirfockError, match="closed form"):
+        run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
+    reports = mode_compatibility_reports(boson_constraints(DIRAC_M), DIRAC_WINDOW)
+    assert _failed(reports) == {"dirac_mode_compatibility[boson,N=3]"}
+
+
+def test_boson_support_drops_the_zero_gauge_label(monkeypatch):
+    # the zero modes lose their correction through chi = a[0]
+    real = dirac.BosonConstraints.support_labels
+    monkeypatch.setattr(dirac.BosonConstraints, "support_labels",
+                        lambda self, expr: real(self, expr) - {dirac.ZERO_GAUGE_LABEL})
+    assert _failed(run_dirac_checks(DIRAC_M, DIRAC_WINDOW)) == {
+        "dirac_bracket_boson[N=3]", "dirac_mode_compatibility[boson,N=3]"}
+
+
+def test_fermion_delta_sign_flipped(monkeypatch):
+    _perturb_delta(monkeypatch, dirac.FermionConstraints, lambda p, d: -d)
+    with pytest.raises(VirfockError, match="closed form"):
+        run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
+    reports = mode_compatibility_reports(fermion_constraints(), DIRAC_WINDOW)
+    assert _failed(reports) == {"dirac_mode_compatibility[fermion,N=3]"}

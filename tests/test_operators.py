@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from virfock import (
     AlgebraMismatchError,
     BOSON,
+    BOSONIZED_FERMION,
     BasisState,
     BilinearTerm,
     FERMION,
@@ -32,14 +33,17 @@ from virfock import (
     build_L,
     build_chi_bar0,
     build_chi_boson,
+    canonical_bracket,
     commutator_action,
     commutator_with_linear,
     conformal_weight,
     enumerate_basis,
     linear_bracket,
+    linear_operator,
     mode_operator,
     red_adag,
     red_b,
+    reduced_boson,
 )
 from virfock.algebra import is_creator
 from virfock.operators import (
@@ -403,3 +407,47 @@ def test_integer_engine_matches_fraction_reference(family, M, lam, m, data):
                                  min_size=1, max_size=3))
     v = StateVector(op.algebra, entries)
     assert apply_operator(op, v, trunc) == _reference(op, v, trunc)
+
+
+# --- linear brackets against the canonical bracket --------------------------
+
+def _reference_linear_bracket(x, y):
+    """Every mode pair through canonical_bracket, with no pairing by index."""
+    return sum((cx * cy * canonical_bracket(mx, my, x.algebra)
+                for mx, cx in x.linear for my, cy in y.linear), Fraction(0))
+
+
+_LINEAR_ALGEBRAS = [BOSON, FERMION, REDUCED_FERMION, BOSONIZED_FERMION,
+                    *(reduced_boson(M) for M in (Fraction(2, 3), -4, 5, Fraction(-1, 6)))]
+
+
+def _linear_exprs(algebra):
+    """Random linear expressions over the algebra: up to four distinct modes
+    with doubled index |two| <= 6, and a constant."""
+    modes = [Mode(kind, two) for kind in algebra.kinds for two in range(-6, 7)
+             if two % 2 == (1 if kind.half_integer_moded else 0)
+             and not (kind is FieldKind.RED_ADAG and two == 0)]
+    terms = st.dictionaries(st.sampled_from(modes), _RATIONALS.filter(bool), max_size=4)
+    return st.builds(lambda mapping, c: linear_operator(algebra, mapping, c, shift=0),
+                     terms, _RATIONALS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_LINEAR_ALGEBRAS).flatmap(
+    lambda alg: st.tuples(_linear_exprs(alg), _linear_exprs(alg))))
+def test_linear_bracket_matches_canonical_reference(pair):
+    x, y = pair
+    assert linear_bracket(x, y) == _reference_linear_bracket(x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_LINEAR_ALGEBRAS).flatmap(_linear_exprs), st.booleans())
+def test_linear_bracket_rejects_a_foreign_mode(expr, foreign_first):
+    # built directly, past linear_operator's membership check; the foreign
+    # mode pairs with nothing by index, and must still raise
+    algebra = expr.algebra
+    kind = next(k for k in FieldKind if k not in algebra.kinds)
+    two = 7 if kind.half_integer_moded else 8
+    foreign = OperatorSpec(algebra, Fraction(0), (), ((Mode(kind, two), Fraction(1)),))
+    with pytest.raises(AlgebraMismatchError):
+        linear_bracket(*((foreign, expr) if foreign_first else (expr, foreign)))
