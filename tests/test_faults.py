@@ -22,6 +22,7 @@ from virfock import (
     VirfockError,
     Window,
     boson_constraints,
+    OracleInconsistencyError,
     check_virasoro_relation,
     claimed_central_charge,
     fermion_constraints,
@@ -123,6 +124,53 @@ def test_normal_ordering_sign_flipped(monkeypatch, family, lam):
     params = small_params(family, 0, lam)
     failed = _failed(check_virasoro_relation(params, claimed_central_charge(family, 0, lam)))
     assert {"virasoro[m=0,n=2]", "virasoro[m=2,n=0]"} <= failed
+
+
+def test_fermion_L0_constant_dropped(monkeypatch):
+    # without -(1 - 2 lam)^2/8 the vacuum value of L_0 is off, so the oracle
+    # reads a different c at m = 2 and m = 3, and only the central rows of
+    # the Virasoro relation, where L_0 meets the anomaly, miss the claimed c
+    family, lam = "fermion-unconstrained", Fraction(1, 3)
+    real = operators.FAMILIES[family].build
+
+    def build(m, M, lam):
+        op = real(m, M, lam)
+        return OperatorSpec(op.algebra, op.shift, op.bilinears, op.linear, Fraction(0), op.parity)
+
+    _replace_family(monkeypatch, family, build=build)
+    params = small_params(family, 0, lam)
+    with pytest.raises(OracleInconsistencyError, match="m=2 gives c=5/9 but m=3 gives c=5/8"):
+        run_family_scenario(params)
+    failed = _failed(check_virasoro_relation(params, claimed_central_charge(family, 0, lam)))
+    assert failed == {f"virasoro[m={k},n={-k}]" for k in (-2, -1, 1, 2)}
+
+
+@pytest.mark.parametrize("family,M,lam,doubling_fails", [
+    ("boson-unconstrained", Fraction(2, 3), Fraction(-5, 4), True),
+    ("boson-reduced", 1, 1, True),
+    ("fermion-unconstrained", 0, Fraction(1, 3), True),
+    ("fermion-reduced", 0, 0, False),
+])
+def test_default_kernel_width_one_level_too_narrow(monkeypatch, family, M, lam, doubling_fails):
+    # the kernel half-width level_cap + |m| - 1 drops terms that act inside
+    # the truncation: L_0 stops grading by level, and the explicitly wide
+    # window of the doubling check no longer agrees with the default one
+    real = operators.row_table
+
+    def narrow(op, trunc, window=None):
+        if window is None:
+            window = trunc.level_cap + abs(op.shift) - 1
+        return real(op, trunc, window)
+
+    for module in (operators, verify):
+        monkeypatch.setattr(module, "row_table", narrow)
+    reports, c_formula, c_oracle = run_family_scenario(small_params(family, M, lam))
+    assert c_formula == c_oracle
+    want = {f"virasoro[m={m},n={n}]" for m in range(-2, 3) for n in range(-2, 3)
+            if (m == 0) != (n == 0)}
+    if doubling_fails:
+        want.add("window_doubling[100 probes]")
+    assert _failed(reports) == want
 
 
 # --- Dirac reduction, at M = 2/3 on Window(3) --------------------------------
