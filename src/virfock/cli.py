@@ -71,7 +71,7 @@ def _parse_args(argv):
 
 def _scenario_params(family, M, lam, args) -> ScenarioParams:
     trunc = default_truncation(family, args.level, args.zmax)
-    return ScenarioParams(family, M, lam, trunc, args.mmax, Window(args.window))
+    return ScenarioParams(family, M, lam, trunc, args.mmax)
 
 
 def _run_scenarios(args):
@@ -203,10 +203,7 @@ def main(argv=None) -> int:
         if args.sweep is not None:
             return _emit_sweep(_sweep(args), args)
         return _emit_runs(_run_scenarios(args), args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -571,15 +571,12 @@ def dirac_transform_adagger(m: int, n: int, M, lam) -> OperatorSpec:
     return solve_boson_constraints(raw, M)
 
 
-def verify_compatibility(op: OperatorSpec, family: ConstraintFamily, index_range,
-                         window: Window | None = None):
+def verify_compatibility(op: OperatorSpec, family: ConstraintFamily, index_range):
     """Check that a generator preserves the constraint ideal.
 
-    (i) [op, chi_n] must equal the multiple of chi at the shifted label that
-    the family's chi_transform states (the fermion law holds only at
-    lambda = 1/2; other lambdas are reported as incompatible).  (ii) With a
-    window, additionally checks dirac_bracket(x, chi) = 0 for every basic
-    mode x in the window.
+    [op, chi_n] must equal the multiple of chi at the shifted label that the
+    family's chi_transform states (the fermion law holds only at
+    lambda = 1/2; other lambdas are reported as incompatible).
     """
     m = op.shift
     reports = []
@@ -590,8 +587,6 @@ def verify_compatibility(op: OperatorSpec, family: ConstraintFamily, index_range
         ok = got == coeff * family.expr(target_label)
         reports.append(report(f"chi_transform[m={m},n={label}]", ok, want,
                               want if ok else str(got)))
-    if window is not None:
-        reports.extend(mode_compatibility_reports(family, window))
     return reports
 
 

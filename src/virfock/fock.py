@@ -9,7 +9,7 @@ factor of -1 per transposition of two odd modes.
 Truncation is an explicit contract: producing a state beyond the caps raises
 TruncationOverflowError instead of silently dropping amplitude, because a
 silently truncated commutator check would be unsound.  Callers restrict
-their probes to the safe window (see operators.safe_basis), inside which
+their probes to the safe window (see operators.safe_ids), inside which
 the level grading guarantees nothing ever leaves the truncation.
 
 The basis of one (algebra, truncation) pair is enumerated once; a state's

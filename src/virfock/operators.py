@@ -31,10 +31,10 @@ of its terms when it is made; the kernel's mode pairs form a skeleton
 shared by every operator with the same kinds, label and width, and the
 table keeps only the integers of its coefficients.  A row build therefore
 looks states up by id only and adds and multiplies integers, and so do
-apply_operator and commutator_rows, the commutator as integer rows over
+apply_operator and a Commutator, the graded commutator's row table over
 den_a·den_b; Fractions appear only in the vectors they return.
 
-commutator_rows evaluates graded commutators on basis states restricted to
+A Commutator evaluates graded commutators on basis states restricted to
 the safe window
 
     level + max(0, m, n, m+n) <= level_cap      (labels m, n of the pair)
@@ -517,67 +517,49 @@ def _safe_ids(algebra: Algebra, trunc: Truncation, two_rise: int, zero_uses: int
     return tuple(i for i, state in enumerate(enumerate_basis(algebra, trunc)) if is_safe(state))
 
 
-@lru_cache(maxsize=None)
-def _safe_basis(algebra: Algebra, trunc: Truncation, two_rise: int, zero_uses: int) -> tuple:
-    basis = enumerate_basis(algebra, trunc)
-    return tuple(basis[i] for i in _safe_ids(algebra, trunc, two_rise, zero_uses))
-
-
 def safe_ids(algebra: Algebra, trunc: Truncation, shifts, zero_uses: int = 2) -> tuple:
     """The state ids of the safe window of the given level shifts, in
     increasing order; computed once per (algebra, truncation, rise, zero_uses)."""
     return _safe_ids(algebra, trunc, _doubled_rise(shifts), zero_uses)
 
 
-def safe_basis(algebra: Algebra, trunc: Truncation, shifts, zero_uses: int = 2) -> tuple:
-    """The basis states of safe_ids, in basis order; one tuple per
-    (algebra, truncation, rise, zero_uses)."""
-    return _safe_basis(algebra, trunc, _doubled_rise(shifts), zero_uses)
-
-
-def safe_basis_for_pair(algebra, trunc, op_a, op_b):
-    return safe_basis(algebra, trunc, pair_shifts(op_a, op_b))
-
-
-def commutator_rows(op_a: OperatorSpec, op_b: OperatorSpec, trunc: Truncation):
+class Commutator(IdRows):
     """The graded commutator [A, B} on one truncation, as integer rows by state id.
 
-    Returns (rows, den): rows(i) is the dict {j: n} with
-    [A, B}|basis[i]> = sum of (n / den)|basis[j]>, den = den_a·den_b.  Both
-    row tables are fetched once; each call composes their integer rows.
-    rows raises UnsafeLevelError on a state outside the safe-window rule;
-    the caller must shrink its probe set, never ignore the signal.
+    den is den_a·den_b.  Both row tables are fetched when the table is made,
+    and it shares A's basis and index; each row composes their integer rows
+    and is not kept.  A row outside the safe-window rule raises
+    UnsafeLevelError; the caller must shrink its probe set, never ignore the
+    signal.
     """
-    rows, den, _ = _commutator(op_a, op_b, trunc)
-    return rows, den
 
+    __slots__ = ("a", "b", "sign", "is_safe")
 
-def _commutator(op_a: OperatorSpec, op_b: OperatorSpec, trunc: Truncation):
-    """commutator_rows, and the row table of A, whose basis names the rows' ids."""
-    if op_a.algebra != op_b.algebra:
-        raise AlgebraMismatchError("commutator of operators over different algebras")
-    ta, tb = row_table(op_a, trunc), row_table(op_b, trunc)
-    is_safe = _safe_test(op_a.algebra, trunc, _doubled_rise(pair_shifts(op_a, op_b)), 2)
-    sign = 1 if op_a.parity and op_b.parity else -1
-    basis = ta.basis
+    def __init__(self, op_a: OperatorSpec, op_b: OperatorSpec, trunc: Truncation):
+        if op_a.algebra != op_b.algebra:
+            raise AlgebraMismatchError("commutator of operators over different algebras")
+        self.a, self.b = ta, tb = row_table(op_a, trunc), row_table(op_b, trunc)
+        self.algebra, self.trunc, self.den = ta.algebra, trunc, ta.den * tb.den
+        self.basis, self.index = ta.basis, ta.index
+        self.sign = 1 if op_a.parity and op_b.parity else -1
+        self.is_safe = _safe_test(op_a.algebra, trunc, _doubled_rise(pair_shifts(op_a, op_b)), 2)
 
-    def rows(i: int) -> dict:
-        state = basis[i]
-        if not is_safe(state):
+    def row(self, i: int) -> tuple:
+        state = self.basis[i]
+        if not self.is_safe(state):
             raise UnsafeLevelError(
                 f"state {state} (level {state.level}) is outside the safe window for "
-                f"shifts ({op_a.shift}, {op_b.shift}) at level_cap {trunc.level_cap}")
-        return accumulate(ta.apply(tb.row(i)), tb.apply(ta.row(i)).items(), sign)
-
-    return rows, ta.den * tb.den, ta
+                f"shifts ({self.a.op.shift}, {self.b.op.shift}) at level_cap {self.trunc.level_cap}")
+        ta, tb = self.a, self.b
+        return tuple(accumulate(ta.apply(tb.row(i)), tb.apply(ta.row(i)).items(), self.sign).items())
 
 
 def commutator_action(op_a: OperatorSpec, op_b: OperatorSpec, state: BasisState,
                       trunc: Truncation) -> StateVector:
     """Exact action of the graded commutator [A, B} on a safe basis state, as a
-    vector; a StateVector wrapper of commutator_rows."""
-    rows, den, table = _commutator(op_a, op_b, trunc)
-    return table.vector(rows(table.state_id(state)), den)
+    vector; a StateVector wrapper of Commutator."""
+    table = Commutator(op_a, op_b, trunc)
+    return table.vector(dict(table.row(table.state_id(state))), table.den)
 
 
 def linear_bracket(x: OperatorSpec, y: OperatorSpec) -> Fraction:

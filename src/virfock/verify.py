@@ -10,18 +10,20 @@ computed at m = 2 and cross-checked at m = 3 (a disagreement means a
 truncation-soundness bug, not a formula failure).  The closed-form claims
 are then tested against this oracle, never assumed.
 
-The family checks run on integers from the mode image to the comparison:
-each fetches its row and mode tables once, builds both sides of its
-identity on every probe state id as integer rows over one denominator, and
-compares the two dicts.  Fractions appear only in a failure's residual and
-in the oracle's vacuum component.
+The family checks and the oracle run on integer rows by state id.  Each
+check states its identity as data, a left-hand table equal to a sum of
+coefficients times tables plus a constant times the identity, and _law
+compares both sides on every probe state id as integer rows over one
+denominator.  The oracle reads the vacuum entry of the rows of L_0 and of
+[L_m, L_-m].  Fractions appear only in a failure's residual and in the
+oracle's vacuum values.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,13 +49,11 @@ from .fock import (
 )
 from .fock import _apply_to_basis as mode_table
 from .operators import (
+    Commutator,
     FAMILIES,
     GeneratorFamily,
     OperatorSpec,
-    apply_operator,
     build_L,
-    commutator_action,
-    commutator_rows,
     generator_family,
     linear_operator,
     mode_operator,
@@ -80,7 +80,6 @@ class ScenarioParams:
     lam: Fraction = Fraction(1, 2)
     trunc: Truncation = None
     m_range: int = 3
-    window: Window = field(default_factory=lambda: Window(8))
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -119,13 +118,18 @@ def extract_central_charge(params: ScenarioParams) -> Fraction:
     algebra = params.algebra
     if algebra.has_zero_modes and trunc.zero_mode_cap < 2:
         raise ValueError("central-charge extraction needs zero_mode_cap >= 2 here")
-    vac = StateVector.vacuum(algebra)
-    g = apply_operator(_gen(params.family, 0, params.M, params.lam), vac, trunc).vacuum_component()
+    l0 = row_table(_gen(params.family, 0, params.M, params.lam), trunc)
+    vac = l0.state_id(VACUUM)
+
+    def at_vacuum(table) -> Fraction:
+        return Fraction(dict(table.row(vac)).get(vac, 0), table.den)
+
+    g = at_vacuum(l0)
 
     def c_at(m: int) -> Fraction:
         lm = _gen(params.family, m, params.M, params.lam)
         lneg = _gen(params.family, -m, params.M, params.lam)
-        f = commutator_action(lm, lneg, VACUUM, trunc).vacuum_component()
+        f = at_vacuum(Commutator(lm, lneg, trunc))
         return Fraction(-12) * (f + 2 * m * g) / (m ** 3 - m)
 
     c2, c3 = c_at(2), c_at(3)
@@ -159,9 +163,32 @@ def _probe(name, expected, params, probes, sides, got="as expected", show=None):
     return report(name, True, expected, got)
 
 
-def _times(s: int, pairs) -> dict:
-    """s times an integer row whose (id, n) pairs name each id once."""
-    return {j: s * n for j, n in pairs} if s else {}
+def _law(lhs, terms=(), constant=ZERO):
+    """sides(i) for _probe of the identity lhs = sum of c·table + constant·1.
+
+    lhs and each table of terms, a sequence of (c, table) with c rational,
+    give integer rows by state id over their own den.  Both sides are scaled
+    once to the lcm of every denominator, so each probe adds and multiplies
+    integers only.
+    """
+    constant = Fraction(constant)
+    terms = [(Fraction(c), table) for c, table in terms]
+    top = math.lcm(lhs.den, constant.denominator,
+                   *(c.denominator * table.den for c, table in terms))
+    s_lhs = top // lhs.den
+    scaled = [(c.numerator * (top // (c.denominator * table.den)), table)
+              for c, table in terms if c]
+    s_constant = constant.numerator * (top // constant.denominator)
+
+    def sides(i):
+        rhs = {}
+        for s, table in scaled:
+            accumulate(rhs, table.row(i), s)
+        if s_constant:
+            accumulate(rhs, ((i, s_constant),))
+        return {j: s_lhs * n for j, n in lhs.row(i)}, rhs, top
+
+    return sides
 
 
 def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
@@ -178,18 +205,8 @@ def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
         for n in range(-R, R + 1):
             ln = _gen(params.family, n, params.M, params.lam)
             lmn = row_table(_gen(params.family, m + n, params.M, params.lam), trunc)
-            bracket, den = commutator_rows(lm, ln, trunc)
             central = c_expected * Fraction(m ** 3 - m, 12) if m + n == 0 else ZERO
-            top = math.lcm(den, lmn.den, central.denominator)
-            s_rhs = (n - m) * (top // lmn.den)
-            s_central = central.numerator * (top // central.denominator)
-
-            def sides(i):
-                rhs = _times(s_rhs, lmn.row(i))
-                if s_central:
-                    accumulate(rhs, ((i, -s_central),))
-                return _times(top // den, bracket(i).items()), rhs, top
-
+            sides = _law(Commutator(lm, ln, trunc), [(n - m, lmn)], -central)
             reports.append(_probe(f"virasoro[m={m},n={n}]", "0", params,
                                   safe_ids(algebra, trunc, pair_shifts(lm, ln)), sides, got="0"))
     return reports
@@ -217,14 +234,8 @@ def check_primary_laws(params: ScenarioParams) -> list:
                 idx = x.index
                 coeff = Fraction(coeff_fn(m, idx, params.lam))
                 xop = mode_operator(algebra, x)
-                bracket, den = commutator_rows(gen, xop, trunc)
-                phi = mode_table(algebra, target, trunc)
-                top = math.lcm(den, coeff.denominator * phi.den)
-                s_phi = coeff.numerator * (top // (coeff.denominator * phi.den))
-
-                def sides(i):
-                    return _times(top // den, bracket(i).items()), _times(s_phi, phi.row(i)), top
-
+                sides = _law(Commutator(gen, xop, trunc),
+                             [(coeff, mode_table(algebra, target, trunc))])
                 reports.append(_probe(f"primary[{kind.symbol},m={m},n={idx}]",
                                       f"{format_rational(coeff)}·{target}", params,
                                       safe_ids(algebra, trunc, pair_shifts(gen, xop)), sides))
@@ -250,18 +261,9 @@ def check_christoffel(params: ScenarioParams) -> list:
         for n in [k for k in range(-R, R + 1) if k != 0]:
             anomaly = Fraction(anomaly_fn(m, M, lam)) if m + n == 0 else ZERO
             xop = mode_operator(algebra, red_adag(n))
-            bracket, den = commutator_rows(lm, xop, trunc)
-            phi = mode_table(algebra, red_adag(m + n), trunc) if m + n else None
-            top = math.lcm(den, algebra.bracket_denominator, anomaly.denominator)
-            s_phi = n * (top // algebra.bracket_denominator)
-            s_anomaly = anomaly.numerator * (top // anomaly.denominator)
-
-            def sides(i):
-                rhs = _times(s_phi, phi.row(i)) if phi else {}
-                if s_anomaly:
-                    accumulate(rhs, ((i, s_anomaly),))
-                return _times(top // den, bracket(i).items()), rhs, top
-
+            # the reduced module has no a†[0]: at m + n = 0 only the anomaly is left
+            phi = [(n, mode_table(algebra, red_adag(m + n), trunc))] if m + n else []
+            sides = _law(Commutator(lm, xop, trunc), phi, anomaly)
             reports.append(_probe(f"christoffel[m={m},n={n}]",
                                   f"{n}·a†[{m + n}]" if m + n else format_rational(anomaly), params,
                                   safe_ids(algebra, trunc, pair_shifts(lm, xop)), sides))
@@ -321,16 +323,15 @@ def check_window_doubling(params: ScenarioParams, probes: int = 100, seed: int =
             m = rng.choice(labels)
             draws.append((m, rng.choice(pools[m])))
 
-    def sides(draw):
-        m, i = draw
+    laws = {}
+    for m in labels:
         op = ops[m]
-        narrow = row_table(op, trunc)
         wide = row_table(op, trunc, window=2 * (trunc.level_cap + abs(op.shift)))
-        top = math.lcm(narrow.den, wide.den)
-        return _times(top // narrow.den, narrow.row(i)), _times(top // wide.den, wide.row(i)), top
+        laws[m] = _law(row_table(op, trunc), [(1, wide)])
 
     basis = enumerate_basis(algebra, trunc)
-    return [_probe(f"window_doubling[{probes} probes]", "identical action", params, draws, sides,
+    return [_probe(f"window_doubling[{probes} probes]", "identical action", params, draws,
+                   lambda draw: laws[draw[0]](draw[1]),
                    got="identical action", show=lambda draw: f"m={draw[0]} {basis[draw[1]]}")]
 
 

@@ -47,7 +47,7 @@ REPRESENTATIVE = [
 
 
 def params_for(family, M=0, lam=0, m_range=3):
-    return ScenarioParams(family, M, lam, default_truncation(family), m_range, Window(8))
+    return ScenarioParams(family, M, lam, default_truncation(family), m_range)
 
 
 def _announce(number, ok, text):

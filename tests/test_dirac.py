@@ -233,12 +233,12 @@ def test_compatibility_fermion_lambda_zero_fails():
 
 def test_mode_compatibility_window():
     fam = boson_constraints(Fraction(3))
-    reports = verify_compatibility(build_L("boson-unconstrained", 1, 3, 1), fam,
-                                   range(-3, 4), window=Window(3))
+    reports = verify_compatibility(build_L("boson-unconstrained", 1, 3, 1), fam, range(-3, 4))
+    reports += mode_compatibility_reports(fam, Window(3))
     assert all(r.status == "pass" for r in reports)
     fam = fermion_constraints()
-    reports = verify_compatibility(build_L("fermion-unconstrained", 1, 0, H), fam,
-                                   HALF_LABELS(3), window=Window(3))
+    reports = verify_compatibility(build_L("fermion-unconstrained", 1, 0, H), fam, HALF_LABELS(3))
+    reports += mode_compatibility_reports(fam, Window(3))
     assert all(r.status == "pass" for r in reports)
 
 

@@ -37,7 +37,7 @@ H = Fraction(1, 2)
 def small_params(family, M, lam):
     trunc = (Truncation(Fraction(7, 2)) if family.startswith("fermion")
              else Truncation(Fraction(4), 3 if family == "boson-unconstrained" else 0))
-    return ScenarioParams(family, M, lam, trunc, 2, Window(4))
+    return ScenarioParams(family, M, lam, trunc, 2)
 
 
 def _failed(reports):

@@ -49,11 +49,17 @@ from virfock.algebra import is_creator
 from virfock.operators import (
     FAMILIES,
     _apply_to_basis,
-    safe_basis,
-    safe_basis_for_pair,
+    pair_shifts,
+    safe_ids,
 )
 
 H = Fraction(1, 2)
+
+
+def _safe_states(algebra, trunc, op_a, op_b):
+    """The basis states of the safe window of the pair (op_a, op_b)."""
+    basis = enumerate_basis(algebra, trunc)
+    return [basis[i] for i in safe_ids(algebra, trunc, pair_shifts(op_a, op_b))]
 
 
 def test_build_B_structure():
@@ -116,10 +122,10 @@ def test_K_mode_laws_on_states():
     k1, k2 = build_K(1), build_K(2)
     a2 = mode_operator(BOSON, a(2))
     ad_m1 = mode_operator(BOSON, adag(-1))
-    for psi in safe_basis_for_pair(BOSON, trunc, k1, a2):
+    for psi in _safe_states(BOSON, trunc, k1, a2):
         vec = StateVector.basis(BOSON, psi)
         assert commutator_action(k1, a2, psi, trunc) == 3 * apply_mode(a(3), vec, trunc)
-    for psi in safe_basis_for_pair(BOSON, trunc, k2, ad_m1):
+    for psi in _safe_states(BOSON, trunc, k2, ad_m1):
         vec = StateVector.basis(BOSON, psi)
         assert commutator_action(k2, ad_m1, psi, trunc) == \
             (-1) * apply_mode(adag(1), vec, trunc)
@@ -229,7 +235,7 @@ def test_primary_field_law_matches_conformal_weight():
                 target = ctor(n + m)
                 coeff = (1 - h) * m + n
                 xop = mode_operator(algebra, x)
-                for psi in safe_basis_for_pair(algebra, trunc, op, xop):
+                for psi in _safe_states(algebra, trunc, op, xop):
                     vec = StateVector.basis(algebra, psi)
                     lhs = commutator_action(op, xop, psi, trunc)
                     assert lhs == coeff * apply_mode(target, vec, trunc), (m, n, psi)
@@ -262,7 +268,7 @@ def test_fermion_half_lambda_mode_law():
     trunc = Truncation(Fraction(9, 2))
     l1 = build_L("fermion-unconstrained", 1, 0, H)
     xop = mode_operator(FERMION, b(H))
-    for psi in safe_basis_for_pair(FERMION, trunc, l1, xop):
+    for psi in _safe_states(FERMION, trunc, l1, xop):
         vec = StateVector.basis(FERMION, psi)
         assert commutator_action(l1, xop, psi, trunc) == \
             apply_mode(b(Fraction(3, 2)), vec, trunc)
@@ -271,7 +277,7 @@ def test_fermion_half_lambda_mode_law():
 def test_commutator_with_itself_vanishes():
     trunc = Truncation(Fraction(9, 2))
     l1 = build_L("fermion-unconstrained", 1, 0, H)
-    for psi in safe_basis_for_pair(FERMION, trunc, l1, l1):
+    for psi in _safe_states(FERMION, trunc, l1, l1):
         assert commutator_action(l1, l1, psi, trunc).is_zero()
 
 
@@ -324,9 +330,9 @@ def test_operator_addition_and_scaling():
 
 def test_safe_basis_is_computed_once_per_rise():
     trunc = Truncation(Fraction(4), 3)
-    probes = safe_basis(BOSON, trunc, (Fraction(1), Fraction(-2), Fraction(-1)))
-    assert safe_basis(BOSON, trunc, (1, 0, 1)) is probes  # same rise, same tuple
-    assert probes == tuple(s for s in enumerate_basis(BOSON, trunc)
+    probes = safe_ids(BOSON, trunc, (Fraction(1), Fraction(-2), Fraction(-1)))
+    assert safe_ids(BOSON, trunc, (1, 0, 1)) is probes  # same rise, same tuple
+    assert probes == tuple(i for i, s in enumerate(enumerate_basis(BOSON, trunc))
                            if s.level + 1 <= 4 and s.zero_occ + 2 <= 3)
 
 
@@ -398,15 +404,26 @@ _RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(FAMILIES)), _RATIONALS.filter(bool), _RATIONALS,
-       st.integers(-3, 3), st.data())
-def test_integer_engine_matches_fraction_reference(family, M, lam, m, data):
+       st.integers(-3, 3), st.integers(-3, 3), st.data())
+def test_integer_engine_matches_fraction_reference(family, M, lam, m, n, data):
     trunc = _CAPS[family]
     op = build_L(family, m, M, lam)
-    pool = safe_basis(op.algebra, trunc, (op.shift,), zero_uses=1)
+    basis = enumerate_basis(op.algebra, trunc)
+    pool = [basis[i] for i in safe_ids(op.algebra, trunc, (op.shift,), zero_uses=1)]
     entries = data.draw(st.lists(st.tuples(st.sampled_from(pool), _RATIONALS),
                                  min_size=1, max_size=3))
     v = StateVector(op.algebra, entries)
     assert apply_operator(op, v, trunc) == _reference(op, v, trunc)
+    # the commutator's rows, on a state drawn from the pair's safe window;
+    # the generators are even, so [L_m, L_n} = L_m L_n - L_n L_m
+    other = build_L(family, n, M, lam)
+    pair_pool = _safe_states(op.algebra, trunc, op, other)
+    if pair_pool:
+        psi = data.draw(st.sampled_from(pair_pool))
+        w = StateVector.basis(op.algebra, psi)
+        want = (_reference(op, _reference(other, w, trunc), trunc)
+                - _reference(other, _reference(op, w, trunc), trunc))
+        assert commutator_action(op, other, psi, trunc) == want
 
 
 # --- linear brackets against the canonical bracket --------------------------

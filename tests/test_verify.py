@@ -26,7 +26,7 @@ H = Fraction(1, 2)
 def small_params(family, M=1, lam=H, m_range=2):
     trunc = (Truncation(Fraction(9, 2)) if family.startswith("fermion")
              else Truncation(Fraction(4), 3 if family == "boson-unconstrained" else 0))
-    return ScenarioParams(family, M, lam, trunc, m_range, Window(4))
+    return ScenarioParams(family, M, lam, trunc, m_range)
 
 
 def test_claimed_formulas():
@@ -197,17 +197,12 @@ def test_benchmark_levels_skip_nothing(monkeypatch, family, level):
     # Whether a check is skipped depends only on its probe set, never on the
     # action, so a zero action keeps the benchmark's caps affordable here.
     import virfock.verify as verify
-    from virfock import StateVector
     from virfock.verify import default_truncation
-    zero = SimpleNamespace(den=1, row=lambda i: (), apply=lambda pairs: {})
-    monkeypatch.setattr(verify, "commutator_action",
-                        lambda op_a, op_b, state, trunc: StateVector(op_a.algebra))
-    monkeypatch.setattr(verify, "commutator_rows", lambda op_a, op_b, trunc: (lambda i: {}, 1))
-    monkeypatch.setattr(verify, "apply_operator",
-                        lambda op, v, trunc, window=None: StateVector(v.algebra))
+    zero = SimpleNamespace(den=1, row=lambda i: (), apply=lambda pairs: {}, state_id=lambda state: 0)
+    monkeypatch.setattr(verify, "Commutator", lambda op_a, op_b, trunc: zero)
     monkeypatch.setattr(verify, "row_table", lambda op, trunc, window=None: zero)
     monkeypatch.setattr(verify, "mode_table", lambda algebra, x, trunc: zero)
-    params = ScenarioParams(family, 1, H, default_truncation(family, level), 3, Window(8))
+    params = ScenarioParams(family, 1, H, default_truncation(family, level), 3)
     reports, _, _ = run_family_scenario(params)
     assert reports and not [r.name for r in reports if r.status == "skipped"]
 
