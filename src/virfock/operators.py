@@ -538,9 +538,9 @@ class Commutator(IdRows):
     def __init__(self, op_a: OperatorSpec, op_b: OperatorSpec, trunc: Truncation):
         if op_a.algebra != op_b.algebra:
             raise AlgebraMismatchError("commutator of operators over different algebras")
-        self.a, self.b = ta, tb = row_table(op_a, trunc), row_table(op_b, trunc)
-        self.algebra, self.trunc, self.den = ta.algebra, trunc, ta.den * tb.den
-        self.basis, self.index = ta.basis, ta.index
+        ta, tb = self.a, self.b = row_table(op_a, trunc), row_table(op_b, trunc)
+        self.algebra, self.trunc, self.basis, self.index = ta.algebra, trunc, ta.basis, ta.index
+        self.den = ta.den * tb.den
         self.sign = 1 if op_a.parity and op_b.parity else -1
         self.is_safe = _safe_test(op_a.algebra, trunc, _doubled_rise(pair_shifts(op_a, op_b)), 2)
 

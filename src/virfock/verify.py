@@ -163,7 +163,7 @@ def _probe(name, expected, params, probes, sides, got="as expected", show=None):
     return report(name, True, expected, got)
 
 
-def _law(lhs, terms=(), constant=ZERO):
+def _law(lhs, terms, constant=ZERO):
     """sides(i) for _probe of the identity lhs = sum of c·table + constant·1.
 
     lhs and each table of terms, a sequence of (c, table) with c rational,
