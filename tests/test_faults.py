@@ -17,12 +17,12 @@ import virfock.operators as operators
 import virfock.verify as verify
 from virfock import (
     OperatorSpec,
+    OracleInconsistencyError,
     ScenarioParams,
     Truncation,
     VirfockError,
     Window,
     boson_constraints,
-    OracleInconsistencyError,
     check_virasoro_relation,
     claimed_central_charge,
     fermion_constraints,
