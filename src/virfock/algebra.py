@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 
@@ -213,6 +213,7 @@ class Algebra:
     two indices sum to zero; with index_weighted the entry is further scaled
     by the index of x.  Both are fixed by name and M, so they stay out of
     equality and hashing, which key the caches and every mismatch check.
+    The hash and the bracket denominator are computed once per instance.
     """
 
     name: str
@@ -222,7 +223,12 @@ class Algebra:
     brackets: dict = field(default_factory=dict, compare=False, repr=False)
     index_weighted: bool = field(default=False, compare=False, repr=False)
 
-    @property
+    def __hash__(self):
+        return self._hash
+
+    _hash = cached_property(lambda self: hash((self.name, self.M, self.kinds, self.has_zero_modes)))
+
+    @cached_property
     def bracket_denominator(self) -> int:
         """The lcm of the bracket values' denominators; every bracket value,
         index-weighted ones included, is an integer over it."""

@@ -12,8 +12,9 @@ silently truncated commutator check would be unsound.  Callers restrict
 their probes to the safe window (see operators.safe_ids), inside which
 the level grading guarantees nothing ever leaves the truncation.
 
-The basis of one (algebra, truncation) pair is enumerated once; a state's
-id is its position in that tuple (basis_index).  A single mode acts through
+The basis of one truncation is enumerated once per mode kinds and zero
+modes, and shared by every algebra that has them; a state's id is its
+position in that tuple (basis_index).  A single mode acts through
 its ModeTable, one per (algebra, truncation, mode): a list indexed by state
 id whose row i is ((j, w), ...) with x|basis[i]> = sum of (w/bd)|basis[j]>,
 w an integer and bd the algebra's bracket denominator.  Rows are built on
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .algebra import (
@@ -57,10 +58,16 @@ class Truncation:
 
     level_cap bounds the total level (sum of creator indices); zero_mode_cap
     bounds the a†[0] occupancy and only matters for algebras with zero modes.
+    The hash is computed once per instance.
     """
 
     level_cap: Fraction
     zero_mode_cap: int = 0
+
+    def __hash__(self):
+        return self._hash
+
+    _hash = cached_property(lambda self: hash((self.level_cap, self.zero_mode_cap)))
 
     def __post_init__(self):
         cap = Fraction(self.level_cap)
@@ -186,15 +193,11 @@ def _state_key(state: BasisState):
 
 
 @lru_cache(maxsize=None)
-def enumerate_basis(algebra: Algebra, trunc: Truncation) -> tuple:
-    """All basis states within the truncation, each once, in canonical order.
-
-    Canonical order is by (level, zero occupancy, creator tuple); the level-0
-    sector is exactly the vacuum when zero_mode_cap = 0.  Computed once per
-    (algebra, truncation); the tuple is shared by every caller.
-    """
+def _basis(kinds: tuple, has_zero_modes: bool, trunc: Truncation) -> tuple:
+    """(states, index, two_levels) of the module of the given mode kinds;
+    every algebra with these kinds and zero modes shares it."""
     modes = []
-    for kind in algebra.kinds:
+    for kind in kinds:
         start = 1 if kind.half_integer_moded else 2  # doubled index
         two = start
         while Fraction(two, 2) <= trunc.level_cap:
@@ -218,16 +221,31 @@ def enumerate_basis(algebra: Algebra, trunc: Truncation) -> tuple:
 
     grow(0, [], trunc.level_cap)
 
-    occs = range(trunc.zero_mode_cap + 1) if algebra.has_zero_modes else (0,)
-    states = [BasisState(c, z) for c in combos for z in occs]
-    states.sort(key=_state_key)
-    return tuple(states)
+    occs = range(trunc.zero_mode_cap + 1) if has_zero_modes else (0,)
+    states = tuple(sorted((BasisState(c, z) for c in combos for z in occs), key=_state_key))
+    return (states, {state: i for i, state in enumerate(states)},
+            tuple(state.two_level for state in states))
 
 
-@lru_cache(maxsize=None)
+def enumerate_basis(algebra: Algebra, trunc: Truncation) -> tuple:
+    """All basis states within the truncation, each once, in canonical order.
+
+    Canonical order is by (level, zero occupancy, creator tuple); the level-0
+    sector is exactly the vacuum when zero_mode_cap = 0.  Computed once per
+    (mode kinds, zero modes, truncation), so the reduced boson algebras of
+    every M share one tuple; it is shared by every caller.
+    """
+    return _basis(algebra.kinds, algebra.has_zero_modes, trunc)[0]
+
+
 def basis_index(algebra: Algebra, trunc: Truncation) -> dict:
     """State id of each basis state: its position in enumerate_basis."""
-    return {state: i for i, state in enumerate(enumerate_basis(algebra, trunc))}
+    return _basis(algebra.kinds, algebra.has_zero_modes, trunc)[1]
+
+
+def doubled_levels(algebra: Algebra, trunc: Truncation) -> tuple:
+    """Twice the level of each basis state, by state id."""
+    return _basis(algebra.kinds, algebra.has_zero_modes, trunc)[2]
 
 
 class IdRows:

@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 from .algebra import (
@@ -59,6 +59,7 @@ from .algebra import (
     FERMION,
     FieldKind,
     Mode,
+    ONE,
     REDUCED_FERMION,
     VirfockError,
     ZERO,
@@ -67,7 +68,6 @@ from .algebra import (
     is_creator,
     format_rational,
     paired_bracket,
-    red_adag,
     reduced_boson,
     require_members,
 )
@@ -77,6 +77,7 @@ from .fock import (
     StateVector,
     Truncation,
     accumulate,
+    doubled_levels,
     enumerate_basis,
 )
 from .fock import _apply_to_basis as mode_table
@@ -114,7 +115,7 @@ class OperatorSpec:
 
     shift is the level the operator adds to any homogeneous state (the
     generator label m); parity is the Z2 grading controlling commutator
-    versus anticommutator.
+    versus anticommutator.  The hash is computed once per instance.
     """
 
     algebra: Algebra
@@ -123,6 +124,12 @@ class OperatorSpec:
     linear: tuple = ()
     constant: Fraction = ZERO
     parity: int = 0
+
+    def __hash__(self):
+        return self._hash
+
+    _hash = cached_property(lambda self: hash((self.algebra, self.shift, self.bilinears,
+                                               self.linear, self.constant, self.parity)))
 
     @property
     def is_linear(self) -> bool:
@@ -236,16 +243,22 @@ def build_K(m: int) -> OperatorSpec:
 
 
 def _boson_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
-    # K[m] + lam*(m+1)*(a†[m] + M*m*a[m])
-    return build_K(m) + (lam * (m + 1)) * build_B(m, M)
+    # K[m] + lam*(m+1)*(a†[m] + M*m*a[m]), built in the form OperatorSpec
+    # sums normalize to: linear terms sorted by mode, zero coefficients dropped
+    term = BilinearTerm(FieldKind.ADAG, FieldKind.A, m, ZERO, ONE)
+    s = lam * (m + 1)
+    lin = ((Mode(FieldKind.A, 2 * m), s * M * m), (Mode(FieldKind.ADAG, 2 * m), s))
+    return OperatorSpec(BOSON, Fraction(m), (term,), tuple(mc for mc in lin if mc[1]))
 
 
 def _reduced_boson_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
-    # sum_r (1/M) :a†[m-r]a†[r]: + 2*lam*(m+1)*a†[m], every a†[0] factor skipped
+    # sum_r (1/M) :a†[m-r]a†[r]: + 2*lam*(m+1)*a†[m], every a†[0] factor skipped,
+    # built in normalized form like _boson_L
     algebra = reduced_boson(M)  # raises for M = 0
     term = BilinearTerm(FieldKind.RED_ADAG, FieldKind.RED_ADAG, m, 1 / M, ZERO)
-    lin = {red_adag(m): 2 * lam * (m + 1)} if m != 0 and lam else {}
-    return OperatorSpec(algebra, Fraction(m), (term,), _norm_linear(lin))
+    c = 2 * lam * (m + 1)
+    lin = ((Mode(FieldKind.RED_ADAG, 2 * m), c),) if m and c else ()
+    return OperatorSpec(algebra, Fraction(m), (term,), lin)
 
 
 def _fermion_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
@@ -344,10 +357,6 @@ def _kernel_modes(left: FieldKind, right: FieldKind, m: int, two_r: int):
     return x, y
 
 
-def _kernel_coeff(term: BilinearTerm, two_r: int) -> Fraction:
-    return term.alpha + term.beta * Fraction(two_r, 2)
-
-
 @lru_cache(maxsize=None)
 def _skeleton(algebra: Algebra, trunc: Truncation, left: FieldKind, right: FieldKind,
               m: int, width: Fraction) -> tuple:
@@ -393,10 +402,12 @@ def _common_denominator(op: OperatorSpec, kernel_denominators) -> int:
                     op.constant.denominator)
 
 
-def _integer(q: Fraction, what) -> int:
-    if q.denominator != 1:
-        raise ArithmeticError(f"{what} is not an integer")
-    return q.numerator
+def _integer(q: Fraction, scale: int, divisor: int, what: str) -> int:
+    """q·scale/divisor, which must be an integer, computed in integers."""
+    n, rem = divmod(q.numerator * scale, q.denominator * divisor)
+    if rem:
+        raise ArithmeticError(f"{what} {q}·{scale}/{divisor} is not an integer")
+    return n
 
 
 class RowTable(IdRows):
@@ -422,16 +433,15 @@ class RowTable(IdRows):
             kernels.append((_skeleton(algebra, trunc, t.left, t.right, t.m, width),
                             t.alpha.numerator * (d // t.alpha.denominator),
                             t.beta.numerator * (d // 2 // t.beta.denominator), d))
-        linear = [(mode_table(algebra, mode, trunc), c) for mode, c in op.linear]
         den = _common_denominator(op, [d // math.gcd(a + b * k[0], d) for sk, a, b, d in kernels
                                        for k in sk if a + b * k[0]])
         super().__init__(algebra, trunc, den)
         bd = algebra.bracket_denominator
         self.op = op
         self.terms = tuple((sk, a * den, b * den, d * bd * bd) for sk, a, b, d in kernels)
-        self.linear = tuple((table, _integer(c * den / bd, f"coefficient {c}·{den}/{bd}"))
-                            for table, c in linear)
-        self.constant = _integer(op.constant * den, f"constant {op.constant}·{den}")
+        self.linear = tuple((mode_table(algebra, mode, trunc), _integer(c, den, bd, "coefficient"))
+                            for mode, c in op.linear)
+        self.constant = _integer(op.constant, den, 1, "constant")
         self.rows = {}
 
     def row(self, i: int) -> tuple:
@@ -489,22 +499,25 @@ def apply_operator(op: OperatorSpec, v: StateVector, trunc: Truncation, window=N
 
 def _doubled_rise(shifts) -> int:
     """Twice the largest of 0 and the given half-integer level shifts."""
-    return max(0, *(int(2 * s) for s in shifts))
+    return max(0, *(2 * s.numerator // s.denominator for s in shifts))
 
 
+@lru_cache(maxsize=None)
 def _safe_test(algebra: Algebra, trunc: Truncation, two_rise: int, zero_uses: int):
-    """Safe-window rule for a composite of operators, as a predicate on states.
+    """Safe-window rule for a composite of operators, as a predicate on state ids.
 
     For a pair (m, n) the partial shifts are {0, m, n, m+n}, and two_rise is
     twice the largest of them and 0; a state is safe when its level plus
     that rise stays within the cap (and the zero-mode occupancy leaves room
     for `zero_uses` more quanta on zero-moded algebras).  Inside this window
     a truncated commutator equals the untruncated one exactly, because the
-    algebra is level graded.  Levels are compared doubled, as integers.
+    algebra is level graded.  Levels are compared doubled, as integers, by
+    state id.
     """
-    top = int(2 * trunc.level_cap) - two_rise
+    top = 2 * trunc.level_cap.numerator // trunc.level_cap.denominator - two_rise
     zmax = trunc.zero_mode_cap - zero_uses if algebra.has_zero_modes else math.inf
-    return lambda state: state.two_level <= top and state.zero_occ <= zmax
+    levels, basis = doubled_levels(algebra, trunc), enumerate_basis(algebra, trunc)
+    return lambda i: levels[i] <= top and basis[i].zero_occ <= zmax
 
 
 def pair_shifts(op_a: OperatorSpec, op_b: OperatorSpec):
@@ -514,7 +527,7 @@ def pair_shifts(op_a: OperatorSpec, op_b: OperatorSpec):
 @lru_cache(maxsize=None)
 def _safe_ids(algebra: Algebra, trunc: Truncation, two_rise: int, zero_uses: int) -> tuple:
     is_safe = _safe_test(algebra, trunc, two_rise, zero_uses)
-    return tuple(i for i, state in enumerate(enumerate_basis(algebra, trunc)) if is_safe(state))
+    return tuple(filter(is_safe, range(len(enumerate_basis(algebra, trunc)))))
 
 
 def safe_ids(algebra: Algebra, trunc: Truncation, shifts, zero_uses: int = 2) -> tuple:
@@ -545,8 +558,8 @@ class Commutator(IdRows):
         self.is_safe = _safe_test(op_a.algebra, trunc, _doubled_rise(pair_shifts(op_a, op_b)), 2)
 
     def row(self, i: int) -> tuple:
-        state = self.basis[i]
-        if not self.is_safe(state):
+        if not self.is_safe(i):
+            state = self.basis[i]
             raise UnsafeLevelError(
                 f"state {state} (level {state.level}) is outside the safe window for "
                 f"shifts ({self.a.op.shift}, {self.b.op.shift}) at level_cap {self.trunc.level_cap}")
@@ -604,7 +617,7 @@ def commutator_with_linear(op: OperatorSpec, lin: OperatorSpec) -> OperatorSpec:
     for z, cz in lin.linear:
         for term in op.bilinears:
             for two_r in {-z.two, 2 * term.m + z.two}:
-                coeff = _kernel_coeff(term, two_r)
+                coeff = term.alpha + term.beta * Fraction(two_r, 2)
                 modes = _kernel_modes(term.left, term.right, term.m, two_r)
                 if not coeff or modes is None:
                     continue

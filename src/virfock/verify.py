@@ -68,8 +68,9 @@ class OracleInconsistencyError(VirfockError):
     """The m=2 and m=3 central-charge evaluations disagree."""
 
 
+@lru_cache(maxsize=None)
 def default_truncation(family: str, level: int = 6, zmax: int = 4) -> Truncation:
-    """Default caps: integer level for bosons, (2*level-1)/2 for fermions."""
+    """Default caps: integer level for bosons, (2*level-1)/2 for fermions; one instance each."""
     return generator_family(family).truncation(level, zmax)
 
 

@@ -91,6 +91,20 @@ def test_sweep_fermion_lambda_row(tmp_path, capsys):
     assert all(row["match"] for row in doc["sweep"])
 
 
+def test_each_sweep_point_builds_its_own_generator_tables(tmp_path, capsys):
+    # the oracle's work is per point: no c may be memoized by (family, M, lambda).
+    # Each point builds the row tables of its own L_0, L_±2 and L_±3; the
+    # parameters are used by no other test, so every table is a cache miss.
+    from virfock.operators import _apply_to_basis
+    for k, row in enumerate(("7/11 -13/17\n", "-5/13 3/19\n")):
+        grid = tmp_path / f"grid{k}.txt"
+        grid.write_text(row)
+        before = _apply_to_basis.cache_info().misses
+        code, _, _ = run_cli(capsys, "--scenario", "boson-reduced", "--sweep", str(grid), *FAST)
+        assert code == 0
+        assert _apply_to_basis.cache_info().misses - before == 5
+
+
 def test_sweep_empty_grid_is_config_error(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("# nothing here\n")

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from virfock import (
     AlgebraMismatchError,
@@ -50,6 +50,7 @@ from virfock.operators import (
     FAMILIES,
     _apply_to_basis,
     pair_shifts,
+    row_table,
     safe_ids,
 )
 
@@ -349,6 +350,51 @@ def test_rows_are_integers_over_the_common_denominator():
     twice = BasisState((red_adag(1), red_adag(1)))
     assert dict(table.row(index[VACUUM])) == {index[twice]: 135,
                                               index[BasisState((red_adag(2),))]: 108}
+
+
+def _composed_L(family, m, M, lam):
+    """L_m composed by OperatorSpec arithmetic, which normalizes the sum: the
+    generators' defining expressions, built term by term."""
+    if family == "boson-unconstrained":
+        return build_K(m) + (lam * (m + 1)) * build_B(m, M)
+    algebra = FAMILIES[family].algebra(M)
+    if family == "boson-reduced":
+        kernel = BilinearTerm(FieldKind.RED_ADAG, FieldKind.RED_ADAG, m, 1 / M, Fraction(0))
+        rest = linear_operator(algebra, {red_adag(m): 2 * lam * (m + 1)} if m else {}, shift=m)
+    elif family == "fermion-unconstrained":
+        kernel = BilinearTerm(FieldKind.BDAG, FieldKind.B, m, lam * m, Fraction(-1))
+        rest = linear_operator(algebra, {}, constant=-(1 - 2 * lam) ** 2 / 8 if m == 0 else 0)
+    else:
+        kernel = BilinearTerm(FieldKind.RED_B, FieldKind.RED_B, m, Fraction(m, 2), Fraction(-1))
+        rest = linear_operator(algebra, {})
+    return OperatorSpec(algebra, Fraction(m), (kernel,)) + rest
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(-6, 6),
+       st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool),
+       st.fractions(min_value=-6, max_value=6, max_denominator=6))
+@example("boson-unconstrained", -1, Fraction(-2, 3), Fraction(5, 4))
+@example("boson-unconstrained", 2, Fraction(-2, 3), Fraction(0))
+@example("boson-unconstrained", 0, Fraction(3), Fraction(1, 5))
+@example("boson-reduced", -1, Fraction(-2, 3), Fraction(5, 4))
+@example("boson-reduced", 3, Fraction(-1, 5), Fraction(0))
+@example("fermion-unconstrained", 0, Fraction(-1), Fraction(0))
+def test_direct_generators_equal_their_composition(family, m, M, lam):
+    direct, composed = build_L(family, m, M, lam), _composed_L(family, m, M, lam)
+    assert direct == composed
+    assert hash(direct) == hash(composed)
+    if family.startswith("boson") and (m == -1 or lam == 0):
+        assert direct.linear == ()  # the linear term carries lam*(m+1)
+
+
+def test_equal_specs_share_one_row_table():
+    trunc, same = Truncation(6), Truncation(Fraction(12, 2))
+    assert trunc == same and hash(trunc) == hash(same)
+    first = build_L("boson-reduced", 2, Fraction(-3, 5), Fraction(2, 5))
+    second = build_L("boson-reduced", 2, Fraction(-6, 10), Fraction(4, 10))
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert row_table(first, trunc) is row_table(second, same)
 
 
 def test_non_integral_scaled_amplitude_raises(monkeypatch):
