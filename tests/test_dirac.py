@@ -151,6 +151,17 @@ def test_dirac_bracket_reduced_fermion_table():
                                  mode_operator(FERMION, b(s)), fam) == want
 
 
+
+def test_equal_families_share_one_cache_entry():
+    first, second = boson_constraints("4/6"), boson_constraints(Fraction(2, 3))
+    assert first == second and hash(first) == hash(second)
+    A, B = mode_operator(BOSON, adag(2)), mode_operator(BOSON, adag(-2))
+    assert dirac_bracket(A, B, first) == Fraction(-2, 3)
+    misses = dirac._correction_terms.cache_info().misses
+    assert dirac_bracket(A, B, second) == Fraction(-2, 3)
+    assert dirac._correction_terms.cache_info().misses == misses
+
+
 def test_dirac_bracket_requires_second_class():
     fam = boson_constraints(1, with_zero_gauge=False)
     with pytest.raises(NotSecondClassError):

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import virfock.algebra as algebra
 import virfock.dirac as dirac
 import virfock.fock as fock
 import virfock.operators as operators
@@ -46,13 +47,14 @@ def _failed(reports):
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    caches = (verify._gen, operators._apply_to_basis, operators._skeleton, fock._apply_to_basis,
-              dirac._cached_expr, dirac._cached_delta_row, dirac._correction_terms,
-              dirac._c_rows, dirac._signed_inverse, dirac._finite_delta)
-    for cache in caches:
+    # every functools cache of the engine modules, found by introspection so
+    # that a new cache cannot keep a table built before or under a fault
+    caches = {id(f): f for module in (algebra, fock, operators, dirac, verify)
+              for f in vars(module).values() if callable(getattr(f, "cache_clear", None))}
+    for cache in caches.values():
         cache.cache_clear()
     yield
-    for cache in caches:
+    for cache in caches.values():
         cache.cache_clear()
 
 
@@ -210,3 +212,17 @@ def test_fermion_delta_sign_flipped(monkeypatch):
         run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
     reports = mode_compatibility_reports(fermion_constraints(), DIRAC_WINDOW)
     assert _failed(reports) == {"dirac_mode_compatibility[fermion,N=3]"}
+
+
+def test_fermion_support_shifted_by_one(monkeypatch):
+    # every correction runs through chi[r + 1] instead of chi[r]: the fermion
+    # bracket loses its correction and the modes stop commuting with the
+    # constraints; the boson family is untouched
+    real = dirac.FermionConstraints.support_labels
+    monkeypatch.setattr(dirac.FermionConstraints, "support_labels",
+                        lambda self, expr: {p + 1 for p in real(self, expr)})
+    reports = run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
+    assert _failed(reports) == {"dirac_bracket_fermion[N=3]", "dirac_mode_compatibility[fermion,N=3]"}
+    (compat,) = (r for r in reports if r.name == "dirac_mode_compatibility[fermion,N=3]")
+    assert compat.got == ("[b[-5/2],chi[5/2]]*=-1; [b[-3/2],chi[3/2]]*=-1; "
+                          "[b[-1/2],chi[1/2]]*=-1; [b[1/2],chi[-1/2]]*=-1")
