@@ -205,7 +205,7 @@ def mode_level(x: Mode) -> Fraction:
     return x.index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Algebra:
     """One of the concrete mode algebras (carrying M if needed) and its brackets.
 
@@ -223,10 +223,14 @@ class Algebra:
     brackets: dict = field(default_factory=dict, compare=False, repr=False)
     index_weighted: bool = field(default=False, compare=False, repr=False)
 
+    def __eq__(self, other):
+        return self is other or (type(other) is Algebra and self._key == other._key)
+
     def __hash__(self):
         return self._hash
 
-    _hash = cached_property(lambda self: hash((self.name, self.M, self.kinds, self.has_zero_modes)))
+    _key = cached_property(lambda self: (self.name, self.M, self.kinds, self.has_zero_modes))
+    _hash = cached_property(lambda self: hash(self._key))
 
     @cached_property
     def bracket_denominator(self) -> int:

@@ -24,7 +24,9 @@ support, computed from the modes present in A and B; nothing is ever
 sampled.  Brackets pair modes by doubled index before any Fraction
 arithmetic: a term of the correction is computed only for partners R with a
 mode that pairs with one of B's, and [A, chi_P} only once such a term is
-nonzero.
+nonzero.  Every cache is keyed by the family, which hashes once, and by a
+label (by doubled index for half-odd expressions), a label tuple (C and its
+elimination) or the operand A (chi_P and its Delta partners for each P).
 
 Families:
 
@@ -40,9 +42,9 @@ Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .algebra import (
     AlgebraMismatchError,
@@ -50,6 +52,7 @@ from .algebra import (
     BOSONIZED_FERMION,
     FERMION,
     FieldKind,
+    HALF,
     Mode,
     ONE,
     VirfockError,
@@ -74,6 +77,7 @@ from .operators import (
 from .report import report
 
 ZERO_GAUGE_LABEL = "a0"
+MINUS_ONE, MINUS_TWO = Fraction(-1), Fraction(-2)
 
 
 class SingularBlockError(VirfockError):
@@ -103,12 +107,18 @@ class ConstraintFamily:
     possibly nonzero; exact, not sampled) and, when second class, the nonzero
     Delta partners of a label (_delta_row).  C is computed from the
     expressions unless a subclass states a closed form.  Subclasses are
-    frozen dataclasses: their instances key the expression and inverse caches.
+    frozen dataclasses that restate __hash__, so the dataclass keeps this one:
+    their instances key every cache of this module and hash once each.
     """
 
     name = ""
     closed_form = False
     fully_second_class = False
+
+    def __hash__(self):
+        return self._hash
+
+    _hash = cached_property(lambda self: hash((type(self), *(getattr(self, f.name) for f in fields(self)))))
 
     def expr(self, label) -> OperatorSpec:
         return _cached_expr(self, label)
@@ -166,6 +176,8 @@ def _cached_delta_row(family: ConstraintFamily, label) -> dict:
 class BosonConstraints(ConstraintFamily):
     """chi_m = a†[m] - M m a[m], plus the zero-mode gauge condition a[0]."""
 
+    __hash__ = ConstraintFamily.__hash__
+
     M: Fraction
     with_zero_gauge: bool = True
     name = "boson"
@@ -191,28 +203,22 @@ class BosonConstraints(ConstraintFamily):
         return build_chi_boson(int(label), self.M)
 
     def c_entry(self, p, r) -> Fraction:
-        if p == ZERO_GAUGE_LABEL and r == ZERO_GAUGE_LABEL:
-            return ZERO
         if p == ZERO_GAUGE_LABEL:
-            return Fraction(-1) if r == 0 else ZERO
+            return MINUS_ONE if r == 0 else ZERO
         if r == ZERO_GAUGE_LABEL:
-            return Fraction(1) if p == 0 else ZERO
+            return ONE if p == 0 else ZERO
         return 2 * self.M * p if p + r == 0 else ZERO
 
     def _delta_row(self, p):
         if p == ZERO_GAUGE_LABEL:
-            return ((0, Fraction(1)),)
+            return ((0, ONE),)
         if p == 0:
-            return ((ZERO_GAUGE_LABEL, Fraction(-1)),)
-        return ((-p, Fraction(-1) / (2 * self.M * p)),)
+            return ((ZERO_GAUGE_LABEL, MINUS_ONE),)
+        return ((-p, -1 / (2 * self.M * p)),)
 
     def support_labels(self, expr: OperatorSpec):
-        out = set()
-        for mode, _ in expr.linear:
-            out.add(-mode.two // 2)
-            if mode.two == 0:
-                out.add(ZERO_GAUGE_LABEL)
-        return out
+        out = {-mode.two // 2 for mode, _ in expr.linear}
+        return out | {ZERO_GAUGE_LABEL} if 0 in out else out
 
     def chi_transform(self, m, label):
         """(coefficient, target label) of [L_m, chi_n] = n chi[m+n]."""
@@ -226,8 +232,12 @@ class _HalfOddConstraints(ConstraintFamily):
         return [Fraction(t, 2) for t in range(-2 * window.half_width + 1,
                                               2 * window.half_width, 2)]
 
-    def _build_expr(self, label) -> OperatorSpec:
-        r = Fraction(label)
+    def expr(self, label) -> OperatorSpec:
+        # keyed by the doubled index: hashing a Fraction label takes a modular inverse
+        return _cached_expr(self, label.numerator * (2 // label.denominator))
+
+    def _build_expr(self, two) -> OperatorSpec:
+        r = Fraction(two, 2)
         lower, upper = self.chi_modes
         return linear_operator(self.algebra, {lower(r): 1, upper(r): -1}, shift=r)
 
@@ -239,6 +249,8 @@ class _HalfOddConstraints(ConstraintFamily):
 class FermionConstraints(_HalfOddConstraints):
     """chi_r = b[r] - b†[r], with C_rs = -2 delta(r+s): second class."""
 
+    __hash__ = ConstraintFamily.__hash__
+
     name = "fermion"
     closed_form = True
     fully_second_class = True
@@ -249,10 +261,11 @@ class FermionConstraints(_HalfOddConstraints):
         return 1
 
     def c_entry(self, p, r) -> Fraction:
-        return Fraction(-2) if p + r == 0 else ZERO
+        # p + r == 0 on normalized labels, without Fraction arithmetic
+        return MINUS_TWO if p.numerator == -r.numerator and p.denominator == r.denominator else ZERO
 
     def _delta_row(self, p):
-        return ((-p, Fraction(1, 2)),)
+        return ((-p, HALF),)
 
     def chi_transform(self, m, label):
         """(coefficient, target label) of [L_m, chi_r] = (m/2 + r) chi[m+r]."""
@@ -263,6 +276,8 @@ class FermionConstraints(_HalfOddConstraints):
 class EvenCopyConstraints(_HalfOddConstraints):
     """The fermion constraint shape with bosonic statistics; degenerates to C = 0."""
 
+    __hash__ = ConstraintFamily.__hash__
+
     name = "even-copy"
     algebra = BOSONIZED_FERMION
     chi_modes = (even_b, even_bdag)
@@ -271,6 +286,8 @@ class EvenCopyConstraints(_HalfOddConstraints):
 @dataclass(frozen=True)
 class FiniteConstraints(ConstraintFamily):
     """User-supplied finite family of (label, linear expression) members."""
+
+    __hash__ = ConstraintFamily.__hash__
 
     members: tuple
     name = "finite"
@@ -448,12 +465,11 @@ def invert_c(family: ConstraintFamily, window: Window) -> dict:
         position = {p: i for i, p in enumerate(labels)}
         for p, row in zip(labels, inverse):
             closed = {position[r]: v for r, v in family.delta_row(p) if r in position}
-            for j, r in enumerate(labels):
-                got = row.get(j, ZERO)
-                if got != closed.get(j, ZERO):
+            for j in sorted(row.keys() | closed.keys()):  # both are zero elsewhere
+                if (got := row.get(j, ZERO)) != closed.get(j, ZERO):
                     raise VirfockError(
-                        f"windowed inversion disagrees with the closed form at ({p},{r}): "
-                        f"{got} vs {family.delta_entry(p, r)}")
+                        f"windowed inversion disagrees with the closed form at ({p},{labels[j]}): "
+                        f"{got} vs {family.delta_entry(p, labels[j])}")
     return {(p, labels[j]): v for p, row in zip(labels, inverse) for j, v in row.items()}
 
 
@@ -461,7 +477,7 @@ def delta_contract_residuals(family: ConstraintFamily, window: Window):
     """All (P,S) with sum_R (-1)^p(R) Delta^PR C_RS != delta^P_S on the window.
 
     Delta is grouped by P once; each (P,S) sum runs over the nonzero R of
-    row P only, against the sparse rows of C.
+    row P only, against the sparse rows of C; an S no sum reaches has zero.
     """
     labels = tuple(family.labels(window))
     position = {p: i for i, p in enumerate(labels)}
@@ -472,14 +488,12 @@ def delta_contract_residuals(family: ConstraintFamily, window: Window):
         delta_rows[position[p]].append((sign * d, c_rows[position[r]]))
     bad = []
     for i, (p, delta_row) in enumerate(zip(labels, delta_rows)):
-        product = {}
+        product = {i: ZERO}
         for d, c_row in delta_row:
             for k, c in c_row.items():
                 product[k] = product.get(k, ZERO) + d * c
-        for k, s in enumerate(labels):
-            total = product.get(k, ZERO)
-            if total != (ONE if i == k else ZERO):
-                bad.append((p, s, total))
+        bad += [(p, labels[k], total) for k, total in sorted(product.items())
+                if total != (ONE if i == k else ZERO)]
     return bad
 
 
@@ -498,8 +512,7 @@ def dirac_bracket(A: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) ->
     base = linear_bracket(A, B)
     b_twos = {mode.two for mode, _ in B.linear}
     corr = ZERO
-    for p in family.support_labels(A):
-        chi_p, partners = _correction_terms(family, p)
+    for chi_p, partners in _correction_terms(family, A):
         kets = [(signed_d, ket) for chi_r, signed_d, needs in partners
                 if not needs.isdisjoint(b_twos) and (ket := linear_bracket(chi_r, B))]
         if kets and (bra := linear_bracket(A, chi_p)):
@@ -508,16 +521,19 @@ def dirac_bracket(A: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) ->
 
 
 @lru_cache(maxsize=None)
-def _correction_terms(family: ConstraintFamily, p):
-    """chi_P and its partners ((chi_R, (-1)^p(R) Delta^PR, twos), ...), built
-    once per label; [chi_R, B} can be nonzero only when B has a mode whose
-    doubled index is in twos, the negatives of those of chi_R."""
-    partners = []
-    for r, d in family.delta_row(p):
-        chi_r = family.expr(r)
-        partners.append((chi_r, -d if family.parity(r) else d,
-                         frozenset(-mode.two for mode, _ in chi_r.linear)))
-    return family.expr(p), tuple(partners)
+def _correction_terms(family: ConstraintFamily, A: OperatorSpec) -> tuple:
+    """((chi_P, ((chi_R, (-1)^p(R) Delta^PR, twos), ...)), ...) over the support
+    labels P of A, built once per operand; [chi_R, B} can be nonzero only when
+    B has a mode whose doubled index is in twos, the negatives of chi_R's."""
+    terms = []
+    for p in family.support_labels(A):
+        partners = []
+        for r, d in family.delta_row(p):
+            chi_r = family.expr(r)
+            partners.append((chi_r, -d if family.parity(r) else d,
+                             frozenset(-mode.two for mode, _ in chi_r.linear)))
+        terms.append((family.expr(p), tuple(partners)))
+    return tuple(terms)
 
 
 def dirac_op_bracket(op: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) -> OperatorSpec:
@@ -592,23 +608,18 @@ def verify_compatibility(op: OperatorSpec, family: ConstraintFamily, index_range
 
 def mode_compatibility_reports(family: ConstraintFamily, window: Window):
     """dirac_bracket(x, chi_R) = 0 for every basic mode x and windowed constraint."""
-    algebra = family.algebra
-    modes = []
-    for kind in algebra.kinds:
-        start = 1 if kind.half_integer_moded else 0
-        for two in range(start, 2 * window.half_width + 1, 2):
-            modes.append(Mode(kind, two))
-            if two:
-                modes.append(Mode(kind, -two))
+    algebra, N = family.algebra, window.half_width
+    modes = sorted((Mode(kind, two) for kind in algebra.kinds for two in range(-2 * N, 2 * N + 1)
+                    if two % 2 == kind.half_integer_moded), key=lambda mm: mm.sort_key)
     chis = [(label, family.expr(label)) for label in family.labels(window)]
     bad = []
-    for x in sorted(modes, key=lambda mm: mm.sort_key):
+    for x in modes:
         op = mode_operator(algebra, x)
         for label, chi in chis:
             val = dirac_bracket(op, chi, family)
             if val:
                 bad.append((x, label, val))
     return [report(
-        f"dirac_mode_compatibility[{family.name},N={window.half_width}]", not bad, "0",
+        f"dirac_mode_compatibility[{family.name},N={N}]", not bad, "0",
         "0" if not bad else "; ".join(f"[{x},{family.label_of_expr(lb)}]*={format_rational(v)}"
                                       for x, lb, v in bad[:4]))]

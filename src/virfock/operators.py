@@ -131,6 +131,12 @@ class OperatorSpec:
     _hash = cached_property(lambda self: hash((self.algebra, self.shift, self.bilinears,
                                                self.linear, self.constant, self.parity)))
 
+    @cached_property
+    def checked_linear(self) -> tuple:
+        """The linear terms, checked against the algebra once; a foreign mode raises every time."""
+        require_members((mode for mode, _ in self.linear), self.algebra)
+        return self.linear
+
     @property
     def is_linear(self) -> bool:
         return not self.bilinears
@@ -215,7 +221,9 @@ def linear_operator(algebra: Algebra, mapping, constant=0, shift=None, parity=No
     return OperatorSpec(algebra, Fraction(shift), (), linear, Fraction(constant), parity)
 
 
+@lru_cache(maxsize=None)
 def mode_operator(algebra: Algebra, x: Mode) -> OperatorSpec:
+    """The expression 1·x, one instance per mode: caches keyed by it match by identity."""
     return linear_operator(algebra, {x: 1})
 
 
@@ -345,7 +353,8 @@ def algebra_for(family: str, M=0) -> Algebra:
 
 def build_L(family: str, m: int, M=0, lam=0) -> OperatorSpec:
     """The Virasoro generator labelled m of one of the four families."""
-    return generator_family(family).build(int(m), Fraction(M), Fraction(lam))
+    exact = (q if isinstance(q, Fraction) else Fraction(q) for q in (M, lam))  # Fractions as they are
+    return generator_family(family).build(int(m), *exact)
 
 
 def _kernel_modes(left: FieldKind, right: FieldKind, m: int, two_r: int):
@@ -471,16 +480,15 @@ class RowTable(IdRows):
 
 
 @lru_cache(maxsize=None)
-def _apply_to_basis(op: OperatorSpec, trunc: Truncation, width: Fraction) -> RowTable:
-    """The row table of an operator on one truncation at one kernel half-width."""
-    return RowTable(op, trunc, width)
+def _apply_to_basis(op: OperatorSpec, trunc: Truncation, width) -> RowTable:
+    """The row table of an operator at one kernel half-width (None: level_cap + |m|)."""
+    return RowTable(op, trunc, trunc.level_cap + abs(op.shift) if width is None else width)
 
 
 def row_table(op: OperatorSpec, trunc: Truncation, window=None) -> RowTable:
     """The row table of an operator; window overrides the kernel half-width
     (default level_cap + |m|, which provably contains every contributing term)."""
-    width = Fraction(window) if window is not None else trunc.level_cap + abs(op.shift)
-    return _apply_to_basis(op, trunc, width)
+    return _apply_to_basis(op, trunc, None if window is None else Fraction(window))
 
 
 def apply_operator(op: OperatorSpec, v: StateVector, trunc: Truncation, window=None) -> StateVector:
@@ -578,18 +586,18 @@ def commutator_action(op_a: OperatorSpec, op_b: OperatorSpec, state: BasisState,
 def linear_bracket(x: OperatorSpec, y: OperatorSpec) -> Fraction:
     """Graded bracket of two linear expressions; a scalar, computed exactly.
 
-    Every mode is checked against the algebra once; a pair of modes is
-    looked up only when its doubled indices sum to zero.
+    Each expression's modes are checked against the algebra once; a pair of
+    modes is looked up only when its doubled indices sum to zero.
     """
     if not (x.is_linear and y.is_linear):
         raise ValueError("linear_bracket needs linear expressions on both sides")
     algebra = x.algebra
     if y.algebra != algebra:
         raise AlgebraMismatchError("bracket of expressions over different algebras")
-    require_members((mode for mode, _ in x.linear + y.linear), algebra)
+    xs, ys = x.checked_linear, y.checked_linear
     total = ZERO
-    for mx, cx in x.linear:
-        for my, cy in y.linear:
+    for mx, cx in xs:
+        for my, cy in ys:
             if mx.two + my.two == 0:
                 val = paired_bracket(mx, my, algebra)
                 if val:
