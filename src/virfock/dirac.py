@@ -218,7 +218,7 @@ class BosonConstraints(ConstraintFamily):
 
     def support_labels(self, expr: OperatorSpec):
         out = {-mode.two // 2 for mode, _ in expr.linear}
-        return out | {ZERO_GAUGE_LABEL} if 0 in out else out
+        return (out | {ZERO_GAUGE_LABEL}) if 0 in out else out
 
     def chi_transform(self, m, label):
         """(coefficient, target label) of [L_m, chi_n] = n chi[m+n]."""

@@ -352,9 +352,10 @@ def algebra_for(family: str, M=0) -> Algebra:
 
 
 def build_L(family: str, m: int, M=0, lam=0) -> OperatorSpec:
-    """The Virasoro generator labelled m of one of the four families."""
-    exact = (q if isinstance(q, Fraction) else Fraction(q) for q in (M, lam))  # Fractions as they are
-    return generator_family(family).build(int(m), *exact)
+    """The Virasoro generator labelled m of one of the four families; a
+    Fraction M or lam is used as it is."""
+    M, lam = (q if isinstance(q, Fraction) else Fraction(q) for q in (M, lam))
+    return generator_family(family).build(int(m), M, lam)
 
 
 def _kernel_modes(left: FieldKind, right: FieldKind, m: int, two_r: int):
