@@ -63,7 +63,7 @@ def parse_rational(text) -> Fraction:
 
 def format_rational(value) -> str:
     """Render an exact scalar as ``p/q``, with ``/q`` omitted when q = 1."""
-    return str(Fraction(value))
+    return str(value if isinstance(value, Fraction) else Fraction(value))
 
 
 class FieldKind(Enum):

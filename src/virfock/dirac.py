@@ -84,6 +84,10 @@ class SingularBlockError(VirfockError):
     """The putative second-class block is not invertible over the window."""
 
 
+class ClosedFormMismatchError(VirfockError):
+    """Windowed exact elimination disagrees with a registered closed form of Delta."""
+
+
 class NotSecondClassError(VirfockError):
     """Dirac brackets require a fully second-class family."""
 
@@ -452,7 +456,7 @@ def invert_c(family: ConstraintFamily, window: Window) -> dict:
 
     Requires the family fully second class on the window.  When a closed form
     is registered the elimination must agree with it entry by entry; a
-    mismatch is an engine bug and raises.
+    mismatch is an engine bug and raises ClosedFormMismatchError.
     """
     split = classify(family, window)
     if split.first_class:
@@ -467,7 +471,7 @@ def invert_c(family: ConstraintFamily, window: Window) -> dict:
             closed = {position[r]: v for r, v in family.delta_row(p) if r in position}
             for j in sorted(row.keys() | closed.keys()):  # both are zero elsewhere
                 if (got := row.get(j, ZERO)) != closed.get(j, ZERO):
-                    raise VirfockError(
+                    raise ClosedFormMismatchError(
                         f"windowed inversion disagrees with the closed form at ({p},{labels[j]}): "
                         f"{got} vs {family.delta_entry(p, labels[j])}")
     return {(p, labels[j]): v for p, row in zip(labels, inverse) for j, v in row.items()}

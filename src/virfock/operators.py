@@ -26,13 +26,13 @@ op|basis[i]> = sum of (n/den)|basis[j]>.  The common denominator den is
 fixed by the operator before any row exists: the lcm of each realized
 kernel coefficient's denominator times the square of the algebra's bracket
 denominator (two contractions), of each linear coefficient's times that
-denominator, and of the constant's.  A table resolves the fock mode tables
-of its terms when it is made; the kernel's mode pairs form a skeleton
-shared by every operator with the same kinds, label and width, and the
-table keeps only the integers of its coefficients.  A row build therefore
-looks states up by id only and adds and multiplies integers, and so do
-apply_operator and a Commutator, the graded commutator's row table over
-den_a·den_b; Fractions appear only in the vectors they return.
+denominator, and of the constant's.  The kernel's mode pairs form a
+skeleton of fock mode tables shared by every operator with the same kinds,
+label and width; it keeps per state id the terms that act on that state,
+and a row build visits only those.  A table keeps only the integers of its
+coefficients, so a row build looks states up by id and adds and multiplies
+integers, and so do apply_operator and a Commutator, the graded commutator's
+row table over den_a·den_b; Fractions appear only in the vectors they return.
 
 A Commutator evaluates graded commutators on basis states restricted to
 the safe window
@@ -76,6 +76,7 @@ from .fock import (
     IdRows,
     StateVector,
     Truncation,
+    TruncationOverflowError,
     accumulate,
     doubled_levels,
     enumerate_basis,
@@ -128,8 +129,11 @@ class OperatorSpec:
     def __hash__(self):
         return self._hash
 
-    _hash = cached_property(lambda self: hash((self.algebra, self.shift, self.bilinears,
-                                               self.linear, self.constant, self.parity)))
+    # scalars hash as integer (numerator, denominator) pairs, ints and Fractions alike
+    _hash = cached_property(lambda self: hash((
+        self.algebra, self.shift.as_integer_ratio(), self.constant.as_integer_ratio(), self.parity,
+        tuple((t.left, t.right, t.m, t.alpha.as_integer_ratio(), t.beta.as_integer_ratio())
+              for t in self.bilinears), tuple((x, c.as_integer_ratio()) for x, c in self.linear))))
 
     @cached_property
     def checked_linear(self) -> tuple:
@@ -367,16 +371,37 @@ def _kernel_modes(left: FieldKind, right: FieldKind, m: int, two_r: int):
     return x, y
 
 
+class Skeleton(dict):
+    """The realized terms of one kernel (see _skeleton).  skeleton[i], computed
+    once per state id, keeps the terms whose first factor acts on basis[i] or
+    raises there: every other term sends that state to zero."""
+
+    def __init__(self, terms: tuple):
+        super().__init__()
+        self.terms = terms
+
+    def __missing__(self, i: int) -> tuple:
+        acting = self[i] = tuple(t for t in self.terms if _acts(t[2], i))
+        return acting
+
+
+def _acts(table, i: int) -> bool:
+    try:
+        return bool(table.row(i))
+    except TruncationOverflowError:
+        return True
+
+
 @lru_cache(maxsize=None)
 def _skeleton(algebra: Algebra, trunc: Truncation, left: FieldKind, right: FieldKind,
-              m: int, width: Fraction) -> tuple:
+              m: int, width: Fraction) -> Skeleton:
     """The coefficient-free expansion of sum_r :left[m-r] right[r]: over
     |r| <= width, on one truncation.
 
-    One (2r, sign, first, second) per realized term, where first and second
-    are the mode tables of the factor applied first and second and sign is
-    the normal-ordering sign.  Shared by every operator with the same kinds,
-    label and width, whatever its coefficients.
+    Its terms are one (2r, sign, first, second) per realized term, where first
+    and second are the mode tables of the factor applied first and second and
+    sign is the normal-ordering sign.  Shared by every operator with the same
+    kinds, label and width, whatever its coefficients.
     """
     for kind in (left, right):
         if kind not in algebra.kinds:
@@ -394,7 +419,7 @@ def _skeleton(algebra: Algebra, trunc: Truncation, left: FieldKind, right: Field
             out.append((two_r, sign, mode_table(algebra, x, trunc), mode_table(algebra, y, trunc)))
         else:
             out.append((two_r, 1, mode_table(algebra, y, trunc), mode_table(algebra, x, trunc)))
-    return tuple(out)
+    return Skeleton(tuple(out))
 
 
 def _common_denominator(op: OperatorSpec, kernel_denominators) -> int:
@@ -444,7 +469,7 @@ class RowTable(IdRows):
                             t.alpha.numerator * (d // t.alpha.denominator),
                             t.beta.numerator * (d // 2 // t.beta.denominator), d))
         den = _common_denominator(op, [d // math.gcd(a + b * k[0], d) for sk, a, b, d in kernels
-                                       for k in sk if a + b * k[0]])
+                                       for k in sk.terms if a + b * k[0]])
         super().__init__(algebra, trunc, den)
         bd = algebra.bracket_denominator
         self.op = op
@@ -463,7 +488,7 @@ class RowTable(IdRows):
     def _build(self, i: int) -> tuple:
         acc = {}
         for skeleton, a, b, d in self.terms:
-            for two_r, sign, first, second in skeleton:
+            for two_r, sign, first, second in skeleton[i]:
                 c, rem = divmod(a + b * two_r, d)
                 if rem:
                     raise ArithmeticError(

@@ -17,20 +17,21 @@ import virfock.fock as fock
 import virfock.operators as operators
 import virfock.verify as verify
 from virfock import (
+    ClosedFormMismatchError,
     OperatorSpec,
     OracleInconsistencyError,
     ScenarioParams,
+    SingularBlockError,
     Truncation,
-    VirfockError,
     Window,
     boson_constraints,
     check_virasoro_relation,
     claimed_central_charge,
     fermion_constraints,
+    invert_c,
     run_dirac_checks,
     run_family_scenario,
 )
-from virfock.dirac import mode_compatibility_reports
 
 H = Fraction(1, 2)
 
@@ -121,8 +122,8 @@ def test_normal_ordering_sign_flipped(monkeypatch, family, lam):
     # level, so [L_0, L_2] = 2 L_2 fails
     real = operators._skeleton
     monkeypatch.setattr(operators, "_skeleton",
-                        lambda *key: tuple((two_r, 1, first, second)
-                                           for two_r, _, first, second in real(*key)))
+                        lambda *key: operators.Skeleton(tuple(
+                            (two_r, 1, first, second) for two_r, _, first, second in real(*key).terms)))
     params = small_params(family, 0, lam)
     failed = _failed(check_virasoro_relation(params, claimed_central_charge(family, 0, lam)))
     assert {"virasoro[m=0,n=2]", "virasoro[m=2,n=0]"} <= failed
@@ -188,13 +189,32 @@ def _perturb_delta(monkeypatch, family_type, change):
 
 
 def test_boson_delta_entry_doubled(monkeypatch):
-    # the elimination no longer matches the closed form, and the Dirac
-    # brackets that read Delta^{2,-2} stop vanishing against the constraints
+    # the elimination no longer matches the closed form, which the contract
+    # check reports at its first entry, and the Dirac brackets that read
+    # Delta^{2,-2} stop vanishing against the constraints
     _perturb_delta(monkeypatch, dirac.BosonConstraints, lambda p, d: 2 * d if p == 2 else d)
-    with pytest.raises(VirfockError, match="closed form"):
-        run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
-    reports = mode_compatibility_reports(boson_constraints(DIRAC_M), DIRAC_WINDOW)
-    assert _failed(reports) == {"dirac_mode_compatibility[boson,N=3]"}
+    reports = run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
+    assert _failed(reports) == {"delta_contract[boson,N=3]", "dirac_bracket_boson[N=3]",
+                                "dirac_mode_compatibility[boson,N=3]"}
+    (contract,) = (r for r in reports if r.name == "delta_contract[boson,N=3]")
+    assert contract.got == "windowed inversion disagrees with the closed form at (2,-2): -3/8 vs -3/4"
+    with pytest.raises(ClosedFormMismatchError, match="closed form"):
+        invert_c(boson_constraints(DIRAC_M), DIRAC_WINDOW)
+
+
+def test_boson_zero_gauge_brackets_dropped(monkeypatch):
+    # C loses its a[0] row and column: chi[0] and a[0] turn first class, so
+    # the elimination meets a singular block, reported as a failed contract
+    real = dirac.BosonConstraints.c_entry
+    monkeypatch.setattr(dirac.BosonConstraints, "c_entry", lambda self, p, r: (
+        dirac.ZERO if dirac.ZERO_GAUGE_LABEL in (p, r) else real(self, p, r)))
+    reports = run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
+    assert _failed(reports) == {"delta_contract[boson,N=3]", "bracket_matrix_closed_form[N=3]",
+                                "classify[boson,gauged]"}
+    (contract,) = (r for r in reports if r.name == "delta_contract[boson,N=3]")
+    assert contract.got == "first-class constraints [0, 'a0'] present; the bracket matrix is not invertible"
+    with pytest.raises(SingularBlockError):
+        invert_c(boson_constraints(DIRAC_M), DIRAC_WINDOW)
 
 
 def test_boson_support_drops_the_zero_gauge_label(monkeypatch):
@@ -208,10 +228,13 @@ def test_boson_support_drops_the_zero_gauge_label(monkeypatch):
 
 def test_fermion_delta_sign_flipped(monkeypatch):
     _perturb_delta(monkeypatch, dirac.FermionConstraints, lambda p, d: -d)
-    with pytest.raises(VirfockError, match="closed form"):
-        run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
-    reports = mode_compatibility_reports(fermion_constraints(), DIRAC_WINDOW)
-    assert _failed(reports) == {"dirac_mode_compatibility[fermion,N=3]"}
+    reports = run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
+    assert _failed(reports) == {"delta_contract[fermion,N=3]", "dirac_bracket_fermion[N=3]",
+                                "dirac_mode_compatibility[fermion,N=3]"}
+    (contract,) = (r for r in reports if r.name == "delta_contract[fermion,N=3]")
+    assert contract.got == "windowed inversion disagrees with the closed form at (-5/2,5/2): 1/2 vs -1/2"
+    with pytest.raises(ClosedFormMismatchError, match="closed form"):
+        invert_c(fermion_constraints(), DIRAC_WINDOW)
 
 
 def test_fermion_support_shifted_by_one(monkeypatch):

@@ -45,10 +45,11 @@ from virfock import (
     red_b,
     reduced_boson,
 )
-from virfock.algebra import is_creator
+from virfock.algebra import ONE, ZERO, is_creator
 from virfock.operators import (
     FAMILIES,
     _apply_to_basis,
+    _skeleton,
     pair_shifts,
     row_table,
     safe_ids,
@@ -395,6 +396,51 @@ def test_equal_specs_share_one_row_table():
     second = build_L("boson-reduced", 2, Fraction(-6, 10), Fraction(4, 10))
     assert first is not second and first == second and hash(first) == hash(second)
     assert row_table(first, trunc) is row_table(second, same)
+    # int and Fraction forms of one operator: equal, so they must hash alike
+    kernel = (FieldKind.ADAG, FieldKind.A, 2)
+    ints = OperatorSpec(BOSON, 2, (BilinearTerm(*kernel, 0, 1),), ((adag(2), 3),), constant=0)
+    fractions = OperatorSpec(BOSON, Fraction(2), (BilinearTerm(*kernel, ZERO, ONE),),
+                             ((adag(2), Fraction(3)),), constant=Fraction(0))
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert row_table(ints, trunc) is row_table(fractions, same)
+
+
+def _acts_on(x, state, algebra, trunc) -> bool:
+    """Whether applying x to the state gives a nonzero vector or overflows."""
+    try:
+        return not apply_mode(x, StateVector.basis(algebra, state), trunc).is_zero()
+    except TruncationOverflowError:
+        return True
+
+
+@pytest.mark.parametrize("algebra,left,right,trunc", [
+    (BOSON, FieldKind.ADAG, FieldKind.A, Truncation(Fraction(3), 2)),
+    (FERMION, FieldKind.BDAG, FieldKind.B, Truncation(Fraction(7, 2))),
+    (reduced_boson(Fraction(-2, 3)), FieldKind.RED_ADAG, FieldKind.RED_ADAG, Truncation(Fraction(4))),
+])
+@pytest.mark.parametrize("m", [-2, 0, 3])
+def test_each_state_visits_only_the_kernel_terms_acting_on_it(algebra, left, right, trunc, m):
+    skeleton = _skeleton(algebra, trunc, left, right, m, trunc.level_cap + abs(m))
+    basis = enumerate_basis(algebra, trunc)
+    for i, state in enumerate(basis):
+        assert skeleton[i] == tuple(t for t in skeleton.terms
+                                    if _acts_on(t[2].mode, state, algebra, trunc))
+    # on the vacuum only creating first factors act
+    vacuum_terms = skeleton[basis.index(VACUUM)]
+    assert all(is_creator(first.mode) for _, _, first, _ in vacuum_terms)
+    assert len(vacuum_terms) < len(skeleton.terms)
+
+
+def test_zero_coefficient_term_is_skipped_before_its_row():
+    # at level cap 0 the only term of L_1 whose first factor acts on the
+    # vacuum is :b[1/2] b[1/2]:, whose b[1/2] overflows; its coefficient
+    # 1/2 - r vanishes in L_1, so L_1|0> = 0, and a nonzero one must raise
+    trunc, vacuum = Truncation(Fraction(0)), StateVector.vacuum(REDUCED_FERMION)
+    assert apply_operator(build_L("fermion-reduced", 1), vacuum, trunc).is_zero()
+    flat = OperatorSpec(REDUCED_FERMION, Fraction(1),
+                        (BilinearTerm(FieldKind.RED_B, FieldKind.RED_B, 1, ONE, ZERO),))
+    with pytest.raises(TruncationOverflowError):
+        apply_operator(flat, vacuum, trunc)
 
 
 def test_non_integral_scaled_amplitude_raises(monkeypatch):
