@@ -12,7 +12,8 @@ where label 4 has no safe state, so window doubling draws from the other
 labels only, all_defaults.txt that of `virfock --scenario all` with every
 flag at its default (the acceptance caps), and dirac_m2_3_window12.json that
 of `virfock --scenario dirac-checks --M 2/3 --window 12 --format json`, the
-constraint machinery at M != 1 on a wider window.  sweep_<family>.json holds
+constraint machinery at M != 1 on a wider window, and dirac_m-5_4_window40.json
+the same at a negative fractional M on the benchmark's window 40.  sweep_<family>.json holds
 the central-charge oracle of each generator family on the grid of
 sweep_grid.txt (λ = 0, negative M, and an M and a λ with denominator 5).
 After a deliberate output change they are regenerated with
@@ -22,6 +23,7 @@ After a deliberate output change they are regenerated with
     PYTHONPATH=src python -m virfock.cli --scenario boson-reduced --level 3 --mmax 4 > tests/golden/boson_reduced_level3_mmax4.txt
     PYTHONPATH=src python -m virfock.cli --scenario all > tests/golden/all_defaults.txt
     PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --M 2/3 --window 12 --format json > tests/golden/dirac_m2_3_window12.json
+    PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --M -5/4 --window 40 --format json > tests/golden/dirac_m-5_4_window40.json
     for f in boson-unconstrained boson-reduced fermion-unconstrained fermion-reduced; do
         PYTHONPATH=src python -m virfock.cli --scenario $f --sweep tests/golden/sweep_grid.txt --format json > tests/golden/sweep_$(echo $f | tr - _).json
     done
@@ -46,6 +48,8 @@ SWEEP_FAMILIES = ("boson-unconstrained", "boson-reduced", "fermion-unconstrained
     pytest.param(["--scenario", "all"], "all_defaults.txt", id="text-all_defaults.txt"),
     pytest.param(["--scenario", "dirac-checks", "--M", "2/3", "--window", "12", "--format", "json"],
                  "dirac_m2_3_window12.json", id="json-dirac_m2_3_window12.json"),
+    pytest.param(["--scenario", "dirac-checks", "--M", "-5/4", "--window", "40", "--format", "json"],
+                 "dirac_m-5_4_window40.json", id="json-dirac_m-5_4_window40.json"),
 ] + [
     pytest.param(["--scenario", f, "--sweep", str(GOLDEN / "sweep_grid.txt"), "--format", "json"],
                  f"sweep_{f.replace('-', '_')}.json", id=f"json-sweep_{f}")
