@@ -37,6 +37,7 @@ from virfock.dirac import (
     ZERO_GAUGE_LABEL,
     _invert_exact,
     delta_contract_residuals,
+    dirac_op_bracket,
     mode_compatibility_reports,
     solve_boson_constraints,
 )
@@ -381,6 +382,21 @@ def test_dirac_bracket_matches_unfiltered_label_sum(case):
     # modes reach index 5/2, so every label they bracket with lies inside Window(3)
     family, A, B = case
     assert dirac_bracket(A, B, family) == _brute_dirac_bracket(A, B, family, Window(3))
+
+
+
+# the operator route pairs B with the constraints and sums over Delta's
+# columns; the linear route projects A.  On two linear operands both give the
+# same scalar, the operator route as a constant-only expression
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.tuples(_Q.filter(bool).map(boson_constraints), _BOSON_LINEAR, _BOSON_LINEAR),
+    st.tuples(st.just(fermion_constraints()), _FERMION_LINEAR, _FERMION_LINEAR)))
+def test_dirac_bracket_matches_operator_route(case):
+    family, A, B = case
+    got = dirac_op_bracket(A, B, family)
+    assert got.is_constant_only
+    assert got.constant == dirac_bracket(A, B, family)
 
 
 # --- sparse elimination on dense inputs -------------------------------------

@@ -249,3 +249,27 @@ def test_fermion_support_shifted_by_one(monkeypatch):
     (compat,) = (r for r in reports if r.name == "dirac_mode_compatibility[fermion,N=3]")
     assert compat.got == ("[b[-5/2],chi[5/2]]*=-1; [b[-3/2],chi[3/2]]*=-1; "
                           "[b[-1/2],chi[1/2]]*=-1; [b[1/2],chi[-1/2]]*=-1")
+
+
+def test_fermion_chi_transform_coefficient_off_by_one(monkeypatch):
+    # the stated law [L_m, chi_r] = (m/2 + r) chi[m+r] gains 1, so every
+    # fermion transform at lambda = 1/2 misses it; lambda = 0 stays incompatible
+    real = dirac.FermionConstraints.chi_transform
+    monkeypatch.setattr(dirac.FermionConstraints, "chi_transform",
+                        lambda self, m, label: (real(self, m, label)[0] + 1, real(self, m, label)[1]))
+    reports = run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
+    half5 = [Fraction(t, 2) for t in range(-9, 10, 2)]
+    assert _failed(reports) == {f"chi_transform[m={m},n={n}]" for m in range(-5, 6) for n in half5}
+    (law,) = (r for r in reports if r.name == "chi_transform[m=2,n=1/2]")
+    assert (law.expected, law.got) == ("5/2·chi[5/2]", "3/2·b[5/2] - 3/2·b†[5/2]")
+
+
+def test_fermion_generator_ignores_lambda(monkeypatch):
+    # every fermion generator is built at lambda = 1/2, where it keeps the
+    # constraint ideal, so the lambda = 0 probe finds nothing to report
+    real = operators.FAMILIES["fermion-unconstrained"].build
+    _replace_family(monkeypatch, "fermion-unconstrained", build=lambda m, M, lam: real(m, M, H))
+    reports = run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
+    assert _failed(reports) == {"incompatibility_detected[fermion,lambda=0]"}
+    (probe,) = (r for r in reports if r.name == "incompatibility_detected[fermion,lambda=0]")
+    assert probe.got == "not detected"
