@@ -42,7 +42,7 @@ Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -66,6 +66,7 @@ from .algebra import (
 )
 from .operators import (
     OperatorSpec,
+    _norm_linear,
     build_chi_bar0,
     build_chi_boson,
     build_L,
@@ -504,8 +505,8 @@ def delta_contract_residuals(family: ConstraintFamily, window: Window):
 def dirac_bracket(A: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) -> Fraction:
     """Graded Dirac bracket of two linear expressions; a scalar.
 
-    The P, R sums run over their exact finite support (C and Delta are
-    banded and A, B are finite).
+    The correction is linear in B, so the bracket is [Ã, B} with A projected
+    once per family (_projected).
     """
     if not (A.is_linear and B.is_linear):
         raise ValueError("dirac_bracket of non-linear expressions; "
@@ -513,31 +514,22 @@ def dirac_bracket(A: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) ->
     if A.algebra != family.algebra or B.algebra != family.algebra:
         raise AlgebraMismatchError("expressions do not belong to the family's algebra")
     family._require_second_class()
-    base = linear_bracket(A, B)
-    b_twos = {mode.two for mode, _ in B.linear}
-    corr = ZERO
-    for chi_p, partners in _correction_terms(family, A):
-        kets = [(signed_d, ket) for chi_r, signed_d, needs in partners
-                if not needs.isdisjoint(b_twos) and (ket := linear_bracket(chi_r, B))]
-        if kets and (bra := linear_bracket(A, chi_p)):
-            corr += bra * sum(signed_d * ket for signed_d, ket in kets)
-    return base - corr if corr else base
+    return linear_bracket(_projected(family, A), B)
 
 
 @lru_cache(maxsize=None)
-def _correction_terms(family: ConstraintFamily, A: OperatorSpec) -> tuple:
-    """((chi_P, ((chi_R, (-1)^p(R) Delta^PR, twos), ...)), ...) over the support
-    labels P of A, built once per operand; [chi_R, B} can be nonzero only when
-    B has a mode whose doubled index is in twos, the negatives of chi_R's."""
-    terms = []
+def _projected(family: ConstraintFamily, A: OperatorSpec) -> OperatorSpec:
+    """Ã = A - sum_{P,R} [A, chi_P} (-1)^p(R) Delta^PR chi_R over the support
+    labels P of A and the Delta partners R of each (C and Delta are banded
+    and A is finite).  Built from plain terms, so A's stated shift stays."""
+    terms = list(A.linear)
     for p in family.support_labels(A):
-        partners = []
-        for r, d in family.delta_row(p):
-            chi_r = family.expr(r)
-            partners.append((chi_r, -d if family.parity(r) else d,
-                             frozenset(-mode.two for mode, _ in chi_r.linear)))
-        terms.append((family.expr(p), tuple(partners)))
-    return tuple(terms)
+        bra = linear_bracket(A, family.expr(p))
+        if bra:
+            for r, d in family.delta_row(p):
+                scale = bra * d if family.parity(r) else -bra * d
+                terms += ((mode, scale * c) for mode, c in family.expr(r).linear)
+    return replace(A, linear=_norm_linear(terms))
 
 
 def dirac_op_bracket(op: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) -> OperatorSpec:

@@ -141,6 +141,14 @@ class OperatorSpec:
         require_members((mode for mode, _ in self.linear), self.algebra)
         return self.linear
 
+    @cached_property
+    def linear_by_two(self) -> dict:
+        """The checked linear terms grouped by doubled index: {two: [(mode, c), ...]}."""
+        out = {}
+        for mode, c in self.checked_linear:
+            out.setdefault(mode.two, []).append((mode, c))
+        return out
+
     @property
     def is_linear(self) -> bool:
         return not self.bilinears
@@ -612,22 +620,21 @@ def commutator_action(op_a: OperatorSpec, op_b: OperatorSpec, state: BasisState,
 def linear_bracket(x: OperatorSpec, y: OperatorSpec) -> Fraction:
     """Graded bracket of two linear expressions; a scalar, computed exactly.
 
-    Each expression's modes are checked against the algebra once; a pair of
-    modes is looked up only when its doubled indices sum to zero.
+    Each expression's modes are checked against the algebra once; each mode
+    of y meets only the modes of x at the opposite doubled index.
     """
     if not (x.is_linear and y.is_linear):
         raise ValueError("linear_bracket needs linear expressions on both sides")
     algebra = x.algebra
     if y.algebra != algebra:
         raise AlgebraMismatchError("bracket of expressions over different algebras")
-    xs, ys = x.checked_linear, y.checked_linear
+    xs, ys = x.linear_by_two, y.checked_linear
     total = ZERO
-    for mx, cx in xs:
-        for my, cy in ys:
-            if mx.two + my.two == 0:
-                val = paired_bracket(mx, my, algebra)
-                if val:
-                    total += cx * cy * val
+    for my, cy in ys:
+        for mx, cx in xs.get(-my.two, ()):
+            val = paired_bracket(mx, my, algebra)
+            if val:
+                total += cx * cy * val
     return total
 
 

@@ -158,9 +158,9 @@ def test_equal_families_share_one_cache_entry():
     assert first == second and hash(first) == hash(second)
     A, B = mode_operator(BOSON, adag(2)), mode_operator(BOSON, adag(-2))
     assert dirac_bracket(A, B, first) == Fraction(-2, 3)
-    misses = dirac._correction_terms.cache_info().misses
+    misses = dirac._projected.cache_info().misses
     assert dirac_bracket(A, B, second) == Fraction(-2, 3)
-    assert dirac._correction_terms.cache_info().misses == misses
+    assert dirac._projected.cache_info().misses == misses
 
 
 def test_dirac_bracket_requires_second_class():
