@@ -13,20 +13,22 @@ and the Dirac bracket is
 
 The two families of interest are infinite but banded (C couples P with -P,
 plus one zero-mode pair), so Delta has a registered closed form; windowed
-exact elimination must reproduce it entry by entry and is also available for
-finite user families.  The closed form and the elimination stay independent
-routes: the elimination is generic Gauss-Jordan and never reads the closed
-form.  C and Delta are held as sparse rows, so the elimination and the
-Delta·C contract cost time in proportion to their nonzeros, not to the cube
-of the window; one elimination per label set serves both classify and
-invert_c.  All P, R sums in the Dirac bracket run over their exact, finite
-support, computed from the modes present in A and B; nothing is ever
-sampled.  Brackets pair modes by doubled index before any Fraction
-arithmetic: a term of the correction is computed only for partners R with a
-mode that pairs with one of B's, and [A, chi_P} only once such a term is
-nonzero.  Every cache is keyed by the family, which hashes once, and by a
-label (by doubled index for half-odd expressions), a label tuple (C and its
-elimination) or the operand A (chi_P and its Delta partners for each P).
+exact elimination must reproduce it entry by entry.  The closed form and the
+elimination stay independent routes: the elimination is generic Gauss-Jordan
+and never reads the closed form.  C and Delta are held as sparse rows, so
+the elimination and the Delta·C contract cost time in proportion to their
+nonzeros, not to the cube of the window; one elimination per label set
+serves both classify and invert_c.  The correction is linear in B, so the
+Dirac bracket is one graded bracket [Ã, B] with the projected operand
+
+    Ã = A - (-1)^{p(R)} [A, chi_P] Delta^{PR} chi_R,
+
+whose P, R sum runs over its exact, finite support, computed from the modes
+of A; nothing is ever sampled.  Ã is built once per operand, and brackets
+pair modes by doubled index before any Fraction arithmetic.  Every cache is
+keyed by the family, which hashes once, and by a label (by doubled index
+for half-odd expressions), a label tuple (C and its elimination) or the
+operand A (its Ã).
 
 Families:
 
@@ -288,43 +290,6 @@ class EvenCopyConstraints(_HalfOddConstraints):
     chi_modes = (even_b, even_bdag)
 
 
-@dataclass(frozen=True)
-class FiniteConstraints(ConstraintFamily):
-    """User-supplied finite family of (label, linear expression) members."""
-
-    __hash__ = ConstraintFamily.__hash__
-
-    members: tuple
-    name = "finite"
-
-    @property
-    def algebra(self):
-        return self.members[0][1].algebra
-
-    @property
-    def fully_second_class(self) -> bool:
-        try:
-            _finite_delta(self)
-            return True
-        except (SingularBlockError, NotSecondClassError):
-            return False
-
-    def labels(self, window: Window):
-        return [label for label, _ in self.members]
-
-    def expr(self, label) -> OperatorSpec:
-        for name, spec in self.members:
-            if name == label:
-                return spec
-        raise KeyError(f"no constraint labelled {label!r}")
-
-    def _delta_row(self, p):
-        return _finite_delta(self).get(p, ())
-
-    def support_labels(self, expr: OperatorSpec):
-        return [label for label, _ in self.members]
-
-
 def boson_constraints(M, with_zero_gauge=True) -> ConstraintFamily:
     M = Fraction(M)
     if M == 0:
@@ -339,39 +304,6 @@ def fermion_constraints() -> ConstraintFamily:
 def even_fermion_copy_constraints() -> ConstraintFamily:
     """The fermionic constraint shape with bosonic statistics; degenerates to C = 0."""
     return EvenCopyConstraints()
-
-
-def finite_constraints(members) -> ConstraintFamily:
-    """User-supplied finite family: an iterable of (label, linear expression).
-
-    C is computed from the expressions; Delta comes from exact elimination
-    when the family is second class.
-    """
-    members = tuple(members)
-    if not members:
-        raise ValueError("a finite constraint family needs at least one member")
-    algebra = members[0][1].algebra
-    for label, spec in members:
-        if not spec.is_linear:
-            raise ValueError(f"constraint {label!r} is not a linear expression")
-        if spec.algebra != algebra:
-            raise AlgebraMismatchError("finite family mixes algebras")
-    return FiniteConstraints(members)
-
-
-@lru_cache(maxsize=None)
-def _finite_delta(family: ConstraintFamily) -> dict:
-    """Exact Delta rows {P: ((R, Delta^PR), ...)} of a finite family.
-
-    Raises when the family is not second class.
-    """
-    labels = tuple(label for label, _ in family.members)
-    dead = [p for p, row in zip(labels, _c_rows(family, labels)) if not row]
-    if dead:
-        raise NotSecondClassError(
-            f"constraints {dead} have identically zero bracket rows (first class)")
-    return {p: tuple((labels[j], v) for j, v in row.items())
-            for p, row in zip(labels, _signed_inverse(family, labels))}
 
 
 @lru_cache(maxsize=None)

@@ -294,49 +294,6 @@ def test_dirac_transform_requires_nonzero_M():
         dirac_transform_adagger(1, 1, 0, 1)
 
 
-def test_finite_family_second_class():
-    from virfock import finite_constraints
-    fam = finite_constraints([
-        ("plus", mode_operator(BOSON, adag(1))),
-        ("minus", mode_operator(BOSON, a(-1))),
-    ])
-    assert fam.fully_second_class
-    split = classify(fam, Window(1))
-    assert split.first_class == [] and len(split.second_class) == 2
-    # the family eliminates the (a†[1], a[-1]) pair completely
-    got = dirac_bracket(mode_operator(BOSON, adag(1)), mode_operator(BOSON, a(-1)), fam)
-    assert got == 0
-    delta = invert_c(fam, Window(1))
-    assert delta[("plus", "minus")] == -1 and delta[("minus", "plus")] == 1
-
-
-def test_finite_family_singular_block():
-    from virfock import finite_constraints
-    from virfock.operators import linear_operator as lin
-    fam = finite_constraints([
-        ("c1", mode_operator(BOSON, adag(1))),
-        ("c2", mode_operator(BOSON, a(-1))),
-        ("c3", lin(BOSON, {adag(1): 1, a(-1): 1}, shift=0, parity=0)),
-    ])
-    # no zero rows, but row c3 = c1 + c2: not invertible
-    with pytest.raises(SingularBlockError):
-        invert_c(fam, Window(1))
-    assert not fam.fully_second_class
-
-
-def test_finite_family_first_class_detected():
-    from virfock import finite_constraints
-    fam = finite_constraints([
-        ("central", mode_operator(BOSON, adag(0))),
-        ("plus", mode_operator(BOSON, adag(1))),
-        ("minus", mode_operator(BOSON, a(-1))),
-    ])
-    split = classify(fam, Window(1))
-    assert split.first_class == ["central"]
-    with pytest.raises(NotSecondClassError):
-        dirac_bracket(mode_operator(BOSON, adag(1)), mode_operator(BOSON, a(-1)), fam)
-
-
 # --- Dirac brackets against an unfiltered sum -------------------------------
 
 def _canonical_sum(x, y):
