@@ -451,9 +451,9 @@ def dirac_bracket(A: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) ->
 
 @lru_cache(maxsize=None)
 def _projected(family: ConstraintFamily, A: OperatorSpec) -> OperatorSpec:
-    """Ã = A - sum_{P,R} [A, chi_P} (-1)^p(R) Delta^PR chi_R over the support
-    labels P of A and the Delta partners R of each (C and Delta are banded
-    and A is finite).  Built from plain terms, so A's stated shift stays."""
+    """Ã = A - sum_{P,R} [A, chi_P} (-1)^p(R) Delta^PR chi_R over the support labels
+    P of A and the Delta partners R of each, built from plain terms: OperatorSpec
+    subtraction refuses an A whose stated shift is not its modes' level."""
     terms = list(A.linear)
     for p in family.support_labels(A):
         bra = linear_bracket(A, family.expr(p))
