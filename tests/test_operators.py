@@ -1,5 +1,6 @@
 """Generator builders, normal-ordered application, graded commutator action."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from virfock import (
+    Algebra,
     AlgebraMismatchError,
     BOSON,
     BOSONIZED_FERMION,
@@ -353,6 +355,52 @@ def test_rows_are_integers_over_the_common_denominator():
                                               index[BasisState((red_adag(2),))]: 108}
 
 
+def _walked_den(op, skeleton):
+    """den of a one-kernel operator, by a walk over every realized term of
+    its skeleton with the kernel coefficient in Fractions."""
+    (t,) = op.bilinears
+    bd = op.algebra.bracket_denominator
+    coefficients = [t.alpha + t.beta * Fraction(two_r, 2) for two_r, *_ in skeleton.terms]
+    return math.lcm(*(c.denominator * bd * bd for c in coefficients if c), op.constant.denominator)
+
+
+_KERNEL_KINDS = {  # M -> algebra, the two kinds of the kernel, a truncation
+    "boson": (lambda M: BOSON, FieldKind.ADAG, FieldKind.A, Truncation(Fraction(3), 2)),
+    "boson-reduced": (reduced_boson, FieldKind.RED_ADAG, FieldKind.RED_ADAG, Truncation(Fraction(4))),
+    "fermion": (lambda M: FERMION, FieldKind.BDAG, FieldKind.B, Truncation(Fraction(7, 2))),
+    "fermion-reduced": (lambda M: REDUCED_FERMION, FieldKind.RED_B, FieldKind.RED_B,
+                        Truncation(Fraction(7, 2))),
+}
+
+
+_COEFFICIENTS = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+# The examples, in order: one term (r = 0); one term, since of r in {-1, 0, 1}
+# the reduced boson realizes only r = -1 (a†[0] is skipped at r = 0 and 1);
+# that one term with a coefficient that vanishes there; r = ±1 realized, where
+# 1/2 + r/2 is an integer, while the skipped r = 0 would give 1/2; a kernel
+# that vanishes on all six realized r; and a coefficient that vanishes at
+# 2r = -1 only.
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_KERNEL_KINDS)), st.integers(-3, 3), st.integers(0, 9),
+       _COEFFICIENTS.filter(bool), _COEFFICIENTS, _COEFFICIENTS, _COEFFICIENTS)
+@example("boson", 0, 0, Fraction(1), Fraction(1, 3), Fraction(5, 2), Fraction(0))
+@example("boson-reduced", 1, 2, Fraction(2, 3), Fraction(1, 5), Fraction(1, 7), Fraction(0))
+@example("boson-reduced", 1, 2, Fraction(2, 3), Fraction(3, 7), Fraction(3, 7), Fraction(1, 5))
+@example("boson-reduced", 0, 2, Fraction(-5, 2), Fraction(1, 2), Fraction(1, 2), Fraction(0))
+@example("fermion-reduced", 2, 5, Fraction(1), Fraction(0), Fraction(0), Fraction(1, 3))
+@example("fermion", -3, 1, Fraction(1), Fraction(-3, 4), Fraction(-3, 2), Fraction(0))
+def test_row_table_den_equals_a_walk_over_the_realized_terms(kinds, m, two_w, M, alpha, beta, constant):
+    # two_w is twice the kernel half-width; M matters for the reduced boson only
+    algebra, left, right, trunc = _KERNEL_KINDS[kinds]
+    algebra = algebra(M)
+    width = Fraction(two_w, 2)
+    op = OperatorSpec(algebra, Fraction(m), (BilinearTerm(left, right, m, alpha, beta),), (), constant)
+    skeleton = _skeleton(algebra, trunc, left, right, m, width)
+    assert _apply_to_basis(op, trunc, width).den == _walked_den(op, skeleton)
+
+
 def _composed_L(family, m, M, lam):
     """L_m composed by OperatorSpec arithmetic, which normalizes the sum: the
     generators' defining expressions, built term by term."""
@@ -381,6 +429,10 @@ def _composed_L(family, m, M, lam):
 @example("boson-reduced", -1, Fraction(-2, 3), Fraction(5, 4))
 @example("boson-reduced", 3, Fraction(-1, 5), Fraction(0))
 @example("fermion-unconstrained", 0, Fraction(-1), Fraction(0))
+@example("boson-unconstrained", 2, Fraction(0), Fraction(1, 3))  # M = 0 drops a[m]: a†[m] alone
+@example("boson-unconstrained", -3, Fraction(0), Fraction(-5, 4))
+@example("boson-unconstrained", 0, Fraction(0), Fraction(2))
+@example("boson-unconstrained", 1, Fraction(0), Fraction(0))
 def test_direct_generators_equal_their_composition(family, m, M, lam):
     direct, composed = build_L(family, m, M, lam), _composed_L(family, m, M, lam)
     assert direct == composed
@@ -403,6 +455,52 @@ def test_equal_specs_share_one_row_table():
                              ((adag(2), Fraction(3)),), constant=Fraction(0))
     assert ints == fractions and hash(ints) == hash(fractions)
     assert row_table(ints, trunc) is row_table(fractions, same)
+
+
+_BOSON_COPY = Algebra(BOSON.name, BOSON.M, BOSON.kinds, BOSON.has_zero_modes, dict(BOSON.brackets))
+_SCALARS = st.sampled_from([0, 1, Fraction(0), Fraction(1), Fraction(-1, 2)])
+_SPECS = st.builds(
+    OperatorSpec, st.sampled_from([BOSON, _BOSON_COPY, FERMION]), _SCALARS,
+    st.lists(st.builds(lambda m, al, be: BilinearTerm(FieldKind.ADAG, FieldKind.A, m, al, be),
+                       st.sampled_from([0, 1]), _SCALARS, _SCALARS), max_size=1).map(tuple),
+    st.lists(st.tuples(st.sampled_from([a(1), adag(1)]), _SCALARS), max_size=1).map(tuple),
+    _SCALARS, st.sampled_from([0, 1]))
+
+
+def _fields_equal(x, y) -> bool:
+    """Field-by-field equality, every scalar compared by value."""
+    return ((x.algebra, x.shift, x.bilinears, x.linear, x.constant, x.parity)
+            == (y.algebra, y.shift, y.bilinears, y.linear, y.constant, y.parity))
+
+
+def _respelled(op):
+    """op with each integral scalar as the other of int and Fraction, every
+    other scalar a new Fraction, over an equal algebra where there is one."""
+    def flip(q):
+        return int(q) if type(q) is Fraction and q.denominator == 1 else Fraction(q)
+
+    algebra = {BOSON: _BOSON_COPY, _BOSON_COPY: BOSON}.get(op.algebra, op.algebra)
+    return OperatorSpec(algebra, flip(op.shift),
+                        tuple(t._replace(alpha=flip(t.alpha), beta=flip(t.beta)) for t in op.bilinears),
+                        tuple((x, flip(c)) for x, c in op.linear), flip(op.constant), op.parity)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_SPECS, min_size=1, max_size=6))
+def test_spec_equality_and_hash_agree_with_a_field_by_field_reference(specs):
+    assert _BOSON_COPY is not BOSON and _BOSON_COPY == BOSON
+    specs = specs + [_respelled(op) for op in specs]
+    for x in specs:
+        for y in specs:
+            assert (x == y) == _fields_equal(x, y)
+            if x == y:
+                assert hash(x) == hash(y)
+    for op in specs:
+        assert _respelled(op) == op and hash(_respelled(op)) == hash(op)
+        # equal in every field but the algebra
+        other = OperatorSpec(FERMION if op.algebra == BOSON else BOSON, op.shift, op.bilinears,
+                             op.linear, op.constant, op.parity)
+        assert op != other and other != op
 
 
 def _acts_on(x, state, algebra, trunc) -> bool:
