@@ -26,13 +26,13 @@ op|basis[i]> = sum of (n/den)|basis[j]>.  The common denominator den is
 fixed by the operator before any row exists: the lcm of each realized
 kernel coefficient's denominator times the square of the algebra's bracket
 denominator (two contractions), of each linear coefficient's times that
-denominator, and of the constant's.  The kernel's mode pairs form a
-skeleton of fock mode tables shared by every operator with the same kinds,
-label and width; it keeps per state id the terms that act on that state,
-and a row build visits only those.  A table keeps only the integers of its
-coefficients, so a row build looks states up by id and adds and multiplies
-integers, and so do apply_operator and a Commutator, the graded commutator's
-row table over den_a·den_b; Fractions appear only in the vectors they return.
+denominator, and of the constant's.  The kernel's mode pairs form a skeleton
+of fock mode tables shared by every operator with the same kinds, label and
+width; it keeps per state id the terms that act on that state, a row build
+visits only those, and its realized 2r fix the kernel's share of den in O(1).
+A table keeps only the integers of its coefficients: row builds, apply_operator
+and a Commutator (the graded commutator's row table over den_a·den_b) add and
+multiply integers by state id, and Fractions appear only in returned vectors.
 
 A Commutator evaluates graded commutators on basis states restricted to
 the safe window
@@ -116,7 +116,8 @@ class OperatorSpec:
 
     shift is the level the operator adds to any homogeneous state (the
     generator label m); parity is the Z2 grading controlling commutator
-    versus anticommutator.  The hash is computed once per instance.
+    versus anticommutator.  Specs compare and hash on integer (numerator,
+    denominator) pairs; only the hash is kept, in __dict__ (cached_property locks).
     """
 
     algebra: Algebra
@@ -126,14 +127,16 @@ class OperatorSpec:
     constant: Fraction = ZERO
     parity: int = 0
 
-    def __hash__(self):
-        return self._hash
+    def _key(self) -> tuple:
+        return (self.algebra, self.shift.as_integer_ratio(), self.constant.as_integer_ratio(), self.parity,
+                tuple([(t.left, t.right, t.m, t.alpha.as_integer_ratio(), t.beta.as_integer_ratio())
+                       for t in self.bilinears]), tuple([(x, c.as_integer_ratio()) for x, c in self.linear]))
 
-    # scalars hash as integer (numerator, denominator) pairs, ints and Fractions alike
-    _hash = cached_property(lambda self: hash((
-        self.algebra, self.shift.as_integer_ratio(), self.constant.as_integer_ratio(), self.parity,
-        tuple((t.left, t.right, t.m, t.alpha.as_integer_ratio(), t.beta.as_integer_ratio())
-              for t in self.bilinears), tuple((x, c.as_integer_ratio()) for x, c in self.linear))))
+    def __hash__(self):
+        return self.__dict__.get("_hash") or self.__dict__.setdefault("_hash", hash(self._key()))
+
+    def __eq__(self, other):
+        return self is other or (type(other) is OperatorSpec and self._key() == other._key())
 
     @cached_property
     def checked_linear(self) -> tuple:
@@ -197,9 +200,6 @@ class OperatorSpec:
             tuple((m, scalar * c) for m, c in self.linear),
             scalar * self.constant, self.parity)
 
-    def __neg__(self):
-        return (-1) * self
-
     def __str__(self):
         bits = []
         for t in self.bilinears:
@@ -262,41 +262,50 @@ def build_K(m: int) -> OperatorSpec:
     return OperatorSpec(BOSON, Fraction(m), (term,))
 
 
+@lru_cache(maxsize=None)
+def _reduced_boson_kernel(M: Fraction) -> tuple:
+    return reduced_boson(M), Fraction(M.denominator, M.numerator)  # the algebra and 1/M; raises for M = 0
+
+
+# Each builder forms each coefficient once from the integer numerators and
+# denominators of M and lam, with the int label m as its shift, in the form
+# OperatorSpec sums normalize to: linear terms sorted by mode, zero ones dropped.
 def _boson_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
-    # K[m] + lam*(m+1)*(a†[m] + M*m*a[m]), built in the form OperatorSpec
-    # sums normalize to: linear terms sorted by mode, zero coefficients dropped
+    # K[m] + lam*(m+1)*(a†[m] + M*m*a[m])
     term = BilinearTerm(FieldKind.ADAG, FieldKind.A, m, ZERO, ONE)
-    s = lam * (m + 1)
-    lin = ((Mode(FieldKind.A, 2 * m), s * M * m), (Mode(FieldKind.ADAG, 2 * m), s))
-    return OperatorSpec(BOSON, Fraction(m), (term,), tuple(mc for mc in lin if mc[1]))
+    s, q = lam.numerator * (m + 1), lam.denominator
+    sMm = s * M.numerator * m
+    lin = ((Mode(FieldKind.A, 2 * m), Fraction(sMm, q * M.denominator)),) if sMm else ()
+    lin += ((Mode(FieldKind.ADAG, 2 * m), Fraction(s, q)),) if s else ()
+    return OperatorSpec(BOSON, m, (term,), lin)
 
 
 def _reduced_boson_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
-    # sum_r (1/M) :a†[m-r]a†[r]: + 2*lam*(m+1)*a†[m], every a†[0] factor skipped,
-    # built in normalized form like _boson_L
-    algebra = reduced_boson(M)  # raises for M = 0
-    term = BilinearTerm(FieldKind.RED_ADAG, FieldKind.RED_ADAG, m, 1 / M, ZERO)
-    c = 2 * lam * (m + 1)
-    lin = ((Mode(FieldKind.RED_ADAG, 2 * m), c),) if m and c else ()
-    return OperatorSpec(algebra, Fraction(m), (term,), lin)
+    # sum_r (1/M) :a†[m-r]a†[r]: + 2*lam*(m+1)*a†[m], every a†[0] factor skipped
+    algebra, inverse = _reduced_boson_kernel(M)
+    term = BilinearTerm(FieldKind.RED_ADAG, FieldKind.RED_ADAG, m, inverse, ZERO)
+    c = 2 * lam.numerator * (m + 1)
+    lin = ((Mode(FieldKind.RED_ADAG, 2 * m), Fraction(c, lam.denominator)),) if m and c else ()
+    return OperatorSpec(algebra, m, (term,), lin)
 
 
 def _fermion_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
     # -sum_r (-lam*m + r) :b†[m-r] b[r]:
-    term = BilinearTerm(FieldKind.BDAG, FieldKind.B, m, lam * m, Fraction(-1))
+    p, q = lam.numerator, lam.denominator
+    term = BilinearTerm(FieldKind.BDAG, FieldKind.B, m, Fraction(p * m, q), -1)
     # Zero-mode normal-ordering constant.  On the half-odd-integer mode
     # lattice the kernel's subtraction point sits at r = 0, not at the
     # weight-lam Fourier origin, so L_0 must carry -(1-2*lam)^2/8 for the
     # commutator anomaly to close on the (m^3 - m) shape (it vanishes at
     # lam = 1/2, where the lattice and the weight agree).
-    const = -((1 - 2 * lam) ** 2) / 8 if m == 0 else ZERO
-    return OperatorSpec(FERMION, Fraction(m), (term,), (), const)
+    const = Fraction(-(q - 2 * p) ** 2, 8 * q * q) if m == 0 else ZERO
+    return OperatorSpec(FERMION, m, (term,), (), const)
 
 
 def _reduced_fermion_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
     # -sum_r (-m/2 + r) :b[m-r] b[r]:
-    term = BilinearTerm(FieldKind.RED_B, FieldKind.RED_B, m, Fraction(m, 2), Fraction(-1))
-    return OperatorSpec(REDUCED_FERMION, Fraction(m), (term,))
+    term = BilinearTerm(FieldKind.RED_B, FieldKind.RED_B, m, Fraction(m, 2), -1)
+    return OperatorSpec(REDUCED_FERMION, m, (term,))
 
 
 def _fermion_truncation(level: int, zmax: int) -> Truncation:
@@ -387,6 +396,8 @@ class Skeleton(dict):
     def __init__(self, terms: tuple):
         super().__init__()
         self.terms = terms
+        self.first = terms[0][0] if terms else 0
+        self.step = math.gcd(*(t[0] - self.first for t in terms))  # each realized 2r is first + k·step
 
     def __missing__(self, i: int) -> tuple:
         acting = self[i] = tuple(t for t in self.terms if _acts(t[2], i))
@@ -476,8 +487,9 @@ class RowTable(IdRows):
             kernels.append((_skeleton(algebra, trunc, t.left, t.right, t.m, width),
                             t.alpha.numerator * (d // t.alpha.denominator),
                             t.beta.numerator * (d // 2 // t.beta.denominator), d))
-        den = _common_denominator(op, [d // math.gcd(a + b * k[0], d) for sk, a, b, d in kernels
-                                       for k in sk.terms if a + b * k[0]])
+        # the lcm of nonzero (a + b·2r)/d's denominators is d/gcd(d, g), g = gcd(a + b·2r over r)
+        den = _common_denominator(op, [d // math.gcd(g, d) for sk, a, b, d in kernels if sk.terms
+                                       and (g := math.gcd(a + b * sk.first, b * sk.step))])
         super().__init__(algebra, trunc, den)
         bd = algebra.bracket_denominator
         self.op = op
@@ -513,10 +525,17 @@ class RowTable(IdRows):
         return tuple(acc.items())
 
 
+def _doubled(q) -> int:  # twice a half-integer, as an int
+    return 2 * q.numerator // q.denominator
+
+
 @lru_cache(maxsize=None)
 def _apply_to_basis(op: OperatorSpec, trunc: Truncation, width) -> RowTable:
     """The row table of an operator at one kernel half-width (None: level_cap + |m|)."""
-    return RowTable(op, trunc, trunc.level_cap + abs(op.shift) if width is None else width)
+    if width is None:  # an int when whole, which hashes cheaply and equals its Fraction
+        two = _doubled(trunc.level_cap) + abs(_doubled(op.shift))
+        width = two // 2 if two % 2 == 0 else Fraction(two, 2)
+    return RowTable(op, trunc, width)
 
 
 def row_table(op: OperatorSpec, trunc: Truncation, window=None) -> RowTable:
@@ -539,11 +558,6 @@ def apply_operator(op: OperatorSpec, v: StateVector, trunc: Truncation, window=N
     return row_table(op, trunc, window).act(v)
 
 
-def _doubled_rise(shifts) -> int:
-    """Twice the largest of 0 and the given half-integer level shifts."""
-    return max(0, *(2 * s.numerator // s.denominator for s in shifts))
-
-
 @lru_cache(maxsize=None)
 def _safe_test(algebra: Algebra, trunc: Truncation, two_rise: int, zero_uses: int):
     """Safe-window rule for a composite of operators, as a predicate on state ids.
@@ -556,7 +570,7 @@ def _safe_test(algebra: Algebra, trunc: Truncation, two_rise: int, zero_uses: in
     algebra is level graded.  Levels are compared doubled, as integers, by
     state id.
     """
-    top = 2 * trunc.level_cap.numerator // trunc.level_cap.denominator - two_rise
+    top = _doubled(trunc.level_cap) - two_rise
     zmax = trunc.zero_mode_cap - zero_uses if algebra.has_zero_modes else math.inf
     levels, basis = doubled_levels(algebra, trunc), enumerate_basis(algebra, trunc)
     return lambda i: levels[i] <= top and basis[i].zero_occ <= zmax
@@ -575,7 +589,7 @@ def _safe_ids(algebra: Algebra, trunc: Truncation, two_rise: int, zero_uses: int
 def safe_ids(algebra: Algebra, trunc: Truncation, shifts, zero_uses: int = 2) -> tuple:
     """The state ids of the safe window of the given level shifts, in
     increasing order; computed once per (algebra, truncation, rise, zero_uses)."""
-    return _safe_ids(algebra, trunc, _doubled_rise(shifts), zero_uses)
+    return _safe_ids(algebra, trunc, max(0, *map(_doubled, shifts)), zero_uses)
 
 
 class Commutator(IdRows):
@@ -595,9 +609,9 @@ class Commutator(IdRows):
             raise AlgebraMismatchError("commutator of operators over different algebras")
         ta, tb = self.a, self.b = row_table(op_a, trunc), row_table(op_b, trunc)
         self.algebra, self.trunc, self.basis, self.index = ta.algebra, trunc, ta.basis, ta.index
-        self.den = ta.den * tb.den
-        self.sign = 1 if op_a.parity and op_b.parity else -1
-        self.is_safe = _safe_test(op_a.algebra, trunc, _doubled_rise(pair_shifts(op_a, op_b)), 2)
+        self.den, self.sign = ta.den * tb.den, 1 if op_a.parity and op_b.parity else -1
+        two_a, two_b = _doubled(op_a.shift), _doubled(op_b.shift)
+        self.is_safe = _safe_test(op_a.algebra, trunc, max(0, two_a, two_b, two_a + two_b), 2)
 
     def row(self, i: int) -> tuple:
         if not self.is_safe(i):

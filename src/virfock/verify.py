@@ -89,8 +89,8 @@ class ScenarioParams:
             raise ValueError(f"unknown family {self.family!r}")
         if self.m_range < 2:
             raise ValueError("m_range must be at least 2 (the anomaly needs m^3 - m != 0)")
-        object.__setattr__(self, "M", Fraction(self.M))
-        object.__setattr__(self, "lam", Fraction(self.lam))
+        object.__setattr__(self, "M", self.M if type(self.M) is Fraction else Fraction(self.M))
+        object.__setattr__(self, "lam", self.lam if type(self.lam) is Fraction else Fraction(self.lam))
         if self.trunc is None:
             object.__setattr__(self, "trunc", default_truncation(self.family))
 
