@@ -13,6 +13,7 @@ from .algebra import format_rational, parse_rational
 from .dirac import Window
 from .operators import FAMILIES
 from .verify import (
+    OracleInconsistencyError,
     ScenarioParams,
     claimed_central_charge,
     default_truncation,
@@ -203,9 +204,9 @@ def main(argv=None) -> int:
         if args.sweep is not None:
             return _emit_sweep(_sweep(args), args)
         return _emit_runs(_run_scenarios(args), args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OracleInconsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, OracleInconsistencyError) else 2  # a sweep point failed its check
 
 
 if __name__ == "__main__":

@@ -67,7 +67,11 @@ from .report import CheckReport, report
 
 
 class OracleInconsistencyError(VirfockError):
-    """The m=2 and m=3 central-charge evaluations disagree."""
+    """The m=2 and m=3 central-charge evaluations disagree; c2 is the m = 2 value."""
+
+    def __init__(self, family: str, c2: Fraction, c3: Fraction):
+        super().__init__(f"{family}: m=2 gives c={c2} but m=3 gives c={c3}; truncation soundness is broken")
+        self.c2 = c2
 
 
 @lru_cache(maxsize=None)
@@ -137,9 +141,7 @@ def extract_central_charge(params: ScenarioParams) -> Fraction:
 
     c2, c3 = c_at(2), c_at(3)
     if c2 != c3:
-        raise OracleInconsistencyError(
-            f"{params.family}: m=2 gives c={c2} but m=3 gives c={c3}; "
-            "truncation soundness is broken")
+        raise OracleInconsistencyError(params.family, c2, c3)
     return c2
 
 
@@ -341,12 +343,15 @@ def check_window_doubling(params: ScenarioParams, probes: int = 100, seed: int =
 def run_family_scenario(params: ScenarioParams):
     """Full verification suite for one generator family at one parameter point.
 
-    Returns (reports, c_formula, c_oracle).
+    Returns (reports, c_formula, c_oracle), c_oracle at m = 2 if m = 3 disagrees.
     """
     c_formula = claimed_central_charge(params.family, params.M, params.lam)
-    c_oracle = extract_central_charge(params)
-    reports = [report("central_charge", c_formula == c_oracle,
-                      format_rational(c_formula), format_rational(c_oracle))]
+    try:
+        c_oracle = extract_central_charge(params)
+        ok, got = c_formula == c_oracle, format_rational(c_oracle)
+    except OracleInconsistencyError as exc:
+        c_oracle, ok, got = exc.c2, False, str(exc)
+    reports = [report("central_charge", ok, format_rational(c_formula), got)]
     reports += check_virasoro_relation(params, c_formula)
     reports += check_primary_laws(params)
     reports += check_christoffel(params)

@@ -7,23 +7,27 @@ caches are cleared around every fault, so a faulty table built here is
 never seen by another test.
 """
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
 import virfock.algebra as algebra
+import virfock.cli as cli
 import virfock.dirac as dirac
 import virfock.fock as fock
 import virfock.operators as operators
 import virfock.verify as verify
 from virfock import (
     ClosedFormMismatchError,
+    FERMION,
     OperatorSpec,
-    OracleInconsistencyError,
     ScenarioParams,
     SingularBlockError,
     Truncation,
     Window,
+    b,
+    bdag,
     boson_constraints,
     check_virasoro_relation,
     claimed_central_charge,
@@ -129,11 +133,8 @@ def test_normal_ordering_sign_flipped(monkeypatch, family, lam):
     assert {"virasoro[m=0,n=2]", "virasoro[m=2,n=0]"} <= failed
 
 
-def test_fermion_L0_constant_dropped(monkeypatch):
-    # without -(1 - 2 lam)^2/8 the vacuum value of L_0 is off, so the oracle
-    # reads a different c at m = 2 and m = 3, and only the central rows of
-    # the Virasoro relation, where L_0 meets the anomaly, miss the claimed c
-    family, lam = "fermion-unconstrained", Fraction(1, 3)
+def _drop_fermion_L0_constant(monkeypatch):
+    family = "fermion-unconstrained"
     real = operators.FAMILIES[family].build
 
     def build(m, M, lam):
@@ -141,11 +142,31 @@ def test_fermion_L0_constant_dropped(monkeypatch):
         return OperatorSpec(op.algebra, op.shift, op.bilinears, op.linear, Fraction(0), op.parity)
 
     _replace_family(monkeypatch, family, build=build)
-    params = small_params(family, 0, lam)
-    with pytest.raises(OracleInconsistencyError, match="m=2 gives c=5/9 but m=3 gives c=5/8"):
-        run_family_scenario(params)
-    failed = _failed(check_virasoro_relation(params, claimed_central_charge(family, 0, lam)))
-    assert failed == {f"virasoro[m={k},n={-k}]" for k in (-2, -1, 1, 2)}
+
+
+INCONSISTENT = "fermion-unconstrained: m=2 gives c=5/9 but m=3 gives c=5/8; truncation soundness is broken"
+
+
+def test_fermion_L0_constant_dropped(monkeypatch):
+    # without -(1 - 2 lam)^2/8 the vacuum value of L_0 is off, so the oracle
+    # reads a different c at m = 2 and m = 3, reported as a failed central
+    # charge, and only the central rows of the Virasoro relation, where L_0
+    # meets the anomaly, miss the claimed c
+    _drop_fermion_L0_constant(monkeypatch)
+    reports, c_formula, c_oracle = run_family_scenario(small_params("fermion-unconstrained", 0, Fraction(1, 3)))
+    assert _failed(reports) == {"central_charge"} | {f"virasoro[m={k},n={-k}]" for k in (-2, -1, 1, 2)}
+    (central,) = (r for r in reports if r.name == "central_charge")
+    assert (central.expected, central.got) == ("2/3", INCONSISTENT)
+    assert (c_formula, c_oracle) == (Fraction(2, 3), Fraction(5, 9))
+
+
+def test_inconsistent_oracle_ends_a_sweep_with_an_error(monkeypatch, capsys, tmp_path):
+    _drop_fermion_L0_constant(monkeypatch)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("0 1/3\n")
+    assert cli.main(["--scenario", "fermion-unconstrained", "--sweep", str(grid)]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {INCONSISTENT}\n")
 
 
 @pytest.mark.parametrize("family,M,lam,doubling_fails", [
@@ -273,3 +294,29 @@ def test_fermion_generator_ignores_lambda(monkeypatch):
     assert _failed(reports) == {"incompatibility_detected[fermion,lambda=0]"}
     (probe,) = (r for r in reports if r.name == "incompatibility_detected[fermion,lambda=0]")
     assert probe.got == "not detected"
+
+
+def test_even_copy_built_on_the_fermion_pair(monkeypatch):
+    # b - b† with fermionic statistics is second class, C_rs = -2 delta(r+s),
+    # so the copy no longer degenerates; no other check reads the copy
+    monkeypatch.setattr(dirac.EvenCopyConstraints, "algebra", FERMION)
+    monkeypatch.setattr(dirac.EvenCopyConstraints, "chi_modes", (b, bdag))
+    reports = run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
+    assert _failed(reports) == {"classify[even-copy]"}
+
+
+def test_commutator_with_linear_without_its_graded_sign(monkeypatch):
+    # [:XY:, z} = [Y,z} X + [X,z} Y for every z: on the odd fermion pair the
+    # second term has the wrong sign, so [L_m, chi_r] = (m/2 + r) chi[m+r]
+    # fails wherever m/2 + r != 0; the boson family is even and untouched
+    source = inspect.getsource(operators.commutator_with_linear)
+    graded = "sign = -1 if (z.parity and y.parity) else 1"
+    assert source.count(graded) == 1
+    namespace = dict(vars(operators))
+    exec(source.replace(graded, "sign = 1"), namespace)
+    for module in (operators, dirac):
+        monkeypatch.setattr(module, "commutator_with_linear", namespace["commutator_with_linear"])
+    reports = run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
+    half5 = [Fraction(t, 2) for t in range(-9, 10, 2)]
+    assert _failed(reports) == {f"chi_transform[m={m},n={n}]" for m in range(-5, 6) for n in half5
+                                if m + 2 * n != 0}
