@@ -116,8 +116,7 @@ class OperatorSpec:
 
     shift is the level the operator adds to any homogeneous state (the
     generator label m); parity is the Z2 grading controlling commutator
-    versus anticommutator.  Specs compare and hash on integer (numerator,
-    denominator) pairs; only the hash is kept, in __dict__ (cached_property locks).
+    versus anticommutator.  Scalars compare and hash as integer pairs.
     """
 
     algebra: Algebra
@@ -126,6 +125,7 @@ class OperatorSpec:
     linear: tuple = ()
     constant: Fraction = ZERO
     parity: int = 0
+    _hash = None  # set in the instance dict by the first __hash__; cached_property would lock
 
     def _key(self) -> tuple:
         return (self.algebra, self.shift.as_integer_ratio(), self.constant.as_integer_ratio(), self.parity,
@@ -133,7 +133,9 @@ class OperatorSpec:
                        for t in self.bilinears]), tuple([(x, c.as_integer_ratio()) for x, c in self.linear]))
 
     def __hash__(self):
-        return self.__dict__.get("_hash") or self.__dict__.setdefault("_hash", hash(self._key()))
+        if self._hash is None:
+            self.__dict__["_hash"] = hash(self._key())
+        return self._hash
 
     def __eq__(self, other):
         return self is other or (type(other) is OperatorSpec and self._key() == other._key())
@@ -267,9 +269,8 @@ def _reduced_boson_kernel(M: Fraction) -> tuple:
     return reduced_boson(M), Fraction(M.denominator, M.numerator)  # the algebra and 1/M; raises for M = 0
 
 
-# Each builder forms each coefficient once from the integer numerators and
-# denominators of M and lam, with the int label m as its shift, in the form
-# OperatorSpec sums normalize to: linear terms sorted by mode, zero ones dropped.
+# Builders form each coefficient once from integer numerators and denominators,
+# shift m an int, in normalized form: linear terms sorted, zero ones dropped.
 def _boson_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
     # K[m] + lam*(m+1)*(a†[m] + M*m*a[m])
     term = BilinearTerm(FieldKind.ADAG, FieldKind.A, m, ZERO, ONE)
@@ -610,8 +611,7 @@ class Commutator(IdRows):
         ta, tb = self.a, self.b = row_table(op_a, trunc), row_table(op_b, trunc)
         self.algebra, self.trunc, self.basis, self.index = ta.algebra, trunc, ta.basis, ta.index
         self.den, self.sign = ta.den * tb.den, 1 if op_a.parity and op_b.parity else -1
-        two_a, two_b = _doubled(op_a.shift), _doubled(op_b.shift)
-        self.is_safe = _safe_test(op_a.algebra, trunc, max(0, two_a, two_b, two_a + two_b), 2)
+        self.is_safe = _safe_test(op_a.algebra, trunc, max(0, *map(_doubled, pair_shifts(op_a, op_b))), 2)
 
     def row(self, i: int) -> tuple:
         if not self.is_safe(i):
