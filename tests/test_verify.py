@@ -16,9 +16,11 @@ from virfock import (
     check_window_doubling,
     claimed_central_charge,
     extract_central_charge,
+    format_rational,
     run_dirac_checks,
     run_family_scenario,
 )
+from virfock.operators import Commutator
 
 H = Fraction(1, 2)
 
@@ -227,12 +229,17 @@ def test_window_doubling_failure_names_its_draw(monkeypatch):
     assert r.got.startswith("-1·")  # the residual narrow - wide = -psi
 
 
+def _residual_text(table, i) -> str:
+    """Row i of a table as a failure report prints it: by state id, p/q·state."""
+    return " + ".join(f"{format_rational(Fraction(n, table.den))}·{table.basis[j]}"
+                      for j, n in sorted(table.row(i))).replace("+ -", "- ")
+
+
 def test_law_failures_show_the_residual(monkeypatch):
     # with every mode table on the right-hand side replaced by zero rows, each
     # failing law's residual is its commutator on the witness state
     import virfock.verify as verify
-    from virfock import FERMION, b, build_L, commutator_action, enumerate_basis, \
-        mode_operator, red_adag
+    from virfock import FERMION, b, build_L, mode_operator, red_adag
     monkeypatch.setattr(verify, "mode_table",
                         lambda algebra, x, trunc: SimpleNamespace(den=1, row=lambda i: ()))
     lam = Fraction(1, 3)
@@ -247,6 +254,20 @@ def test_law_failures_show_the_residual(monkeypatch):
     for reports, name, params, gen, xop in cases:
         (r,) = [r for r in reports if r.name == name]
         assert r.status == "fail"
-        states = {str(s): s for s in enumerate_basis(params.algebra, params.trunc)}
-        residual = commutator_action(gen, xop, states[r.probe], params.trunc)
-        assert not residual.is_zero() and r.got == str(residual)
+        comm = Commutator(gen, xop, params.trunc)
+        i = [str(s) for s in comm.basis].index(r.probe)
+        assert comm.row(i) and r.got == _residual_text(comm, i)
+
+
+def test_virasoro_failure_text_is_pinned(monkeypatch):
+    # with (n-m) L_{m+n} replaced by zero rows and c = 0, a failing report's
+    # residual is [L_m, L_n] on its witness: several terms of both signs
+    import virfock.verify as verify
+    monkeypatch.setattr(verify, "row_table",
+                        lambda op, trunc, window=None: SimpleNamespace(den=1, row=lambda i: ()))
+    params = ScenarioParams("boson-unconstrained", Fraction(2, 3), Fraction(-5, 4),
+                            Truncation(Fraction(4), 2), m_range=2)
+    (r,) = [r for r in check_virasoro_relation(params, 0) if r.name == "virasoro[m=-1,n=2]"]
+    assert r.status == "fail"
+    assert r.got == "-5·a[1]|0⟩ - 15/2·a†[1]|0⟩ + 3·a[1]a†[0]|0⟩"
+    assert r.probe == "|0⟩"
