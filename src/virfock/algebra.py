@@ -196,15 +196,6 @@ def even_bdag(r) -> Mode:
     return Mode(FieldKind.EVEN_BDAG, _doubled(r, True, "even b†"))
 
 
-def mode_level(x: Mode) -> Fraction:
-    """Level grading of a mode: equal to its index.
-
-    Every bilinear pair (X[m-r], Y[r]) therefore has total level m, so an
-    operator labelled m is level-homogeneous of degree m.
-    """
-    return x.index
-
-
 @dataclass(frozen=True, eq=False)
 class Algebra:
     """One of the concrete mode algebras (carrying M if needed) and its brackets.

@@ -14,17 +14,15 @@ the level grading guarantees nothing ever leaves the truncation.
 
 The basis of one truncation is enumerated once per mode kinds and zero
 modes, and shared by every algebra that has them; a state's id is its
-position in that tuple (basis_index).  A single mode acts through
-its ModeTable, one per (algebra, truncation, mode): a list indexed by state
-id whose row i is ((j, w), ...) with x|basis[i]> = sum of (w/bd)|basis[j]>,
-w an integer and bd the algebra's bracket denominator.  Rows are built on
-demand and kept, so the operator and verification layers run on integers
-and build Fractions only for the vectors they return.
+position in that tuple.  A single mode acts through its ModeTable, one per
+(algebra, truncation, mode): a list indexed by state id whose row i is
+((j, w), ...) with x|basis[i]> = sum of (w/bd)|basis[j]>, w an integer and
+bd the algebra's bracket denominator.  Rows are built on demand and kept, so
+the operator and verification layers run on integers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -32,12 +30,9 @@ from typing import NamedTuple
 
 from .algebra import (
     Algebra,
-    AlgebraMismatchError,
     FieldKind,
     Mode,
     VirfockError,
-    ZERO,
-    format_rational,
     is_creator,
     paired_bracket,
     require_members,
@@ -122,72 +117,6 @@ def accumulate(acc: dict, pairs, scale=1) -> dict:
     return acc
 
 
-class StateVector:
-    """Finite rational linear combination of basis states of one algebra."""
-
-    __slots__ = ("algebra", "amp")
-
-    def __init__(self, algebra: Algebra, amplitudes=None):
-        self.algebra = algebra
-        amp = {}
-        if amplitudes:
-            items = amplitudes.items() if isinstance(amplitudes, dict) else amplitudes
-            accumulate(amp, ((state, Fraction(q)) for state, q in items))
-        self.amp = amp
-
-    @classmethod
-    def basis(cls, algebra, state: BasisState):
-        return cls(algebra, {state: Fraction(1)})
-
-    @classmethod
-    def vacuum(cls, algebra):
-        return cls.basis(algebra, VACUUM)
-
-    @classmethod
-    def zero(cls, algebra):
-        return cls(algebra)
-
-    def is_zero(self) -> bool:
-        return not self.amp
-
-    def vacuum_component(self) -> Fraction:
-        return self.amp.get(VACUUM, ZERO)
-
-    def __eq__(self, other):
-        return (isinstance(other, StateVector)
-                and self.algebra == other.algebra and self.amp == other.amp)
-
-    def __add__(self, other):
-        if self.algebra != other.algebra:
-            raise AlgebraMismatchError("cannot add vectors from different algebras")
-        v = StateVector(self.algebra)
-        v.amp = accumulate(dict(self.amp), other.amp.items())
-        return v
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        v = StateVector(self.algebra)
-        if scalar:
-            v.amp = {s: scalar * q for s, q in self.amp.items()}
-        return v
-
-    def __neg__(self):
-        return (-1) * self
-
-    def __str__(self):
-        if not self.amp:
-            return "0"
-        bits = []
-        for state in sorted(self.amp, key=_state_key):
-            q = self.amp[state]
-            coeff = format_rational(q)
-            bits.append(f"{coeff}·{state}")
-        return " + ".join(bits).replace("+ -", "- ")
-
-
 def _state_key(state: BasisState):
     return (state.level, state.zero_occ, tuple(m.sort_key for m in state.creators))
 
@@ -238,11 +167,6 @@ def enumerate_basis(algebra: Algebra, trunc: Truncation) -> tuple:
     return _basis(algebra.kinds, algebra.has_zero_modes, trunc)[0]
 
 
-def basis_index(algebra: Algebra, trunc: Truncation) -> dict:
-    """State id of each basis state: its position in enumerate_basis."""
-    return _basis(algebra.kinds, algebra.has_zero_modes, trunc)[1]
-
-
 def doubled_levels(algebra: Algebra, trunc: Truncation) -> tuple:
     """Twice the level of each basis state, by state id."""
     return _basis(algebra.kinds, algebra.has_zero_modes, trunc)[2]
@@ -261,28 +185,13 @@ class IdRows:
 
     def __init__(self, algebra: Algebra, trunc: Truncation, den: int):
         self.algebra, self.trunc, self.den = algebra, trunc, den
-        self.basis = enumerate_basis(algebra, trunc)
-        self.index = basis_index(algebra, trunc)
+        self.basis, self.index, _ = _basis(algebra.kinds, algebra.has_zero_modes, trunc)
 
     def state_id(self, state: BasisState) -> int:
         i = self.index.get(state)
         if i is None:
             raise TruncationOverflowError(f"state {state} is not a basis state within {self.trunc}")
         return i
-
-    def vector(self, acc: dict, den: int) -> StateVector:
-        """The StateVector sum of (n / den)|basis[j]> over the (j, n) of acc."""
-        out = StateVector(self.algebra)
-        out.amp = {self.basis[j]: Fraction(n, den) for j, n in acc.items()}
-        return out
-
-    def act(self, v: StateVector) -> StateVector:
-        """The map applied to a vector: its amplitudes are scaled to integers by
-        the lcm of their denominators, so the rows are summed in integers."""
-        scale = math.lcm(*(q.denominator for q in v.amp.values()))
-        acc = self.apply((self.state_id(state), q.numerator * (scale // q.denominator))
-                         for state, q in v.amp.items())
-        return self.vector(acc, scale * self.den)
 
     def apply(self, pairs) -> dict:
         """The map applied to sum of n|basis[j]> over the (j, n) of pairs, as
@@ -361,14 +270,3 @@ class ModeTable(IdRows):
 def _apply_to_basis(algebra: Algebra, x: Mode, trunc: Truncation) -> ModeTable:
     """The mode table of a single mode on one truncation."""
     return ModeTable(algebra, x, trunc)
-
-
-def apply_mode(x: Mode, v: StateVector, trunc: Truncation) -> StateVector:
-    """Apply a single mode to a state vector, exactly.
-
-    Creators insert into canonical position with the fermionic crossing sign;
-    annihilators contract against matching creators through the bracket table.
-    Raises TruncationOverflowError when a produced state, or a state of v,
-    exceeds the caps.
-    """
-    return _apply_to_basis(v.algebra, x, trunc).act(v)

@@ -30,9 +30,9 @@ denominator, and of the constant's.  The kernel's mode pairs form a skeleton
 of fock mode tables shared by every operator with the same kinds, label and
 width; it keeps per state id the terms that act on that state, a row build
 visits only those, and its realized 2r fix the kernel's share of den in O(1).
-A table keeps only the integers of its coefficients: row builds, apply_operator
-and a Commutator (the graded commutator's row table over den_a·den_b) add and
-multiply integers by state id, and Fractions appear only in returned vectors.
+A table keeps only the integers of its coefficients: row builds and a
+Commutator (the graded commutator's row table over den_a·den_b) add and
+multiply integers by state id.
 
 A Commutator evaluates graded commutators on basis states restricted to
 the safe window
@@ -72,9 +72,7 @@ from .algebra import (
     require_members,
 )
 from .fock import (
-    BasisState,
     IdRows,
-    StateVector,
     Truncation,
     TruncationOverflowError,
     accumulate,
@@ -369,10 +367,6 @@ def generator_family(family: str) -> GeneratorFamily:
     return FAMILIES[family]
 
 
-def algebra_for(family: str, M=0) -> Algebra:
-    return generator_family(family).algebra(M)
-
-
 def build_L(family: str, m: int, M=0, lam=0) -> OperatorSpec:
     """The Virasoro generator labelled m of one of the four families; a
     Fraction M or lam is used as it is."""
@@ -545,20 +539,6 @@ def row_table(op: OperatorSpec, trunc: Truncation, window=None) -> RowTable:
     return _apply_to_basis(op, trunc, None if window is None else Fraction(window))
 
 
-def apply_operator(op: OperatorSpec, v: StateVector, trunc: Truncation, window=None) -> StateVector:
-    """Apply an operator to a state vector, exactly, within the truncation.
-
-    window overrides the summation half-width (default level_cap + |m|,
-    which provably contains every contributing term).  The input is scaled
-    to integers by the lcm of its denominators, so the loop over the rows
-    adds integers only.  Overflow beyond the truncation, including an input
-    state outside it, propagates as TruncationOverflowError.
-    """
-    if op.algebra != v.algebra:
-        raise AlgebraMismatchError("operator and vector belong to different algebras")
-    return row_table(op, trunc, window).act(v)
-
-
 @lru_cache(maxsize=None)
 def _safe_test(algebra: Algebra, trunc: Truncation, two_rise: int, zero_uses: int):
     """Safe-window rule for a composite of operators, as a predicate on state ids.
@@ -621,14 +601,6 @@ class Commutator(IdRows):
                 f"shifts ({self.a.op.shift}, {self.b.op.shift}) at level_cap {self.trunc.level_cap}")
         ta, tb = self.a, self.b
         return tuple(accumulate(ta.apply(tb.row(i)), tb.apply(ta.row(i)).items(), self.sign).items())
-
-
-def commutator_action(op_a: OperatorSpec, op_b: OperatorSpec, state: BasisState,
-                      trunc: Truncation) -> StateVector:
-    """Exact action of the graded commutator [A, B} on a safe basis state, as a
-    vector; a StateVector wrapper of Commutator."""
-    table = Commutator(op_a, op_b, trunc)
-    return table.vector(dict(table.row(table.state_id(state))), table.den)
 
 
 def linear_bracket(x: OperatorSpec, y: OperatorSpec) -> Fraction:

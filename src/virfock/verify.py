@@ -42,13 +42,7 @@ from .dirac import (
     mode_compatibility_reports,
     verify_compatibility,
 )
-from .fock import (
-    StateVector,
-    Truncation,
-    VACUUM,
-    accumulate,
-    enumerate_basis,
-)
+from .fock import Truncation, VACUUM, accumulate, enumerate_basis
 from .fock import _apply_to_basis as mode_table
 from .operators import (
     Commutator,
@@ -154,7 +148,8 @@ def _probe(name, expected, params, probes, sides, got="as expected", show=None):
     over the one denominator den, so comparing them compares integers only.
     An empty probe set proves nothing, so it is reported skipped, with the
     reason in `got`, never as a pass.  A failure names its first witness,
-    show(p) (by default the basis state), and shows the residual lhs - rhs.
+    show(p) (by default the basis state), and shows the residual lhs - rhs
+    as p/q·state terms in state-id order, which is the canonical basis order.
     """
     if not probes:
         return CheckReport(name, "skipped", str(expected), "no safe probe state")
@@ -163,7 +158,8 @@ def _probe(name, expected, params, probes, sides, got="as expected", show=None):
         if lhs != rhs:
             basis = enumerate_basis(params.algebra, params.trunc)
             diff = accumulate(dict(lhs), rhs.items(), -1)
-            residual = StateVector(params.algebra, {basis[j]: Fraction(n, den) for j, n in diff.items()})
+            residual = " + ".join(f"{format_rational(Fraction(n, den))}·{basis[j]}"
+                                  for j, n in sorted(diff.items())).replace("+ -", "- ")
             return report(name, False, expected, residual, show(p) if show else basis[p])
     return report(name, True, expected, got)
 

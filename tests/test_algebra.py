@@ -22,7 +22,6 @@ from virfock import (
     even_b,
     even_bdag,
     format_rational,
-    mode_level,
     parse_rational,
     red_adag,
     red_b,
@@ -92,13 +91,14 @@ def test_bracket_is_level_graded(algebra):
     for x in modes:
         for y in modes:
             if canonical_bracket(x, y, algebra):
-                assert mode_level(x) + mode_level(y) == 0
+                assert x.index + y.index == 0
 
 
 def test_mode_level_values():
-    assert mode_level(adag(3)) == 3
-    assert mode_level(b(Fraction(-5, 2))) == Fraction(-5, 2)
-    assert mode_level(a(0)) == 0
+    # a mode's level is its index
+    assert adag(3).index == 3
+    assert b(Fraction(-5, 2)).index == Fraction(-5, 2)
+    assert a(0).index == 0
 
 
 def test_bilinear_pair_total_level():
@@ -106,7 +106,7 @@ def test_bilinear_pair_total_level():
     m = 2
     for two_r in range(-12, 13, 2):
         r = Fraction(two_r, 2)
-        assert mode_level(adag(m - r)) + mode_level(a(r)) == m
+        assert adag(m - r).index + a(r).index == m
 
 
 @given(st.fractions())

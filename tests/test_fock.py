@@ -13,13 +13,11 @@ from virfock import (
     FERMION,
     Mode,
     REDUCED_FERMION,
-    StateVector,
     Truncation,
     TruncationOverflowError,
     VACUUM,
     a,
     adag,
-    apply_mode,
     b,
     bdag,
     canonical_bracket,
@@ -28,9 +26,14 @@ from virfock import (
     reduced_boson,
 )
 from virfock.algebra import is_creator
-from virfock.fock import _apply_to_basis
+from virfock.fock import _apply_to_basis, accumulate
 
 H = Fraction(1, 2)
+
+
+def _image(table, i) -> dict:
+    """Row i of an id-row table as {basis state: Fraction}."""
+    return {table.basis[j]: Fraction(n, table.den) for j, n in table.row(i)}
 
 
 def brute_states(algebra, trunc):
@@ -91,6 +94,7 @@ def test_enumerate_unconstrained_fermion_level_1():
                 BasisState((b(H), bdag(H)))}
     assert set(states) == expected
     assert sorted(s.level for s in states) == [0, H, H, 1]
+    assert str(BasisState((b(H), bdag(Fraction(3, 2))))) == "b[1/2]b†[3/2]|0⟩"
 
 
 @pytest.mark.parametrize("algebra,trunc", [
@@ -107,81 +111,76 @@ def test_enumerate_matches_bruteforce(algebra, trunc):
     assert levels == sorted(levels)  # canonical order leads with the level
 
 
-_POOL = enumerate_basis(FERMION, Truncation(Fraction(3, 2)))
+_POOL = range(len(enumerate_basis(FERMION, Truncation(Fraction(3, 2)))))
 
 
 @given(st.lists(st.tuples(st.sampled_from(_POOL), st.fractions(max_denominator=4),
                           st.booleans()), max_size=12),
        st.randoms(use_true_random=False))
-def test_constructor_sums_and_drops_cancelled_amplitudes(entries, rng):
-    # each entry flagged True is also added negated, so some states cancel exactly
-    pairs = [(s, q) for s, q, _ in entries] + [(s, -q) for s, q, neg in entries if neg]
+def test_accumulate_sums_and_drops_cancelled_amplitudes(entries, rng):
+    # each entry flagged True is also added negated, so some ids cancel exactly
+    pairs = [(i, q) for i, q, _ in entries] + [(i, -q) for i, q, neg in entries if neg]
     rng.shuffle(pairs)
     naive = {}
-    for s, q in pairs:
-        naive[s] = naive.get(s, 0) + q
-    assert StateVector(FERMION, pairs).amp == {s: q for s, q in naive.items() if q}
+    for i, q in pairs:
+        naive[i] = naive.get(i, 0) + q
+    assert accumulate({}, pairs) == {i: q for i, q in naive.items() if q}
+    assert accumulate({}, pairs, 3) == {i: 3 * q for i, q in naive.items() if q}
 
 
 def test_apply_creator_then_conjugate_annihilator():
     # a†[-2] (a[2] |0>) = [a†[-2], a[2]] |0> = |0>
     trunc = Truncation(Fraction(3))
-    v = apply_mode(a(2), StateVector.vacuum(BOSON), trunc)
-    v = apply_mode(adag(-2), v, trunc)
-    assert v == StateVector.vacuum(BOSON)
+    up, down = _apply_to_basis(BOSON, a(2), trunc), _apply_to_basis(BOSON, adag(-2), trunc)
+    vac = up.state_id(VACUUM)
+    assert down.apply(up.row(vac)) == {vac: up.den * down.den}
 
 
 def test_apply_reduced_fermion_contraction():
     trunc = Truncation(Fraction(2))
-    v = StateVector.basis(REDUCED_FERMION, BasisState((red_b(H),)))
-    out = apply_mode(red_b(-H), v, trunc)
-    assert out == H * StateVector.vacuum(REDUCED_FERMION)
+    table = _apply_to_basis(REDUCED_FERMION, red_b(-H), trunc)
+    assert _image(table, table.state_id(BasisState((red_b(H),)))) == {VACUUM: H}
 
 
 def test_fermion_nilpotency():
     trunc = Truncation(Fraction(2))
-    v = StateVector.basis(REDUCED_FERMION, BasisState((red_b(H),)))
-    assert apply_mode(red_b(H), v, trunc).is_zero()
+    table = _apply_to_basis(REDUCED_FERMION, red_b(H), trunc)
+    assert table.row(table.state_id(BasisState((red_b(H),)))) == ()
 
 
 def test_annihilators_kill_vacuum():
     trunc = Truncation(Fraction(6), 2)
-    vac = StateVector.vacuum(BOSON)
-    for k in range(1, 7):
-        assert apply_mode(a(-k), vac, trunc).is_zero()
-        assert apply_mode(adag(-k), vac, trunc).is_zero()
-    assert apply_mode(a(0), vac, trunc).is_zero()
-    fvac = StateVector.vacuum(FERMION)
-    for two in range(1, 13, 2):
-        assert apply_mode(b(Fraction(-two, 2)), fvac, trunc).is_zero()
-        assert apply_mode(bdag(Fraction(-two, 2)), fvac, trunc).is_zero()
+    modes = [(BOSON, a(0))] + [(BOSON, x(-k)) for k in range(1, 7) for x in (a, adag)]
+    modes += [(FERMION, x(Fraction(-two, 2))) for two in range(1, 13, 2) for x in (b, bdag)]
+    for algebra, x in modes:
+        table = _apply_to_basis(algebra, x, trunc)
+        assert table.row(table.state_id(VACUUM)) == (), x
 
 
 def test_zero_mode_ladder():
     trunc = Truncation(Fraction(2), 3)
-    vac = StateVector.vacuum(BOSON)
-    up = apply_mode(adag(0), apply_mode(adag(0), vac, trunc), trunc)
-    assert up == StateVector.basis(BOSON, BasisState((), 2))
+    up, down = _apply_to_basis(BOSON, adag(0), trunc), _apply_to_basis(BOSON, a(0), trunc)
+    twice = up.apply(up.row(up.state_id(VACUUM)))
+    assert twice == {up.state_id(BasisState((), 2)): 1}
     # a[0] (a†[0])^2 |0> = -2 a†[0] |0>
-    down = apply_mode(a(0), up, trunc)
-    assert down == (-2) * StateVector.basis(BOSON, BasisState((), 1))
+    assert down.apply(twice.items()) == {up.state_id(BasisState((), 1)): -2}
 
 
 def test_level_bookkeeping():
-    # apply_mode maps the level-l subspace into level l + index, exactly
+    # a mode table maps the level-l subspace into level l + index, exactly
     trunc = Truncation(Fraction(6), 2)
     basis = enumerate_basis(BOSON, trunc)
     for two in range(-8, 9, 2):
         for ctor in (a, adag):
             x = ctor(Fraction(two, 2))
-            for state in basis:
+            table = _apply_to_basis(BOSON, x, trunc)
+            for i, state in enumerate(basis):
                 if state.level + x.index > trunc.level_cap:
                     continue
                 if x.two == 0 and x.kind.name == "ADAG" and state.zero_occ + 1 > trunc.zero_mode_cap:
                     continue
-                out = apply_mode(x, StateVector.basis(BOSON, state), trunc)
-                for s2 in out.amp:
-                    assert s2.level == state.level + x.index
+                for j, _ in table.row(i):
+                    assert basis[j].level == state.level + x.index
 
 
 def _safe(state, ix, iy, trunc, algebra):
@@ -211,36 +210,31 @@ def test_canonical_commutation_property(algebra, trunc, max_two):
                 modes.append(Mode(kind, t))
     basis = enumerate_basis(algebra, trunc)
     for x in modes:
+        tx = _apply_to_basis(algebra, x, trunc)
         for y in modes:
+            ty = _apply_to_basis(algebra, y, trunc)
             sign = -1 if (x.parity and y.parity) else 1
             want = canonical_bracket(x, y, algebra)
-            for state in basis:
+            for i, state in enumerate(basis):
                 if not _safe(state, x.index, y.index, trunc, algebra):
                     continue
-                v = StateVector.basis(algebra, state)
-                lhs = apply_mode(x, apply_mode(y, v, trunc), trunc) \
-                    - sign * apply_mode(y, apply_mode(x, v, trunc), trunc)
-                assert lhs == want * v, (x, y, state)
+                lhs = accumulate(tx.apply(ty.row(i)), ty.apply(tx.row(i)).items(), -sign)
+                assert ({basis[j]: Fraction(n, tx.den * ty.den) for j, n in lhs.items()}
+                        == ({state: want} if want else {})), (x, y, state)
 
 
 def test_truncation_overflow_is_signalled():
     trunc = Truncation(Fraction(2))
-    v = StateVector.basis(BOSON, BasisState((a(2),)))
+    table = _apply_to_basis(BOSON, a(1), trunc)
+    i = table.state_id(BasisState((a(2),)))
+    for _ in range(2):  # raises on every request
+        with pytest.raises(TruncationOverflowError):
+            table.row(i)
+    with pytest.raises(TruncationOverflowError):  # a state outside the truncation has no id
+        table.state_id(BasisState((a(3),)))
+    tight = _apply_to_basis(BOSON, adag(0), Truncation(Fraction(2), 0))
     with pytest.raises(TruncationOverflowError):
-        apply_mode(a(1), v, trunc)
-    tight = Truncation(Fraction(2), 0)
-    with pytest.raises(TruncationOverflowError):
-        apply_mode(adag(0), StateVector.vacuum(BOSON), tight)
-
-
-def test_vacuum_component_examples():
-    assert StateVector.vacuum(REDUCED_FERMION).vacuum_component() == 1
-    one = StateVector.basis(BOSON, BasisState((adag(1),)))
-    assert one.vacuum_component() == 0
-    two_modes = BasisState((red_b(H), red_b(Fraction(3, 2))))
-    v = Fraction(3, 2) * StateVector.vacuum(REDUCED_FERMION) \
-        + (-2) * StateVector.basis(REDUCED_FERMION, two_modes)
-    assert v.vacuum_component() == Fraction(3, 2)
+        tight.row(tight.state_id(VACUUM))
 
 
 def test_truncation_validation():
@@ -250,16 +244,6 @@ def test_truncation_validation():
         Truncation(Fraction(1, 3))
     with pytest.raises(ValueError):
         Truncation(Fraction(2), -1)
-
-
-def test_state_vector_arithmetic():
-    s1 = StateVector.basis(FERMION, BasisState((b(H),)))
-    s2 = StateVector.basis(FERMION, BasisState((bdag(H),)))
-    v = 2 * s1 + s2 - s1
-    assert v.amp == {BasisState((b(H),)): 1, BasisState((bdag(H),)): 1}
-    assert (s1 - s1).is_zero()
-    assert str(StateVector.vacuum(FERMION)) == "1·|0⟩"
-    assert str(BasisState((b(H), bdag(Fraction(3, 2))))) == "b[1/2]b†[3/2]|0⟩"
 
 
 def _canonical(factors, algebra):

@@ -19,15 +19,12 @@ from virfock import (
     Mode,
     OperatorSpec,
     REDUCED_FERMION,
-    StateVector,
     Truncation,
     TruncationOverflowError,
     UnsafeLevelError,
     VACUUM,
     a,
     adag,
-    apply_mode,
-    apply_operator,
     b,
     bdag,
     build_B,
@@ -36,7 +33,6 @@ from virfock import (
     build_chi_bar0,
     build_chi_boson,
     canonical_bracket,
-    commutator_action,
     commutator_with_linear,
     conformal_weight,
     enumerate_basis,
@@ -48,8 +44,10 @@ from virfock import (
     reduced_boson,
 )
 from virfock.algebra import ONE, ZERO, is_creator
+from virfock.fock import _apply_to_basis as mode_table
 from virfock.operators import (
     FAMILIES,
+    Commutator,
     _apply_to_basis,
     _skeleton,
     pair_shifts,
@@ -60,10 +58,21 @@ from virfock.operators import (
 H = Fraction(1, 2)
 
 
-def _safe_states(algebra, trunc, op_a, op_b):
-    """The basis states of the safe window of the pair (op_a, op_b)."""
-    basis = enumerate_basis(algebra, trunc)
-    return [basis[i] for i in safe_ids(algebra, trunc, pair_shifts(op_a, op_b))]
+def _image(table, i) -> dict:
+    """Row i of an id-row table as {basis state: Fraction}."""
+    return {table.basis[j]: Fraction(n, table.den) for j, n in table.row(i)}
+
+
+def _pair_ids(op_a, op_b, trunc):
+    """The state ids of the safe window of the pair (op_a, op_b)."""
+    return safe_ids(op_a.algebra, trunc, pair_shifts(op_a, op_b))
+
+
+def _obeys_law(op_a, op_b, coeff, target, trunc) -> bool:
+    """[A, B} = coeff·target on every safe state of the pair, target a mode."""
+    comm, table = Commutator(op_a, op_b, trunc), mode_table(op_a.algebra, target, trunc)
+    return all(_image(comm, i) == {s: coeff * q for s, q in _image(table, i).items() if coeff}
+               for i in _pair_ids(op_a, op_b, trunc))
 
 
 def test_build_B_structure():
@@ -123,16 +132,9 @@ def test_build_L_fermion_kernel():
 def test_K_mode_laws_on_states():
     # [K_1, a_2] = 3 a_3 and [K_2, a†_-1] = -a†_1, as actions on safe states
     trunc = Truncation(Fraction(6), 3)
-    k1, k2 = build_K(1), build_K(2)
-    a2 = mode_operator(BOSON, a(2))
-    ad_m1 = mode_operator(BOSON, adag(-1))
-    for psi in _safe_states(BOSON, trunc, k1, a2):
-        vec = StateVector.basis(BOSON, psi)
-        assert commutator_action(k1, a2, psi, trunc) == 3 * apply_mode(a(3), vec, trunc)
-    for psi in _safe_states(BOSON, trunc, k2, ad_m1):
-        vec = StateVector.basis(BOSON, psi)
-        assert commutator_action(k2, ad_m1, psi, trunc) == \
-            (-1) * apply_mode(adag(1), vec, trunc)
+    assert _obeys_law(build_K(1), mode_operator(BOSON, a(2)), 3, a(3), trunc)
+    assert _obeys_law(build_K(2), mode_operator(BOSON, adag(-1)), -1, adag(1), trunc)
+    assert not _obeys_law(build_K(1), mode_operator(BOSON, a(2)), 2, a(3), trunc)
 
 
 def test_K_chi_commutator_symbolic():
@@ -157,40 +159,42 @@ def test_L0_fermion_reduced_eigenvalue_by_hand():
     # expand L_0 = -sum_r r :b[-r] b[r]: manually on the level-1/2 state;
     # only r = +-1/2 contribute and each term yields (1/4) psi
     trunc = Truncation(Fraction(7, 2))
-    psi = StateVector.basis(REDUCED_FERMION, BasisState((red_b(H),)))
-    plus = apply_mode(red_b(H), apply_mode(red_b(-H), psi, trunc), trunc)
+    lower = mode_table(REDUCED_FERMION, red_b(-H), trunc)
+    raise_ = mode_table(REDUCED_FERMION, red_b(H), trunc)
+    psi = BasisState((red_b(H),))
+    i = lower.state_id(psi)
+    plus = {lower.basis[j]: Fraction(n, lower.den * raise_.den)
+            for j, n in raise_.apply(lower.row(i)).items()}
     # r=+1/2 term: -(1/2) :b[-1/2]b[1/2]: = +(1/2) b[1/2] b[-1/2] after the odd swap
     # r=-1/2 term: +(1/2) :b[1/2]b[-1/2]: already ordered
-    oracle = H * plus + H * plus
-    assert oracle == H * psi
+    oracle = {s: H * q + H * q for s, q in plus.items()}
+    assert oracle == {psi: H}
     l0 = build_L("fermion-reduced", 0)
-    assert apply_operator(l0, psi, trunc) == oracle
+    assert _image(row_table(l0, trunc), i) == oracle
 
 
 def test_K0_counts_level():
     trunc = Truncation(Fraction(5), 2)
-    k0 = build_K(0)
-    for state in enumerate_basis(BOSON, trunc):
-        v = StateVector.basis(BOSON, state)
-        assert apply_operator(k0, v, trunc) == state.level * v
+    table = row_table(build_K(0), trunc)
+    for i, state in enumerate(table.basis):
+        assert _image(table, i) == ({state: state.level} if state.level else {})
 
 
 def test_operator_naming_a_foreign_mode_is_rejected():
     # specs built directly, past linear_operator's own membership check
     trunc = Truncation(Fraction(3), 2)
-    vac = StateVector.vacuum(BOSON)
     linear = OperatorSpec(BOSON, H, (), ((b(H), Fraction(1)),), parity=1)
     bilinear = OperatorSpec(BOSON, Fraction(0), (
         BilinearTerm(FieldKind.BDAG, FieldKind.B, 0, Fraction(0), Fraction(1)),))
     for op in (linear, bilinear):
-        with pytest.raises(AlgebraMismatchError):
-            apply_operator(op, vac, trunc)
+        for _ in range(2):  # no table is kept for a rejected operator
+            with pytest.raises(AlgebraMismatchError):
+                row_table(op, trunc)
 
 
 def test_operator_on_zero_vector():
     trunc = Truncation(Fraction(4))
-    zero = StateVector.zero(REDUCED_FERMION)
-    assert apply_operator(build_L("fermion-reduced", -2), zero, trunc).is_zero()
+    assert row_table(build_L("fermion-reduced", -2), trunc).apply(()) == {}
 
 
 @pytest.mark.parametrize("family,M,lam", [
@@ -200,20 +204,18 @@ def test_operator_on_zero_vector():
     ("fermion-reduced", 0, 0),
 ])
 def test_generators_are_level_homogeneous(family, M, lam):
-    from virfock import algebra_for
-    algebra = algebra_for(family, M)
+    algebra = FAMILIES[family].algebra(M)
     cap = Fraction(5) if not family.startswith("fermion") else Fraction(9, 2)
     trunc = Truncation(cap, 3 if algebra.has_zero_modes else 0)
     for m in range(-3, 4):
-        op = build_L(family, m, M, lam)
-        for state in enumerate_basis(algebra, trunc):
+        table = row_table(build_L(family, m, M, lam), trunc)
+        for i, state in enumerate(table.basis):
             if state.level + max(0, m) > trunc.level_cap:
                 continue
             if algebra.has_zero_modes and state.zero_occ + 1 > trunc.zero_mode_cap:
                 continue
-            out = apply_operator(op, StateVector.basis(algebra, state), trunc)
-            for s2 in out.amp:
-                assert s2.level == state.level + m
+            for j, _ in table.row(i):
+                assert table.basis[j].level == state.level + m
 
 
 def test_primary_field_law_matches_conformal_weight():
@@ -235,14 +237,8 @@ def test_primary_field_law_matches_conformal_weight():
         for m in range(-3, 4):
             op = gen(m)
             for n in indices:
-                x = ctor(n)
-                target = ctor(n + m)
                 coeff = (1 - h) * m + n
-                xop = mode_operator(algebra, x)
-                for psi in _safe_states(algebra, trunc, op, xop):
-                    vec = StateVector.basis(algebra, psi)
-                    lhs = commutator_action(op, xop, psi, trunc)
-                    assert lhs == coeff * apply_mode(target, vec, trunc), (m, n, psi)
+                assert _obeys_law(op, mode_operator(algebra, ctor(n)), coeff, ctor(n + m), trunc), (m, n)
 
 
 def test_window_widening_changes_nothing():
@@ -251,76 +247,65 @@ def test_window_widening_changes_nothing():
         ("boson-unconstrained", Fraction(1), Fraction(1, 2), Truncation(Fraction(5), 3)),
         ("fermion-unconstrained", 0, Fraction(1, 3), Truncation(Fraction(9, 2))),
     ]:
-        from virfock import algebra_for
-        algebra = algebra_for(family, M)
+        algebra = FAMILIES[family].algebra(M)
         states = enumerate_basis(algebra, trunc)
         for _ in range(60):
             m = rng.randint(-3, 3)
             op = build_L(family, m, M, lam)
-            pool = [s for s in states if s.level + max(0, m) <= trunc.level_cap
+            pool = [i for i, s in enumerate(states) if s.level + max(0, m) <= trunc.level_cap
                     and (not algebra.has_zero_modes
                          or s.zero_occ + 1 <= trunc.zero_mode_cap)]
-            psi = StateVector.basis(algebra, rng.choice(pool))
-            narrow = apply_operator(op, psi, trunc)
-            wide = apply_operator(op, psi, trunc,
-                                  window=3 * (trunc.level_cap + abs(op.shift)) + 2)
-            assert narrow == wide
+            i = rng.choice(pool)
+            wide = row_table(op, trunc, window=3 * (trunc.level_cap + abs(op.shift)) + 2)
+            assert _image(row_table(op, trunc), i) == _image(wide, i)
 
 
 def test_fermion_half_lambda_mode_law():
     # lam = 1/2: [L_1, b[1/2]] = (1/2 + 1/2) b[3/2] = b[3/2]
     trunc = Truncation(Fraction(9, 2))
     l1 = build_L("fermion-unconstrained", 1, 0, H)
-    xop = mode_operator(FERMION, b(H))
-    for psi in _safe_states(FERMION, trunc, l1, xop):
-        vec = StateVector.basis(FERMION, psi)
-        assert commutator_action(l1, xop, psi, trunc) == \
-            apply_mode(b(Fraction(3, 2)), vec, trunc)
+    assert _obeys_law(l1, mode_operator(FERMION, b(H)), 1, b(Fraction(3, 2)), trunc)
 
 
 def test_commutator_with_itself_vanishes():
     trunc = Truncation(Fraction(9, 2))
     l1 = build_L("fermion-unconstrained", 1, 0, H)
-    for psi in _safe_states(FERMION, trunc, l1, l1):
-        assert commutator_action(l1, l1, psi, trunc).is_zero()
+    comm = Commutator(l1, l1, trunc)
+    assert all(comm.row(i) == () for i in _pair_ids(l1, l1, trunc))
 
 
 def test_central_term_vacuum_values():
     # <0|[L_2, L_-2]|0> = -(c/12)(2^3-2) with the family's central charge
     trb = Truncation(Fraction(6), 4)
-    l2 = build_L("boson-unconstrained", 2, 1, H)
-    lm2 = build_L("boson-unconstrained", -2, 1, H)
-    out = commutator_action(l2, lm2, VACUUM, trb)
-    assert out.vacuum_component() == 2  # c = -4
+    comm = Commutator(build_L("boson-unconstrained", 2, 1, H),
+                      build_L("boson-unconstrained", -2, 1, H), trb)
+    assert _image(comm, comm.state_id(VACUUM))[VACUUM] == 2  # c = -4
     trf = Truncation(Fraction(11, 2))
-    f2 = build_L("fermion-reduced", 2)
-    fm2 = build_L("fermion-reduced", -2)
-    out = commutator_action(f2, fm2, VACUUM, trf)
-    assert out.vacuum_component() == Fraction(-1, 4)  # c = 1/2
+    comm = Commutator(build_L("fermion-reduced", 2), build_L("fermion-reduced", -2), trf)
+    assert _image(comm, comm.state_id(VACUUM))[VACUUM] == Fraction(-1, 4)  # c = 1/2
 
 
 def test_reduced_fermion_raising_on_vacuum():
     # L_2 |0> = -(1/2 + 1/2) b[1/2]b[3/2]|0> termwise: fixes the sign convention
-    trunc = Truncation(Fraction(11, 2))
-    out = apply_operator(build_L("fermion-reduced", 2), StateVector.vacuum(REDUCED_FERMION), trunc)
+    table = row_table(build_L("fermion-reduced", 2), Truncation(Fraction(11, 2)))
     t = BasisState((red_b(H), red_b(Fraction(3, 2))))
-    assert out == (-1) * StateVector.basis(REDUCED_FERMION, t)
+    assert _image(table, table.state_id(VACUUM)) == {t: -1}
 
 
 def test_unsafe_level_is_rejected():
     trunc = Truncation(Fraction(2))
-    l2 = build_L("fermion-reduced", 2)
-    lm2 = build_L("fermion-reduced", -2)
+    comm = Commutator(build_L("fermion-reduced", 2), build_L("fermion-reduced", -2), trunc)
     high = BasisState((red_b(H), red_b(Fraction(3, 2))))  # level 2, rise 2
     with pytest.raises(UnsafeLevelError):
-        commutator_action(l2, lm2, high, trunc)
+        comm.row(comm.state_id(high))
 
 
 def test_apply_operator_overflow_propagates():
-    trunc = Truncation(Fraction(2))
-    psi = StateVector.basis(REDUCED_FERMION, BasisState((red_b(Fraction(3, 2)),)))
-    with pytest.raises(TruncationOverflowError):
-        apply_operator(build_L("fermion-reduced", 3), psi, trunc)
+    table = row_table(build_L("fermion-reduced", 3), Truncation(Fraction(2)))
+    i = table.state_id(BasisState((red_b(Fraction(3, 2)),)))
+    for _ in range(2):  # raises on every request; never kept as an empty row
+        with pytest.raises(TruncationOverflowError):
+            table.row(i)
 
 
 def test_operator_addition_and_scaling():
@@ -504,9 +489,10 @@ def test_spec_equality_and_hash_agree_with_a_field_by_field_reference(specs):
 
 
 def _acts_on(x, state, algebra, trunc) -> bool:
-    """Whether applying x to the state gives a nonzero vector or overflows."""
+    """Whether applying x to the state gives a nonzero row or overflows."""
+    table = mode_table(algebra, x, trunc)
     try:
-        return not apply_mode(x, StateVector.basis(algebra, state), trunc).is_zero()
+        return bool(table.row(table.state_id(state)))
     except TruncationOverflowError:
         return True
 
@@ -533,12 +519,12 @@ def test_zero_coefficient_term_is_skipped_before_its_row():
     # at level cap 0 the only term of L_1 whose first factor acts on the
     # vacuum is :b[1/2] b[1/2]:, whose b[1/2] overflows; its coefficient
     # 1/2 - r vanishes in L_1, so L_1|0> = 0, and a nonzero one must raise
-    trunc, vacuum = Truncation(Fraction(0)), StateVector.vacuum(REDUCED_FERMION)
-    assert apply_operator(build_L("fermion-reduced", 1), vacuum, trunc).is_zero()
+    trunc = Truncation(Fraction(0))
+    assert row_table(build_L("fermion-reduced", 1), trunc).row(0) == ()
     flat = OperatorSpec(REDUCED_FERMION, Fraction(1),
                         (BilinearTerm(FieldKind.RED_B, FieldKind.RED_B, 1, ONE, ZERO),))
     with pytest.raises(TruncationOverflowError):
-        apply_operator(flat, vacuum, trunc)
+        row_table(flat, trunc).row(0)
 
 
 def test_non_integral_scaled_amplitude_raises(monkeypatch):
@@ -547,23 +533,30 @@ def test_non_integral_scaled_amplitude_raises(monkeypatch):
     # operator and the caps are used nowhere else, so no other test sees the table
     monkeypatch.setattr(operators, "_common_denominator", lambda op, realized: 1)
     op = Fraction(1, 7) * build_L("fermion-reduced", 0)
-    psi = StateVector.basis(REDUCED_FERMION, BasisState((red_b(H),)))
+    table = row_table(op, Truncation(Fraction(13, 2)))
     with pytest.raises(ArithmeticError):
-        apply_operator(op, psi, Truncation(Fraction(13, 2)))
+        table.row(table.state_id(BasisState((red_b(H),))))
 
 
 def test_input_state_outside_the_truncation_raises():
-    trunc = Truncation(Fraction(2))
+    table = row_table(build_L("fermion-reduced", 0), Truncation(Fraction(2)))
     high = BasisState((red_b(H), red_b(Fraction(5, 2))))  # level 3 > cap 2
-    psi = StateVector(REDUCED_FERMION, {VACUUM: 1, high: H})
     with pytest.raises(TruncationOverflowError):
-        apply_operator(build_L("fermion-reduced", 0), psi, trunc)
+        table.state_id(high)
 
 
 def _reference(op, v, trunc):
-    """op v summed term by term through apply_mode, in Fractions throughout;
-    each kernel term is normal ordered here, independently of the engine."""
-    out = StateVector(op.algebra)
+    """op v, for v a dict {basis state: Fraction}, summed term by term over
+    mode-table rows in Fractions; each kernel term is normal ordered here,
+    independently of the engine."""
+    def act(x, w):
+        table, out = mode_table(op.algebra, x, trunc), {}
+        for state, q in w.items():
+            for image, p in _image(table, table.state_id(state)).items():
+                out[image] = out.get(image, 0) + q * p
+        return out
+
+    terms = [(op.constant, ())] + [(c, (mode,)) for mode, c in op.linear]  # (c, modes in order of action)
     width = trunc.level_cap + abs(op.shift)
     for t in op.bilinears:
         odd = 1 if t.right.half_integer_moded else 0
@@ -574,13 +567,17 @@ def _reference(op, v, trunc):
             if two_r % 2 != odd or not coeff or no_mode:  # the reduced boson has no a†[0]
                 continue
             if not is_creator(x) and is_creator(y):  # :x y: = ±y x
-                sign = -1 if x.parity and y.parity else 1
-                out = out + (sign * coeff) * apply_mode(y, apply_mode(x, v, trunc), trunc)
+                terms.append(((-1 if x.parity and y.parity else 1) * coeff, (x, y)))
             else:
-                out = out + coeff * apply_mode(x, apply_mode(y, v, trunc), trunc)
-    for mode, c in op.linear:
-        out = out + c * apply_mode(mode, v, trunc)
-    return out + op.constant * v
+                terms.append((coeff, (y, x)))
+    out = {}
+    for c, modes in terms:
+        w = v
+        for x in modes:
+            w = act(x, w)
+        for state, q in w.items():
+            out[state] = out.get(state, 0) + c * q
+    return {state: q for state, q in out.items() if q}
 
 
 _CAPS = {
@@ -598,22 +595,26 @@ _RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 def test_integer_engine_matches_fraction_reference(family, M, lam, m, n, data):
     trunc = _CAPS[family]
     op = build_L(family, m, M, lam)
-    basis = enumerate_basis(op.algebra, trunc)
-    pool = [basis[i] for i in safe_ids(op.algebra, trunc, (op.shift,), zero_uses=1)]
-    entries = data.draw(st.lists(st.tuples(st.sampled_from(pool), _RATIONALS),
-                                 min_size=1, max_size=3))
-    v = StateVector(op.algebra, entries)
-    assert apply_operator(op, v, trunc) == _reference(op, v, trunc)
+    table = row_table(op, trunc)
+    pool = safe_ids(op.algebra, trunc, (op.shift,), zero_uses=1)
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(-6, 6)),
+                               min_size=1, max_size=3))
+    v = {}
+    for i, k in pairs:
+        v[table.basis[i]] = v.get(table.basis[i], 0) + k
+    got = {table.basis[j]: Fraction(k, table.den) for j, k in table.apply(pairs).items()}
+    assert got == _reference(op, v, trunc)
     # the commutator's rows, on a state drawn from the pair's safe window;
     # the generators are even, so [L_m, L_n} = L_m L_n - L_n L_m
     other = build_L(family, n, M, lam)
-    pair_pool = _safe_states(op.algebra, trunc, op, other)
+    pair_pool = _pair_ids(op, other, trunc)
     if pair_pool:
-        psi = data.draw(st.sampled_from(pair_pool))
-        w = StateVector.basis(op.algebra, psi)
-        want = (_reference(op, _reference(other, w, trunc), trunc)
-                - _reference(other, _reference(op, w, trunc), trunc))
-        assert commutator_action(op, other, psi, trunc) == want
+        i = data.draw(st.sampled_from(pair_pool))
+        w = {table.basis[i]: Fraction(1)}
+        ab = _reference(op, _reference(other, w, trunc), trunc)
+        ba = _reference(other, _reference(op, w, trunc), trunc)
+        want = {s: ab.get(s, 0) - ba.get(s, 0) for s in ab.keys() | ba.keys()}
+        assert _image(Commutator(op, other, trunc), i) == {s: q for s, q in want.items() if q}
 
 
 # --- linear brackets against the canonical bracket --------------------------

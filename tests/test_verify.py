@@ -113,16 +113,12 @@ def test_primary_laws_pass():
 
 def test_primary_law_spot_value():
     # [L_2, b†[1/2]] = (2 lam + 1/2) b†[5/2] = (7/6) b†[5/2] at lam = 1/3
-    from virfock import FERMION, StateVector, VACUUM, apply_mode, bdag, build_L, \
-        commutator_action, mode_operator
-    trunc = Truncation(Fraction(9, 2))
+    from virfock import BasisState, FERMION, VACUUM, bdag, build_L, mode_operator
     lam = Fraction(1, 3)
-    l2 = build_L("fermion-unconstrained", 2, 0, lam)
-    xop = mode_operator(FERMION, bdag(H))
-    got = commutator_action(l2, xop, VACUUM, trunc)
-    want = Fraction(7, 6) * apply_mode(bdag(Fraction(5, 2)),
-                                       StateVector.vacuum(FERMION), trunc)
-    assert got == want
+    comm = Commutator(build_L("fermion-unconstrained", 2, 0, lam), mode_operator(FERMION, bdag(H)),
+                      Truncation(Fraction(9, 2)))
+    got = {comm.basis[j]: Fraction(n, comm.den) for j, n in comm.row(comm.state_id(VACUUM))}
+    assert got == {BasisState((bdag(Fraction(5, 2)),)): Fraction(7, 6)}
 
 
 def test_christoffel_checks():
