@@ -23,11 +23,13 @@ from virfock import (
     build_L,
     canonical_bracket,
     classify,
+    commutator_with_linear,
     dirac_bracket,
     dirac_transform_adagger,
     even_fermion_copy_constraints,
     fermion_constraints,
     invert_c,
+    linear_bracket,
     linear_operator,
     mode_operator,
     verify_compatibility,
@@ -354,6 +356,42 @@ def test_dirac_bracket_matches_operator_route(case):
     got = dirac_op_bracket(A, B, family)
     assert got.is_constant_only
     assert got.constant == dirac_bracket(A, B, family)
+
+
+# --- the operator bracket against a windowed R-sum --------------------------
+
+def _windowed_op_bracket(op, B, family, window):
+    """[op, B} - sum over every (P, R) of Delta on the window of
+    (-1)^p(R) Delta^PR [chi_R, B} [op, chi_P}, as a mode dict and a constant."""
+    plain = commutator_with_linear(op, B)
+    linear, constant = dict(plain.linear), plain.constant
+    for (p, r), d in invert_c(family, window).items():
+        scale = (-1 if family.parity(r) else 1) * d * linear_bracket(family.expr(r), B)
+        bra = commutator_with_linear(op, family.expr(p))
+        for mode, c in bra.linear:
+            linear[mode] = linear.get(mode, 0) - scale * c
+        constant -= scale * bra.constant
+    return {mode: c for mode, c in linear.items() if c}, constant
+
+
+def _assert_op_bracket_matches_window(op, B, family):
+    # op and B reach index 6, so every label they bracket with lies inside Window(8)
+    got = dirac_op_bracket(op, B, family)
+    assert (dict(got.linear), got.constant) == _windowed_op_bracket(op, B, family, Window(8))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_Q.filter(bool), _Q, st.integers(-3, 3), st.sampled_from((a, adag)), st.integers(-3, 3))
+def test_dirac_op_bracket_matches_windowed_sum_boson(M, lam, m, make, n):
+    _assert_op_bracket_matches_window(build_L("boson-unconstrained", m, M, lam),
+                                      mode_operator(BOSON, make(n)), boson_constraints(M))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(-3, 3), st.sampled_from((b, bdag)), st.sampled_from(HALF_LABELS(3)))
+def test_dirac_op_bracket_matches_windowed_sum_fermion(m, make, r):
+    _assert_op_bracket_matches_window(build_L("fermion-unconstrained", m, 0, H),
+                                      mode_operator(FERMION, make(r)), fermion_constraints())
 
 
 # --- sparse elimination on dense inputs -------------------------------------

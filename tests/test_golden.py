@@ -9,7 +9,12 @@ boson_reduced_level3_mmax4.txt that of
     virfock --scenario boson-reduced --level 3 --mmax 4
 
 where label 4 has no safe state, so window doubling draws from the other
-labels only, all_defaults.txt that of `virfock --scenario all` with every
+labels only, boson_reduced_m-2_3_lambda5_4.txt that of
+
+    virfock --scenario boson-reduced --M -2/3 --lambda 5/4
+
+where M != 1 lets a lost factor of M or 1/M in the reduced a† transform
+show, all_defaults.txt that of `virfock --scenario all` with every
 flag at its default (the acceptance caps), and dirac_m2_3_window12.json that
 of `virfock --scenario dirac-checks --M 2/3 --window 12 --format json`, the
 constraint machinery at M != 1 on a wider window, and dirac_m-5_4_window40.json
@@ -21,6 +26,7 @@ After a deliberate output change they are regenerated with
     PYTHONPATH=src python -m virfock.cli --scenario all --level 4 --zmax 2 --mmax 2 --window 4 > tests/golden/all.txt
     PYTHONPATH=src python -m virfock.cli --scenario all --level 4 --zmax 2 --mmax 2 --window 4 --format json > tests/golden/all.json
     PYTHONPATH=src python -m virfock.cli --scenario boson-reduced --level 3 --mmax 4 > tests/golden/boson_reduced_level3_mmax4.txt
+    PYTHONPATH=src python -m virfock.cli --scenario boson-reduced --M -2/3 --lambda 5/4 > tests/golden/boson_reduced_m-2_3_lambda5_4.txt
     PYTHONPATH=src python -m virfock.cli --scenario all > tests/golden/all_defaults.txt
     PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --M 2/3 --window 12 --format json > tests/golden/dirac_m2_3_window12.json
     PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --M -5/4 --window 40 --format json > tests/golden/dirac_m-5_4_window40.json
@@ -45,6 +51,8 @@ SWEEP_FAMILIES = ("boson-unconstrained", "boson-reduced", "fermion-unconstrained
     pytest.param(ALL + ["--format", "json"], "all.json", id="json-all.json"),
     pytest.param(["--scenario", "boson-reduced", "--level", "3", "--mmax", "4"],
                  "boson_reduced_level3_mmax4.txt", id="text-boson_reduced_level3_mmax4.txt"),
+    pytest.param(["--scenario", "boson-reduced", "--M", "-2/3", "--lambda", "5/4"],
+                 "boson_reduced_m-2_3_lambda5_4.txt", id="text-boson_reduced_m-2_3_lambda5_4.txt"),
     pytest.param(["--scenario", "all"], "all_defaults.txt", id="text-all_defaults.txt"),
     pytest.param(["--scenario", "dirac-checks", "--M", "2/3", "--window", "12", "--format", "json"],
                  "dirac_m2_3_window12.json", id="json-dirac_m2_3_window12.json"),
