@@ -18,17 +18,21 @@ elimination stay independent routes: the elimination is generic Gauss-Jordan
 and never reads the closed form.  C and Delta are held as sparse rows, so
 the elimination and the Delta·C contract cost time in proportion to their
 nonzeros, not to the cube of the window; one elimination per label set
-serves both classify and invert_c.  The correction is linear in B, so the
-Dirac bracket is one graded bracket [Ã, B] with the projected operand
+serves both classify and invert_c.  The correction is linear in each
+operand, so the Dirac bracket is one graded bracket with one operand projected,
 
     Ã = A - (-1)^{p(R)} [A, chi_P] Delta^{PR} chi_R,
 
 whose P, R sum runs over its exact, finite support, computed from the modes
-of A; nothing is ever sampled.  Ã is built once per operand, and brackets
-pair modes by doubled index before any Fraction arithmetic.  Every cache is
-keyed by the family, which hashes once, and by a label (by doubled index
-for half-odd expressions), a label tuple (C and its elimination) or the
-operand A (its Ã).
+of A; nothing is ever sampled.  One projection serves both brackets:
+dirac_bracket projects A, dirac_op_bracket (op bilinear) its linear B.
+Either side is exact, [Ã, B} = [A, B̃}, since Delta inverts a graded-
+antisymmetric C: antisymmetric for the even boson family, symmetric with
+(-1)^{p(R)} = -1 for the odd fermion family.  A projection is built once
+per operand, and brackets pair modes by doubled index before any Fraction
+arithmetic.  Every cache is keyed by the family, which hashes once, and by
+a label (by doubled index for half-odd expressions), a label tuple (C and
+its elimination) or the projected operand.
 
 Families:
 
@@ -119,7 +123,6 @@ class ConstraintFamily:
     """
 
     name = ""
-    closed_form = False
     fully_second_class = False
 
     def __hash__(self):
@@ -147,22 +150,14 @@ class ConstraintFamily:
     def delta_row(self, p):
         """Nonzero (R, Delta^PR) partners of a fixed first label (second class required)."""
         self._require_second_class()
-        return _cached_delta_row(self, p).items()
+        return _cached_delta_row(self, p)
 
-    def delta_entry(self, p, r) -> Fraction:
-        """Inverse entry Delta^PR."""
-        self._require_second_class()
-        return _cached_delta_row(self, p).get(r, ZERO)
-
-    def delta_col(self, r):
-        """Nonzero (P, Delta^PR) partners of a fixed second label.
-
-        Delta inverts a graded-antisymmetric C, so its support is symmetric
-        and the row partners of r are exactly the column partners.
-        """
-        return tuple((p, self.delta_entry(p, r)) for p, _ in self.delta_row(r))
-
-    def _require_second_class(self):
+    def _require_second_class(self, *operands: OperatorSpec):
+        """Also the Dirac brackets' operand check: each operand lies over the
+        family's algebra, checked before a constraint is built at its labels."""
+        for x in operands:
+            if x.algebra != self.algebra:
+                raise AlgebraMismatchError("expressions do not belong to the family's algebra")
         if not self.fully_second_class:
             raise NotSecondClassError(
                 f"{self.name} constraint family is not fully second class; "
@@ -175,8 +170,8 @@ def _cached_expr(family: ConstraintFamily, label) -> OperatorSpec:
 
 
 @lru_cache(maxsize=None)
-def _cached_delta_row(family: ConstraintFamily, label) -> dict:
-    return dict(family._delta_row(label))
+def _cached_delta_row(family: ConstraintFamily, label) -> tuple:
+    return family._delta_row(label)
 
 
 @dataclass(frozen=True)
@@ -188,7 +183,6 @@ class BosonConstraints(ConstraintFamily):
     M: Fraction
     with_zero_gauge: bool = True
     name = "boson"
-    closed_form = True
     algebra = BOSON
 
     @property
@@ -259,7 +253,6 @@ class FermionConstraints(_HalfOddConstraints):
     __hash__ = ConstraintFamily.__hash__
 
     name = "fermion"
-    closed_form = True
     fully_second_class = True
     algebra = FERMION
     chi_modes = (b, bdag)
@@ -398,7 +391,7 @@ def invert_c(family: ConstraintFamily, window: Window) -> dict:
             "the bracket matrix is not invertible")
     labels = tuple(split.second_class)
     inverse = _signed_inverse(family, labels)
-    if family.closed_form and family.fully_second_class:
+    if family.fully_second_class:
         position = {p: i for i, p in enumerate(labels)}
         for p, row in zip(labels, inverse):
             closed = {position[r]: v for r, v in family.delta_row(p) if r in position}
@@ -406,7 +399,7 @@ def invert_c(family: ConstraintFamily, window: Window) -> dict:
                 if (got := row.get(j, ZERO)) != closed.get(j, ZERO):
                     raise ClosedFormMismatchError(
                         f"windowed inversion disagrees with the closed form at ({p},{labels[j]}): "
-                        f"{got} vs {family.delta_entry(p, labels[j])}")
+                        f"{got} vs {closed.get(j, ZERO)}")
     return {(p, labels[j]): v for p, row in zip(labels, inverse) for j, v in row.items()}
 
 
@@ -443,17 +436,15 @@ def dirac_bracket(A: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) ->
     if not (A.is_linear and B.is_linear):
         raise ValueError("dirac_bracket of non-linear expressions; "
                          "use the reduced algebras for bilinears")
-    if A.algebra != family.algebra or B.algebra != family.algebra:
-        raise AlgebraMismatchError("expressions do not belong to the family's algebra")
-    family._require_second_class()
+    family._require_second_class(A, B)
     return linear_bracket(_projected(family, A), B)
 
 
 @lru_cache(maxsize=None)
 def _projected(family: ConstraintFamily, A: OperatorSpec) -> OperatorSpec:
     """Ã = A - sum_{P,R} [A, chi_P} (-1)^p(R) Delta^PR chi_R over the support labels
-    P of A and the Delta partners R of each, built from plain terms: OperatorSpec
-    subtraction refuses an A whose stated shift is not its modes' level."""
+    P of A and the Delta partners R of each, built from plain terms so that A's
+    stated shift and parity are kept as they are."""
     terms = list(A.linear)
     for p in family.support_labels(A):
         bra = linear_bracket(A, family.expr(p))
@@ -465,24 +456,11 @@ def _projected(family: ConstraintFamily, A: OperatorSpec) -> OperatorSpec:
 
 
 def dirac_op_bracket(op: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) -> OperatorSpec:
-    """Dirac bracket of an operator (bilinear allowed) with a linear expression.
-
-    [op, chi_P] is then itself a linear expression; the R sum is anchored on
-    the finite support of [chi_R, B].
-    """
+    """Dirac bracket [op, B̃} of an operator (bilinear allowed) with a linear B (_projected)."""
     if not B.is_linear:
         raise ValueError("second argument must be linear")
-    family._require_second_class()
-    result = commutator_with_linear(op, B)
-    for r in family.support_labels(B):
-        ket = linear_bracket(family.expr(r), B)
-        if not ket:
-            continue
-        sign = -1 if family.parity(r) else 1
-        for p, d_pr in family.delta_col(r):
-            bra = commutator_with_linear(op, family.expr(p))
-            result = result - (sign * d_pr * ket) * bra
-    return result
+    family._require_second_class(op, B)
+    return commutator_with_linear(op, _projected(family, B))
 
 
 def solve_boson_constraints(expr: OperatorSpec, M) -> OperatorSpec:

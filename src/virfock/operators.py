@@ -186,9 +186,6 @@ class OperatorSpec:
                             _norm_linear(self.linear + other.linear),
                             self.constant + other.constant, parity)
 
-    def __sub__(self, other):
-        return self + (-1) * other
-
     def __rmul__(self, scalar) -> "OperatorSpec":
         scalar = Fraction(scalar)
         if not scalar:

@@ -74,12 +74,12 @@ def test_bracket_matrix_matches_expressions(family):
 
 def test_closed_form_delta_entries():
     bos = boson_constraints(1)
-    assert bos.delta_entry(3, -3) == Fraction(-1, 6)
-    assert bos.delta_entry(ZERO_GAUGE_LABEL, 0) == 1
-    assert bos.delta_entry(0, ZERO_GAUGE_LABEL) == -1
+    assert dict(bos.delta_row(3))[-3] == Fraction(-1, 6)
+    assert dict(bos.delta_row(ZERO_GAUGE_LABEL))[0] == 1
+    assert dict(bos.delta_row(0))[ZERO_GAUGE_LABEL] == -1
     fer = fermion_constraints()
     for r in HALF_LABELS(8):
-        assert fer.delta_entry(r, -r) == H
+        assert dict(fer.delta_row(r))[-r] == H
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -179,6 +179,17 @@ def test_dirac_bracket_argument_validation():
         dirac_bracket(build_K(1), mode_operator(BOSON, adag(-1)), fam)
     with pytest.raises(ValueError):
         boson_constraints(0)
+
+
+@pytest.mark.parametrize("op,B,family", [
+    (build_K(1), mode_operator(BOSON, adag(-1)), fermion_constraints()),
+    (build_K(1), mode_operator(BOSON, adag(0)), fermion_constraints()),
+    (build_L("fermion-unconstrained", 1, 0, H), mode_operator(FERMION, b(-H)), boson_constraints(1)),
+])
+def test_dirac_op_bracket_rejects_foreign_operands(op, B, family):
+    # refused before a constraint is built at a label of the wrong algebra
+    with pytest.raises(AlgebraMismatchError):
+        dirac_op_bracket(op, B, family)
 
 
 def _random_linear(rng, algebra, ctors, max_two):
@@ -344,9 +355,9 @@ def test_dirac_bracket_matches_unfiltered_label_sum(case):
 
 
 
-# the operator route pairs B with the constraints and sums over Delta's
-# columns; the linear route projects A.  On two linear operands both give the
-# same scalar, the operator route as a constant-only expression
+# the operator route projects B, the linear route projects A: the two routes
+# project opposite operands, so on two linear operands this checks
+# [Ã, B} = [A, B̃}, the operator route as a constant-only expression
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(
     st.tuples(_Q.filter(bool).map(boson_constraints), _BOSON_LINEAR, _BOSON_LINEAR),
