@@ -386,7 +386,8 @@ def _windowed_op_bracket(op, B, family, window):
 
 
 def _assert_op_bracket_matches_window(op, B, family):
-    # op and B reach index 6, so every label they bracket with lies inside Window(8)
+    # B sits at |index| <= 3, so every label it brackets with, and that label's
+    # Delta partners, lie inside Window(8)
     got = dirac_op_bracket(op, B, family)
     assert (dict(got.linear), got.constant) == _windowed_op_bracket(op, B, family, Window(8))
 
