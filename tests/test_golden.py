@@ -14,8 +14,15 @@ labels only, boson_reduced_m-2_3_lambda5_4.txt that of
     virfock --scenario boson-reduced --M -2/3 --lambda 5/4
 
 where M != 1 lets a lost factor of M or 1/M in the reduced a† transform
-show, all_defaults.txt that of `virfock --scenario all` with every
-flag at its default (the acceptance caps), and dirac_m2_3_window12.json that
+show, all_m-2_3_lambda5_4.txt that of
+
+    virfock --scenario all --M -2/3 --lambda 5/4
+
+where every family and the constraint machinery run away from M = 1,
+lambda = 1/2 (there the fermion L_0 constant -(1 - 2 lambda)^2/8 is 0, so a
+lost factor of M or lambda cannot show), all_defaults.txt that of
+`virfock --scenario all` with every flag at its default (the acceptance
+caps), and dirac_m2_3_window12.json that
 of `virfock --scenario dirac-checks --M 2/3 --window 12 --format json`, the
 constraint machinery at M != 1 on a wider window, and dirac_m-5_4_window40.json
 the same at a negative fractional M on the benchmark's window 40.  sweep_<family>.json holds
@@ -27,6 +34,7 @@ After a deliberate output change they are regenerated with
     PYTHONPATH=src python -m virfock.cli --scenario all --level 4 --zmax 2 --mmax 2 --window 4 --format json > tests/golden/all.json
     PYTHONPATH=src python -m virfock.cli --scenario boson-reduced --level 3 --mmax 4 > tests/golden/boson_reduced_level3_mmax4.txt
     PYTHONPATH=src python -m virfock.cli --scenario boson-reduced --M -2/3 --lambda 5/4 > tests/golden/boson_reduced_m-2_3_lambda5_4.txt
+    PYTHONPATH=src python -m virfock.cli --scenario all --M -2/3 --lambda 5/4 > tests/golden/all_m-2_3_lambda5_4.txt
     PYTHONPATH=src python -m virfock.cli --scenario all > tests/golden/all_defaults.txt
     PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --M 2/3 --window 12 --format json > tests/golden/dirac_m2_3_window12.json
     PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --M -5/4 --window 40 --format json > tests/golden/dirac_m-5_4_window40.json
@@ -53,6 +61,8 @@ SWEEP_FAMILIES = ("boson-unconstrained", "boson-reduced", "fermion-unconstrained
                  "boson_reduced_level3_mmax4.txt", id="text-boson_reduced_level3_mmax4.txt"),
     pytest.param(["--scenario", "boson-reduced", "--M", "-2/3", "--lambda", "5/4"],
                  "boson_reduced_m-2_3_lambda5_4.txt", id="text-boson_reduced_m-2_3_lambda5_4.txt"),
+    pytest.param(["--scenario", "all", "--M", "-2/3", "--lambda", "5/4"],
+                 "all_m-2_3_lambda5_4.txt", id="text-all_m-2_3_lambda5_4.txt"),
     pytest.param(["--scenario", "all"], "all_defaults.txt", id="text-all_defaults.txt"),
     pytest.param(["--scenario", "dirac-checks", "--M", "2/3", "--window", "12", "--format", "json"],
                  "dirac_m2_3_window12.json", id="json-dirac_m2_3_window12.json"),
