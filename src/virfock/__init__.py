@@ -1,78 +1,1 @@
 """Exact-arithmetic engine for free-field and constrained Virasoro Fock modules."""
-
-from .algebra import (
-    Algebra,
-    AlgebraMismatchError,
-    BOSON,
-    BOSONIZED_FERMION,
-    FERMION,
-    FieldKind,
-    Mode,
-    REDUCED_FERMION,
-    VirfockError,
-    a,
-    adag,
-    b,
-    bdag,
-    canonical_bracket,
-    conformal_weight,
-    even_b,
-    even_bdag,
-    format_rational,
-    parse_rational,
-    red_adag,
-    red_b,
-    reduced_boson,
-)
-from .fock import (
-    BasisState,
-    Truncation,
-    TruncationOverflowError,
-    VACUUM,
-    enumerate_basis,
-)
-from .operators import (
-    BilinearTerm,
-    FAMILIES,
-    OperatorSpec,
-    UnsafeLevelError,
-    build_B,
-    build_K,
-    build_L,
-    build_chi_bar0,
-    build_chi_boson,
-    commutator_with_linear,
-    linear_bracket,
-    linear_operator,
-    mode_operator,
-)
-from .dirac import (
-    ClosedFormMismatchError,
-    ConstraintFamily,
-    NotSecondClassError,
-    SingularBlockError,
-    Window,
-    boson_constraints,
-    classify,
-    dirac_bracket,
-    dirac_transform_adagger,
-    even_fermion_copy_constraints,
-    fermion_constraints,
-    invert_c,
-    verify_compatibility,
-)
-from .report import CheckReport
-from .verify import (
-    OracleInconsistencyError,
-    ScenarioParams,
-    claimed_central_charge,
-    check_christoffel,
-    check_jacobi,
-    check_primary_laws,
-    check_virasoro_relation,
-    check_window_doubling,
-    default_truncation,
-    extract_central_charge,
-    run_dirac_checks,
-    run_family_scenario,
-)

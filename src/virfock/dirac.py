@@ -36,13 +36,13 @@ its elimination) or the projected operand.
 
 Families:
 
-* boson constraints: chi_m = a†[m] - M m a[m] for integer m, optionally
-  extended by the gauge-fixing zero-mode constraint a[0] (label "a0").
-  Without "a0" the label 0 has an identically zero bracket row and is first
-  class; with it, all constraints are second class.
-* fermion constraints: chi_r = b[r] - b†[r] for half-odd r, with
+* BosonConstraints(M, with_zero_gauge): chi_m = a†[m] - M m a[m] for
+  integer m, optionally extended by the gauge-fixing zero-mode constraint
+  a[0] (label "a0").  Without "a0" the label 0 has an identically zero
+  bracket row and is first class; with it, all are second class.
+* FermionConstraints(): chi_r = b[r] - b†[r] for half-odd r, with
   C_rs = -2 delta(r+s), second class.
-* even copy of the fermion constraints over the bosonized pair: the engine
+* EvenCopyConstraints(): the fermion shape over the bosonized pair: the engine
   discovers C = 0 identically, the spin-statistics degeneracy.
 """
 
@@ -176,7 +176,7 @@ def _cached_delta_row(family: ConstraintFamily, label) -> tuple:
 
 @dataclass(frozen=True)
 class BosonConstraints(ConstraintFamily):
-    """chi_m = a†[m] - M m a[m], plus the zero-mode gauge condition a[0]."""
+    """chi_m = a†[m] - M m a[m], plus the zero-mode gauge condition a[0]; M is a nonzero Fraction."""
 
     __hash__ = ConstraintFamily.__hash__
 
@@ -184,6 +184,11 @@ class BosonConstraints(ConstraintFamily):
     with_zero_gauge: bool = True
     name = "boson"
     algebra = BOSON
+
+    def __post_init__(self):
+        object.__setattr__(self, "M", Fraction(self.M))
+        if self.M == 0:
+            raise ValueError("boson constraint family needs M != 0 (C scales with M)")
 
     @property
     def fully_second_class(self) -> bool:
@@ -283,22 +288,6 @@ class EvenCopyConstraints(_HalfOddConstraints):
     chi_modes = (even_b, even_bdag)
 
 
-def boson_constraints(M, with_zero_gauge=True) -> ConstraintFamily:
-    M = Fraction(M)
-    if M == 0:
-        raise ValueError("boson constraint family needs M != 0 (C scales with M)")
-    return BosonConstraints(M, with_zero_gauge)
-
-
-def fermion_constraints() -> ConstraintFamily:
-    return FermionConstraints()
-
-
-def even_fermion_copy_constraints() -> ConstraintFamily:
-    """The fermionic constraint shape with bosonic statistics; degenerates to C = 0."""
-    return EvenCopyConstraints()
-
-
 @lru_cache(maxsize=None)
 def _c_rows(family: ConstraintFamily, labels: tuple) -> list:
     """C over labels as sparse rows: row i maps position j to C_PR when nonzero.
@@ -380,9 +369,9 @@ def _invert_exact(rows) -> list:
 def invert_c(family: ConstraintFamily, window: Window) -> dict:
     """Windowed exact inverse Delta with (-1)^p(R) Delta^PR C_RS = delta^P_S.
 
-    Requires the family fully second class on the window.  When a closed form
-    is registered the elimination must agree with it entry by entry; a
-    mismatch is an engine bug and raises ClosedFormMismatchError.
+    Requires the family fully second class on the window.  The elimination
+    must agree with the closed form of Delta entry by entry; a mismatch is an
+    engine bug and raises ClosedFormMismatchError.
     """
     split = classify(family, window)
     if split.first_class:
@@ -391,15 +380,14 @@ def invert_c(family: ConstraintFamily, window: Window) -> dict:
             "the bracket matrix is not invertible")
     labels = tuple(split.second_class)
     inverse = _signed_inverse(family, labels)
-    if family.fully_second_class:
-        position = {p: i for i, p in enumerate(labels)}
-        for p, row in zip(labels, inverse):
-            closed = {position[r]: v for r, v in family.delta_row(p) if r in position}
-            for j in sorted(row.keys() | closed.keys()):  # both are zero elsewhere
-                if (got := row.get(j, ZERO)) != closed.get(j, ZERO):
-                    raise ClosedFormMismatchError(
-                        f"windowed inversion disagrees with the closed form at ({p},{labels[j]}): "
-                        f"{got} vs {closed.get(j, ZERO)}")
+    position = {p: i for i, p in enumerate(labels)}
+    for p, row in zip(labels, inverse):
+        closed = {position[r]: v for r, v in family.delta_row(p) if r in position}
+        for j in sorted(row.keys() | closed.keys()):  # both are zero elsewhere
+            if (got := row.get(j, ZERO)) != closed.get(j, ZERO):
+                raise ClosedFormMismatchError(
+                    f"windowed inversion disagrees with the closed form at ({p},{labels[j]}): "
+                    f"{got} vs {closed.get(j, ZERO)}")
     return {(p, labels[j]): v for p, row in zip(labels, inverse) for j, v in row.items()}
 
 
@@ -484,13 +472,10 @@ def dirac_transform_adagger(m: int, n: int, M, lam) -> OperatorSpec:
     generator; the result must equal n a†[m+n] - M lam m (m+1) delta(m+n),
     with a†[0] dropped.
     """
-    M = Fraction(M)
-    if M == 0:
-        raise ValueError("the reduced boson bracket needs M != 0 (1/M kernel)")
-    family = boson_constraints(M, with_zero_gauge=True)
-    op = build_L("boson-unconstrained", m, M, lam)
+    family = BosonConstraints(M)
+    op = build_L("boson-unconstrained", m, family.M, lam)
     raw = dirac_op_bracket(op, mode_operator(BOSON, adag(n)), family)
-    return solve_boson_constraints(raw, M)
+    return solve_boson_constraints(raw, family.M)
 
 
 def verify_compatibility(op: OperatorSpec, family: ConstraintFamily, index_range):

@@ -27,15 +27,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import BOSON, Mode, VirfockError, ZERO, a, adag, b, format_rational, red_adag
+from .algebra import (BOSON, REDUCED_FERMION, Algebra, Mode, VirfockError, ZERO, a, adag, b,
+                      format_rational, paired_bracket, red_adag, reduced_boson)
 from .dirac import (
+    BosonConstraints,
     ClosedFormMismatchError,
+    EvenCopyConstraints,
+    FermionConstraints,
     SingularBlockError,
     Window,
-    boson_constraints,
     dirac_transform_adagger,
-    even_fermion_copy_constraints,
-    fermion_constraints,
     classify,
     delta_contract_residuals,
     dirac_bracket,
@@ -361,13 +362,16 @@ def _witnesses(template: str, bad) -> str:
     return "; ".join(f"{template.format(x, y)}: {format_rational(v)}" for x, y, v in bad[:3])
 
 
-def _dirac_table(family, modes, diagonal) -> list:
+def _dirac_table(family, modes, reduced: Algebra) -> list:
     """(x, y, [x, y]*) of each pair of modes whose Dirac bracket, as an integer
-    (numerator, denominator), is not diagonal(x) where x.two + y.two = 0 and (0, 1) elsewhere."""
+    (numerator, denominator), is not the bracket in the reduced algebra of its
+    modes at the same doubled indices: paired where x.two + y.two = 0, (0, 1) elsewhere."""
+    (kind,) = reduced.kinds
     ops = [mode_operator(family.algebra, x) for x in modes]
     return [(x, y, got) for x, op_x in zip(modes, ops) for y, op_y in zip(modes, ops)
             if (got := dirac_bracket(op_x, op_y, family)).as_integer_ratio()
-            != (diagonal(x) if x.two + y.two == 0 else (0, 1))]
+            != (paired_bracket(Mode(kind, x.two), Mode(kind, y.two), reduced).as_integer_ratio()
+                if x.two + y.two == 0 else (0, 1))]
 
 
 def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
@@ -378,8 +382,8 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
     M = Fraction(M)
     reports = []
 
-    bos = boson_constraints(M, with_zero_gauge=True)
-    fer = fermion_constraints()
+    bos = BosonConstraints(M)
+    fer = FermionConstraints()
 
     for name, fam in (("boson", bos), ("fermion", fer)):
         try:
@@ -395,9 +399,8 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
     reports.append(report(f"bracket_matrix_closed_form[N={N}]", agree,
                           "matches expressions", "matches" if agree else "mismatch"))
 
-    # Dirac bracket tables
-    bad = _dirac_table(bos, [adag(m) for m in range(-N, N + 1)],
-                       lambda x: (-(M / 2) * x.index).as_integer_ratio())
+    # Dirac bracket tables: each entry is the reduced algebra's bracket at the same indices
+    bad = _dirac_table(bos, [adag(m) for m in range(-N, N + 1)], reduced_boson(M))
     balg = bos.algebra
     for x, y in ((adag(0), adag(0)), (adag(0), a(0)), (a(0), a(0))):
         got = dirac_bracket(mode_operator(balg, x), mode_operator(balg, y), bos)
@@ -407,13 +410,12 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
                           "-(M/2) m delta(m+n), zero modes 0",
                           "as expected" if not bad else _witnesses("[{},{}]*", bad)))
 
-    bad = _dirac_table(fer, [b(Fraction(t, 2)) for t in range(-2 * N + 1, 2 * N, 2)],
-                       lambda x: (1, 2))
+    bad = _dirac_table(fer, [b(Fraction(t, 2)) for t in range(-2 * N + 1, 2 * N, 2)], REDUCED_FERMION)
     reports.append(report(f"dirac_bracket_fermion[N={N}]", not bad, "(1/2) delta(r+s)",
                           "as expected" if not bad else _witnesses("[{},{}]*", bad)))
 
     # classification
-    split = classify(boson_constraints(M, with_zero_gauge=False), window)
+    split = classify(BosonConstraints(M, with_zero_gauge=False), window)
     ok = split.first_class == [0] and 0 not in split.second_class
     reports.append(report("classify[boson,no-gauge]", ok, "chi[0] first class",
                           str(split.first_class)))
@@ -421,7 +423,7 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
     reports.append(report("classify[boson,gauged]", not split.first_class,
                           "all second class", "all second class" if not split.first_class
                           else str(split.first_class)))
-    split = classify(even_fermion_copy_constraints(), window)
+    split = classify(EvenCopyConstraints(), window)
     ok = not split.second_class and len(split.first_class) == 2 * N
     reports.append(report("classify[even-copy]", ok, "C=0, all first class",
                           "all first class" if ok else str(split.second_class)))

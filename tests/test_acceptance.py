@@ -10,31 +10,29 @@ from fractions import Fraction
 
 import pytest
 
-from virfock import (
-    BOSON,
-    FERMION,
-    ScenarioParams,
+from virfock.algebra import BOSON, FERMION, a, adag, b
+from virfock.operators import build_L, mode_operator
+from virfock.dirac import (
+    BosonConstraints,
+    EvenCopyConstraints,
+    FermionConstraints,
     Window,
-    a,
-    adag,
-    b,
-    boson_constraints,
-    build_L,
+    ZERO_GAUGE_LABEL,
+    classify,
+    delta_contract_residuals,
+    dirac_bracket,
+    verify_compatibility,
+)
+from virfock.verify import (
+    ScenarioParams,
     check_christoffel,
     check_jacobi,
     check_virasoro_relation,
     check_window_doubling,
     claimed_central_charge,
-    classify,
-    dirac_bracket,
-    even_fermion_copy_constraints,
+    default_truncation,
     extract_central_charge,
-    fermion_constraints,
-    mode_operator,
-    verify_compatibility,
 )
-from virfock.dirac import ZERO_GAUGE_LABEL, delta_contract_residuals
-from virfock.verify import default_truncation
 
 H = Fraction(1, 2)
 
@@ -96,11 +94,11 @@ def test_criterion_2_virasoro_relation(family, M, lam):
 def test_criterion_3_dirac_machinery():
     window = Window(8)
     problems = []
-    for name, fam in (("boson", boson_constraints(1)), ("fermion", fermion_constraints())):
+    for name, fam in (("boson", BosonConstraints(1)), ("fermion", FermionConstraints())):
         bad = delta_contract_residuals(fam, window)
         if bad:
             problems.append((name, bad[:2]))
-    fam2 = boson_constraints(2)
+    fam2 = BosonConstraints(2)
     for m in range(-8, 9):
         for n in range(-8, 9):
             want = -(Fraction(2) / 2) * m if m + n == 0 else 0
@@ -110,7 +108,7 @@ def test_criterion_3_dirac_machinery():
     for x, y in ((adag(0), adag(0)), (adag(0), a(0)), (a(0), a(0))):
         if dirac_bracket(mode_operator(BOSON, x), mode_operator(BOSON, y), fam2) != 0:
             problems.append(("zero-mode", str(x), str(y)))
-    ferm = fermion_constraints()
+    ferm = FermionConstraints()
     half = [Fraction(t, 2) for t in range(-15, 16, 2)]
     for r in half:
         for s in half:
@@ -125,12 +123,12 @@ def test_criterion_3_dirac_machinery():
 
 def test_criterion_4_compatibility_and_only_if():
     failures = []
-    bos = boson_constraints(1)
+    bos = BosonConstraints(1)
     for m in range(-5, 6):
         lm = build_L("boson-unconstrained", m, 1, H)
         failures += [r for r in verify_compatibility(lm, bos, range(-5, 6))
                      if r.status == "fail"]
-    fer = fermion_constraints()
+    fer = FermionConstraints()
     half5 = [Fraction(t, 2) for t in range(-9, 10, 2)]
     for m in range(-5, 6):
         lm = build_L("fermion-unconstrained", m, 0, H)
@@ -150,9 +148,9 @@ def test_criterion_4_compatibility_and_only_if():
 
 def test_criterion_5_classification():
     w = Window(8)
-    no_gauge = classify(boson_constraints(1, with_zero_gauge=False), w)
-    gauged = classify(boson_constraints(1, with_zero_gauge=True), w)
-    even = classify(even_fermion_copy_constraints(), w)
+    no_gauge = classify(BosonConstraints(1, with_zero_gauge=False), w)
+    gauged = classify(BosonConstraints(1, with_zero_gauge=True), w)
+    even = classify(EvenCopyConstraints(), w)
     ok = (no_gauge.first_class == [0]
           and gauged.first_class == [] and ZERO_GAUGE_LABEL in gauged.second_class
           and even.second_class == [] and len(even.first_class) == 16)

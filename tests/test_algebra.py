@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from virfock import (
+from virfock.algebra import (
+    Algebra,
     AlgebraMismatchError,
     BOSON,
     BOSONIZED_FERMION,
@@ -144,7 +145,6 @@ def test_algebra_membership_errors():
 
 def test_bracket_table_stays_out_of_equality():
     # caches and mismatch checks key on (name, M, kinds, zero modes) only
-    from virfock import Algebra
     bare = Algebra("boson-reduced", Fraction(2), (FieldKind.RED_ADAG,), False)
     assert reduced_boson(2) == bare and hash(reduced_boson(2)) == hash(bare)
     assert reduced_boson(2) != reduced_boson(3)

@@ -7,61 +7,63 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from virfock import (
+from virfock.algebra import (
     AlgebraMismatchError,
     BOSON,
     FERMION,
-    NotSecondClassError,
-    SingularBlockError,
-    Window,
     a,
     adag,
     b,
     bdag,
-    boson_constraints,
+    canonical_bracket,
+)
+from virfock.operators import (
     build_K,
     build_L,
-    canonical_bracket,
-    classify,
     commutator_with_linear,
-    dirac_bracket,
-    dirac_transform_adagger,
-    even_fermion_copy_constraints,
-    fermion_constraints,
-    invert_c,
     linear_bracket,
     linear_operator,
     mode_operator,
+)
+from virfock.dirac import (
+    BosonConstraints,
+    EvenCopyConstraints,
+    FermionConstraints,
+    NotSecondClassError,
+    SingularBlockError,
+    Window,
+    ZERO_GAUGE_LABEL,
+    _invert_exact,
+    classify,
+    delta_contract_residuals,
+    dirac_bracket,
+    dirac_op_bracket,
+    dirac_transform_adagger,
+    invert_c,
+    mode_compatibility_reports,
+    solve_boson_constraints,
     verify_compatibility,
 )
 from virfock import dirac
-from virfock.dirac import (
-    ZERO_GAUGE_LABEL,
-    _invert_exact,
-    delta_contract_residuals,
-    dirac_op_bracket,
-    mode_compatibility_reports,
-    solve_boson_constraints,
-)
 
 H = Fraction(1, 2)
 HALF_LABELS = lambda n: [Fraction(t, 2) for t in range(-2 * n + 1, 2 * n, 2)]
 
 
 def test_closed_form_bracket_matrix():
-    bos = boson_constraints(Fraction(3, 2))
+    bos = BosonConstraints(Fraction(3, 2))
     assert bos.c_entry(4, -4) == 2 * Fraction(3, 2) * 4
     assert bos.c_entry(4, 4) == 0
     assert bos.c_entry(0, ZERO_GAUGE_LABEL) == 1
     assert bos.c_entry(ZERO_GAUGE_LABEL, 0) == -1
     assert bos.c_entry(0, 0) == 0
-    fer = fermion_constraints()
+    fer = FermionConstraints()
     assert fer.c_entry(H, -H) == -2
     assert fer.c_entry(H, Fraction(3, 2)) == 0
 
 
-@pytest.mark.parametrize("family", [boson_constraints(2), fermion_constraints(),
-                                    even_fermion_copy_constraints()])
+@pytest.mark.parametrize("family", [BosonConstraints(2), FermionConstraints(),
+                                    EvenCopyConstraints()])
 def test_bracket_matrix_matches_expressions(family):
     w = Window(5)
     labels = family.labels(w)
@@ -73,11 +75,11 @@ def test_bracket_matrix_matches_expressions(family):
 
 
 def test_closed_form_delta_entries():
-    bos = boson_constraints(1)
+    bos = BosonConstraints(1)
     assert dict(bos.delta_row(3))[-3] == Fraction(-1, 6)
     assert dict(bos.delta_row(ZERO_GAUGE_LABEL))[0] == 1
     assert dict(bos.delta_row(0))[ZERO_GAUGE_LABEL] == -1
-    fer = fermion_constraints()
+    fer = FermionConstraints()
     for r in HALF_LABELS(8):
         assert dict(fer.delta_row(r))[-r] == H
 
@@ -85,47 +87,47 @@ def test_closed_form_delta_entries():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_delta_contract_on_all_windows(n):
     # (-1)^p(R) Delta^PR C_RS = delta^P_S entry-exactly, N = 1..8
-    assert delta_contract_residuals(boson_constraints(Fraction(5, 3)), Window(n)) == []
-    assert delta_contract_residuals(fermion_constraints(), Window(n)) == []
+    assert delta_contract_residuals(BosonConstraints(Fraction(5, 3)), Window(n)) == []
+    assert delta_contract_residuals(FermionConstraints(), Window(n)) == []
 
 
 def test_windowed_inversion_agrees_with_closed_form():
     # invert_c raises internally on any closed-form mismatch; also spot check
-    bos = boson_constraints(2)
+    bos = BosonConstraints(2)
     delta = invert_c(bos, Window(4))
     assert delta[(3, -3)] == Fraction(-1, 12)
     assert delta[(ZERO_GAUGE_LABEL, 0)] == 1
-    fer = fermion_constraints()
+    fer = FermionConstraints()
     delta = invert_c(fer, Window(4))
     assert delta[(H, -H)] == H
 
 
 def test_classification_boson_without_gauge():
-    split = classify(boson_constraints(1, with_zero_gauge=False), Window(4))
+    split = classify(BosonConstraints(1, with_zero_gauge=False), Window(4))
     assert split.first_class == [0]
     assert sorted(split.second_class) == [m for m in range(-4, 5) if m != 0]
 
 
 def test_classification_boson_with_gauge():
-    split = classify(boson_constraints(1), Window(4))
+    split = classify(BosonConstraints(1), Window(4))
     assert split.first_class == []
     assert len(split.second_class) == 10
 
 
 def test_classification_even_copy_degenerates():
     # bosonic statistics on the fermionic constraint shape: C identically 0
-    split = classify(even_fermion_copy_constraints(), Window(4))
+    split = classify(EvenCopyConstraints(), Window(4))
     assert split.second_class == []
     assert len(split.first_class) == 8
 
 
 def test_invert_requires_second_class():
     with pytest.raises(SingularBlockError):
-        invert_c(boson_constraints(1, with_zero_gauge=False), Window(3))
+        invert_c(BosonConstraints(1, with_zero_gauge=False), Window(3))
 
 
 def test_dirac_bracket_reduced_boson_table():
-    fam = boson_constraints(2)
+    fam = BosonConstraints(2)
     got = dirac_bracket(mode_operator(BOSON, adag(3)), mode_operator(BOSON, adag(-3)), fam)
     assert got == -3  # -(M/2) m at M=2, m=3
     for m in range(-6, 7):
@@ -137,14 +139,14 @@ def test_dirac_bracket_reduced_boson_table():
 
 
 def test_dirac_bracket_zero_modes_vanish():
-    fam = boson_constraints(Fraction(7, 3))
+    fam = BosonConstraints(Fraction(7, 3))
     pairs = [(adag(0), adag(0)), (adag(0), a(0)), (a(0), a(0))]
     for x, y in pairs:
         assert dirac_bracket(mode_operator(BOSON, x), mode_operator(BOSON, y), fam) == 0
 
 
 def test_dirac_bracket_reduced_fermion_table():
-    fam = fermion_constraints()
+    fam = FermionConstraints()
     got = dirac_bracket(mode_operator(FERMION, b(H)), mode_operator(FERMION, b(-H)), fam)
     assert got == H
     for r in HALF_LABELS(4):
@@ -156,7 +158,7 @@ def test_dirac_bracket_reduced_fermion_table():
 
 
 def test_equal_families_share_one_cache_entry():
-    first, second = boson_constraints("4/6"), boson_constraints(Fraction(2, 3))
+    first, second = BosonConstraints("4/6"), BosonConstraints(Fraction(2, 3))
     assert first == second and hash(first) == hash(second)
     A, B = mode_operator(BOSON, adag(2)), mode_operator(BOSON, adag(-2))
     assert dirac_bracket(A, B, first) == Fraction(-2, 3)
@@ -166,25 +168,45 @@ def test_equal_families_share_one_cache_entry():
 
 
 def test_dirac_bracket_requires_second_class():
-    fam = boson_constraints(1, with_zero_gauge=False)
+    fam = BosonConstraints(1, with_zero_gauge=False)
     with pytest.raises(NotSecondClassError):
         dirac_bracket(mode_operator(BOSON, adag(1)), mode_operator(BOSON, adag(-1)), fam)
 
 
 def test_dirac_bracket_argument_validation():
-    fam = boson_constraints(1)
+    fam = BosonConstraints(1)
     with pytest.raises(AlgebraMismatchError):
         dirac_bracket(mode_operator(FERMION, b(H)), mode_operator(FERMION, b(-H)), fam)
     with pytest.raises(ValueError):
         dirac_bracket(build_K(1), mode_operator(BOSON, adag(-1)), fam)
     with pytest.raises(ValueError):
-        boson_constraints(0)
+        BosonConstraints(0)
+
+
+@pytest.mark.parametrize("M", [1, -3, 2, "4/6"])
+def test_boson_family_holds_M_exactly(M):
+    # an int M must not turn Delta^{p,-p} = -1/(2 M p) into a float; the
+    # uncached rows are compared, since equal families share one cache entry
+    fam, exact = BosonConstraints(M), BosonConstraints(Fraction(M))
+    assert type(fam.M) is Fraction and fam == exact
+    for p in fam.labels(Window(4)):
+        row = fam._delta_row(p)
+        assert row == exact._delta_row(p) and all(type(d) is Fraction for _, d in row)
+    assert BosonConstraints(M)._delta_row(3) == ((-3, -1 / (6 * Fraction(M))),)
+
+
+@pytest.mark.parametrize("M", [0, Fraction(0), "0/5"])
+@pytest.mark.parametrize("with_zero_gauge", [True, False])
+def test_boson_family_rejects_zero_mass(M, with_zero_gauge):
+    # C scales with M: at M = 0 every label would be first class
+    with pytest.raises(ValueError, match="M != 0"):
+        BosonConstraints(M, with_zero_gauge)
 
 
 @pytest.mark.parametrize("op,B,family", [
-    (build_K(1), mode_operator(BOSON, adag(-1)), fermion_constraints()),
-    (build_K(1), mode_operator(BOSON, adag(0)), fermion_constraints()),
-    (build_L("fermion-unconstrained", 1, 0, H), mode_operator(FERMION, b(-H)), boson_constraints(1)),
+    (build_K(1), mode_operator(BOSON, adag(-1)), FermionConstraints()),
+    (build_K(1), mode_operator(BOSON, adag(0)), FermionConstraints()),
+    (build_L("fermion-unconstrained", 1, 0, H), mode_operator(FERMION, b(-H)), BosonConstraints(1)),
 ])
 def test_dirac_op_bracket_rejects_foreign_operands(op, B, family):
     # refused before a constraint is built at a label of the wrong algebra
@@ -210,8 +232,8 @@ def _random_linear(rng, algebra, ctors, max_two):
 
 def test_dirac_bracket_graded_antisymmetry_sample():
     rng = random.Random(3)
-    fam_b = boson_constraints(Fraction(4, 3))
-    fam_f = fermion_constraints()
+    fam_b = BosonConstraints(Fraction(4, 3))
+    fam_f = FermionConstraints()
     done = 0
     while done < 100:
         if rng.random() < 0.5:
@@ -231,17 +253,17 @@ def test_dirac_bracket_graded_antisymmetry_sample():
 
 def test_compatibility_boson():
     M = Fraction(1)
-    fam = boson_constraints(M)
+    fam = BosonConstraints(M)
     lm = build_L("boson-unconstrained", 2, M, Fraction(1, 2))
     reports = verify_compatibility(lm, fam, range(-5, 6))
     assert all(r.status == "pass" for r in reports)
     # [L_2, chi_3] = 3 chi_5 as an exact expression
-    from virfock import build_chi_boson, commutator_with_linear
+    from virfock.operators import build_chi_boson, commutator_with_linear
     assert commutator_with_linear(lm, build_chi_boson(3, M)) == 3 * build_chi_boson(5, M)
 
 
 def test_compatibility_fermion_half_lambda():
-    fam = fermion_constraints()
+    fam = FermionConstraints()
     lm = build_L("fermion-unconstrained", 2, 0, H)
     reports = verify_compatibility(lm, fam, HALF_LABELS(5))
     assert all(r.status == "pass" for r in reports)
@@ -250,18 +272,18 @@ def test_compatibility_fermion_half_lambda():
 
 
 def test_compatibility_fermion_lambda_zero_fails():
-    fam = fermion_constraints()
+    fam = FermionConstraints()
     lm = build_L("fermion-unconstrained", 2, 0, 0)
     reports = verify_compatibility(lm, fam, HALF_LABELS(3))
     assert any(r.status == "fail" for r in reports)
 
 
 def test_mode_compatibility_window():
-    fam = boson_constraints(Fraction(3))
+    fam = BosonConstraints(Fraction(3))
     reports = verify_compatibility(build_L("boson-unconstrained", 1, 3, 1), fam, range(-3, 4))
     reports += mode_compatibility_reports(fam, Window(3))
     assert all(r.status == "pass" for r in reports)
-    fam = fermion_constraints()
+    fam = FermionConstraints()
     reports = verify_compatibility(build_L("fermion-unconstrained", 1, 0, H), fam, HALF_LABELS(3))
     reports += mode_compatibility_reports(fam, Window(3))
     assert all(r.status == "pass" for r in reports)
@@ -343,11 +365,11 @@ _FERMION_LINEAR = _linear_over(FERMION, (b, bdag), HALF_LABELS(3))
 # the zero-mode pair meets the gauge label a0 only through a†[0] against a[0],
 # which random draws rarely pair; state it as an example
 @settings(max_examples=100, deadline=None)
-@example((boson_constraints(Fraction(2, 3)), mode_operator(BOSON, adag(0)), mode_operator(BOSON, a(0))))
-@example((boson_constraints(-4), mode_operator(BOSON, a(0)), mode_operator(BOSON, adag(0))))
+@example((BosonConstraints(Fraction(2, 3)), mode_operator(BOSON, adag(0)), mode_operator(BOSON, a(0))))
+@example((BosonConstraints(-4), mode_operator(BOSON, a(0)), mode_operator(BOSON, adag(0))))
 @given(st.one_of(
-    st.tuples(_Q.filter(bool).map(boson_constraints), _BOSON_LINEAR, _BOSON_LINEAR),
-    st.tuples(st.just(fermion_constraints()), _FERMION_LINEAR, _FERMION_LINEAR)))
+    st.tuples(_Q.filter(bool).map(BosonConstraints), _BOSON_LINEAR, _BOSON_LINEAR),
+    st.tuples(st.just(FermionConstraints()), _FERMION_LINEAR, _FERMION_LINEAR)))
 def test_dirac_bracket_matches_unfiltered_label_sum(case):
     # modes reach index 5/2, so every label they bracket with lies inside Window(3)
     family, A, B = case
@@ -360,8 +382,8 @@ def test_dirac_bracket_matches_unfiltered_label_sum(case):
 # [Ã, B} = [A, B̃}, the operator route as a constant-only expression
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(
-    st.tuples(_Q.filter(bool).map(boson_constraints), _BOSON_LINEAR, _BOSON_LINEAR),
-    st.tuples(st.just(fermion_constraints()), _FERMION_LINEAR, _FERMION_LINEAR)))
+    st.tuples(_Q.filter(bool).map(BosonConstraints), _BOSON_LINEAR, _BOSON_LINEAR),
+    st.tuples(st.just(FermionConstraints()), _FERMION_LINEAR, _FERMION_LINEAR)))
 def test_dirac_bracket_matches_operator_route(case):
     family, A, B = case
     got = dirac_op_bracket(A, B, family)
@@ -396,14 +418,14 @@ def _assert_op_bracket_matches_window(op, B, family):
 @given(_Q.filter(bool), _Q, st.integers(-3, 3), st.sampled_from((a, adag)), st.integers(-3, 3))
 def test_dirac_op_bracket_matches_windowed_sum_boson(M, lam, m, make, n):
     _assert_op_bracket_matches_window(build_L("boson-unconstrained", m, M, lam),
-                                      mode_operator(BOSON, make(n)), boson_constraints(M))
+                                      mode_operator(BOSON, make(n)), BosonConstraints(M))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(st.integers(-3, 3), st.sampled_from((b, bdag)), st.sampled_from(HALF_LABELS(3)))
 def test_dirac_op_bracket_matches_windowed_sum_fermion(m, make, r):
     _assert_op_bracket_matches_window(build_L("fermion-unconstrained", m, 0, H),
-                                      mode_operator(FERMION, make(r)), fermion_constraints())
+                                      mode_operator(FERMION, make(r)), FermionConstraints())
 
 
 # --- sparse elimination on dense inputs -------------------------------------
@@ -474,8 +496,8 @@ def test_mode_compatibility_probes_every_mode_label_pair(monkeypatch):
     monkeypatch.setattr(dirac, "dirac_bracket", counting)
     # boson: a and a† at -3..3 (14 modes) x labels -3..3 plus a0 (8)
     # fermion: b and b† at -5/2..5/2 (12 modes) x labels -5/2..5/2 (6)
-    for family, expected in ((boson_constraints(Fraction(2, 3)), 14 * 8),
-                             (fermion_constraints(), 12 * 6)):
+    for family, expected in ((BosonConstraints(Fraction(2, 3)), 14 * 8),
+                             (FermionConstraints(), 12 * 6)):
         calls.clear()
         reports = mode_compatibility_reports(family, Window(3))
         assert [r.status for r in reports] == ["pass"]

@@ -8,6 +8,7 @@ never seen by another test.
 """
 
 import inspect
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,21 +19,21 @@ import virfock.dirac as dirac
 import virfock.fock as fock
 import virfock.operators as operators
 import virfock.verify as verify
-from virfock import (
+from virfock.algebra import FERMION, b, bdag
+from virfock.fock import Truncation
+from virfock.operators import OperatorSpec
+from virfock.dirac import (
+    BosonConstraints,
     ClosedFormMismatchError,
-    FERMION,
-    OperatorSpec,
-    ScenarioParams,
+    FermionConstraints,
     SingularBlockError,
-    Truncation,
     Window,
-    b,
-    bdag,
-    boson_constraints,
+    invert_c,
+)
+from virfock.verify import (
+    ScenarioParams,
     check_virasoro_relation,
     claimed_central_charge,
-    fermion_constraints,
-    invert_c,
     run_dirac_checks,
     run_family_scenario,
 )
@@ -220,7 +221,7 @@ def test_boson_delta_entry_doubled(monkeypatch):
     (contract,) = (r for r in reports if r.name == "delta_contract[boson,N=3]")
     assert contract.got == "windowed inversion disagrees with the closed form at (2,-2): -3/8 vs -3/4"
     with pytest.raises(ClosedFormMismatchError, match="closed form"):
-        invert_c(boson_constraints(DIRAC_M), DIRAC_WINDOW)
+        invert_c(BosonConstraints(DIRAC_M), DIRAC_WINDOW)
 
 
 def test_boson_zero_gauge_brackets_dropped(monkeypatch):
@@ -235,7 +236,7 @@ def test_boson_zero_gauge_brackets_dropped(monkeypatch):
     (contract,) = (r for r in reports if r.name == "delta_contract[boson,N=3]")
     assert contract.got == "first-class constraints [0, 'a0'] present; the bracket matrix is not invertible"
     with pytest.raises(SingularBlockError):
-        invert_c(boson_constraints(DIRAC_M), DIRAC_WINDOW)
+        invert_c(BosonConstraints(DIRAC_M), DIRAC_WINDOW)
 
 
 def test_boson_support_drops_the_zero_gauge_label(monkeypatch):
@@ -255,7 +256,24 @@ def test_fermion_delta_sign_flipped(monkeypatch):
     (contract,) = (r for r in reports if r.name == "delta_contract[fermion,N=3]")
     assert contract.got == "windowed inversion disagrees with the closed form at (-5/2,5/2): 1/2 vs -1/2"
     with pytest.raises(ClosedFormMismatchError, match="closed form"):
-        invert_c(fermion_constraints(), DIRAC_WINDOW)
+        invert_c(FermionConstraints(), DIRAC_WINDOW)
+
+
+def test_reduced_boson_bracket_doubled(monkeypatch):
+    # the boson Dirac table expects the reduced algebra's [a†[m], a†[-m]], so
+    # a doubled bracket there misses every pair with m != 0
+    real = verify.reduced_boson
+    monkeypatch.setattr(verify, "reduced_boson", lambda M: replace(
+        real(M), brackets={kinds: 2 * v for kinds, v in real(M).brackets.items()}))
+    assert _failed(run_dirac_checks(DIRAC_M, DIRAC_WINDOW)) == {"dirac_bracket_boson[N=3]"}
+
+
+def test_reduced_fermion_bracket_a_quarter(monkeypatch):
+    # the fermion Dirac table expects the reduced algebra's [b[r], b[-r]}
+    red_b = algebra.FieldKind.RED_B
+    monkeypatch.setattr(verify, "REDUCED_FERMION", replace(
+        algebra.REDUCED_FERMION, brackets={(red_b, red_b): Fraction(1, 4)}))
+    assert _failed(run_dirac_checks(DIRAC_M, DIRAC_WINDOW)) == {"dirac_bracket_fermion[N=3]"}
 
 
 def test_fermion_support_shifted_by_one(monkeypatch):

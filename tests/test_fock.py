@@ -6,27 +6,30 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from virfock import (
+from virfock.algebra import (
     BOSON,
     BOSONIZED_FERMION,
-    BasisState,
     FERMION,
     Mode,
     REDUCED_FERMION,
-    Truncation,
-    TruncationOverflowError,
-    VACUUM,
     a,
     adag,
     b,
     bdag,
     canonical_bracket,
-    enumerate_basis,
+    is_creator,
     red_b,
     reduced_boson,
 )
-from virfock.algebra import is_creator
-from virfock.fock import _apply_to_basis, accumulate
+from virfock.fock import (
+    BasisState,
+    Truncation,
+    TruncationOverflowError,
+    VACUUM,
+    _apply_to_basis,
+    accumulate,
+    enumerate_basis,
+)
 
 H = Fraction(1, 2)
 

@@ -7,49 +7,47 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from virfock import (
+from virfock.algebra import (
     Algebra,
     AlgebraMismatchError,
     BOSON,
     BOSONIZED_FERMION,
-    BasisState,
-    BilinearTerm,
     FERMION,
     FieldKind,
     Mode,
-    OperatorSpec,
+    ONE,
     REDUCED_FERMION,
-    Truncation,
-    TruncationOverflowError,
-    UnsafeLevelError,
-    VACUUM,
+    ZERO,
     a,
     adag,
     b,
     bdag,
+    canonical_bracket,
+    conformal_weight,
+    is_creator,
+    red_adag,
+    red_b,
+    reduced_boson,
+)
+from virfock.fock import BasisState, Truncation, TruncationOverflowError, VACUUM, enumerate_basis
+from virfock.fock import _apply_to_basis as mode_table
+from virfock.operators import (
+    FAMILIES,
+    BilinearTerm,
+    Commutator,
+    OperatorSpec,
+    UnsafeLevelError,
+    _apply_to_basis,
+    _skeleton,
     build_B,
     build_K,
     build_L,
     build_chi_bar0,
     build_chi_boson,
-    canonical_bracket,
     commutator_with_linear,
-    conformal_weight,
-    enumerate_basis,
     linear_bracket,
     linear_operator,
     mode_operator,
-    red_adag,
-    red_b,
-    reduced_boson,
-)
-from virfock.algebra import ONE, ZERO, is_creator
-from virfock.fock import _apply_to_basis as mode_table
-from virfock.operators import (
-    FAMILIES,
-    Commutator,
-    _apply_to_basis,
-    _skeleton,
     pair_shifts,
     row_table,
     safe_ids,

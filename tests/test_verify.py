@@ -5,10 +5,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from virfock import (
+from virfock.algebra import format_rational
+from virfock.fock import Truncation
+from virfock.operators import Commutator
+from virfock.dirac import Window
+from virfock.verify import (
     ScenarioParams,
-    Truncation,
-    Window,
     check_christoffel,
     check_jacobi,
     check_primary_laws,
@@ -16,11 +18,9 @@ from virfock import (
     check_window_doubling,
     claimed_central_charge,
     extract_central_charge,
-    format_rational,
     run_dirac_checks,
     run_family_scenario,
 )
-from virfock.operators import Commutator
 
 H = Fraction(1, 2)
 
@@ -113,7 +113,9 @@ def test_primary_laws_pass():
 
 def test_primary_law_spot_value():
     # [L_2, b†[1/2]] = (2 lam + 1/2) b†[5/2] = (7/6) b†[5/2] at lam = 1/3
-    from virfock import BasisState, FERMION, VACUUM, bdag, build_L, mode_operator
+    from virfock.algebra import FERMION, bdag
+    from virfock.fock import BasisState, VACUUM
+    from virfock.operators import build_L, mode_operator
     lam = Fraction(1, 3)
     comm = Commutator(build_L("fermion-unconstrained", 2, 0, lam), mode_operator(FERMION, bdag(H)),
                       Truncation(Fraction(9, 2)))
@@ -161,8 +163,7 @@ def test_dirac_check_failures_print_exact_rationals(monkeypatch):
     # every witness must print as p/q, never as a Python repr.
     import virfock.dirac as dirac
     import virfock.verify as verify
-    from virfock import boson_constraints, fermion_constraints
-    from virfock.dirac import delta_contract_residuals
+    from virfock.dirac import BosonConstraints, FermionConstraints, delta_contract_residuals
 
     invert_c = dirac.invert_c
     perturbed = {"boson": (-2, 2), "fermion": (-H, H)}
@@ -174,8 +175,8 @@ def test_dirac_check_failures_print_exact_rationals(monkeypatch):
 
     monkeypatch.setattr(dirac, "invert_c", perturbed_invert_c)
     M, w = Fraction(2, 3), Window(2)
-    assert delta_contract_residuals(boson_constraints(M), w) == [(-2, -2, Fraction(29, 21))]
-    assert delta_contract_residuals(fermion_constraints(), w) == [(-H, -H, Fraction(9, 7))]
+    assert delta_contract_residuals(BosonConstraints(M), w) == [(-2, -2, Fraction(29, 21))]
+    assert delta_contract_residuals(FermionConstraints(), w) == [(-H, -H, Fraction(9, 7))]
 
     dirac_bracket = verify.dirac_bracket
     monkeypatch.setattr(verify, "dirac_bracket",
@@ -235,7 +236,8 @@ def test_law_failures_show_the_residual(monkeypatch):
     # with every mode table on the right-hand side replaced by zero rows, each
     # failing law's residual is its commutator on the witness state
     import virfock.verify as verify
-    from virfock import FERMION, b, build_L, mode_operator, red_adag
+    from virfock.algebra import FERMION, b, red_adag
+    from virfock.operators import build_L, mode_operator
     monkeypatch.setattr(verify, "mode_table",
                         lambda algebra, x, trunc: SimpleNamespace(den=1, row=lambda i: ()))
     lam = Fraction(1, 3)
