@@ -379,7 +379,6 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
     classification, and generator compatibility for both families."""
     window = window or Window(8)
     N = window.half_width
-    M = Fraction(M)
     reports = []
 
     bos = BosonConstraints(M)
