@@ -34,6 +34,10 @@ arithmetic.  Every cache is keyed by the family, which hashes once, and by
 a label (by doubled index for half-odd expressions), a label tuple (C and
 its elimination) or the projected operand.
 
+The pair scans evaluate a bracket only at the partners of an expression, the
+positions whose expressions have a mode at the opposite doubled index of one
+of its modes; linear_bracket pairs no other modes, so the rest are exact 0s.
+
 Families:
 
 * BosonConstraints(M, with_zero_gauge): chi_m = a†[m] - M m a[m] for
@@ -288,14 +292,35 @@ class EvenCopyConstraints(_HalfOddConstraints):
     chi_modes = (even_b, even_bdag)
 
 
+def pairing_index(exprs) -> dict:
+    """{doubled index: positions j whose exprs[j] has a mode there}; one per scan."""
+    index = {}
+    for j, expr in enumerate(exprs):
+        for two in expr.linear_by_two:
+            index.setdefault(two, []).append(j)
+    return index
+
+
+def partners(index: dict, expr: OperatorSpec, family: ConstraintFamily = None) -> list:
+    """The sorted positions j where [expr, exprs[j]} can be nonzero; given a family,
+    where dirac_bracket(expr, exprs[j], family) can, the partners of the projected expr."""
+    expr = _projected(family, expr) if family else expr
+    return sorted({j for two in expr.linear_by_two for j in index.get(-two, ())})
+
+
+def support_rows(family: ConstraintFamily, labels, entry) -> list:
+    """entry(P, R) over labels as sparse rows, row i mapping position j to a nonzero
+    value, evaluated only at the partners R of chi_P: elsewhere [chi_P, chi_R} is 0."""
+    index = pairing_index(map(family.expr, labels))
+    return [{j: v for j in partners(index, family.expr(p)) if (v := entry(p, labels[j]))}
+            for p in labels]
+
+
 @lru_cache(maxsize=None)
 def _c_rows(family: ConstraintFamily, labels: tuple) -> list:
-    """C over labels as sparse rows: row i maps position j to C_PR when nonzero.
-
-    Every entry is evaluated once, so a zero row is an exact zero row.
-    """
-    return [{j: v for j, r in enumerate(labels) if (v := family.c_entry(p, r))}
-            for p in labels]
+    """C over labels as support_rows, so a zero row is an exact zero row; that the
+    closed form is 0 off the support too is bracket_matrix_closed_form's claim."""
+    return support_rows(family, labels, family.c_entry)
 
 
 @lru_cache(maxsize=None)
@@ -498,18 +523,19 @@ def verify_compatibility(op: OperatorSpec, family: ConstraintFamily, index_range
 
 
 def mode_compatibility_reports(family: ConstraintFamily, window: Window):
-    """dirac_bracket(x, chi_R) = 0 for every basic mode x and windowed constraint."""
+    """dirac_bracket(x, chi_R) = 0 for each basic mode x and windowed constraint, at the partners of x̃."""
     algebra, N = family.algebra, window.half_width
     modes = sorted((Mode(kind, two) for kind in algebra.kinds for two in range(-2 * N, 2 * N + 1)
                     if two % 2 == kind.half_integer_moded), key=lambda mm: mm.sort_key)
-    chis = [(label, family.expr(label)) for label in family.labels(window)]
+    labels = family.labels(window)
+    index = pairing_index(map(family.expr, labels))
     bad = []
     for x in modes:
         op = mode_operator(algebra, x)
-        for label, chi in chis:
-            val = dirac_bracket(op, chi, family)
+        for j in partners(index, op, family):
+            val = dirac_bracket(op, family.expr(labels[j]), family)
             if val:
-                bad.append((x, label, val))
+                bad.append((x, labels[j], val))
     return [report(
         f"dirac_mode_compatibility[{family.name},N={N}]", not bad, "0",
         "0" if not bad else "; ".join(f"[{x},{family.label_of_expr(lb)}]*={format_rational(v)}"

@@ -236,12 +236,6 @@ def mode_operator(algebra: Algebra, x: Mode) -> OperatorSpec:
     return linear_operator(algebra, {x: 1})
 
 
-def build_B(m: int, M) -> OperatorSpec:
-    """a†[m] + M*m*a[m] over the unconstrained boson algebra."""
-    M = Fraction(M)
-    return linear_operator(BOSON, {adag(m): 1, a(m): M * m}, shift=m, parity=0)
-
-
 def build_chi_boson(m: int, M) -> OperatorSpec:
     """Constraint a†[m] - M*m*a[m]."""
     M = Fraction(M)

@@ -41,6 +41,9 @@ from .dirac import (
     delta_contract_residuals,
     dirac_bracket,
     mode_compatibility_reports,
+    pairing_index,
+    partners,
+    support_rows,
     verify_compatibility,
 )
 from .fock import Truncation, VACUUM, accumulate, enumerate_basis
@@ -365,10 +368,14 @@ def _witnesses(template: str, bad) -> str:
 def _dirac_table(family, modes, reduced: Algebra) -> list:
     """(x, y, [x, y]*) of each pair of modes whose Dirac bracket, as an integer
     (numerator, denominator), is not the bracket in the reduced algebra of its
-    modes at the same doubled indices: paired where x.two + y.two = 0, (0, 1) elsewhere."""
+    modes at the same doubled indices: paired where x.two + y.two = 0, (0, 1) elsewhere.
+    Both sides are exactly 0 unless y is a partner of x̃ or x.two + y.two = 0."""
     (kind,) = reduced.kinds
     ops = [mode_operator(family.algebra, x) for x in modes]
-    return [(x, y, got) for x, op_x in zip(modes, ops) for y, op_y in zip(modes, ops)
+    index, pairs = pairing_index(ops), list(zip(modes, ops))
+    return [(x, y, got) for x, op_x in pairs
+            for y, op_y in (pairs[j] for j in sorted({*partners(index, op_x, family),
+                                                      *index.get(-x.two, ())}))
             if (got := dirac_bracket(op_x, op_y, family)).as_integer_ratio()
             != (paired_bracket(Mode(kind, x.two), Mode(kind, y.two), reduced).as_integer_ratio()
                 if x.two + y.two == 0 else (0, 1))]
@@ -392,9 +399,11 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
             bad, got = True, str(exc)  # the elimination names its first witness
         reports.append(report(f"delta_contract[{name},N={N}]", not bad, "identity", got))
 
-    # closed-form bracket matrix against the one recomputed from expressions
-    agree = all(fam.c_entry(p, r).as_integer_ratio() == fam.computed_c_entry(p, r).as_integer_ratio()
-                for fam in (bos, fer) for p in fam.labels(window) for r in fam.labels(window))
+    # closed-form bracket matrix at every pair against the one recomputed from expressions
+    agree = all(fam.c_entry(p, r).as_integer_ratio() == row.get(j, ZERO).as_integer_ratio()
+                for fam in (bos, fer) for labels in [fam.labels(window)]
+                for p, row in zip(labels, support_rows(fam, labels, fam.computed_c_entry))
+                for j, r in enumerate(labels))
     reports.append(report(f"bracket_matrix_closed_form[N={N}]", agree,
                           "matches expressions", "matches" if agree else "mismatch"))
 

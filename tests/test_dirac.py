@@ -11,6 +11,7 @@ from virfock.algebra import (
     AlgebraMismatchError,
     BOSON,
     FERMION,
+    Mode,
     a,
     adag,
     b,
@@ -362,6 +363,39 @@ _BOSON_LINEAR = _linear_over(BOSON, (a, adag), range(-2, 3))
 _FERMION_LINEAR = _linear_over(FERMION, (b, bdag), HALF_LABELS(3))
 
 
+# a constraint label outside the partners of an expression would be a bracket
+# that the sparse scans never evaluate; the unfiltered sum finds any such one
+@settings(max_examples=100, deadline=None)
+@example((BosonConstraints(Fraction(2, 3)), mode_operator(BOSON, adag(0))))
+@given(st.one_of(st.tuples(_Q.filter(bool).map(BosonConstraints), _BOSON_LINEAR),
+                 st.tuples(st.just(FermionConstraints()), _FERMION_LINEAR)))
+def test_partners_hold_every_nonzero_bracket(case):
+    family, expr = case
+    labels = family.labels(Window(3))
+    index = dirac.pairing_index([family.expr(r) for r in labels])
+    nonzero = {j for j, r in enumerate(labels) if _canonical_sum(expr, family.expr(r))}
+    assert nonzero <= set(dirac.partners(index, expr))
+
+
+def _family_id(family):
+    if family.name != "boson":
+        return family.name
+    return f"boson-M={family.M}" + ("" if family.with_zero_gauge else "-no-a0")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("family", [
+    BosonConstraints(Fraction(2, 3)), BosonConstraints(-4),
+    BosonConstraints(Fraction(2, 3), with_zero_gauge=False), BosonConstraints(-4, with_zero_gauge=False),
+    FermionConstraints(), EvenCopyConstraints()], ids=_family_id)
+def test_sparse_c_rows_equal_a_dense_scan(family, n):
+    # C's rows are evaluated on the pairing support only; the dense scan
+    # evaluates every entry, so an entry the support misses would show
+    labels = tuple(family.labels(Window(n)))
+    dense = [{j: v for j, r in enumerate(labels) if (v := family.c_entry(p, r))} for p in labels]
+    assert dirac._c_rows(family, labels) == dense
+
+
 # the zero-mode pair meets the gauge label a0 only through a†[0] against a[0],
 # which random draws rarely pair; state it as an example
 @settings(max_examples=100, deadline=None)
@@ -484,21 +518,56 @@ def test_invert_exact_zero_or_repeated_row_is_singular(matrix, data):
         _invert_exact(_sparse(repeated))
 
 
-def test_mode_compatibility_probes_every_mode_label_pair(monkeypatch):
-    # every (mode, label) pair goes through dirac_bracket: none is skipped
-    calls = []
-    original = dirac.dirac_bracket
+# the four Dirac faults of test_faults.py, each on the family it breaks, and
+# one whose projection adds constraints at a shifted index, which the probes
+# must follow
+_DIRAC_FAULTS = {
+    "boson-delta-partner-shifted": (BosonConstraints, "_delta_row", lambda real: lambda self, p: tuple(
+        (r if r == ZERO_GAUGE_LABEL else r + 1, d) for r, d in real(self, p))),
+    "boson-delta-doubled": (BosonConstraints, "_delta_row", lambda real: lambda self, p: tuple(
+        (r, 2 * d if p == 2 else d) for r, d in real(self, p))),
+    "fermion-delta-flipped": (FermionConstraints, "_delta_row", lambda real: lambda self, p: tuple(
+        (r, -d) for r, d in real(self, p))),
+    "boson-support-without-a0": (BosonConstraints, "support_labels", lambda real: lambda self, expr: (
+        real(self, expr) - {ZERO_GAUGE_LABEL})),
+    "fermion-support-shifted": (FermionConstraints, "support_labels", lambda real: lambda self, expr: {
+        p + 1 for p in real(self, expr)}),
+}
 
-    def counting(A, B, family):
-        calls.append((A, B))
+_NONZERO_AT_3 = {None: 0, "boson-delta-partner-shifted": 24, "boson-delta-doubled": 2,
+                 "fermion-delta-flipped": 12, "boson-support-without-a0": 1,
+                 "fermion-support-shifted": 12}
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("fault", [None, *_DIRAC_FAULTS])
+def test_mode_compatibility_probes_every_nonzero_pair(monkeypatch, fresh_caches, fault, n):
+    # the scan evaluates dirac_bracket only at the partners of the projected
+    # mode; every pair it leaves out must be exactly 0, also under each Dirac
+    # fault, which makes some pairs nonzero.  A dense scan in the test finds them.
+    families = [BosonConstraints(Fraction(2, 3)), FermionConstraints()]
+    if fault:
+        cls, name, make = _DIRAC_FAULTS[fault]
+        monkeypatch.setattr(cls, name, make(getattr(cls, name)))
+        families = [f for f in families if type(f) is cls]
+    original, probed = dirac.dirac_bracket, []
+
+    def recording(A, B, family):
+        probed.append((A, B))
         return original(A, B, family)
 
-    monkeypatch.setattr(dirac, "dirac_bracket", counting)
-    # boson: a and a† at -3..3 (14 modes) x labels -3..3 plus a0 (8)
-    # fermion: b and b† at -5/2..5/2 (12 modes) x labels -5/2..5/2 (6)
-    for family, expected in ((BosonConstraints(Fraction(2, 3)), 14 * 8),
-                             (FermionConstraints(), 12 * 6)):
-        calls.clear()
-        reports = mode_compatibility_reports(family, Window(3))
-        assert [r.status for r in reports] == ["pass"]
-        assert len(calls) == len(set(calls)) == expected
+    monkeypatch.setattr(dirac, "dirac_bracket", recording)
+    for family in families:
+        probed.clear()
+        (report,) = mode_compatibility_reports(family, Window(n))
+        algebra, chis = family.algebra, [family.expr(r) for r in family.labels(Window(n))]
+        ops = [mode_operator(algebra, Mode(kind, two)) for kind in algebra.kinds
+               for two in range(-2 * n, 2 * n + 1) if two % 2 == kind.half_integer_moded]
+        nonzero = {(op, chi) for op in ops for chi in chis if original(op, chi, family)}
+        assert nonzero <= set(probed) and len(probed) == len(set(probed))
+        assert report.status == ("fail" if nonzero else "pass")
+        if n == 3:
+            # each fault makes some pairs nonzero; correct code probes 12
+            # pairs per family, so a scan that goes dense again shows
+            assert len(nonzero) == _NONZERO_AT_3[fault]
+            assert fault or len(probed) == 12

@@ -16,7 +16,6 @@ import pytest
 import virfock.algebra as algebra
 import virfock.cli as cli
 import virfock.dirac as dirac
-import virfock.fock as fock
 import virfock.operators as operators
 import virfock.verify as verify
 from virfock.algebra import FERMION, b, bdag
@@ -51,17 +50,7 @@ def _failed(reports):
     return {r.name for r in reports if r.status == "fail"}
 
 
-@pytest.fixture(autouse=True)
-def fresh_caches():
-    # every functools cache of the engine modules, found by introspection so
-    # that a new cache cannot keep a table built before or under a fault
-    caches = {id(f): f for module in (algebra, fock, operators, dirac, verify)
-              for f in vars(module).values() if callable(getattr(f, "cache_clear", None))}
-    for cache in caches.values():
-        cache.cache_clear()
-    yield
-    for cache in caches.values():
-        cache.cache_clear()
+pytestmark = pytest.mark.usefixtures("fresh_caches")  # tests/conftest.py
 
 
 def _replace_family(monkeypatch, family, **fields):
@@ -237,6 +226,18 @@ def test_boson_zero_gauge_brackets_dropped(monkeypatch):
     assert contract.got == "first-class constraints [0, 'a0'] present; the bracket matrix is not invertible"
     with pytest.raises(SingularBlockError):
         invert_c(BosonConstraints(DIRAC_M), DIRAC_WINDOW)
+
+
+def test_boson_closed_form_entry_off_the_pairing_support(monkeypatch):
+    # chi_1 and chi_2 share no pair of modes at opposite doubled indices, so
+    # C_{1,2} is off the pairing support that C's rows are evaluated on: the
+    # elimination never reads the stated 1, and only the comparison with the
+    # expressions at every window pair reports it.  Together with the contract
+    # this still proves Delta·C = 1 and C = 0 off the support.
+    real = dirac.BosonConstraints.c_entry
+    monkeypatch.setattr(dirac.BosonConstraints, "c_entry", lambda self, p, r: (
+        dirac.ONE if (p, r) == (1, 2) else real(self, p, r)))
+    assert _failed(run_dirac_checks(DIRAC_M, DIRAC_WINDOW)) == {"bracket_matrix_closed_form[N=3]"}
 
 
 def test_boson_support_drops_the_zero_gauge_label(monkeypatch):

@@ -39,7 +39,6 @@ from virfock.operators import (
     UnsafeLevelError,
     _apply_to_basis,
     _skeleton,
-    build_B,
     build_K,
     build_L,
     build_chi_bar0,
@@ -71,6 +70,12 @@ def _obeys_law(op_a, op_b, coeff, target, trunc) -> bool:
     comm, table = Commutator(op_a, op_b, trunc), mode_table(op_a.algebra, target, trunc)
     return all(_image(comm, i) == {s: coeff * q for s, q in _image(table, i).items() if coeff}
                for i in _pair_ids(op_a, op_b, trunc))
+
+
+def build_B(m: int, M) -> OperatorSpec:
+    """a†[m] + M*m*a[m] over the unconstrained boson algebra."""
+    M = Fraction(M)
+    return linear_operator(BOSON, {adag(m): 1, a(m): M * m}, shift=m, parity=0)
 
 
 def test_build_B_structure():

@@ -184,9 +184,12 @@ def test_dirac_check_failures_print_exact_rationals(monkeypatch):
     got = {r.name: r.got for r in run_dirac_checks(M, w) if r.status == "fail"}
     assert got["delta_contract[boson,N=2]"] == "(P=-2,S=-2): 29/21"
     assert got["delta_contract[fermion,N=2]"] == "(P=-1/2,S=-1/2): 9/7"
-    assert got["dirac_bracket_boson[N=2]"] == ("[a†[-2],a†[-2]]*: 1/7; [a†[-2],a†[-1]]*: 1/7; "
-                                               "[a†[-2],a†[0]]*: 1/7")
-    assert got["dirac_bracket_fermion[N=2]"].startswith("[b[-3/2],b[-3/2]]*: 1/7; ")
+    # the tables evaluate only the pairs where a bracket can be nonzero, so
+    # the witnesses are the paired modes, each off by the added 1/7
+    assert got["dirac_bracket_boson[N=2]"] == ("[a†[-2],a†[2]]*: 17/21; [a†[-1],a†[1]]*: 10/21; "
+                                               "[a†[0],a†[0]]*: 1/7")
+    assert got["dirac_bracket_fermion[N=2]"] == ("[b[-3/2],b[3/2]]*: 9/14; [b[-1/2],b[1/2]]*: 9/14; "
+                                                 "[b[1/2],b[-1/2]]*: 9/14")
     assert not any("Fraction(" in text for text in got.values())
 
 
