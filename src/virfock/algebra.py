@@ -36,7 +36,6 @@ bosonized-fermion     [b†[r], b[s]]  = delta(r+s)        even (half-odd r,s)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -196,32 +195,50 @@ def even_bdag(r) -> Mode:
     return Mode(FieldKind.EVEN_BDAG, _doubled(r, True, "even b†"))
 
 
-@dataclass(frozen=True, eq=False)
-class Algebra:
+class Frozen:
+    """Base of the immutable value types that key the caches.
+
+    A subclass names its fields in _fields and sets them once, in __init__,
+    through vars(self).  An instance then equals only an instance of its own
+    type with equal fields, hashes them once, and refuses assignment.
+    """
+
+    _fields = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    _values = cached_property(lambda self: tuple(getattr(self, f) for f in self._fields))
+    _hash = cached_property(lambda self: hash(self._values))
+
+    def __eq__(self, other):
+        return self is other or (type(other) is type(self) and self._values == other._values)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+
+class Algebra(Frozen):
     """One of the concrete mode algebras (carrying M if needed) and its brackets.
 
     brackets maps a (kind of x, kind of y) pair to its nonzero [x, y} when the
     two indices sum to zero; with index_weighted the entry is further scaled
     by the index of x.  Both are fixed by name and M, so they stay out of
-    equality and hashing, which key the caches and every mismatch check.
-    The hash and the bracket denominator are computed once per instance.
+    _fields, which key the caches and every mismatch check.  The bracket
+    denominator is computed once per instance.
     """
 
-    name: str
-    M: Fraction | None = None
-    kinds: tuple = ()
-    has_zero_modes: bool = False
-    brackets: dict = field(default_factory=dict, compare=False, repr=False)
-    index_weighted: bool = field(default=False, compare=False, repr=False)
+    _fields = ("name", "M", "kinds", "has_zero_modes")
 
-    def __eq__(self, other):
-        return self is other or (type(other) is Algebra and self._key == other._key)
-
-    def __hash__(self):
-        return self._hash
-
-    _key = cached_property(lambda self: (self.name, self.M, self.kinds, self.has_zero_modes))
-    _hash = cached_property(lambda self: hash(self._key))
+    def __init__(self, name: str, M: Fraction | None = None, kinds: tuple = (), has_zero_modes: bool = False,
+                 brackets: dict | None = None, index_weighted: bool = False):
+        vars(self).update(name=name, M=M, kinds=kinds, has_zero_modes=has_zero_modes,
+                          brackets={} if brackets is None else brackets, index_weighted=index_weighted)
 
     @cached_property
     def bracket_denominator(self) -> int:

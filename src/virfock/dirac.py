@@ -52,9 +52,9 @@ Families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import (
     AlgebraMismatchError,
@@ -62,6 +62,7 @@ from .algebra import (
     BOSONIZED_FERMION,
     FERMION,
     FieldKind,
+    Frozen,
     HALF,
     Mode,
     ONE,
@@ -103,36 +104,31 @@ class NotSecondClassError(VirfockError):
     """Dirac brackets require a fully second-class family."""
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Frozen):
     """Finite probe of an infinite banded family: |doubled index| <= 2N."""
 
-    half_width: int
+    _fields = ("half_width",)
 
-    def __post_init__(self):
-        if self.half_width < 1:
+    def __init__(self, half_width: int):
+        if half_width < 1:
             raise ValueError("window half-width must be positive")
+        vars(self).update(half_width=half_width)
 
 
-class ConstraintFamily:
+class ConstraintFamily(Frozen):
     """An indexed set of linear constraints chi_P over one algebra.
 
     Each subclass gives labels(window), the expression of a label
     (_build_expr), support_labels(expr) (every label P with [expr, chi_P]
     possibly nonzero; exact, not sampled) and, when second class, the nonzero
     Delta partners of a label (_delta_row).  C is computed from the
-    expressions unless a subclass states a closed form.  Subclasses are
-    frozen dataclasses that restate __hash__, so the dataclass keeps this one:
-    their instances key every cache of this module and hash once each.
+    expressions unless a subclass states a closed form.  Instances are frozen
+    values of their _fields; they key every cache of this module and hash
+    once each.
     """
 
     name = ""
     fully_second_class = False
-
-    def __hash__(self):
-        return self._hash
-
-    _hash = cached_property(lambda self: hash((type(self), *(getattr(self, f.name) for f in fields(self)))))
 
     def expr(self, label) -> OperatorSpec:
         return _cached_expr(self, label)
@@ -178,21 +174,18 @@ def _cached_delta_row(family: ConstraintFamily, label) -> tuple:
     return family._delta_row(label)
 
 
-@dataclass(frozen=True)
 class BosonConstraints(ConstraintFamily):
     """chi_m = a†[m] - M m a[m], plus the zero-mode gauge condition a[0]; M is a nonzero Fraction."""
 
-    __hash__ = ConstraintFamily.__hash__
-
-    M: Fraction
-    with_zero_gauge: bool = True
+    _fields = ("M", "with_zero_gauge")
     name = "boson"
     algebra = BOSON
 
-    def __post_init__(self):
-        object.__setattr__(self, "M", Fraction(self.M))
-        if self.M == 0:
+    def __init__(self, M, with_zero_gauge: bool = True):
+        M = Fraction(M)
+        if M == 0:
             raise ValueError("boson constraint family needs M != 0 (C scales with M)")
+        vars(self).update(M=M, with_zero_gauge=with_zero_gauge)
 
     @property
     def fully_second_class(self) -> bool:
@@ -255,11 +248,8 @@ class _HalfOddConstraints(ConstraintFamily):
         return {Fraction(-mode.two, 2) for mode, _ in expr.linear}
 
 
-@dataclass(frozen=True)
 class FermionConstraints(_HalfOddConstraints):
     """chi_r = b[r] - b†[r], with C_rs = -2 delta(r+s): second class."""
-
-    __hash__ = ConstraintFamily.__hash__
 
     name = "fermion"
     fully_second_class = True
@@ -281,11 +271,8 @@ class FermionConstraints(_HalfOddConstraints):
         return Fraction(m) / 2 + Fraction(label), label + Fraction(m)
 
 
-@dataclass(frozen=True)
 class EvenCopyConstraints(_HalfOddConstraints):
     """The fermion constraint shape with bosonic statistics; degenerates to C = 0."""
-
-    __hash__ = ConstraintFamily.__hash__
 
     name = "even-copy"
     algebra = BOSONIZED_FERMION
@@ -336,8 +323,7 @@ def _signed_inverse(family: ConstraintFamily, labels: tuple) -> list:
     return _invert_exact(signed)
 
 
-@dataclass
-class Classification:
+class Classification(NamedTuple):
     first_class: list
     second_class: list
 
@@ -465,7 +451,7 @@ def _projected(family: ConstraintFamily, A: OperatorSpec) -> OperatorSpec:
             for r, d in family.delta_row(p):
                 scale = bra * d if family.parity(r) else -bra * d
                 terms += ((mode, scale * c) for mode, c in family.expr(r).linear)
-    return replace(A, linear=_norm_linear(terms))
+    return OperatorSpec(A.algebra, A.shift, A.bilinears, _norm_linear(terms), A.constant, A.parity)
 
 
 def dirac_op_bracket(op: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) -> OperatorSpec:

@@ -23,14 +23,14 @@ the operator and verification layers run on integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import (
     Algebra,
     FieldKind,
+    Frozen,
     Mode,
     VirfockError,
     is_creator,
@@ -47,30 +47,23 @@ class TruncationOverflowError(VirfockError):
     """
 
 
-@dataclass(frozen=True)
-class Truncation:
+class Truncation(Frozen):
     """Caps for a truncated Fock module.
 
-    level_cap bounds the total level (sum of creator indices); zero_mode_cap
-    bounds the a†[0] occupancy and only matters for algebras with zero modes.
-    The hash is computed once per instance.
+    level_cap bounds the total level (sum of creator indices), a Fraction;
+    zero_mode_cap bounds the a†[0] occupancy and only matters for algebras
+    with zero modes.
     """
 
-    level_cap: Fraction
-    zero_mode_cap: int = 0
+    _fields = ("level_cap", "zero_mode_cap")
 
-    def __hash__(self):
-        return self._hash
-
-    _hash = cached_property(lambda self: hash((self.level_cap, self.zero_mode_cap)))
-
-    def __post_init__(self):
-        cap = Fraction(self.level_cap)
+    def __init__(self, level_cap, zero_mode_cap: int = 0):
+        cap = Fraction(level_cap)
         if cap < 0 or cap.denominator not in (1, 2):
             raise ValueError("level_cap must be a non-negative half-integer multiple")
-        object.__setattr__(self, "level_cap", cap)
-        if self.zero_mode_cap < 0:
+        if zero_mode_cap < 0:
             raise ValueError("zero_mode_cap must be non-negative")
+        vars(self).update(level_cap=cap, zero_mode_cap=zero_mode_cap)
 
 
 class BasisState(NamedTuple):

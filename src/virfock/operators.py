@@ -47,7 +47,6 @@ the untruncated one exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -58,6 +57,7 @@ from .algebra import (
     BOSON,
     FERMION,
     FieldKind,
+    Frozen,
     Mode,
     ONE,
     REDUCED_FERMION,
@@ -108,8 +108,7 @@ def _norm_linear(items) -> tuple:
                         key=lambda mc: mc[0].sort_key))
 
 
-@dataclass(frozen=True)
-class OperatorSpec:
+class OperatorSpec(Frozen):
     """A normal-ordered operator expression over one algebra.
 
     shift is the level the operator adds to any homogeneous state (the
@@ -117,13 +116,13 @@ class OperatorSpec:
     versus anticommutator.  Scalars compare and hash as integer pairs.
     """
 
-    algebra: Algebra
-    shift: Fraction
-    bilinears: tuple = ()
-    linear: tuple = ()
-    constant: Fraction = ZERO
-    parity: int = 0
+    _fields = ("algebra", "shift", "bilinears", "linear", "constant", "parity")
     _hash = None  # set in the instance dict by the first __hash__; cached_property would lock
+
+    def __init__(self, algebra: Algebra, shift: Fraction, bilinears: tuple = (), linear: tuple = (),
+                 constant: Fraction = ZERO, parity: int = 0):
+        vars(self).update(algebra=algebra, shift=shift, bilinears=bilinears, linear=linear,
+                          constant=constant, parity=parity)
 
     def _key(self) -> tuple:
         return (self.algebra, self.shift.as_integer_ratio(), self.constant.as_integer_ratio(), self.parity,

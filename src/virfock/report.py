@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass
-class CheckReport:
+class CheckReport(NamedTuple):
     name: str
     status: str  # "pass" | "fail" | "skipped"
     expected: str = ""

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import (BOSON, REDUCED_FERMION, Algebra, Mode, VirfockError, ZERO, a, adag, b,
+from .algebra import (BOSON, REDUCED_FERMION, Algebra, Frozen, Mode, VirfockError, ZERO, a, adag, b,
                       format_rational, paired_bracket, red_adag, reduced_boson)
 from .dirac import (
     BosonConstraints,
@@ -78,23 +77,18 @@ def default_truncation(family: str, level: int = 6, zmax: int = 4) -> Truncation
     return generator_family(family).truncation(level, zmax)
 
 
-@dataclass(frozen=True)
-class ScenarioParams:
-    family: str
-    M: Fraction = Fraction(1)
-    lam: Fraction = Fraction(1, 2)
-    trunc: Truncation = None
-    m_range: int = 3
+class ScenarioParams(Frozen):
+    _fields = ("family", "M", "lam", "trunc", "m_range")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.m_range < 2:
+    def __init__(self, family: str, M=Fraction(1), lam=Fraction(1, 2), trunc: Truncation = None,
+                 m_range: int = 3):
+        if family not in FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if m_range < 2:
             raise ValueError("m_range must be at least 2 (the anomaly needs m^3 - m != 0)")
-        object.__setattr__(self, "M", self.M if type(self.M) is Fraction else Fraction(self.M))
-        object.__setattr__(self, "lam", self.lam if type(self.lam) is Fraction else Fraction(self.lam))
-        if self.trunc is None:
-            object.__setattr__(self, "trunc", default_truncation(self.family))
+        vars(self).update(family=family, M=M if type(M) is Fraction else Fraction(M),
+                          lam=lam if type(lam) is Fraction else Fraction(lam),
+                          trunc=default_truncation(family) if trunc is None else trunc, m_range=m_range)
 
     @property
     def generators(self) -> GeneratorFamily:

@@ -1,6 +1,11 @@
 """Command line behaviour: scenarios, sweeps, exit codes, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+
+import virfock
 from virfock.cli import main
 
 
@@ -182,3 +187,12 @@ def test_negative_rational_parameters_parse_in_both_spellings(capsys):
     assert spaced == joined
     assert spaced[0] == 0
     assert "c_formula=-11 c_oracle=-11" in spaced[1]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI run starts a fresh interpreter and pays for each module it imports
+    src = os.path.dirname(os.path.dirname(os.path.abspath(virfock.__file__)))
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); import virfock.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    run = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"

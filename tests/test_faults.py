@@ -8,7 +8,6 @@ never seen by another test.
 """
 
 import inspect
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -260,20 +259,25 @@ def test_fermion_delta_sign_flipped(monkeypatch):
         invert_c(FermionConstraints(), DIRAC_WINDOW)
 
 
+def _with_brackets(real, brackets):
+    """The algebra real, same name, M, kinds and flags, with another bracket table."""
+    return algebra.Algebra(real.name, real.M, real.kinds, real.has_zero_modes, brackets, real.index_weighted)
+
+
 def test_reduced_boson_bracket_doubled(monkeypatch):
     # the boson Dirac table expects the reduced algebra's [a†[m], a†[-m]], so
     # a doubled bracket there misses every pair with m != 0
     real = verify.reduced_boson
-    monkeypatch.setattr(verify, "reduced_boson", lambda M: replace(
-        real(M), brackets={kinds: 2 * v for kinds, v in real(M).brackets.items()}))
+    monkeypatch.setattr(verify, "reduced_boson", lambda M: _with_brackets(
+        real(M), {kinds: 2 * v for kinds, v in real(M).brackets.items()}))
     assert _failed(run_dirac_checks(DIRAC_M, DIRAC_WINDOW)) == {"dirac_bracket_boson[N=3]"}
 
 
 def test_reduced_fermion_bracket_a_quarter(monkeypatch):
     # the fermion Dirac table expects the reduced algebra's [b[r], b[-r]}
     red_b = algebra.FieldKind.RED_B
-    monkeypatch.setattr(verify, "REDUCED_FERMION", replace(
-        algebra.REDUCED_FERMION, brackets={(red_b, red_b): Fraction(1, 4)}))
+    monkeypatch.setattr(verify, "REDUCED_FERMION", _with_brackets(
+        algebra.REDUCED_FERMION, {(red_b, red_b): Fraction(1, 4)}))
     assert _failed(run_dirac_checks(DIRAC_M, DIRAC_WINDOW)) == {"dirac_bracket_fermion[N=3]"}
 
 
