@@ -93,27 +93,6 @@ class FieldKind(Enum):
         return kind
 
 
-def conformal_weight(kind: FieldKind, lam=None) -> Fraction:
-    """Conformal weight metadata for a field kind.
-
-    The fermion weights depend on the family parameter lambda; pass it for
-    B/BDAG (and their even copies).  Weights are bookkeeping only; no
-    computation in the engine consumes them.
-    """
-    if kind is FieldKind.A:
-        return ZERO
-    if kind in (FieldKind.ADAG, FieldKind.RED_ADAG):
-        return Fraction(1)
-    if kind is FieldKind.RED_B:
-        return HALF
-    if lam is None:
-        raise ValueError("fermion conformal weights need the lambda parameter")
-    lam = Fraction(lam)
-    if kind in (FieldKind.B, FieldKind.EVEN_B):
-        return lam
-    return 1 - lam
-
-
 class Mode(NamedTuple):
     """A single oscillator generator: field kind plus half-integer index."""
 

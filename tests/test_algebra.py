@@ -19,7 +19,6 @@ from virfock.algebra import (
     b,
     bdag,
     canonical_bracket,
-    conformal_weight,
     even_b,
     even_bdag,
     format_rational,
@@ -154,16 +153,6 @@ def test_parity_table():
     assert a(1).parity == 0 and adag(1).parity == 0 and red_adag(1).parity == 0
     assert b(H).parity == 1 and bdag(H).parity == 1 and red_b(H).parity == 1
     assert even_b(H).parity == 0 and even_bdag(H).parity == 0
-
-
-def test_conformal_weight_metadata():
-    assert conformal_weight(FieldKind.A) == 0
-    assert conformal_weight(FieldKind.ADAG) == 1
-    assert conformal_weight(FieldKind.B, Fraction(1, 3)) == Fraction(1, 3)
-    assert conformal_weight(FieldKind.BDAG, Fraction(1, 3)) == Fraction(2, 3)
-    assert conformal_weight(FieldKind.RED_B) == H
-    with pytest.raises(ValueError):
-        conformal_weight(FieldKind.B)
 
 
 def test_mode_rendering():

@@ -23,7 +23,6 @@ from virfock.algebra import (
     b,
     bdag,
     canonical_bracket,
-    conformal_weight,
     is_creator,
     red_adag,
     red_b,
@@ -218,6 +217,31 @@ def test_generators_are_level_homogeneous(family, M, lam):
                 continue
             for j, _ in table.row(i):
                 assert table.basis[j].level == state.level + m
+
+
+def conformal_weight(kind: FieldKind, lam=None) -> Fraction:
+    """Conformal weight of a field kind, the primary-law test's independent
+    reference; the fermion weights need the family parameter lambda."""
+    if kind is FieldKind.A:
+        return ZERO
+    if kind in (FieldKind.ADAG, FieldKind.RED_ADAG):
+        return ONE
+    if kind is FieldKind.RED_B:
+        return H
+    if lam is None:
+        raise ValueError("fermion conformal weights need the lambda parameter")
+    lam = Fraction(lam)
+    return lam if kind in (FieldKind.B, FieldKind.EVEN_B) else 1 - lam
+
+
+def test_conformal_weight_metadata():
+    assert conformal_weight(FieldKind.A) == 0
+    assert conformal_weight(FieldKind.ADAG) == 1
+    assert conformal_weight(FieldKind.B, Fraction(1, 3)) == Fraction(1, 3)
+    assert conformal_weight(FieldKind.BDAG, Fraction(1, 3)) == Fraction(2, 3)
+    assert conformal_weight(FieldKind.RED_B) == H
+    with pytest.raises(ValueError):
+        conformal_weight(FieldKind.B)
 
 
 def test_primary_field_law_matches_conformal_weight():
