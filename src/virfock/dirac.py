@@ -12,10 +12,11 @@ and the Dirac bracket is
     [A, B]* = [A, B] - (-1)^{p(R)} [A, chi_P] Delta^{PR} [chi_R, B].
 
 The two families of interest are infinite but banded (C couples P with -P,
-plus one zero-mode pair), so Delta has a registered closed form; windowed
-exact elimination must reproduce it entry by entry.  The closed form and the
-elimination stay independent routes: the elimination is generic Gauss-Jordan
-and never reads the closed form.  C and Delta are held as sparse rows, so
+plus one zero-mode pair), so C and Delta have closed forms, stated as rows of
+the nonzero partners of a label.  C's rows must equal those computed from the
+expressions, and windowed exact elimination must reproduce Delta's entry by
+entry; the elimination is generic Gauss-Jordan and never reads Delta's closed
+form.  C and Delta are held as sparse rows, so
 the elimination and the Delta·C contract cost time in proportion to their
 nonzeros, not to the cube of the window; one elimination per label set
 serves both classify and invert_c.  The correction is linear in each
@@ -121,14 +122,16 @@ class ConstraintFamily(Frozen):
     Each subclass gives labels(window), the expression of a label
     (_build_expr), support_labels(expr) (every label P with [expr, chi_P]
     possibly nonzero; exact, not sampled) and, when second class, the nonzero
-    Delta partners of a label (_delta_row).  C is computed from the
-    expressions unless a subclass states a closed form.  Instances are frozen
+    Delta partners of a label (_delta_row).  A subclass may state C's closed
+    form the same way, as the nonzero (R, C_PR) partners of a label (_c_row);
+    without one, C is computed from the expressions.  Instances are frozen
     values of their _fields; they key every cache of this module and hash
     once each.
     """
 
     name = ""
     fully_second_class = False
+    _c_row = None
 
     def expr(self, label) -> OperatorSpec:
         return _cached_expr(self, label)
@@ -138,14 +141,6 @@ class ConstraintFamily(Frozen):
 
     def label_of_expr(self, label) -> str:
         return ZERO_GAUGE_LABEL if label == ZERO_GAUGE_LABEL else f"chi[{label}]"
-
-    def c_entry(self, p, r) -> Fraction:
-        """Bracket matrix entry C_PR; closed form where registered."""
-        return self.computed_c_entry(p, r)
-
-    def computed_c_entry(self, p, r) -> Fraction:
-        """C_PR recomputed from the constraint expressions and canonical brackets."""
-        return linear_bracket(self.expr(p), self.expr(r))
 
     def delta_row(self, p):
         """Nonzero (R, Delta^PR) partners of a fixed first label (second class required)."""
@@ -205,12 +200,12 @@ class BosonConstraints(ConstraintFamily):
             return build_chi_bar0()
         return build_chi_boson(int(label), self.M)
 
-    def c_entry(self, p, r) -> Fraction:
+    def _c_row(self, p):
         if p == ZERO_GAUGE_LABEL:
-            return MINUS_ONE if r == 0 else ZERO
-        if r == ZERO_GAUGE_LABEL:
-            return ONE if p == 0 else ZERO
-        return 2 * self.M * p if p + r == 0 else ZERO
+            return ((0, MINUS_ONE),)
+        if p == 0:
+            return ((ZERO_GAUGE_LABEL, ONE),)
+        return ((-p, 2 * self.M * p),)
 
     def _delta_row(self, p):
         if p == ZERO_GAUGE_LABEL:
@@ -259,9 +254,8 @@ class FermionConstraints(_HalfOddConstraints):
     def parity(self, label) -> int:
         return 1
 
-    def c_entry(self, p, r) -> Fraction:
-        # p + r == 0 on normalized labels, without Fraction arithmetic
-        return MINUS_TWO if p.numerator == -r.numerator and p.denominator == r.denominator else ZERO
+    def _c_row(self, p):
+        return ((-p, MINUS_TWO),)
 
     def _delta_row(self, p):
         return ((-p, HALF),)
@@ -295,19 +289,28 @@ def partners(index: dict, expr: OperatorSpec, family: ConstraintFamily = None) -
     return sorted({j for two in expr.linear_by_two for j in index.get(-two, ())})
 
 
-def support_rows(family: ConstraintFamily, labels, entry) -> list:
-    """entry(P, R) over labels as sparse rows, row i mapping position j to a nonzero
-    value, evaluated only at the partners R of chi_P: elsewhere [chi_P, chi_R} is 0."""
-    index = pairing_index(map(family.expr, labels))
-    return [{j: v for j in partners(index, family.expr(p)) if (v := entry(p, labels[j]))}
-            for p in labels]
+def support_rows(family: ConstraintFamily, labels) -> list:
+    """C computed from the expressions over labels as sparse rows, row i mapping position
+    j to a nonzero [chi_P, chi_R}, evaluated only at the partners R of chi_P: elsewhere 0."""
+    exprs = [family.expr(p) for p in labels]
+    index = pairing_index(exprs)
+    return [{j: v for j in partners(index, x) if (v := linear_bracket(x, exprs[j]))} for x in exprs]
+
+
+def _partner_rows(row_of, labels) -> list:
+    """Sparse rows over labels from the nonzero (R, value) partners row_of(P) of each
+    label: row i maps the position of each partner R of labels[i] inside labels to its value."""
+    position = {p: i for i, p in enumerate(labels)}
+    return [{position[r]: v for r, v in row_of(p) if r in position} for p in labels]
 
 
 @lru_cache(maxsize=None)
 def _c_rows(family: ConstraintFamily, labels: tuple) -> list:
-    """C over labels as support_rows, so a zero row is an exact zero row; that the
-    closed form is 0 off the support too is bracket_matrix_closed_form's claim."""
-    return support_rows(family, labels, family.c_entry)
+    """C over labels: the family's closed rows where it states them (that they equal
+    support_rows is bracket_matrix_closed_form's claim), else support_rows."""
+    if family._c_row is None:
+        return support_rows(family, labels)
+    return _partner_rows(family._c_row, labels)
 
 
 @lru_cache(maxsize=None)
@@ -391,9 +394,7 @@ def invert_c(family: ConstraintFamily, window: Window) -> dict:
             "the bracket matrix is not invertible")
     labels = tuple(split.second_class)
     inverse = _signed_inverse(family, labels)
-    position = {p: i for i, p in enumerate(labels)}
-    for p, row in zip(labels, inverse):
-        closed = {position[r]: v for r, v in family.delta_row(p) if r in position}
+    for p, row, closed in zip(labels, inverse, _partner_rows(family.delta_row, labels)):
         for j in sorted(row.keys() | closed.keys()):  # both are zero elsewhere
             if (got := row.get(j, ZERO)) != closed.get(j, ZERO):
                 raise ClosedFormMismatchError(

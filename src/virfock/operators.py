@@ -155,36 +155,6 @@ class OperatorSpec(Frozen):
     def is_linear(self) -> bool:
         return not self.bilinears
 
-    @property
-    def is_constant_only(self) -> bool:
-        return not self.bilinears and not self.linear
-
-    def __add__(self, other: "OperatorSpec") -> "OperatorSpec":
-        if self.algebra != other.algebra:
-            raise AlgebraMismatchError("cannot add operators over different algebras")
-        if self.is_constant_only:
-            shift, parity = other.shift, other.parity
-        elif other.is_constant_only:
-            shift, parity = self.shift, self.parity
-        else:
-            if self.shift != other.shift:
-                raise ValueError("adding operators of different level shift breaks homogeneity")
-            if self.parity != other.parity:
-                raise ValueError("adding operators of different parity")
-            shift, parity = self.shift, self.parity
-        bil = {}
-        for t in self.bilinears + other.bilinears:
-            key = (t.left, t.right, t.m)
-            prev = bil.get(key)
-            bil[key] = (prev[0] + t.alpha, prev[1] + t.beta) if prev else (t.alpha, t.beta)
-        bilinears = tuple(BilinearTerm(l, r, m, al, be)
-                          for (l, r, m), (al, be) in sorted(bil.items(),
-                                                            key=lambda kv: (kv[0][0].value, kv[0][1].value, kv[0][2]))
-                          if al or be)
-        return OperatorSpec(self.algebra, shift, bilinears,
-                            _norm_linear(self.linear + other.linear),
-                            self.constant + other.constant, parity)
-
     def __rmul__(self, scalar) -> "OperatorSpec":
         scalar = Fraction(scalar)
         if not scalar:

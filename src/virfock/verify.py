@@ -35,6 +35,7 @@ from .dirac import (
     FermionConstraints,
     SingularBlockError,
     Window,
+    _c_rows,
     dirac_transform_adagger,
     classify,
     delta_contract_residuals,
@@ -393,11 +394,9 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
             bad, got = True, str(exc)  # the elimination names its first witness
         reports.append(report(f"delta_contract[{name},N={N}]", not bad, "identity", got))
 
-    # closed-form bracket matrix at every pair against the one recomputed from expressions
-    agree = all(fam.c_entry(p, r).as_integer_ratio() == row.get(j, ZERO).as_integer_ratio()
-                for fam in (bos, fer) for labels in [fam.labels(window)]
-                for p, row in zip(labels, support_rows(fam, labels, fam.computed_c_entry))
-                for j, r in enumerate(labels))
+    # closed-form bracket matrix against the one computed from expressions, row by row
+    agree = all(_c_rows(fam, labels) == support_rows(fam, labels)
+                for fam in (bos, fer) for labels in [tuple(fam.labels(window))])
     reports.append(report(f"bracket_matrix_closed_form[N={N}]", agree,
                           "matches expressions", "matches" if agree else "mismatch"))
 

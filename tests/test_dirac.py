@@ -51,28 +51,37 @@ H = Fraction(1, 2)
 HALF_LABELS = lambda n: [Fraction(t, 2) for t in range(-2 * n + 1, 2 * n, 2)]
 
 
+def _c_entries(family, window):
+    """C over the window's labels as {(P, R): C_PR}, read off its nonzero rows."""
+    labels = tuple(family.labels(window))
+    return {(p, labels[j]): v for p, row in zip(labels, dirac._c_rows(family, labels))
+            for j, v in row.items()}
+
+
 def test_closed_form_bracket_matrix():
-    bos = BosonConstraints(Fraction(3, 2))
-    assert bos.c_entry(4, -4) == 2 * Fraction(3, 2) * 4
-    assert bos.c_entry(4, 4) == 0
-    assert bos.c_entry(0, ZERO_GAUGE_LABEL) == 1
-    assert bos.c_entry(ZERO_GAUGE_LABEL, 0) == -1
-    assert bos.c_entry(0, 0) == 0
-    fer = FermionConstraints()
-    assert fer.c_entry(H, -H) == -2
-    assert fer.c_entry(H, Fraction(3, 2)) == 0
+    c = _c_entries(BosonConstraints(Fraction(3, 2)), Window(4))
+    assert c[(4, -4)] == 2 * Fraction(3, 2) * 4
+    assert (4, 4) not in c
+    assert c[(0, ZERO_GAUGE_LABEL)] == 1
+    assert c[(ZERO_GAUGE_LABEL, 0)] == -1
+    assert (0, 0) not in c
+    assert len(c) == 2 * 4 + 2  # each label pairs with one partner
+    c = _c_entries(FermionConstraints(), Window(4))
+    assert c[(H, -H)] == -2
+    assert (H, Fraction(3, 2)) not in c
+    assert len(c) == 2 * 4
 
 
 @pytest.mark.parametrize("family", [BosonConstraints(2), FermionConstraints(),
                                     EvenCopyConstraints()])
 def test_bracket_matrix_matches_expressions(family):
-    w = Window(5)
-    labels = family.labels(w)
-    for p in labels:
-        for r in labels:
-            assert family.c_entry(p, r) == family.computed_c_entry(p, r)
-            sign = -1 if (family.parity(p) and family.parity(r)) else 1
-            assert family.c_entry(p, r) == -sign * family.c_entry(r, p)
+    labels = tuple(family.labels(Window(5)))
+    rows = dirac._c_rows(family, labels)
+    assert rows == dirac.support_rows(family, labels)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            sign = -1 if (family.parity(labels[i]) and family.parity(labels[j])) else 1
+            assert rows[j].get(i) == -sign * v
 
 
 def test_closed_form_delta_entries():
@@ -389,11 +398,13 @@ def _family_id(family):
     BosonConstraints(Fraction(2, 3), with_zero_gauge=False), BosonConstraints(-4, with_zero_gauge=False),
     FermionConstraints(), EvenCopyConstraints()], ids=_family_id)
 def test_sparse_c_rows_equal_a_dense_scan(family, n):
-    # C's rows are evaluated on the pairing support only; the dense scan
-    # evaluates every entry, so an entry the support misses would show
+    # C's closed rows and the rows computed on the pairing support only,
+    # against a scan that evaluates every pair: an entry either misses shows
     labels = tuple(family.labels(Window(n)))
-    dense = [{j: v for j, r in enumerate(labels) if (v := family.c_entry(p, r))} for p in labels]
+    exprs = [family.expr(p) for p in labels]
+    dense = [{j: v for j, y in enumerate(exprs) if (v := linear_bracket(x, y))} for x in exprs]
     assert dirac._c_rows(family, labels) == dense
+    assert dirac.support_rows(family, labels) == dense
 
 
 # the zero-mode pair meets the gauge label a0 only through a†[0] against a[0],
@@ -421,7 +432,7 @@ def test_dirac_bracket_matches_unfiltered_label_sum(case):
 def test_dirac_bracket_matches_operator_route(case):
     family, A, B = case
     got = dirac_op_bracket(A, B, family)
-    assert got.is_constant_only
+    assert not got.bilinears and not got.linear
     assert got.constant == dirac_bracket(A, B, family)
 
 

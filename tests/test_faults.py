@@ -215,9 +215,9 @@ def test_boson_delta_entry_doubled(monkeypatch):
 def test_boson_zero_gauge_brackets_dropped(monkeypatch):
     # C loses its a[0] row and column: chi[0] and a[0] turn first class, so
     # the elimination meets a singular block, reported as a failed contract
-    real = dirac.BosonConstraints.c_entry
-    monkeypatch.setattr(dirac.BosonConstraints, "c_entry", lambda self, p, r: (
-        dirac.ZERO if dirac.ZERO_GAUGE_LABEL in (p, r) else real(self, p, r)))
+    real = dirac.BosonConstraints._c_row
+    monkeypatch.setattr(dirac.BosonConstraints, "_c_row", lambda self, p: tuple(
+        (r, c) for r, c in real(self, p) if dirac.ZERO_GAUGE_LABEL not in (p, r)))
     reports = run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
     assert _failed(reports) == {"delta_contract[boson,N=3]", "bracket_matrix_closed_form[N=3]",
                                 "classify[boson,gauged]"}
@@ -229,14 +229,17 @@ def test_boson_zero_gauge_brackets_dropped(monkeypatch):
 
 def test_boson_closed_form_entry_off_the_pairing_support(monkeypatch):
     # chi_1 and chi_2 share no pair of modes at opposite doubled indices, so
-    # C_{1,2} is off the pairing support that C's rows are evaluated on: the
-    # elimination never reads the stated 1, and only the comparison with the
-    # expressions at every window pair reports it.  Together with the contract
-    # this still proves Delta·C = 1 and C = 0 off the support.
-    real = dirac.BosonConstraints.c_entry
-    monkeypatch.setattr(dirac.BosonConstraints, "c_entry", lambda self, p, r: (
-        dirac.ONE if (p, r) == (1, 2) else real(self, p, r)))
-    assert _failed(run_dirac_checks(DIRAC_M, DIRAC_WINDOW)) == {"bracket_matrix_closed_form[N=3]"}
+    # C_{1,2} is off the pairing support: the rows computed from the
+    # expressions hold a 0 there, and the row comparison reports the stated 1.
+    # The closed rows are what the elimination reads, so the elimination no
+    # longer reproduces Delta's closed form either.
+    real = dirac.BosonConstraints._c_row
+    monkeypatch.setattr(dirac.BosonConstraints, "_c_row", lambda self, p: (
+        real(self, p) + ((2, dirac.ONE),) if p == 1 else real(self, p)))
+    reports = run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
+    assert _failed(reports) == {"bracket_matrix_closed_form[N=3]", "delta_contract[boson,N=3]"}
+    (contract,) = (r for r in reports if r.name == "delta_contract[boson,N=3]")
+    assert contract.got == "windowed inversion disagrees with the closed form at (-1,-2): 9/32 vs 0"
 
 
 def test_boson_support_drops_the_zero_gauge_label(monkeypatch):

@@ -27,7 +27,9 @@ of `virfock --scenario dirac-checks --M 2/3 --window 12 --format json`, the
 constraint machinery at M != 1 on a wider window, dirac_m-5_4_window40.json
 the same at a negative fractional M on the benchmark's window 40, and
 dirac_m-4_window40.json at a negative integer M, the benchmark's seed-1
-dirac-checks invocation.  sweep_<family>.json holds
+dirac-checks invocation, and dirac_m-2_3_window1.json at the narrowest window,
+where the C and Delta partners of ±1 fall outside the labels and the 0/a0
+pair sits at the edge.  sweep_<family>.json holds
 the central-charge oracle of each generator family on the grid of
 sweep_grid.txt (λ = 0, negative M, and an M and a λ with denominator 5).
 After a deliberate output change they are regenerated with
@@ -41,6 +43,7 @@ After a deliberate output change they are regenerated with
     PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --M 2/3 --window 12 --format json > tests/golden/dirac_m2_3_window12.json
     PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --M -5/4 --window 40 --format json > tests/golden/dirac_m-5_4_window40.json
     PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --M -4 --window 40 --format json > tests/golden/dirac_m-4_window40.json
+    PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --M -2/3 --window 1 --format json > tests/golden/dirac_m-2_3_window1.json
     for f in boson-unconstrained boson-reduced fermion-unconstrained fermion-reduced; do
         PYTHONPATH=src python -m virfock.cli --scenario $f --sweep tests/golden/sweep_grid.txt --format json > tests/golden/sweep_$(echo $f | tr - _).json
     done
@@ -73,6 +76,8 @@ SWEEP_FAMILIES = ("boson-unconstrained", "boson-reduced", "fermion-unconstrained
                  "dirac_m-5_4_window40.json", id="json-dirac_m-5_4_window40.json"),
     pytest.param(["--scenario", "dirac-checks", "--M", "-4", "--window", "40", "--format", "json"],
                  "dirac_m-4_window40.json", id="json-dirac_m-4_window40.json"),
+    pytest.param(["--scenario", "dirac-checks", "--M", "-2/3", "--window", "1", "--format", "json"],
+                 "dirac_m-2_3_window1.json", id="json-dirac_m-2_3_window1.json"),
 ] + [
     pytest.param(["--scenario", f, "--sweep", str(GOLDEN / "sweep_grid.txt"), "--format", "json"],
                  f"sweep_{f.replace('-', '_')}.json", id=f"json-sweep_{f}")

@@ -37,6 +37,7 @@ from virfock.operators import (
     OperatorSpec,
     UnsafeLevelError,
     _apply_to_basis,
+    _norm_linear,
     _skeleton,
     build_K,
     build_L,
@@ -334,13 +335,41 @@ def test_apply_operator_overflow_propagates():
             table.row(i)
 
 
+def add(x: OperatorSpec, y: OperatorSpec) -> OperatorSpec:
+    """x + y with like terms collected, the composition reference's sum; a
+    constant-only operand takes the shift and parity of the other."""
+    if x.algebra != y.algebra:
+        raise AlgebraMismatchError("cannot add operators over different algebras")
+    if not x.bilinears and not x.linear:
+        shift, parity = y.shift, y.parity
+    elif not y.bilinears and not y.linear:
+        shift, parity = x.shift, x.parity
+    else:
+        if x.shift != y.shift:
+            raise ValueError("adding operators of different level shift breaks homogeneity")
+        if x.parity != y.parity:
+            raise ValueError("adding operators of different parity")
+        shift, parity = x.shift, x.parity
+    bil = {}
+    for t in x.bilinears + y.bilinears:
+        key = (t.left, t.right, t.m)
+        prev = bil.get(key)
+        bil[key] = (prev[0] + t.alpha, prev[1] + t.beta) if prev else (t.alpha, t.beta)
+    bilinears = tuple(BilinearTerm(l, r, m, al, be)
+                      for (l, r, m), (al, be) in sorted(bil.items(),
+                                                        key=lambda kv: (kv[0][0].value, kv[0][1].value, kv[0][2]))
+                      if al or be)
+    return OperatorSpec(x.algebra, shift, bilinears, _norm_linear(x.linear + y.linear),
+                        x.constant + y.constant, parity)
+
+
 def test_operator_addition_and_scaling():
     M = Fraction(1)
-    lhs = build_B(2, M) + build_chi_boson(2, M)
+    lhs = add(build_B(2, M), build_chi_boson(2, M))
     assert dict(lhs.linear) == {adag(2): 2}  # the a[2] parts cancel
     assert (0 * build_K(1)).bilinears == ()
     with pytest.raises(ValueError):
-        build_K(1) + build_K(2)  # inhomogeneous sum
+        add(build_K(1), build_K(2))  # inhomogeneous sum
 
 
 def test_safe_basis_is_computed_once_per_rise():
@@ -413,10 +442,10 @@ def test_row_table_den_equals_a_walk_over_the_realized_terms(kinds, m, two_w, M,
 
 
 def _composed_L(family, m, M, lam):
-    """L_m composed by OperatorSpec arithmetic, which normalizes the sum: the
-    generators' defining expressions, built term by term."""
+    """L_m composed by add and OperatorSpec scaling, which normalize the sum:
+    the generators' defining expressions, built term by term."""
     if family == "boson-unconstrained":
-        return build_K(m) + (lam * (m + 1)) * build_B(m, M)
+        return add(build_K(m), (lam * (m + 1)) * build_B(m, M))
     algebra = FAMILIES[family].algebra(M)
     if family == "boson-reduced":
         kernel = BilinearTerm(FieldKind.RED_ADAG, FieldKind.RED_ADAG, m, 1 / M, Fraction(0))
@@ -427,7 +456,7 @@ def _composed_L(family, m, M, lam):
     else:
         kernel = BilinearTerm(FieldKind.RED_B, FieldKind.RED_B, m, Fraction(m, 2), Fraction(-1))
         rest = linear_operator(algebra, {})
-    return OperatorSpec(algebra, Fraction(m), (kernel,)) + rest
+    return add(OperatorSpec(algebra, Fraction(m), (kernel,)), rest)
 
 
 @settings(max_examples=200, deadline=None)
