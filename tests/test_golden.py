@@ -32,6 +32,10 @@ where the C and Delta partners of ±1 fall outside the labels and the 0/a0
 pair sits at the edge.  sweep_<family>.json holds
 the central-charge oracle of each generator family on the grid of
 sweep_grid.txt (λ = 0, negative M, and an M and a λ with denominator 5).
+sweep_long_boson_reduced.json holds the reduced boson's oracle on the 150
+seeded points of sweep_long_grid.txt, enough generator tables to overflow
+the bounded row-table cache, so evicted and rebuilt tables must give the
+same output.
 After a deliberate output change they are regenerated with
 
     PYTHONPATH=src python -m virfock.cli --scenario all --level 4 --zmax 2 --mmax 2 --window 4 > tests/golden/all.txt
@@ -47,6 +51,7 @@ After a deliberate output change they are regenerated with
     for f in boson-unconstrained boson-reduced fermion-unconstrained fermion-reduced; do
         PYTHONPATH=src python -m virfock.cli --scenario $f --sweep tests/golden/sweep_grid.txt --format json > tests/golden/sweep_$(echo $f | tr - _).json
     done
+    PYTHONPATH=src python -m virfock.cli --scenario boson-reduced --sweep tests/golden/sweep_long_grid.txt --format json > tests/golden/sweep_long_boson_reduced.json
 """
 
 from pathlib import Path
@@ -82,6 +87,9 @@ SWEEP_FAMILIES = ("boson-unconstrained", "boson-reduced", "fermion-unconstrained
     pytest.param(["--scenario", f, "--sweep", str(GOLDEN / "sweep_grid.txt"), "--format", "json"],
                  f"sweep_{f.replace('-', '_')}.json", id=f"json-sweep_{f}")
     for f in SWEEP_FAMILIES
+] + [
+    pytest.param(["--scenario", "boson-reduced", "--sweep", str(GOLDEN / "sweep_long_grid.txt"), "--format", "json"],
+                 "sweep_long_boson_reduced.json", id="json-sweep_long_boson_reduced.json"),
 ])
 def test_cli_output_matches_golden(capsys, argv, filename):
     assert main(argv) == 0
