@@ -111,18 +111,19 @@ def accumulate(acc: dict, pairs, scale=1) -> dict:
 
 
 def _state_key(state: BasisState):
-    return (state.level, state.zero_occ, tuple(m.sort_key for m in state.creators))
+    # the canonical order (level, zero occupancy, creators), the level doubled
+    return (state.two_level, state.zero_occ, tuple(m.sort_key for m in state.creators))
 
 
 @lru_cache(maxsize=None)
 def _basis(kinds: tuple, has_zero_modes: bool, trunc: Truncation) -> tuple:
     """(states, index, two_levels) of the module of the given mode kinds;
     every algebra with these kinds and zero modes shares it."""
+    two_cap = 2 * trunc.level_cap.numerator // trunc.level_cap.denominator  # levels doubled, as ints
     modes = []
     for kind in kinds:
-        start = 1 if kind.half_integer_moded else 2  # doubled index
-        two = start
-        while Fraction(two, 2) <= trunc.level_cap:
+        two = 1 if kind.half_integer_moded else 2
+        while two <= two_cap:
             modes.append(Mode(kind, two))
             two += 2
     modes.sort(key=lambda m: m.sort_key)
@@ -133,15 +134,14 @@ def _basis(kinds: tuple, has_zero_modes: bool, trunc: Truncation) -> tuple:
         combos.append(tuple(prefix))
         for j in range(i, len(modes)):
             m = modes[j]
-            lvl = m.index
-            if lvl > remaining:
+            if m.two > remaining:
                 continue
             prefix.append(m)
             # odd kinds are nilpotent: advance past this mode
-            grow(j + 1 if m.parity else j, prefix, remaining - lvl)
+            grow(j + 1 if m.parity else j, prefix, remaining - m.two)
             prefix.pop()
 
-    grow(0, [], trunc.level_cap)
+    grow(0, [], two_cap)
 
     occs = range(trunc.zero_mode_cap + 1) if has_zero_modes else (0,)
     states = tuple(sorted((BasisState(c, z) for c in combos for z in occs), key=_state_key))

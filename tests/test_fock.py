@@ -30,6 +30,7 @@ from virfock.fock import (
     accumulate,
     enumerate_basis,
 )
+from virfock.verify import ScenarioParams, default_truncation
 
 H = Fraction(1, 2)
 
@@ -112,6 +113,27 @@ def test_enumerate_matches_bruteforce(algebra, trunc):
     assert set(states) == brute_states(algebra, trunc)
     levels = [(s.level, s.zero_occ) for s in states]
     assert levels == sorted(levels)  # canonical order leads with the level
+
+
+def _fraction_key(state):
+    # the canonical order stated with the level as a Fraction sum of mode indices
+    return (sum((m.index for m in state.creators), Fraction(0)), state.zero_occ,
+            tuple(m.sort_key for m in state.creators))
+
+
+@pytest.mark.parametrize("family", ["boson-unconstrained", "boson-reduced",
+                                    "fermion-unconstrained", "fermion-reduced"])
+@pytest.mark.parametrize("level", [None, "benchmark"])
+def test_basis_order_equals_a_fraction_keyed_sort(family, level):
+    # the default caps, and the benchmark's (level 6 for boson-unconstrained, 8 for the others)
+    if level is None:
+        params = ScenarioParams(family, 2, H)
+    else:
+        level = 6 if family == "boson-unconstrained" else 8
+        params = ScenarioParams(family, 2, H, default_truncation(family, level))
+    states = enumerate_basis(params.algebra, params.trunc)
+    assert len(states) == len(set(states))
+    assert list(states) == sorted(reversed(states), key=_fraction_key)
 
 
 _POOL = range(len(enumerate_basis(FERMION, Truncation(Fraction(3, 2)))))
