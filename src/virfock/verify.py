@@ -101,8 +101,10 @@ class ScenarioParams(Frozen):
 
 
 def claimed_central_charge(family: str, M=0, lam=0) -> Fraction:
-    """The closed-form central charge asserted for each generator family."""
-    return generator_family(family).central_charge(Fraction(M), Fraction(lam))
+    """The closed-form central charge asserted for each generator family; a
+    Fraction M or lam is used as it is."""
+    M, lam = (q if isinstance(q, Fraction) else Fraction(q) for q in (M, lam))
+    return generator_family(family).central_charge(M, lam)
 
 
 @lru_cache(maxsize=None)

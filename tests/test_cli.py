@@ -1,12 +1,22 @@
 """Command line behaviour: scenarios, sweeps, exit codes, output formats."""
 
+import gc
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
 
 import virfock
+import virfock.operators as operators
 from virfock.cli import main
+from virfock.verify import ScenarioParams, claimed_central_charge, extract_central_charge
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +118,46 @@ def test_each_sweep_point_builds_its_own_generator_tables(tmp_path, capsys):
         code, _, _ = run_cli(capsys, "--scenario", "boson-reduced", "--sweep", str(grid), *FAST)
         assert code == 0
         assert _apply_to_basis.cache_info().misses - before == 5
+
+
+@pytest.mark.parametrize("flags", [(), FAST], ids=["defaults", "all.txt-caps"])
+def test_scenario_all_fits_the_row_table_cache(monkeypatch, fresh_caches, flags):
+    # one scenario's working set fits the bound: from a cleared cache every
+    # table is built once and none is evicted, the count an unbounded cache makes
+    assert main(["--scenario", "all", *flags]) == 0
+    bounded = operators._apply_to_basis.cache_info()
+    assert bounded.misses == bounded.currsize < bounded.maxsize
+    unbounded = lru_cache(maxsize=None)(operators._apply_to_basis.__wrapped__)
+    monkeypatch.setattr(operators, "_apply_to_basis", unbounded)
+    assert main(["--scenario", "all", *flags]) == 0
+    assert unbounded.cache_info().misses == bounded.misses
+
+
+def test_a_sweep_retains_no_memory_once_the_row_table_cache_is_full(fresh_caches):
+    # distinct boson-unconstrained points, run as --sweep runs them; an
+    # unbounded cache retains about 2.5 MB over the 300 points measured here
+    values = sorted({Fraction(p, q) for p in range(-6, 7) for q in range(1, 7)})
+    pool = [(M, lam) for M in values if M for lam in values]
+    points = iter(random.Random(1).sample(pool, 600))
+    tracemalloc.start()
+    try:
+        for M, lam in points:
+            params = ScenarioParams("boson-unconstrained", M, lam)
+            assert extract_central_charge(params) == claimed_central_charge(params.family, M, lam)
+            info = operators._apply_to_basis.cache_info()
+            if info.currsize == info.maxsize:
+                break
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for M, lam in itertools.islice(points, 300):
+            params = ScenarioParams("boson-unconstrained", M, lam)
+            assert extract_central_charge(params) == claimed_central_charge(params.family, M, lam)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert info.currsize == info.maxsize
+    assert retained < 250_000
 
 
 def test_sweep_empty_grid_is_config_error(tmp_path, capsys):

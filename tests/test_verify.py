@@ -4,6 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from virfock.algebra import format_rational
 from virfock.fock import Truncation
@@ -38,6 +39,25 @@ def test_claimed_formulas():
     assert claimed_central_charge("fermion-unconstrained", 0, H) == 1
     assert claimed_central_charge("fermion-unconstrained", 0, Fraction(1, 3)) == Fraction(2, 3)
     assert claimed_central_charge("fermion-reduced") == H
+
+
+_RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIONALS, _RATIONALS)
+@example(Fraction(0), Fraction(0))
+@example(Fraction(-2, 3), Fraction(-5, 4))
+def test_claimed_formulas_equal_the_fraction_closed_forms(M, lam):
+    # the paper's closed forms in Fraction arithmetic, against the integer forms
+    closed = {"boson-unconstrained": 2 - 24 * M * lam * lam,
+              "boson-reduced": 1 - 24 * M * lam * lam,
+              "fermion-unconstrained": -2 * (1 - 6 * lam + 6 * lam * lam),
+              "fermion-reduced": Fraction(1, 2)}
+    for family, c in closed.items():
+        for args in ((M, lam), (str(M), str(lam))):  # a Fraction as it is, or converted
+            got = claimed_central_charge(family, *args)
+            assert type(got) is Fraction and got == c, (family, args)
 
 
 def test_oracle_examples():
