@@ -8,6 +8,7 @@ never seen by another test.
 """
 
 import inspect
+import re
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,21 @@ def test_one_kernel_alpha_off(monkeypatch):
     reports, c_formula, c_oracle = run_family_scenario(small_params(family, 1, 1))
     assert c_formula == c_oracle
     assert {"virasoro[m=2,n=-1]", "virasoro[m=-1,n=2]", "christoffel[m=1,n=1]"} <= _failed(reports)
+
+
+@pytest.mark.parametrize("family", sorted(operators.FAMILIES))
+@pytest.mark.parametrize("k", [-2, 1])
+def test_doubled_generator_fails_mirror_reports_together(monkeypatch, family, k):
+    # [L_n, L_m] = -[L_m, L_n] and [L_m, L_m] = 0 whatever L_k is, so a
+    # fault fails virasoro[m=a,n=b] and virasoro[m=b,n=a] together, never m = n
+    real = operators.FAMILIES[family].build
+    _replace_family(monkeypatch, family, build=lambda m, M, lam: (2 if m == k else 1) * real(m, M, lam))
+    M, lam = Fraction(2, 3), Fraction(-5, 4)
+    params = ScenarioParams(family, M, lam, operators.FAMILIES[family].truncation(4, 2), 2)
+    failed = {tuple(map(int, re.fullmatch(r"virasoro\[m=(-?\d+),n=(-?\d+)\]", name).groups()))
+              for name in _failed(check_virasoro_relation(params, claimed_central_charge(family, M, lam)))}
+    assert failed and {(n, m) for m, n in failed} == failed
+    assert all(m != n for m, n in failed)
 
 
 @pytest.mark.parametrize("family,lam", [("fermion-reduced", 0), ("fermion-unconstrained", Fraction(1, 3))])

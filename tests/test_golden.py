@@ -29,7 +29,12 @@ the same at a negative fractional M on the benchmark's window 40, and
 dirac_m-4_window40.json at a negative integer M, the benchmark's seed-1
 dirac-checks invocation, and dirac_m-2_3_window1.json at the narrowest window,
 where the C and Delta partners of ±1 fall outside the labels and the 0/a0
-pair sits at the edge.  sweep_<family>.json holds
+pair sits at the edge.  dirac_window3.txt holds the text of
+`virfock --scenario dirac-checks --window 3` and fermion_reduced.txt that of
+`virfock --scenario fermion-reduced`.  families_seed1_<family>.json holds the
+benchmark's seed-1 `families` invocation of each generator family (M = 5,
+lambda = 2, level 6 for boson-unconstrained and 8 for the others), the one
+pin of a family's every report at level 8.  sweep_<family>.json holds
 the central-charge oracle of each generator family on the grid of
 sweep_grid.txt (λ = 0, negative M, and an M and a λ with denominator 5).
 sweep_long_boson_reduced.json holds the reduced boson's oracle on the 150
@@ -48,6 +53,12 @@ After a deliberate output change they are regenerated with
     PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --M -5/4 --window 40 --format json > tests/golden/dirac_m-5_4_window40.json
     PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --M -4 --window 40 --format json > tests/golden/dirac_m-4_window40.json
     PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --M -2/3 --window 1 --format json > tests/golden/dirac_m-2_3_window1.json
+    PYTHONPATH=src python -m virfock.cli --scenario dirac-checks --window 3 > tests/golden/dirac_window3.txt
+    PYTHONPATH=src python -m virfock.cli --scenario fermion-reduced > tests/golden/fermion_reduced.txt
+    for f in boson-unconstrained boson-reduced fermion-unconstrained fermion-reduced; do
+        level=8; [ $f = boson-unconstrained ] && level=6
+        PYTHONPATH=src python -m virfock.cli --scenario $f --M=5 --lambda=2 --level=$level --format=json > tests/golden/families_seed1_$(echo $f | tr - _).json
+    done
     for f in boson-unconstrained boson-reduced fermion-unconstrained fermion-reduced; do
         PYTHONPATH=src python -m virfock.cli --scenario $f --sweep tests/golden/sweep_grid.txt --format json > tests/golden/sweep_$(echo $f | tr - _).json
     done
@@ -63,6 +74,7 @@ from virfock.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 ALL = ["--scenario", "all", "--level", "4", "--zmax", "2", "--mmax", "2", "--window", "4"]
 SWEEP_FAMILIES = ("boson-unconstrained", "boson-reduced", "fermion-unconstrained", "fermion-reduced")
+SEED1_LEVELS = {"boson-unconstrained": 6, "boson-reduced": 8, "fermion-unconstrained": 8, "fermion-reduced": 8}
 
 
 @pytest.mark.parametrize("argv,filename", [
@@ -83,6 +95,13 @@ SWEEP_FAMILIES = ("boson-unconstrained", "boson-reduced", "fermion-unconstrained
                  "dirac_m-4_window40.json", id="json-dirac_m-4_window40.json"),
     pytest.param(["--scenario", "dirac-checks", "--M", "-2/3", "--window", "1", "--format", "json"],
                  "dirac_m-2_3_window1.json", id="json-dirac_m-2_3_window1.json"),
+    pytest.param(["--scenario", "dirac-checks", "--window", "3"], "dirac_window3.txt",
+                 id="text-dirac_window3.txt"),
+    pytest.param(["--scenario", "fermion-reduced"], "fermion_reduced.txt", id="text-fermion_reduced.txt"),
+] + [
+    pytest.param(["--scenario", f, "--M=5", "--lambda=2", f"--level={level}", "--format=json"],
+                 f"families_seed1_{f.replace('-', '_')}.json", id=f"json-families_seed1_{f}")
+    for f, level in SEED1_LEVELS.items()
 ] + [
     pytest.param(["--scenario", f, "--sweep", str(GOLDEN / "sweep_grid.txt"), "--format", "json"],
                  f"sweep_{f.replace('-', '_')}.json", id=f"json-sweep_{f}")

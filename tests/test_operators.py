@@ -672,6 +672,21 @@ def test_integer_engine_matches_fraction_reference(family, M, lam, m, n, data):
         assert _image(Commutator(op, other, trunc), i) == {s: q for s, q in want.items() if q}
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), _RATIONALS.filter(bool), _RATIONALS,
+       st.integers(-3, 3), st.integers(-3, 3))
+def test_even_commutators_are_antisymmetric_row_by_row(family, M, lam, m, n):
+    # the Virasoro check reads [L_n, L_m] as [L_m, L_n] negated, and [L_m, L_m] as zero
+    trunc = _CAPS[family]
+    lm, ln = build_L(family, m, M, lam), build_L(family, n, M, lam)
+    mn, nm, mm = Commutator(lm, ln, trunc), Commutator(ln, lm, trunc), Commutator(lm, lm, trunc)
+    assert mn.den == nm.den
+    for i in _pair_ids(lm, ln, trunc):
+        assert dict(nm.row(i)) == {j: -k for j, k in mn.row(i)}
+    for i in _pair_ids(lm, lm, trunc):
+        assert mm.row(i) == ()
+
+
 # --- linear brackets against the canonical bracket --------------------------
 
 def _reference_linear_bracket(x, y):

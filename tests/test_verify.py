@@ -288,7 +288,13 @@ def test_virasoro_failure_text_is_pinned(monkeypatch):
                         lambda op, trunc, window=None: SimpleNamespace(den=1, row=lambda i: ()))
     params = ScenarioParams("boson-unconstrained", Fraction(2, 3), Fraction(-5, 4),
                             Truncation(Fraction(4), 2), m_range=2)
-    (r,) = [r for r in check_virasoro_relation(params, 0) if r.name == "virasoro[m=-1,n=2]"]
+    reports = {r.name: r for r in check_virasoro_relation(params, 0)}
+    r = reports["virasoro[m=-1,n=2]"]
     assert r.status == "fail"
     assert r.got == "-5·a[1]|0⟩ - 15/2·a†[1]|0⟩ + 3·a[1]a†[0]|0⟩"
+    assert r.probe == "|0⟩"
+    # the mirror [L_2, L_-1] fails on the same witness with the residual negated
+    r = reports["virasoro[m=2,n=-1]"]
+    assert r.status == "fail"
+    assert r.got == "5·a[1]|0⟩ + 15/2·a†[1]|0⟩ - 3·a[1]a†[0]|0⟩"
     assert r.probe == "|0⟩"
