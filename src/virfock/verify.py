@@ -17,6 +17,9 @@ compares both sides on every probe state id as integer rows over one
 denominator.  The oracle builds its own L_0, L_±2 and L_±3 and forms each c
 as one Fraction of the integer vacuum entries of the rows of L_0 and of
 [L_m, L_-m] and their dens; elsewhere only a failure's residual is one.
+The Virasoro check composes each pair of generators once and reads the
+mirror report's rows from it negated, yet compares every report's own
+right-hand side on every probe.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 from .algebra import (BOSON, REDUCED_FERMION, Algebra, Frozen, Mode, VirfockError, ZERO, a, adag, b,
                       format_rational, paired_bracket, red_adag, reduced_boson)
@@ -196,22 +200,37 @@ def _law(lhs, terms, constant=ZERO):
 def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
     """[L_m, L_n] = (n-m) L_{m+n} - (c/12)(m^3-m) delta(m+n), state by state.
 
-    Asserted exactly on every safe basis state, one report per (m, n).
+    Asserted exactly on every safe basis state, one report per (m, n), m
+    outer.  Each pair m < n is composed once; the report (n, m) reads its
+    rows times sign, over the same den and safe states, and for even
+    generators [L_m, L_m] is zero without composing.  Every report still
+    compares its own rhs, (n-m) L_{m+n} minus its own central term, on
+    every probe.
     """
     c_expected = Fraction(c_expected)
     trunc, R = params.trunc, params.m_range
     algebra = params.algebra
-    reports = []
+
+    def law(m, n, den, row, probes):
+        lmn = row_table(_gen(params.family, m + n, params.M, params.lam), trunc)
+        central = c_expected * Fraction(m ** 3 - m, 12) if m + n == 0 else ZERO
+        sides = _law(SimpleNamespace(den=den, row=row), [(n - m, lmn)], -central)
+        return _probe(f"virasoro[m={m},n={n}]", "0", params, probes, sides, got="0")
+
+    reports = {}
     for m in range(-R, R + 1):
         lm = _gen(params.family, m, params.M, params.lam)
-        for n in range(-R, R + 1):
+        for n in range(m, R + 1):
             ln = _gen(params.family, n, params.M, params.lam)
-            lmn = row_table(_gen(params.family, m + n, params.M, params.lam), trunc)
-            central = c_expected * Fraction(m ** 3 - m, 12) if m + n == 0 else ZERO
-            sides = _law(Commutator(lm, ln, trunc), [(n - m, lmn)], -central)
-            reports.append(_probe(f"virasoro[m={m},n={n}]", "0", params,
-                                  safe_ids(algebra, trunc, pair_shifts(lm, ln)), sides, got="0"))
-    return reports
+            comm = Commutator(lm, ln, trunc)
+            sign = 1 if lm.parity and ln.parity else -1  # [L_n, L_m} = sign·[L_m, L_n}
+            probes = safe_ids(algebra, trunc, pair_shifts(lm, ln))
+            rows = ({i: comm.row(i) for i in probes} if m < n or sign > 0
+                    else dict.fromkeys(probes, ()))
+            reports[m, n] = law(m, n, comm.den, rows.__getitem__, probes)
+            if m < n:
+                reports[n, m] = law(n, m, comm.den, lambda i: [(j, sign * k) for j, k in rows[i]], probes)
+    return [reports[m, n] for m in range(-R, R + 1) for n in range(-R, R + 1)]
 
 
 def check_primary_laws(params: ScenarioParams) -> list:
