@@ -11,12 +11,14 @@ from virfock.algebra import (
     AlgebraMismatchError,
     BOSON,
     FERMION,
+    REDUCED_FERMION,
     Mode,
     a,
     adag,
     b,
     bdag,
     canonical_bracket,
+    reduced_boson,
 )
 from virfock.operators import (
     build_K,
@@ -45,7 +47,7 @@ from virfock.dirac import (
     solve_boson_constraints,
     verify_compatibility,
 )
-from virfock import dirac
+from virfock import dirac, verify
 
 H = Fraction(1, 2)
 HALF_LABELS = lambda n: [Fraction(t, 2) for t in range(-2 * n + 1, 2 * n, 2)]
@@ -550,12 +552,47 @@ _NONZERO_AT_3 = {None: 0, "boson-delta-partner-shifted": 24, "boson-delta-double
                  "fermion-support-shifted": 12}
 
 
+def _dirac_scans(family, n):
+    """(name, xs, ys, want, run) of the mode-compatibility scan and the Dirac table of
+    family at Window(n): run() gives the pairs the scan finds off want, as modes."""
+    algebra, chis = family.algebra, [family.expr(r) for r in family.labels(Window(n))]
+    ops = [mode_operator(algebra, Mode(kind, two)) for kind in algebra.kinds
+           for two in range(-2 * n, 2 * n + 1) if two % 2 == kind.half_integer_moded]
+    if isinstance(family, BosonConstraints):
+        modes, reduced = [adag(m) for m in range(-n, n + 1)], reduced_boson(family.M)
+    else:
+        modes, reduced = [b(r) for r in HALF_LABELS(n)], REDUCED_FERMION
+    (kind,) = reduced.kinds
+    table = [mode_operator(algebra, x) for x in modes]
+
+    def compatibility():
+        (report,) = mode_compatibility_reports(family, Window(n))
+        return report.status == "fail"
+
+    return [("compatibility", ops, chis, lambda x, y: 0, compatibility),
+            ("table", table, table,
+             lambda x, y: canonical_bracket(Mode(kind, x.linear[0][0].two),
+                                            Mode(kind, y.linear[0][0].two), reduced),
+             lambda: {(x, y) for x, y, _ in verify._dirac_table(family, modes, reduced)})]
+
+
+# pairs off the expected value under each fault at Window(3), and the number of
+# pairs each scan probes without a fault, per (family, scan)
+_TABLE_OFF_AT_3 = {None: 0, "boson-delta-partner-shifted": 11, "boson-delta-doubled": 1,
+                   "fermion-delta-flipped": 6, "boson-support-without-a0": 0,
+                   "fermion-support-shifted": 6}
+_PROBED_AT_3 = {("boson", "compatibility"): 12, ("fermion", "compatibility"): 12,
+                ("boson", "table"): 7, ("fermion", "table"): 6}
+
+
 @pytest.mark.parametrize("n", [3, 5])
 @pytest.mark.parametrize("fault", [None, *_DIRAC_FAULTS])
 def test_mode_compatibility_probes_every_nonzero_pair(monkeypatch, fresh_caches, fault, n):
-    # the scan evaluates dirac_bracket only at the partners of the projected
-    # mode; every pair it leaves out must be exactly 0, also under each Dirac
-    # fault, which makes some pairs nonzero.  A dense scan in the test finds them.
+    # each scan, mode compatibility and the Dirac table, evaluates dirac_bracket
+    # only at the partners of the projected mode (and, for the table, at its
+    # paired position); every pair it leaves out must be exactly its expected
+    # value, also under each Dirac fault, which puts some pairs off it.  A dense
+    # scan in the test finds them.
     families = [BosonConstraints(Fraction(2, 3)), FermionConstraints()]
     if fault:
         cls, name, make = _DIRAC_FAULTS[fault]
@@ -567,18 +604,22 @@ def test_mode_compatibility_probes_every_nonzero_pair(monkeypatch, fresh_caches,
         probed.append((A, B))
         return original(A, B, family)
 
-    monkeypatch.setattr(dirac, "dirac_bracket", recording)
+    for module in (dirac, verify):  # every binding a scan may call through
+        if hasattr(module, "dirac_bracket"):
+            monkeypatch.setattr(module, "dirac_bracket", recording)
     for family in families:
-        probed.clear()
-        (report,) = mode_compatibility_reports(family, Window(n))
-        algebra, chis = family.algebra, [family.expr(r) for r in family.labels(Window(n))]
-        ops = [mode_operator(algebra, Mode(kind, two)) for kind in algebra.kinds
-               for two in range(-2 * n, 2 * n + 1) if two % 2 == kind.half_integer_moded]
-        nonzero = {(op, chi) for op in ops for chi in chis if original(op, chi, family)}
-        assert nonzero <= set(probed) and len(probed) == len(set(probed))
-        assert report.status == ("fail" if nonzero else "pass")
-        if n == 3:
-            # each fault makes some pairs nonzero; correct code probes 12
-            # pairs per family, so a scan that goes dense again shows
-            assert len(nonzero) == _NONZERO_AT_3[fault]
-            assert fault or len(probed) == 12
+        for scan, xs, ys, want, run in _dirac_scans(family, n):
+            probed.clear()
+            found = run()
+            off = {(x, y) for x in xs for y in ys if original(x, y, family) != want(x, y)}
+            assert off <= set(probed) and len(probed) == len(set(probed))
+            if scan == "table":
+                assert found == {(x.linear[0][0], y.linear[0][0]) for x, y in off}
+            else:
+                assert found == bool(off)
+            if n == 3:
+                # each fault puts some pairs off; correct code probes a fixed
+                # number of pairs per scan, so a scan that goes dense again, or
+                # that drops the table's paired positions, shows
+                assert len(off) == (_NONZERO_AT_3 if scan == "compatibility" else _TABLE_OFF_AT_3)[fault]
+                assert fault or len(probed) == _PROBED_AT_3[family.name, scan]
