@@ -38,6 +38,9 @@ its elimination) or the projected operand.
 The pair scans evaluate a bracket only at the partners of an expression, the
 positions whose expressions have a mode at the opposite doubled index of one
 of its modes; linear_bracket pairs no other modes, so the rest are exact 0s.
+One scan, _dirac_scan, makes every Dirac-bracket probe of run_dirac_checks,
+the constraint layer's check suite; a Dirac table also probes the position
+paired with x, where the reduced algebra's bracket is nonzero.
 
 Families:
 
@@ -58,6 +61,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .algebra import (
+    Algebra,
     AlgebraMismatchError,
     BOSON,
     BOSONIZED_FERMION,
@@ -67,14 +71,18 @@ from .algebra import (
     HALF,
     Mode,
     ONE,
+    REDUCED_FERMION,
     VirfockError,
     ZERO,
+    a,
     adag,
     b,
     bdag,
     even_b,
     even_bdag,
     format_rational,
+    paired_bracket,
+    reduced_boson,
 )
 from .operators import (
     OperatorSpec,
@@ -509,21 +517,118 @@ def verify_compatibility(op: OperatorSpec, family: ConstraintFamily, index_range
     return reports
 
 
+def _dirac_scan(family: ConstraintFamily, xs, ys: dict, want=None) -> list:
+    """(x, y, [x, ys[y]]*) of each mode x of xs and key y of ys whose Dirac bracket is not
+    want(x, y), or not 0 without want.  It is evaluated only at the partners of x̃ and,
+    with want, at the y whose expressions have a mode at -x.two: elsewhere both are 0."""
+    pairs = list(ys.items())
+    index = pairing_index(expr for _, expr in pairs)
+    bad = []
+    for x in xs:
+        op = mode_operator(family.algebra, x)
+        js = partners(index, op, family)
+        if want:
+            js = sorted({*js, *index.get(-x.two, ())})
+        for j in js:
+            y, expr = pairs[j]
+            if (got := dirac_bracket(op, expr, family)) != (want(x, y) if want else 0):
+                bad.append((x, y, got))
+    return bad
+
+
 def mode_compatibility_reports(family: ConstraintFamily, window: Window):
     """dirac_bracket(x, chi_R) = 0 for each basic mode x and windowed constraint, at the partners of x̃."""
     algebra, N = family.algebra, window.half_width
     modes = sorted((Mode(kind, two) for kind in algebra.kinds for two in range(-2 * N, 2 * N + 1)
                     if two % 2 == kind.half_integer_moded), key=lambda mm: mm.sort_key)
-    labels = family.labels(window)
-    index = pairing_index(map(family.expr, labels))
-    bad = []
-    for x in modes:
-        op = mode_operator(algebra, x)
-        for j in partners(index, op, family):
-            val = dirac_bracket(op, family.expr(labels[j]), family)
-            if val:
-                bad.append((x, labels[j], val))
+    bad = _dirac_scan(family, modes, {label: family.expr(label) for label in family.labels(window)})
     return [report(
         f"dirac_mode_compatibility[{family.name},N={N}]", not bad, "0",
         "0" if not bad else "; ".join(f"[{x},{family.label_of_expr(lb)}]*={format_rational(v)}"
                                       for x, lb, v in bad[:4]))]
+
+
+def _witnesses(template: str, bad) -> str:
+    """The first three failing (x, y, value) probes, as `template: p/q`."""
+    return "; ".join(f"{template.format(x, y)}: {format_rational(v)}" for x, y, v in bad[:3])
+
+
+def _dirac_table(family: ConstraintFamily, modes, reduced: Algebra) -> list:
+    """(x, y, [x, y]*) of each pair of modes off the bracket of the reduced algebra's
+    modes at the same doubled indices: paired where x.two + y.two = 0, 0 elsewhere."""
+    (kind,) = reduced.kinds
+    return _dirac_scan(family, modes, {y: mode_operator(family.algebra, y) for y in modes},
+                       lambda x, y: paired_bracket(Mode(kind, x.two), Mode(kind, y.two), reduced)
+                       if x.two + y.two == 0 else 0)
+
+
+def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
+    """Constraint-machinery suite: inversion contract, bracket tables,
+    classification, and generator compatibility for both families."""
+    window = window or Window(8)
+    N = window.half_width
+    reports = []
+
+    bos = BosonConstraints(M)
+    fer = FermionConstraints()
+
+    for fam in (bos, fer):
+        try:
+            bad = delta_contract_residuals(fam, window)
+            got = _witnesses("(P={},S={})", bad) if bad else "identity"
+        except (SingularBlockError, ClosedFormMismatchError) as exc:
+            bad, got = True, str(exc)  # the elimination names its first witness
+        reports.append(report(f"delta_contract[{fam.name},N={N}]", not bad, "identity", got))
+
+    # closed-form bracket matrix against the one computed from expressions, row by row
+    agree = all(_c_rows(fam, labels) == support_rows(fam, labels)
+                for fam in (bos, fer) for labels in [tuple(fam.labels(window))])
+    reports.append(report(f"bracket_matrix_closed_form[N={N}]", agree,
+                          "matches expressions", "matches" if agree else "mismatch"))
+
+    # Dirac bracket tables: each entry is the reduced algebra's bracket at the same indices
+    bad = _dirac_table(bos, [adag(m) for m in range(-N, N + 1)], reduced_boson(M))
+    balg = bos.algebra
+    for x, y in ((adag(0), adag(0)), (adag(0), a(0)), (a(0), a(0))):
+        got = dirac_bracket(mode_operator(balg, x), mode_operator(balg, y), bos)
+        if got != 0:
+            bad.append((x, y, got))
+    reports.append(report(f"dirac_bracket_boson[N={N}]", not bad,
+                          "-(M/2) m delta(m+n), zero modes 0",
+                          "as expected" if not bad else _witnesses("[{},{}]*", bad)))
+
+    bad = _dirac_table(fer, [b(r) for r in fer.labels(window)], REDUCED_FERMION)
+    reports.append(report(f"dirac_bracket_fermion[N={N}]", not bad, "(1/2) delta(r+s)",
+                          "as expected" if not bad else _witnesses("[{},{}]*", bad)))
+
+    # classification
+    split = classify(BosonConstraints(M, with_zero_gauge=False), window)
+    ok = split.first_class == [0] and 0 not in split.second_class
+    reports.append(report("classify[boson,no-gauge]", ok, "chi[0] first class",
+                          str(split.first_class)))
+    split = classify(bos, window)
+    reports.append(report("classify[boson,gauged]", not split.first_class,
+                          "all second class", "all second class" if not split.first_class
+                          else str(split.first_class)))
+    split = classify(EvenCopyConstraints(), window)
+    ok = not split.second_class and len(split.first_class) == 2 * N
+    reports.append(report("classify[even-copy]", ok, "C=0, all first class",
+                          "all first class" if ok else str(split.second_class)))
+
+    # generator compatibility with the constraint ideal
+    half5 = fer.labels(Window(5))
+    for family, fam, labels in (("boson-unconstrained", bos, range(-5, 6)),
+                                ("fermion-unconstrained", fer, half5)):
+        for m in range(-5, 6):
+            reports += verify_compatibility(build_L(family, m, M, Fraction(1, 2)), fam, labels)
+    incompatible = [r for m in (1, 2)
+                    for r in verify_compatibility(build_L("fermion-unconstrained", m, 0, 0),
+                                                  fer, half5)
+                    if r.status == "fail"]
+    reports.append(report("incompatibility_detected[fermion,lambda=0]", bool(incompatible),
+                          "transforms leave the constraint ideal",
+                          "detected" if incompatible else "not detected"))
+
+    reports += mode_compatibility_reports(bos, window)
+    reports += mode_compatibility_reports(fer, window)
+    return reports

@@ -1,4 +1,5 @@
-"""End-to-end verification: Virasoro relation, central-charge oracle, laws.
+"""The family check suites and the central-charge oracle; the Dirac suite is
+dirac.run_dirac_checks, and only dirac_transform_adagger is read from dirac.
 
 The central-charge oracle is representation independent: it reads c off the
 vacuum component of [L_m, L_-m]|0> via
@@ -30,26 +31,8 @@ from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
 
-from .algebra import (BOSON, REDUCED_FERMION, Algebra, Frozen, Mode, VirfockError, ZERO, a, adag, b,
-                      format_rational, paired_bracket, red_adag, reduced_boson)
-from .dirac import (
-    BosonConstraints,
-    ClosedFormMismatchError,
-    EvenCopyConstraints,
-    FermionConstraints,
-    SingularBlockError,
-    Window,
-    _c_rows,
-    dirac_transform_adagger,
-    classify,
-    delta_contract_residuals,
-    dirac_bracket,
-    mode_compatibility_reports,
-    pairing_index,
-    partners,
-    support_rows,
-    verify_compatibility,
-)
+from .algebra import BOSON, Frozen, Mode, VirfockError, ZERO, adag, format_rational, red_adag
+from .dirac import dirac_transform_adagger
 from .fock import Truncation, VACUUM, accumulate, enumerate_basis
 from .fock import _apply_to_basis as mode_table
 from .operators import (
@@ -118,12 +101,13 @@ def _gen(family: str, m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
 
 def extract_central_charge(params: ScenarioParams) -> Fraction:
     """Central charge measured on the vacuum; the independent oracle."""
-    trunc = params.trunc
+    family, M, lam, trunc = params.family, params.M, params.lam, params.trunc
     if trunc.level_cap < 3:
-        raise ValueError("central-charge extraction needs level_cap >= 3")
+        raise ValueError(f"{family}: central-charge extraction needs level_cap >= 3, "
+                         f"got {format_rational(trunc.level_cap)}")
     if params.algebra.has_zero_modes and trunc.zero_mode_cap < 2:
-        raise ValueError("central-charge extraction needs zero_mode_cap >= 2 here")
-    family, M, lam = params.family, params.M, params.lam
+        raise ValueError(f"{family}: central-charge extraction needs zero_mode_cap >= 2 here, "
+                         f"got {trunc.zero_mode_cap}")
     l0 = row_table(build_L(family, 0, M, lam), trunc)
     vac = l0.state_id(VACUUM)
 
@@ -374,96 +358,3 @@ def run_family_scenario(params: ScenarioParams):
     reports += check_jacobi(params)
     reports += check_window_doubling(params)
     return reports, c_formula, c_oracle
-
-
-def _witnesses(template: str, bad) -> str:
-    """The first three failing (x, y, value) probes, as `template: p/q`."""
-    return "; ".join(f"{template.format(x, y)}: {format_rational(v)}" for x, y, v in bad[:3])
-
-
-def _dirac_table(family, modes, reduced: Algebra) -> list:
-    """(x, y, [x, y]*) of each pair of modes whose Dirac bracket, as an integer
-    (numerator, denominator), is not the bracket in the reduced algebra of its
-    modes at the same doubled indices: paired where x.two + y.two = 0, (0, 1) elsewhere.
-    Both sides are exactly 0 unless y is a partner of x̃ or x.two + y.two = 0."""
-    (kind,) = reduced.kinds
-    ops = [mode_operator(family.algebra, x) for x in modes]
-    index, pairs = pairing_index(ops), list(zip(modes, ops))
-    return [(x, y, got) for x, op_x in pairs
-            for y, op_y in (pairs[j] for j in sorted({*partners(index, op_x, family),
-                                                      *index.get(-x.two, ())}))
-            if (got := dirac_bracket(op_x, op_y, family)).as_integer_ratio()
-            != (paired_bracket(Mode(kind, x.two), Mode(kind, y.two), reduced).as_integer_ratio()
-                if x.two + y.two == 0 else (0, 1))]
-
-
-def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
-    """Constraint-machinery suite: inversion contract, bracket tables,
-    classification, and generator compatibility for both families."""
-    window = window or Window(8)
-    N = window.half_width
-    reports = []
-
-    bos = BosonConstraints(M)
-    fer = FermionConstraints()
-
-    for name, fam in (("boson", bos), ("fermion", fer)):
-        try:
-            bad = delta_contract_residuals(fam, window)
-            got = _witnesses("(P={},S={})", bad) if bad else "identity"
-        except (SingularBlockError, ClosedFormMismatchError) as exc:
-            bad, got = True, str(exc)  # the elimination names its first witness
-        reports.append(report(f"delta_contract[{name},N={N}]", not bad, "identity", got))
-
-    # closed-form bracket matrix against the one computed from expressions, row by row
-    agree = all(_c_rows(fam, labels) == support_rows(fam, labels)
-                for fam in (bos, fer) for labels in [tuple(fam.labels(window))])
-    reports.append(report(f"bracket_matrix_closed_form[N={N}]", agree,
-                          "matches expressions", "matches" if agree else "mismatch"))
-
-    # Dirac bracket tables: each entry is the reduced algebra's bracket at the same indices
-    bad = _dirac_table(bos, [adag(m) for m in range(-N, N + 1)], reduced_boson(M))
-    balg = bos.algebra
-    for x, y in ((adag(0), adag(0)), (adag(0), a(0)), (a(0), a(0))):
-        got = dirac_bracket(mode_operator(balg, x), mode_operator(balg, y), bos)
-        if got != 0:
-            bad.append((x, y, got))
-    reports.append(report(f"dirac_bracket_boson[N={N}]", not bad,
-                          "-(M/2) m delta(m+n), zero modes 0",
-                          "as expected" if not bad else _witnesses("[{},{}]*", bad)))
-
-    bad = _dirac_table(fer, [b(Fraction(t, 2)) for t in range(-2 * N + 1, 2 * N, 2)], REDUCED_FERMION)
-    reports.append(report(f"dirac_bracket_fermion[N={N}]", not bad, "(1/2) delta(r+s)",
-                          "as expected" if not bad else _witnesses("[{},{}]*", bad)))
-
-    # classification
-    split = classify(BosonConstraints(M, with_zero_gauge=False), window)
-    ok = split.first_class == [0] and 0 not in split.second_class
-    reports.append(report("classify[boson,no-gauge]", ok, "chi[0] first class",
-                          str(split.first_class)))
-    split = classify(bos, window)
-    reports.append(report("classify[boson,gauged]", not split.first_class,
-                          "all second class", "all second class" if not split.first_class
-                          else str(split.first_class)))
-    split = classify(EvenCopyConstraints(), window)
-    ok = not split.second_class and len(split.first_class) == 2 * N
-    reports.append(report("classify[even-copy]", ok, "C=0, all first class",
-                          "all first class" if ok else str(split.second_class)))
-
-    # generator compatibility with the constraint ideal
-    half5 = [Fraction(t, 2) for t in range(-9, 10, 2)]
-    for family, fam, labels in (("boson-unconstrained", bos, range(-5, 6)),
-                                ("fermion-unconstrained", fer, half5)):
-        for m in range(-5, 6):
-            reports += verify_compatibility(build_L(family, m, M, Fraction(1, 2)), fam, labels)
-    incompatible = [r for m in (1, 2)
-                    for r in verify_compatibility(build_L("fermion-unconstrained", m, 0, 0),
-                                                  fer, half5)
-                    if r.status == "fail"]
-    reports.append(report("incompatibility_detected[fermion,lambda=0]", bool(incompatible),
-                          "transforms leave the constraint ideal",
-                          "detected" if incompatible else "not detected"))
-
-    reports += mode_compatibility_reports(bos, window)
-    reports += mode_compatibility_reports(fer, window)
-    return reports

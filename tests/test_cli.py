@@ -41,6 +41,23 @@ def test_reduced_boson_rejects_zero_mass(capsys):
     assert "1/M" in err
 
 
+def test_dirac_checks_reject_zero_mass(capsys):
+    # the boson constraint family itself rejects M = 0; its ValueError is a usage error
+    code, out, err = run_cli(capsys, "--scenario", "dirac-checks", "--M", "0")
+    assert (code, out) == (2, "")
+    assert "M != 0" in err
+
+
+def test_caps_too_small_for_the_oracle_name_the_family_and_the_cap(capsys):
+    # at --level 3 the fermion level cap is (2·3 - 1)/2 = 5/2, below the oracle's 3
+    code, out, err = run_cli(capsys, "--scenario", "all", "--level", "3")
+    assert (code, out) == (2, "")
+    assert "fermion-unconstrained" in err and "5/2" in err
+    code, out, err = run_cli(capsys, "--scenario", "boson-unconstrained", "--zmax", "1")
+    assert (code, out) == (2, "")
+    assert "boson-unconstrained" in err and "zero_mode_cap >= 2 here, got 1" in err
+
+
 def test_bad_rational_is_config_error(capsys):
     code, _, err = run_cli(capsys, "--scenario", "fermion-reduced", "--M", "0.5x")
     assert code == 2

@@ -573,7 +573,7 @@ def _dirac_scans(family, n):
             ("table", table, table,
              lambda x, y: canonical_bracket(Mode(kind, x.linear[0][0].two),
                                             Mode(kind, y.linear[0][0].two), reduced),
-             lambda: {(x, y) for x, y, _ in verify._dirac_table(family, modes, reduced)})]
+             lambda: {(x, y) for x, y, _ in dirac._dirac_table(family, modes, reduced)})]
 
 
 # pairs off the expected value under each fault at Window(3), and the number of

@@ -28,12 +28,12 @@ from virfock.dirac import (
     SingularBlockError,
     Window,
     invert_c,
+    run_dirac_checks,
 )
 from virfock.verify import (
     ScenarioParams,
     check_virasoro_relation,
     claimed_central_charge,
-    run_dirac_checks,
     run_family_scenario,
 )
 
@@ -286,8 +286,8 @@ def _with_brackets(real, brackets):
 def test_reduced_boson_bracket_doubled(monkeypatch):
     # the boson Dirac table expects the reduced algebra's [a†[m], a†[-m]], so
     # a doubled bracket there misses every pair with m != 0
-    real = verify.reduced_boson
-    monkeypatch.setattr(verify, "reduced_boson", lambda M: _with_brackets(
+    real = dirac.reduced_boson
+    monkeypatch.setattr(dirac, "reduced_boson", lambda M: _with_brackets(
         real(M), {kinds: 2 * v for kinds, v in real(M).brackets.items()}))
     assert _failed(run_dirac_checks(DIRAC_M, DIRAC_WINDOW)) == {"dirac_bracket_boson[N=3]"}
 
@@ -295,7 +295,7 @@ def test_reduced_boson_bracket_doubled(monkeypatch):
 def test_reduced_fermion_bracket_a_quarter(monkeypatch):
     # the fermion Dirac table expects the reduced algebra's [b[r], b[-r]}
     red_b = algebra.FieldKind.RED_B
-    monkeypatch.setattr(verify, "REDUCED_FERMION", _with_brackets(
+    monkeypatch.setattr(dirac, "REDUCED_FERMION", _with_brackets(
         algebra.REDUCED_FERMION, {(red_b, red_b): Fraction(1, 4)}))
     assert _failed(run_dirac_checks(DIRAC_M, DIRAC_WINDOW)) == {"dirac_bracket_fermion[N=3]"}
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from virfock.algebra import format_rational
 from virfock.fock import Truncation
 from virfock.operators import Commutator
-from virfock.dirac import Window
+from virfock.dirac import Window, run_dirac_checks
 from virfock.verify import (
     ScenarioParams,
     check_christoffel,
@@ -19,7 +19,6 @@ from virfock.verify import (
     check_window_doubling,
     claimed_central_charge,
     extract_central_charge,
-    run_dirac_checks,
     run_family_scenario,
 )
 
@@ -182,7 +181,6 @@ def test_dirac_check_failures_print_exact_rationals(monkeypatch):
     # A perturbed Delta entry must break the contract of both families, and
     # every witness must print as p/q, never as a Python repr.
     import virfock.dirac as dirac
-    import virfock.verify as verify
     from virfock.dirac import BosonConstraints, FermionConstraints, delta_contract_residuals
 
     invert_c = dirac.invert_c
@@ -198,8 +196,8 @@ def test_dirac_check_failures_print_exact_rationals(monkeypatch):
     assert delta_contract_residuals(BosonConstraints(M), w) == [(-2, -2, Fraction(29, 21))]
     assert delta_contract_residuals(FermionConstraints(), w) == [(-H, -H, Fraction(9, 7))]
 
-    dirac_bracket = verify.dirac_bracket
-    monkeypatch.setattr(verify, "dirac_bracket",
+    dirac_bracket = dirac.dirac_bracket
+    monkeypatch.setattr(dirac, "dirac_bracket",
                         lambda A, B, family: dirac_bracket(A, B, family) + Fraction(1, 7))
     got = {r.name: r.got for r in run_dirac_checks(M, w) if r.status == "fail"}
     assert got["delta_contract[boson,N=2]"] == "(P=-2,S=-2): 29/21"
