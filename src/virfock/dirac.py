@@ -519,8 +519,8 @@ def verify_compatibility(op: OperatorSpec, family: ConstraintFamily, index_range
 
 def _dirac_scan(family: ConstraintFamily, xs, ys: dict, want=None) -> list:
     """(x, y, [x, ys[y]]*) of each mode x of xs and key y of ys whose Dirac bracket is not
-    want(x, y), or not 0 without want.  It is evaluated only at the partners of x̃ and,
-    with want, at the y whose expressions have a mode at -x.two: elsewhere both are 0."""
+    want(x, y), or not 0 without want.  Brackets are evaluated only at the partners of x̃
+    and, with want, at the y whose expressions have a mode at -x.two: elsewhere both are 0."""
     pairs = list(ys.items())
     index = pairing_index(expr for _, expr in pairs)
     bad = []
