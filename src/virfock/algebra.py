@@ -86,6 +86,10 @@ class FieldKind(Enum):
     EVEN_B = 6, "b", 0, True
     EVEN_BDAG = 7, "b†", 0, True
 
+    # members are singletons compared by identity, so the identity hash in C
+    # serves; Enum's own hashes the name in Python, on every Mode and state key
+    __hash__ = object.__hash__
+
     def __new__(cls, value, symbol, parity, half_integer_moded):
         kind = object.__new__(cls)
         kind._value_ = value

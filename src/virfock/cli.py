@@ -18,6 +18,7 @@ from .verify import (
     claimed_central_charge,
     default_truncation,
     extract_central_charge,
+    require_oracle_caps,
     run_family_scenario,
 )
 
@@ -77,13 +78,15 @@ def _scenario_params(family, M, lam, args) -> ScenarioParams:
 def _run_scenarios(args):
     runs = []
     names = SCENARIOS[:-1] if args.scenario == "all" else (args.scenario,)
+    families = {name: _scenario_params(name, args.M, args.lam, args) for name in names if name in FAMILIES}
+    for params in families.values():  # caps too small for one family waste no other's suite
+        require_oracle_caps(params)
     for name in names:
         if name == "dirac-checks":
             reports = run_dirac_checks(args.M, Window(args.window))
             runs.append({"scenario": name, "reports": reports})
         else:
-            params = _scenario_params(name, args.M, args.lam, args)
-            reports, c_formula, c_oracle = run_family_scenario(params)
+            reports, c_formula, c_oracle = run_family_scenario(families[name])
             runs.append({"scenario": name, "reports": reports,
                          "c_formula": c_formula, "c_oracle": c_oracle})
     return runs

@@ -30,6 +30,10 @@ denominator, and of the constant's.  The kernel's mode pairs form a skeleton
 of fock mode tables shared by every operator with the same kinds, label and
 width; it keeps per state id the terms that act on that state, a row build
 visits only those, and its realized 2r fix the kernel's share of den in O(1).
+It finds them from the state's own creators, not by scanning every term: a
+term whose first factor annihilates at doubled index -k can act only on a
+state holding a creator at k, and only creating first factors and a[0] are
+tried on every state.
 A table keeps only the integers of its coefficients: row builds and a
 Commutator (the graded commutator's row table over den_a·den_b) add and
 multiply integers by state id.  The 512 most recently used tables are kept:
@@ -367,16 +371,34 @@ def _kernel_modes(left: FieldKind, right: FieldKind, m: int, two_r: int):
 class Skeleton(dict):
     """The realized terms of one kernel (see _skeleton).  skeleton[i], computed
     once per state id, keeps the terms whose first factor acts on basis[i] or
-    raises there: every other term sends that state to zero."""
+    raises there: every other term sends that state to zero.
+
+    A first factor that annihilates at a doubled index two < 0 contracts only
+    a creator at -two and never overflows, so it can act only on a state that
+    holds one; those term positions are indexed by two, once.  Creating first
+    factors and a[0] are candidates on every state.  skeleton[i] tests these
+    and the terms indexed under -two of each creator of basis[i], in term
+    order, so it is the tuple a scan of every term would give.
+    """
 
     def __init__(self, terms: tuple):
         super().__init__()
         self.terms = terms
         self.first = terms[0][0] if terms else 0
         self.step = math.gcd(*(t[0] - self.first for t in terms))  # each realized 2r is first + k·step
+        self.basis = terms[0][2].basis if terms else ()
+        self.always, self.by_two = [], {}
+        for pos, t in enumerate(terms):
+            two = t[2].mode.two
+            (self.by_two.setdefault(two, []) if two < 0 else self.always).append(pos)
 
     def __missing__(self, i: int) -> tuple:
-        acting = self[i] = tuple(t for t in self.terms if _acts(t[2], i))
+        terms, by_two = self.terms, self.by_two
+        candidates = self.always.copy()
+        for two in {c.two for c in self.basis[i].creators}:
+            candidates += by_two.get(-two, ())
+        candidates.sort()
+        acting = self[i] = tuple(terms[p] for p in candidates if _acts(terms[p][2], i))
         return acting
 
 

@@ -99,15 +99,22 @@ def _gen(family: str, m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
     return build_L(family, m, M, lam)
 
 
-def extract_central_charge(params: ScenarioParams) -> Fraction:
-    """Central charge measured on the vacuum; the independent oracle."""
-    family, M, lam, trunc = params.family, params.M, params.lam, params.trunc
+def require_oracle_caps(params: ScenarioParams) -> None:
+    """Raise ValueError unless the truncation can hold the oracle's m = 2 and
+    m = 3 vacuum rows; the CLI asks for every family before any suite runs."""
+    family, trunc = params.family, params.trunc
     if trunc.level_cap < 3:
         raise ValueError(f"{family}: central-charge extraction needs level_cap >= 3, "
                          f"got {format_rational(trunc.level_cap)}")
     if params.algebra.has_zero_modes and trunc.zero_mode_cap < 2:
         raise ValueError(f"{family}: central-charge extraction needs zero_mode_cap >= 2 here, "
                          f"got {trunc.zero_mode_cap}")
+
+
+def extract_central_charge(params: ScenarioParams) -> Fraction:
+    """Central charge measured on the vacuum; the independent oracle."""
+    require_oracle_caps(params)
+    family, M, lam, trunc = params.family, params.M, params.lam, params.trunc
     l0 = row_table(build_L(family, 0, M, lam), trunc)
     vac = l0.state_id(VACUUM)
 

@@ -14,6 +14,7 @@ from functools import lru_cache
 import pytest
 
 import virfock
+import virfock.cli as cli
 import virfock.operators as operators
 from virfock.cli import main
 from virfock.verify import ScenarioParams, claimed_central_charge, extract_central_charge
@@ -56,6 +57,15 @@ def test_caps_too_small_for_the_oracle_name_the_family_and_the_cap(capsys):
     code, out, err = run_cli(capsys, "--scenario", "boson-unconstrained", "--zmax", "1")
     assert (code, out) == (2, "")
     assert "boson-unconstrained" in err and "zero_mode_cap >= 2 here, got 1" in err
+
+
+def test_caps_are_checked_for_every_family_before_any_suite_runs(capsys, monkeypatch):
+    calls = []
+    real = cli.run_family_scenario
+    monkeypatch.setattr(cli, "run_family_scenario", lambda params: calls.append(params) or real(params))
+    code, out, err = run_cli(capsys, "--scenario", "all", "--level", "3")
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: fermion-unconstrained: central-charge extraction needs level_cap >= 3, got 5/2\n"
 
 
 def test_bad_rational_is_config_error(capsys):

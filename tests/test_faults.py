@@ -9,6 +9,7 @@ never seen by another test.
 
 import inspect
 import re
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from virfock.verify import (
     ScenarioParams,
     check_virasoro_relation,
     claimed_central_charge,
+    default_truncation,
     run_family_scenario,
 )
 
@@ -200,6 +202,24 @@ def test_default_kernel_width_one_level_too_narrow(monkeypatch, family, M, lam, 
     if doubling_fails:
         want.add("window_doubling[100 probes]")
     assert _failed(reports) == want
+
+
+def test_skeleton_index_looked_up_at_the_wrong_sign(monkeypatch):
+    # an annihilating first factor at -two is indexed under -two and found
+    # from a creator at two; looked up under +two it is never a candidate, so
+    # no kernel term contracts a creator: L_0 no longer counts a state's level
+    # and [L_m, L_-m]|0> loses the contractions the oracle reads, in every family
+    source = textwrap.dedent(inspect.getsource(operators.Skeleton.__missing__))
+    lookup = "by_two.get(-two, ())"
+    assert source.count(lookup) == 1
+    namespace = dict(vars(operators))
+    exec(source.replace(lookup, "by_two.get(two, ())"), namespace)
+    monkeypatch.setattr(operators.Skeleton, "__missing__", namespace["__missing__"])
+    for family in operators.FAMILIES:  # at the caps of tests/golden/all.txt
+        reports, _, _ = run_family_scenario(ScenarioParams(family, 1, H, default_truncation(family, 4, 2), 2))
+        failed = _failed(reports)
+        assert "central_charge" in failed
+        assert any(name.startswith("virasoro[") for name in failed)
 
 
 # --- Dirac reduction, at M = 2/3 on Window(3) --------------------------------

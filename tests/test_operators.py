@@ -552,14 +552,18 @@ def _acts_on(x, state, algebra, trunc) -> bool:
         return True
 
 
+# the default half-width, and the doubled one that check_window_doubling reads
+@pytest.mark.parametrize("widen", [1, 2], ids=["default-width", "doubled-width"])
 @pytest.mark.parametrize("algebra,left,right,trunc", [
     (BOSON, FieldKind.ADAG, FieldKind.A, Truncation(Fraction(3), 2)),
     (FERMION, FieldKind.BDAG, FieldKind.B, Truncation(Fraction(7, 2))),
     (reduced_boson(Fraction(-2, 3)), FieldKind.RED_ADAG, FieldKind.RED_ADAG, Truncation(Fraction(4))),
+    (REDUCED_FERMION, FieldKind.RED_B, FieldKind.RED_B, Truncation(Fraction(7, 2))),
 ])
 @pytest.mark.parametrize("m", [-2, 0, 3])
-def test_each_state_visits_only_the_kernel_terms_acting_on_it(algebra, left, right, trunc, m):
-    skeleton = _skeleton(algebra, trunc, left, right, m, trunc.level_cap + abs(m))
+def test_each_state_visits_only_the_kernel_terms_acting_on_it(algebra, left, right, trunc, m, widen):
+    # the reference is the full scan: every term whose first factor acts on the state
+    skeleton = _skeleton(algebra, trunc, left, right, m, widen * (trunc.level_cap + abs(m)))
     basis = enumerate_basis(algebra, trunc)
     for i, state in enumerate(basis):
         assert skeleton[i] == tuple(t for t in skeleton.terms

@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from virfock.algebra import BOSON, FERMION, Algebra, FieldKind, adag, reduced_boson
+from virfock.algebra import BOSON, FERMION, Algebra, FieldKind, Mode, adag, reduced_boson
 from virfock.dirac import BosonConstraints, EvenCopyConstraints, FermionConstraints, Window
-from virfock.fock import Truncation
+from virfock.fock import BasisState, Truncation
 from virfock.operators import OperatorSpec
 
 H = Fraction(1, 2)
@@ -94,3 +94,12 @@ def test_truncation_text_is_kept():
 def test_invalid_values_are_rejected(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_field_kinds_hash_by_identity_and_keys_still_match():
+    # FieldKind members are singletons, so they hash as objects, in C
+    for kind in FieldKind:
+        assert hash(kind) == object.__hash__(kind)
+    keys = {Mode(FieldKind.BDAG, 3): "mode", BasisState((adag(1), adag(2)), 1): "state"}
+    assert keys[Mode(FieldKind.BDAG, 3)] == "mode"
+    assert keys[BasisState((Mode(FieldKind.ADAG, 2), Mode(FieldKind.ADAG, 4)), 1)] == "state"
