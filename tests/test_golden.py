@@ -9,7 +9,13 @@ boson_reduced_level3_mmax4.txt that of
     virfock --scenario boson-reduced --level 3 --mmax 4
 
 where label 4 has no safe state, so window doubling draws from the other
-labels only, boson_reduced_m-2_3_lambda5_4.txt that of
+labels only, all_level4_zmax2_mmax6.txt that of
+
+    virfock --scenario all --level 4 --zmax 2 --mmax 6 --window 4
+
+where labels up to 6 on level 4 leave 563 of the 1,892 reports without a
+safe probe state, so the safe-window rule decides which are skipped,
+boson_reduced_m-2_3_lambda5_4.txt that of
 
     virfock --scenario boson-reduced --M -2/3 --lambda 5/4
 
@@ -46,6 +52,7 @@ After a deliberate output change they are regenerated with
     PYTHONPATH=src python -m virfock.cli --scenario all --level 4 --zmax 2 --mmax 2 --window 4 > tests/golden/all.txt
     PYTHONPATH=src python -m virfock.cli --scenario all --level 4 --zmax 2 --mmax 2 --window 4 --format json > tests/golden/all.json
     PYTHONPATH=src python -m virfock.cli --scenario boson-reduced --level 3 --mmax 4 > tests/golden/boson_reduced_level3_mmax4.txt
+    PYTHONPATH=src python -m virfock.cli --scenario all --level 4 --zmax 2 --mmax 6 --window 4 > tests/golden/all_level4_zmax2_mmax6.txt
     PYTHONPATH=src python -m virfock.cli --scenario boson-reduced --M -2/3 --lambda 5/4 > tests/golden/boson_reduced_m-2_3_lambda5_4.txt
     PYTHONPATH=src python -m virfock.cli --scenario all --M -2/3 --lambda 5/4 > tests/golden/all_m-2_3_lambda5_4.txt
     PYTHONPATH=src python -m virfock.cli --scenario all > tests/golden/all_defaults.txt
@@ -82,6 +89,8 @@ SEED1_LEVELS = {"boson-unconstrained": 6, "boson-reduced": 8, "fermion-unconstra
     pytest.param(ALL + ["--format", "json"], "all.json", id="json-all.json"),
     pytest.param(["--scenario", "boson-reduced", "--level", "3", "--mmax", "4"],
                  "boson_reduced_level3_mmax4.txt", id="text-boson_reduced_level3_mmax4.txt"),
+    pytest.param(["--scenario", "all", "--level", "4", "--zmax", "2", "--mmax", "6", "--window", "4"],
+                 "all_level4_zmax2_mmax6.txt", id="text-all_level4_zmax2_mmax6.txt"),
     pytest.param(["--scenario", "boson-reduced", "--M", "-2/3", "--lambda", "5/4"],
                  "boson_reduced_m-2_3_lambda5_4.txt", id="text-boson_reduced_m-2_3_lambda5_4.txt"),
     pytest.param(["--scenario", "all", "--M", "-2/3", "--lambda", "5/4"],
