@@ -248,9 +248,10 @@ BOSONIZED_FERMION = Algebra("bosonized-fermion", None, (_EVEN_B, _EVEN_BDAG), Fa
                             {(_EVEN_BDAG, _EVEN_B): ONE, (_EVEN_B, _EVEN_BDAG): -ONE})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)
 def reduced_boson(M) -> Algebra:
-    """Reduced boson algebra, one instance per M; M scales the brackets and must be nonzero."""
+    """Reduced boson algebra; M scales the brackets and must be nonzero.  The
+    512 most recently used are kept, so a sweep over new M stops growing."""
     M = Fraction(M)
     if M == 0:
         raise ValueError("reduced boson algebra needs M != 0 "

@@ -414,25 +414,19 @@ def invert_c(family: ConstraintFamily, window: Window) -> dict:
 def delta_contract_residuals(family: ConstraintFamily, window: Window):
     """All (P,S) with sum_R (-1)^p(R) Delta^PR C_RS != delta^P_S on the window.
 
-    Delta is grouped by P once; each (P,S) sum runs over the nonzero R of
-    row P only, against the sparse rows of C; an S no sum reaches has zero.
+    Each nonzero Delta^PR of invert_c meets the sparse row R of C only; the
+    sums are kept by label positions, so an (P,S) no term reaches has zero.
     """
     labels = tuple(family.labels(window))
     position = {p: i for i, p in enumerate(labels)}
     c_rows = _c_rows(family, labels)
-    delta_rows = [[] for _ in labels]
+    product = {(i, i): ZERO for i in range(len(labels))}
     for (p, r), d in invert_c(family, window).items():
-        sign = -1 if family.parity(r) else 1
-        delta_rows[position[p]].append((sign * d, c_rows[position[r]]))
-    bad = []
-    for i, (p, delta_row) in enumerate(zip(labels, delta_rows)):
-        product = {i: ZERO}
-        for d, c_row in delta_row:
-            for k, c in c_row.items():
-                product[k] = product.get(k, ZERO) + d * c
-        bad += [(p, labels[k], total) for k, total in sorted(product.items())
-                if total != (ONE if i == k else ZERO)]
-    return bad
+        d, i = (-d if family.parity(r) else d), position[p]
+        for k, c in c_rows[position[r]].items():
+            product[i, k] = product.get((i, k), ZERO) + d * c
+    return [(labels[i], labels[k], total) for (i, k), total in sorted(product.items())
+            if total != (ONE if i == k else ZERO)]
 
 
 def dirac_bracket(A: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) -> Fraction:

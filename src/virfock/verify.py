@@ -44,7 +44,6 @@ from .operators import (
     generator_family,
     linear_operator,
     mode_operator,
-    pair_shifts,
     row_table,
     safe_ids,
 )
@@ -200,7 +199,6 @@ def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
     """
     c_expected = Fraction(c_expected)
     trunc, R = params.trunc, params.m_range
-    algebra = params.algebra
 
     def law(m, n, den, row, probes):
         lmn = row_table(_gen(params.family, m + n, params.M, params.lam), trunc)
@@ -215,7 +213,7 @@ def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
             ln = _gen(params.family, n, params.M, params.lam)
             comm = Commutator(lm, ln, trunc)
             sign = 1 if lm.parity and ln.parity else -1  # [L_n, L_m} = sign·[L_m, L_n}
-            probes = safe_ids(algebra, trunc, pair_shifts(lm, ln))
+            probes = comm.probes
             rows = ({i: comm.row(i) for i in probes} if m < n or sign > 0
                     else dict.fromkeys(probes, ()))
             reports[m, n] = law(m, n, comm.den, rows.__getitem__, probes)
@@ -245,12 +243,10 @@ def check_primary_laws(params: ScenarioParams) -> list:
                 target = Mode(kind, two + 2 * m)
                 idx = x.index
                 coeff = Fraction(coeff_fn(m, idx, params.lam))
-                xop = mode_operator(algebra, x)
-                sides = _law(Commutator(gen, xop, trunc),
-                             [(coeff, mode_table(algebra, target, trunc))])
+                comm = Commutator(gen, mode_operator(algebra, x), trunc)
+                sides = _law(comm, [(coeff, mode_table(algebra, target, trunc))])
                 reports.append(_probe(f"primary[{kind.symbol},m={m},n={idx}]",
-                                      f"{format_rational(coeff)}·{target}", params,
-                                      safe_ids(algebra, trunc, pair_shifts(gen, xop)), sides))
+                                      f"{format_rational(coeff)}·{target}", params, comm.probes, sides))
     return reports
 
 
@@ -272,13 +268,12 @@ def check_christoffel(params: ScenarioParams) -> list:
         lm = _gen(params.family, m, M, lam)
         for n in [k for k in range(-R, R + 1) if k != 0]:
             anomaly = Fraction(anomaly_fn(m, M, lam)) if m + n == 0 else ZERO
-            xop = mode_operator(algebra, red_adag(n))
+            comm = Commutator(lm, mode_operator(algebra, red_adag(n)), trunc)
             # the reduced module has no a†[0]: at m + n = 0 only the anomaly is left
             phi = [(n, mode_table(algebra, red_adag(m + n), trunc))] if m + n else []
-            sides = _law(Commutator(lm, xop, trunc), phi, anomaly)
             reports.append(_probe(f"christoffel[m={m},n={n}]",
                                   f"{n}·a†[{m + n}]" if m + n else format_rational(anomaly), params,
-                                  safe_ids(algebra, trunc, pair_shifts(lm, xop)), sides))
+                                  comm.probes, _law(comm, phi, anomaly)))
             # independent route through the Dirac bracket of the unconstrained form
             via_dirac = dirac_transform_adagger(m, n, M, lam)
             expected = linear_operator(
@@ -292,11 +287,8 @@ def check_christoffel(params: ScenarioParams) -> list:
 def check_jacobi(params: ScenarioParams, triple=(1, 2, -3)) -> list:
     """Jacobi identity spot check on nested commutators of three generators."""
     trunc = params.trunc
-    algebra = params.algebra
     ops = [_gen(params.family, m, params.M, params.lam) for m in triple]
     ta, tb, tc = (row_table(op, trunc) for op in ops)
-    aa, bb, cc = (Fraction(m) for m in triple)
-    sums = (aa, bb, cc, aa + bb, aa + cc, bb + cc, aa + bb + cc)
 
     def nested(x, y, z, i):
         # [[X, Y], Z] on basis[i] for even operators, over x.den·y.den·z.den
@@ -313,7 +305,7 @@ def check_jacobi(params: ScenarioParams, triple=(1, 2, -3)) -> list:
         return total, {}, ta.den * tb.den * tc.den
 
     return [_probe(f"jacobi[{triple[0]},{triple[1]},{triple[2]}]", "0", params,
-                   safe_ids(algebra, trunc, sums, zero_uses=3), sides, got="0")]
+                   safe_ids(trunc, *ops), sides, got="0")]
 
 
 def check_window_doubling(params: ScenarioParams, probes: int = 100, seed: int = 7) -> list:
@@ -323,11 +315,10 @@ def check_window_doubling(params: ScenarioParams, probes: int = 100, seed: int =
     label; labels whose pool is empty are never drawn.
     """
     trunc = params.trunc
-    algebra = params.algebra
     rng = random.Random(seed)
     ops = {m: _gen(params.family, m, params.M, params.lam)
            for m in range(-params.m_range, params.m_range + 1)}
-    pools = {m: safe_ids(algebra, trunc, (op.shift,), zero_uses=1) for m, op in ops.items()}
+    pools = {m: safe_ids(trunc, op) for m, op in ops.items()}
     labels = [m for m, pool in pools.items() if pool]
     draws = []
     if labels:
@@ -341,7 +332,7 @@ def check_window_doubling(params: ScenarioParams, probes: int = 100, seed: int =
         wide = row_table(op, trunc, window=2 * (trunc.level_cap + abs(op.shift)))
         laws[m] = _law(row_table(op, trunc), [(1, wide)])
 
-    basis = enumerate_basis(algebra, trunc)
+    basis = enumerate_basis(params.algebra, trunc)
     return [_probe(f"window_doubling[{probes} probes]", "identical action", params, draws,
                    lambda draw: laws[draw[0]](draw[1]),
                    got="identical action", show=lambda draw: f"m={draw[0]} {basis[draw[1]]}")]

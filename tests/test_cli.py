@@ -14,7 +14,9 @@ from functools import lru_cache
 import pytest
 
 import virfock
+import virfock.algebra as algebra
 import virfock.cli as cli
+import virfock.fock as fock
 import virfock.operators as operators
 from virfock.cli import main
 from virfock.verify import ScenarioParams, claimed_central_charge, extract_central_charge
@@ -184,6 +186,60 @@ def test_a_sweep_retains_no_memory_once_the_row_table_cache_is_full(fresh_caches
     finally:
         tracemalloc.stop()
     assert info.currsize == info.maxsize
+    assert retained < 250_000
+
+
+# the caches keyed by M, directly or through the algebra: a sweep adds
+# entries to each with every new M, so each is bounded
+def _caches_that_grow_with_m():
+    return (fock._apply_to_basis, operators._skeleton, algebra.reduced_boson,
+            operators._reduced_boson_kernel)
+
+
+@pytest.mark.parametrize("flags", [("--scenario", "all", "--level", "4", "--mmax", "6"),
+                                   ("--scenario", "boson-reduced", "--sweep")],
+                         ids=["all-mmax6", "reduced-boson-sweep"])
+def test_a_run_fits_the_caches_that_grow_with_m(tmp_path, fresh_caches, flags):
+    # nothing is evicted and room is left: 304 mode tables and 142 skeletons
+    # for --mmax 6; 1,104 mode tables, 230 skeletons and 46 algebras for every
+    # M of the benchmark's sweep grid (|p|, q <= 6), each once
+    grid = tmp_path / "grid.txt"
+    masses = sorted({Fraction(p, q) for p in range(-6, 7) for q in range(1, 7) if p})
+    grid.write_text("".join(f"{M} 1/3\n" for M in masses))
+    assert main([*flags, str(grid)] if flags[-1] == "--sweep" else list(flags)) == 0
+    for cache in _caches_that_grow_with_m():
+        info = cache.cache_info()
+        assert info.misses == info.currsize < info.maxsize, cache.__wrapped__.__qualname__
+
+
+def test_a_reduced_boson_sweep_retains_no_memory_once_the_caches_are_full(fresh_caches):
+    # every point at a new M = 1/k builds its own algebra, mode tables and
+    # skeletons; unbounded caches retain about 10 MB over the 300 points measured here
+    caches = _caches_that_grow_with_m()
+    lam, points = Fraction(1, 3), (Fraction(1, k) for k in itertools.count(1))
+
+    def oracle(M):
+        params = ScenarioParams("boson-reduced", M, lam)
+        assert extract_central_charge(params) == claimed_central_charge(params.family, M, lam)
+
+    def full():
+        return all(c.cache_info().currsize == c.cache_info().maxsize for c in caches)
+
+    tracemalloc.start()
+    try:
+        for M in itertools.islice(points, 600):
+            oracle(M)
+            if full():
+                break
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for M in itertools.islice(points, 300):
+            oracle(M)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert full()
     assert retained < 250_000
 
 

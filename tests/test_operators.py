@@ -1,5 +1,6 @@
 """Generator builders, normal-ordered application, graded commutator action."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -47,7 +48,6 @@ from virfock.operators import (
     linear_bracket,
     linear_operator,
     mode_operator,
-    pair_shifts,
     row_table,
     safe_ids,
 )
@@ -62,7 +62,7 @@ def _image(table, i) -> dict:
 
 def _pair_ids(op_a, op_b, trunc):
     """The state ids of the safe window of the pair (op_a, op_b)."""
-    return safe_ids(op_a.algebra, trunc, pair_shifts(op_a, op_b))
+    return safe_ids(trunc, op_a, op_b)
 
 
 def _obeys_law(op_a, op_b, coeff, target, trunc) -> bool:
@@ -374,10 +374,56 @@ def test_operator_addition_and_scaling():
 
 def test_safe_basis_is_computed_once_per_rise():
     trunc = Truncation(Fraction(4), 3)
-    probes = safe_ids(BOSON, trunc, (Fraction(1), Fraction(-2), Fraction(-1)))
-    assert safe_ids(BOSON, trunc, (1, 0, 1)) is probes  # same rise, same tuple
+    probes = safe_ids(trunc, build_K(1), build_K(-2))
+    assert safe_ids(trunc, build_K(1), build_K(0)) is probes  # same rise, same tuple
     assert probes == tuple(i for i, s in enumerate(enumerate_basis(BOSON, trunc))
                            if s.level + 1 <= 4 and s.zero_occ + 2 <= 3)
+
+
+def _window_ops(algebra):
+    """Operators on BOSON (K_m and single modes, a†[0] and a[0] among them) or
+    on FERMION (single modes, whose shifts are half-odd)."""
+    if algebra is BOSON:
+        modes = st.builds(lambda make, n: mode_operator(BOSON, make(n)),
+                          st.sampled_from([a, adag]), st.integers(-4, 4))
+        return st.one_of(st.integers(-4, 4).map(build_K), modes)
+    return st.builds(lambda make, two: mode_operator(FERMION, make(Fraction(two, 2))),
+                     st.sampled_from([b, bdag]), st.sampled_from(range(-7, 8, 2)))
+
+
+_WINDOW_CAPS = {BOSON: Truncation(Fraction(3), 2), FERMION: Truncation(Fraction(7, 2))}
+
+
+def _reference_window(trunc, ops) -> tuple:
+    """The safe ids by the rule's statement: the largest partial shift sum
+    (0 for the empty subset) and one a†[0] per operator."""
+    rise = max(sum(op.shift for op in sub)
+               for k in range(len(ops) + 1) for sub in itertools.combinations(ops, k))
+    uses = len(ops) if ops[0].algebra.has_zero_modes else 0
+    return tuple(i for i, s in enumerate(enumerate_basis(ops[0].algebra, trunc))
+                 if s.level + rise <= trunc.level_cap and s.zero_occ + uses <= trunc.zero_mode_cap)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([BOSON, FERMION]).flatmap(
+    lambda algebra: st.lists(_window_ops(algebra), min_size=1, max_size=3)))
+@example([build_K(1), build_K(2), build_K(-3)])  # the Jacobi triple
+@example([mode_operator(BOSON, adag(0)), mode_operator(BOSON, adag(0))])
+def test_safe_window_matches_its_statement(ops):
+    trunc = _WINDOW_CAPS[ops[0].algebra]
+    assert safe_ids(trunc, *ops) == _reference_window(trunc, ops)
+    if len(ops) < 2:
+        return
+    # a commutator probes its pair's window, rows inside it never overflow,
+    # and its guard raises on exactly the other states
+    comm = Commutator(ops[0], ops[1], trunc)
+    assert comm.probes == safe_ids(trunc, *ops[:2]) == _reference_window(trunc, ops[:2])
+    for i in range(len(comm.basis)):
+        if i in comm.probes:
+            comm.row(i)
+        else:
+            with pytest.raises(UnsafeLevelError):
+                comm.row(i)
 
 
 def test_rows_are_integers_over_the_common_denominator():
@@ -655,7 +701,7 @@ def test_integer_engine_matches_fraction_reference(family, M, lam, m, n, data):
     trunc = _CAPS[family]
     op = build_L(family, m, M, lam)
     table = row_table(op, trunc)
-    pool = safe_ids(op.algebra, trunc, (op.shift,), zero_uses=1)
+    pool = safe_ids(trunc, op)
     pairs = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(-6, 6)),
                                min_size=1, max_size=3))
     v = {}

@@ -219,7 +219,8 @@ def test_benchmark_levels_skip_nothing(monkeypatch, family, level):
     import virfock.verify as verify
     from virfock.verify import default_truncation
     zero = SimpleNamespace(den=1, row=lambda i: (), apply=lambda pairs: {}, state_id=lambda state: 0)
-    monkeypatch.setattr(verify, "Commutator", lambda op_a, op_b, trunc: zero)
+    monkeypatch.setattr(verify, "Commutator", lambda op_a, op_b, trunc: SimpleNamespace(
+        **vars(zero), probes=verify.safe_ids(trunc, op_a, op_b)))
     monkeypatch.setattr(verify, "row_table", lambda op, trunc, window=None: zero)
     monkeypatch.setattr(verify, "mode_table", lambda algebra, x, trunc: zero)
     params = ScenarioParams(family, 1, H, default_truncation(family, level), 3)
