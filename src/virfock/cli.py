@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from .algebra import format_rational, parse_rational
-from .dirac import Window, run_dirac_checks
+from .dirac import run_dirac_checks
 from .operators import FAMILIES
 from .verify import (
     OracleInconsistencyError,
@@ -83,7 +83,7 @@ def _run_scenarios(args):
         require_oracle_caps(params)
     for name in names:
         if name == "dirac-checks":
-            reports = run_dirac_checks(args.M, Window(args.window))
+            reports = run_dirac_checks(args.M, args.window)
             runs.append({"scenario": name, "reports": reports})
         else:
             reports, c_formula, c_oracle = run_family_scenario(families[name])

@@ -11,15 +11,16 @@ and the Dirac bracket is
 
     [A, B]* = [A, B] - (-1)^{p(R)} [A, chi_P] Delta^{PR} [chi_R, B].
 
-The two families of interest are infinite but banded (C couples P with -P,
-plus one zero-mode pair), so C and Delta have closed forms, stated as rows of
-the nonzero partners of a label.  C's rows must equal those computed from the
-expressions, and windowed exact elimination must reproduce Delta's entry by
-entry; the elimination is generic Gauss-Jordan and never reads Delta's closed
-form.  C and Delta are held as sparse rows, so
-the elimination and the Delta·C contract cost time in proportion to their
-nonzeros, not to the cube of the window; one elimination per label set
-serves both classify and invert_c.  The correction is linear in each
+Every chi_P of a family has the one parity p that the family states, so each
+sign (-1)^{p(R)} is fixed per family.  The two families of interest are
+infinite but banded (C couples P with -P, plus one zero-mode pair), so C and
+Delta have closed forms, stated as rows of the nonzero partners of a label.
+C's rows must equal those computed from the expressions, and windowed exact
+elimination must reproduce Delta's entry by entry; the elimination is generic
+Gauss-Jordan and never reads Delta's closed form.  C and Delta are held as
+sparse rows, so the elimination and the Delta·C contract cost time in
+proportion to their nonzeros, not to the cube of the window; one elimination
+per label set serves both classify and invert_c.  The correction is linear in each
 operand, so the Dirac bracket is one graded bracket with one operand projected,
 
     Ã = A - (-1)^{p(R)} [A, chi_P] Delta^{PR} chi_R,
@@ -87,8 +88,6 @@ from .algebra import (
 from .operators import (
     OperatorSpec,
     _norm_linear,
-    build_chi_bar0,
-    build_chi_boson,
     build_L,
     commutator_with_linear,
     linear_bracket,
@@ -113,21 +112,11 @@ class NotSecondClassError(VirfockError):
     """Dirac brackets require a fully second-class family."""
 
 
-class Window(Frozen):
-    """Finite probe of an infinite banded family: |doubled index| <= 2N."""
-
-    _fields = ("half_width",)
-
-    def __init__(self, half_width: int):
-        if half_width < 1:
-            raise ValueError("window half-width must be positive")
-        vars(self).update(half_width=half_width)
-
-
 class ConstraintFamily(Frozen):
     """An indexed set of linear constraints chi_P over one algebra.
 
-    Each subclass gives labels(window), the expression of a label
+    Each subclass gives labels(N), the labels of doubled index within [-2N, 2N]
+    (plus a gauge label), its parity (0 unless odd), the expression of a label
     (_build_expr), support_labels(expr) (every label P with [expr, chi_P]
     possibly nonzero; exact, not sampled) and, when second class, the nonzero
     Delta partners of a label (_delta_row).  A subclass may state C's closed
@@ -139,13 +128,11 @@ class ConstraintFamily(Frozen):
 
     name = ""
     fully_second_class = False
+    parity = 0
     _c_row = None
 
     def expr(self, label) -> OperatorSpec:
         return _cached_expr(self, label)
-
-    def parity(self, label) -> int:
-        return self.expr(label).parity
 
     def label_of_expr(self, label) -> str:
         return ZERO_GAUGE_LABEL if label == ZERO_GAUGE_LABEL else f"chi[{label}]"
@@ -194,19 +181,17 @@ class BosonConstraints(ConstraintFamily):
     def fully_second_class(self) -> bool:
         return self.with_zero_gauge
 
-    def labels(self, window: Window):
-        out = list(range(-window.half_width, window.half_width + 1))
+    def labels(self, N: int):
+        out = list(range(-N, N + 1))
         if self.with_zero_gauge:
             out.append(ZERO_GAUGE_LABEL)
         return out
 
-    def parity(self, label) -> int:
-        return 0
-
     def _build_expr(self, label) -> OperatorSpec:
         if label == ZERO_GAUGE_LABEL:
-            return build_chi_bar0()
-        return build_chi_boson(int(label), self.M)
+            return linear_operator(BOSON, {a(0): 1})
+        m = int(label)
+        return linear_operator(BOSON, {adag(m): 1, a(m): -self.M * m}, shift=m)
 
     def _c_row(self, p):
         if p == ZERO_GAUGE_LABEL:
@@ -234,9 +219,8 @@ class BosonConstraints(ConstraintFamily):
 class _HalfOddConstraints(ConstraintFamily):
     """chi_r = x[r] - y[r] on half-odd r, for the mode pair chi_modes = (x, y)."""
 
-    def labels(self, window: Window):
-        return [Fraction(t, 2) for t in range(-2 * window.half_width + 1,
-                                              2 * window.half_width, 2)]
+    def labels(self, N: int):
+        return [Fraction(t, 2) for t in range(-2 * N + 1, 2 * N, 2)]
 
     def expr(self, label) -> OperatorSpec:
         # keyed by the doubled index: hashing a Fraction label takes a modular inverse
@@ -258,9 +242,7 @@ class FermionConstraints(_HalfOddConstraints):
     fully_second_class = True
     algebra = FERMION
     chi_modes = (b, bdag)
-
-    def parity(self, label) -> int:
-        return 1
+    parity = 1
 
     def _c_row(self, p):
         return ((-p, MINUS_TWO),)
@@ -327,11 +309,8 @@ def _signed_inverse(family: ConstraintFamily, labels: tuple) -> list:
 
     Cached, so classify and invert_c share one elimination per label set.
     """
-    signed = []
-    for r, row in zip(labels, _c_rows(family, labels)):
-        sign = -1 if family.parity(r) else 1
-        signed.append({j: sign * v for j, v in row.items()})
-    return _invert_exact(signed)
+    sign = -1 if family.parity else 1
+    return _invert_exact([{j: sign * v for j, v in row.items()} for row in _c_rows(family, labels)])
 
 
 class Classification(NamedTuple):
@@ -339,13 +318,13 @@ class Classification(NamedTuple):
     second_class: list
 
 
-def classify(family: ConstraintFamily, window: Window) -> Classification:
+def classify(family: ConstraintFamily, N: int) -> Classification:
     """Split windowed constraints into first class (zero bracket row) and second class.
 
     The rest must form an invertible block, otherwise SingularBlockError.
     Exact zero rows, no rank tolerances: the arithmetic is exact.
     """
-    labels = tuple(family.labels(window))
+    labels = tuple(family.labels(N))
     rows = _c_rows(family, labels)
     first = [p for p, row in zip(labels, rows) if not row]
     second = [p for p, row in zip(labels, rows) if row]
@@ -355,7 +334,7 @@ def classify(family: ConstraintFamily, window: Window) -> Classification:
         except SingularBlockError as exc:
             raise SingularBlockError(
                 f"putative second-class block of {family.name} family is singular "
-                f"on window N={window.half_width}: {exc}") from exc
+                f"on window N={N}: {exc}") from exc
     return Classification(first, second)
 
 
@@ -388,14 +367,14 @@ def _invert_exact(rows) -> list:
     return [{j - n: v for j, v in sorted(row.items()) if j >= n} for row in aug]
 
 
-def invert_c(family: ConstraintFamily, window: Window) -> dict:
+def invert_c(family: ConstraintFamily, N: int) -> dict:
     """Windowed exact inverse Delta with (-1)^p(R) Delta^PR C_RS = delta^P_S.
 
     Requires the family fully second class on the window.  The elimination
     must agree with the closed form of Delta entry by entry; a mismatch is an
     engine bug and raises ClosedFormMismatchError.
     """
-    split = classify(family, window)
+    split = classify(family, N)
     if split.first_class:
         raise SingularBlockError(
             f"first-class constraints {split.first_class} present; "
@@ -411,18 +390,18 @@ def invert_c(family: ConstraintFamily, window: Window) -> dict:
     return {(p, labels[j]): v for p, row in zip(labels, inverse) for j, v in row.items()}
 
 
-def delta_contract_residuals(family: ConstraintFamily, window: Window):
+def delta_contract_residuals(family: ConstraintFamily, N: int):
     """All (P,S) with sum_R (-1)^p(R) Delta^PR C_RS != delta^P_S on the window.
 
     Each nonzero Delta^PR of invert_c meets the sparse row R of C only; the
     sums are kept by label positions, so an (P,S) no term reaches has zero.
     """
-    labels = tuple(family.labels(window))
+    labels = tuple(family.labels(N))
     position = {p: i for i, p in enumerate(labels)}
     c_rows = _c_rows(family, labels)
     product = {(i, i): ZERO for i in range(len(labels))}
-    for (p, r), d in invert_c(family, window).items():
-        d, i = (-d if family.parity(r) else d), position[p]
+    for (p, r), d in invert_c(family, N).items():
+        d, i = (-d if family.parity else d), position[p]
         for k, c in c_rows[position[r]].items():
             product[i, k] = product.get((i, k), ZERO) + d * c
     return [(labels[i], labels[k], total) for (i, k), total in sorted(product.items())
@@ -452,7 +431,7 @@ def _projected(family: ConstraintFamily, A: OperatorSpec) -> OperatorSpec:
         bra = linear_bracket(A, family.expr(p))
         if bra:
             for r, d in family.delta_row(p):
-                scale = bra * d if family.parity(r) else -bra * d
+                scale = bra * d if family.parity else -bra * d
                 terms += ((mode, scale * c) for mode, c in family.expr(r).linear)
     return OperatorSpec(A.algebra, A.shift, A.bilinears, _norm_linear(terms), A.constant, A.parity)
 
@@ -530,12 +509,12 @@ def _dirac_scan(family: ConstraintFamily, xs, ys: dict, want=None) -> list:
     return bad
 
 
-def mode_compatibility_reports(family: ConstraintFamily, window: Window):
+def mode_compatibility_reports(family: ConstraintFamily, N: int):
     """dirac_bracket(x, chi_R) = 0 for each basic mode x and windowed constraint, at the partners of x̃."""
-    algebra, N = family.algebra, window.half_width
+    algebra = family.algebra
     modes = sorted((Mode(kind, two) for kind in algebra.kinds for two in range(-2 * N, 2 * N + 1)
                     if two % 2 == kind.half_integer_moded), key=lambda mm: mm.sort_key)
-    bad = _dirac_scan(family, modes, {label: family.expr(label) for label in family.labels(window)})
+    bad = _dirac_scan(family, modes, {label: family.expr(label) for label in family.labels(N)})
     return [report(
         f"dirac_mode_compatibility[{family.name},N={N}]", not bad, "0",
         "0" if not bad else "; ".join(f"[{x},{family.label_of_expr(lb)}]*={format_rational(v)}"
@@ -556,11 +535,10 @@ def _dirac_table(family: ConstraintFamily, modes, reduced: Algebra) -> list:
                        if x.two + y.two == 0 else 0)
 
 
-def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
-    """Constraint-machinery suite: inversion contract, bracket tables,
-    classification, and generator compatibility for both families."""
-    window = window or Window(8)
-    N = window.half_width
+def run_dirac_checks(M, N: int) -> list:
+    """Constraint-machinery suite on the labels within half-width N: inversion
+    contract, bracket tables, classification, and generator compatibility for
+    both families."""
     reports = []
 
     bos = BosonConstraints(M)
@@ -568,7 +546,7 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
 
     for fam in (bos, fer):
         try:
-            bad = delta_contract_residuals(fam, window)
+            bad = delta_contract_residuals(fam, N)
             got = _witnesses("(P={},S={})", bad) if bad else "identity"
         except (SingularBlockError, ClosedFormMismatchError) as exc:
             bad, got = True, str(exc)  # the elimination names its first witness
@@ -576,7 +554,7 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
 
     # closed-form bracket matrix against the one computed from expressions, row by row
     agree = all(_c_rows(fam, labels) == support_rows(fam, labels)
-                for fam in (bos, fer) for labels in [tuple(fam.labels(window))])
+                for fam in (bos, fer) for labels in [tuple(fam.labels(N))])
     reports.append(report(f"bracket_matrix_closed_form[N={N}]", agree,
                           "matches expressions", "matches" if agree else "mismatch"))
 
@@ -591,26 +569,26 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
                           "-(M/2) m delta(m+n), zero modes 0",
                           "as expected" if not bad else _witnesses("[{},{}]*", bad)))
 
-    bad = _dirac_table(fer, [b(r) for r in fer.labels(window)], REDUCED_FERMION)
+    bad = _dirac_table(fer, [b(r) for r in fer.labels(N)], REDUCED_FERMION)
     reports.append(report(f"dirac_bracket_fermion[N={N}]", not bad, "(1/2) delta(r+s)",
                           "as expected" if not bad else _witnesses("[{},{}]*", bad)))
 
     # classification
-    split = classify(BosonConstraints(M, with_zero_gauge=False), window)
+    split = classify(BosonConstraints(M, with_zero_gauge=False), N)
     ok = split.first_class == [0] and 0 not in split.second_class
     reports.append(report("classify[boson,no-gauge]", ok, "chi[0] first class",
                           str(split.first_class)))
-    split = classify(bos, window)
+    split = classify(bos, N)
     reports.append(report("classify[boson,gauged]", not split.first_class,
                           "all second class", "all second class" if not split.first_class
                           else str(split.first_class)))
-    split = classify(EvenCopyConstraints(), window)
+    split = classify(EvenCopyConstraints(), N)
     ok = not split.second_class and len(split.first_class) == 2 * N
     reports.append(report("classify[even-copy]", ok, "C=0, all first class",
                           "all first class" if ok else str(split.second_class)))
 
     # generator compatibility with the constraint ideal
-    half5 = fer.labels(Window(5))
+    half5 = fer.labels(5)
     for family, fam, labels in (("boson-unconstrained", bos, range(-5, 6)),
                                 ("fermion-unconstrained", fer, half5)):
         for m in range(-5, 6):
@@ -623,6 +601,6 @@ def run_dirac_checks(M=Fraction(1), window: Window = None) -> list:
                           "transforms leave the constraint ideal",
                           "detected" if incompatible else "not detected"))
 
-    reports += mode_compatibility_reports(bos, window)
-    reports += mode_compatibility_reports(fer, window)
+    reports += mode_compatibility_reports(bos, N)
+    reports += mode_compatibility_reports(fer, N)
     return reports

@@ -72,8 +72,6 @@ from .algebra import (
     REDUCED_FERMION,
     VirfockError,
     ZERO,
-    a,
-    adag,
     is_creator,
     format_rational,
     paired_bracket,
@@ -217,17 +215,6 @@ def linear_operator(algebra: Algebra, mapping, constant=0, shift=None, parity=No
 def mode_operator(algebra: Algebra, x: Mode) -> OperatorSpec:
     """The expression 1·x, one instance per mode: caches keyed by it match by identity."""
     return linear_operator(algebra, {x: 1})
-
-
-def build_chi_boson(m: int, M) -> OperatorSpec:
-    """Constraint a†[m] - M*m*a[m]."""
-    M = Fraction(M)
-    return linear_operator(BOSON, {adag(m): 1, a(m): -M * m}, shift=m, parity=0)
-
-
-def build_chi_bar0() -> OperatorSpec:
-    """The extra zero-mode constraint a[0], which makes the boson family fully second class."""
-    return linear_operator(BOSON, {a(0): 1}, shift=0, parity=0)
 
 
 def build_K(m: int) -> OperatorSpec:

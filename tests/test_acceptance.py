@@ -16,7 +16,6 @@ from virfock.dirac import (
     BosonConstraints,
     EvenCopyConstraints,
     FermionConstraints,
-    Window,
     ZERO_GAUGE_LABEL,
     classify,
     delta_contract_residuals,
@@ -92,7 +91,7 @@ def test_criterion_2_virasoro_relation(family, M, lam):
 
 
 def test_criterion_3_dirac_machinery():
-    window = Window(8)
+    window = 8
     problems = []
     for name, fam in (("boson", BosonConstraints(1)), ("fermion", FermionConstraints())):
         bad = delta_contract_residuals(fam, window)
@@ -147,7 +146,7 @@ def test_criterion_4_compatibility_and_only_if():
 
 
 def test_criterion_5_classification():
-    w = Window(8)
+    w = 8
     no_gauge = classify(BosonConstraints(1, with_zero_gauge=False), w)
     gauged = classify(BosonConstraints(1, with_zero_gauge=True), w)
     even = classify(EvenCopyConstraints(), w)

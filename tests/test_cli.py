@@ -76,6 +76,14 @@ def test_bad_rational_is_config_error(capsys):
     assert "rational" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--level", "0"), ("--zmax", "-1"), ("--mmax", "1"), ("--window", "0")])
+def test_caps_out_of_range_are_config_errors(capsys, flag, value):
+    # the only guard on each cap, the constraint half-width included: nothing runs
+    code, out, err = run_cli(capsys, flag, value)
+    assert (code, out) == (2, "")
+    assert "caps out of range" in err
+
+
 def test_unknown_scenario_is_config_error(capsys):
     code, _, _ = run_cli(capsys, "--scenario", "nonsense")
     assert code == 2

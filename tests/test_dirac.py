@@ -34,7 +34,6 @@ from virfock.dirac import (
     FermionConstraints,
     NotSecondClassError,
     SingularBlockError,
-    Window,
     ZERO_GAUGE_LABEL,
     _invert_exact,
     classify,
@@ -61,14 +60,14 @@ def _c_entries(family, window):
 
 
 def test_closed_form_bracket_matrix():
-    c = _c_entries(BosonConstraints(Fraction(3, 2)), Window(4))
+    c = _c_entries(BosonConstraints(Fraction(3, 2)), 4)
     assert c[(4, -4)] == 2 * Fraction(3, 2) * 4
     assert (4, 4) not in c
     assert c[(0, ZERO_GAUGE_LABEL)] == 1
     assert c[(ZERO_GAUGE_LABEL, 0)] == -1
     assert (0, 0) not in c
     assert len(c) == 2 * 4 + 2  # each label pairs with one partner
-    c = _c_entries(FermionConstraints(), Window(4))
+    c = _c_entries(FermionConstraints(), 4)
     assert c[(H, -H)] == -2
     assert (H, Fraction(3, 2)) not in c
     assert len(c) == 2 * 4
@@ -77,12 +76,12 @@ def test_closed_form_bracket_matrix():
 @pytest.mark.parametrize("family", [BosonConstraints(2), FermionConstraints(),
                                     EvenCopyConstraints()])
 def test_bracket_matrix_matches_expressions(family):
-    labels = tuple(family.labels(Window(5)))
+    labels = tuple(family.labels(5))
     rows = dirac._c_rows(family, labels)
     assert rows == dirac.support_rows(family, labels)
     for i, row in enumerate(rows):
         for j, v in row.items():
-            sign = -1 if (family.parity(labels[i]) and family.parity(labels[j])) else 1
+            sign = -1 if family.parity else 1
             assert rows[j].get(i) == -sign * v
 
 
@@ -99,43 +98,43 @@ def test_closed_form_delta_entries():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_delta_contract_on_all_windows(n):
     # (-1)^p(R) Delta^PR C_RS = delta^P_S entry-exactly, N = 1..8
-    assert delta_contract_residuals(BosonConstraints(Fraction(5, 3)), Window(n)) == []
-    assert delta_contract_residuals(FermionConstraints(), Window(n)) == []
+    assert delta_contract_residuals(BosonConstraints(Fraction(5, 3)), n) == []
+    assert delta_contract_residuals(FermionConstraints(), n) == []
 
 
 def test_windowed_inversion_agrees_with_closed_form():
     # invert_c raises internally on any closed-form mismatch; also spot check
     bos = BosonConstraints(2)
-    delta = invert_c(bos, Window(4))
+    delta = invert_c(bos, 4)
     assert delta[(3, -3)] == Fraction(-1, 12)
     assert delta[(ZERO_GAUGE_LABEL, 0)] == 1
     fer = FermionConstraints()
-    delta = invert_c(fer, Window(4))
+    delta = invert_c(fer, 4)
     assert delta[(H, -H)] == H
 
 
 def test_classification_boson_without_gauge():
-    split = classify(BosonConstraints(1, with_zero_gauge=False), Window(4))
+    split = classify(BosonConstraints(1, with_zero_gauge=False), 4)
     assert split.first_class == [0]
     assert sorted(split.second_class) == [m for m in range(-4, 5) if m != 0]
 
 
 def test_classification_boson_with_gauge():
-    split = classify(BosonConstraints(1), Window(4))
+    split = classify(BosonConstraints(1), 4)
     assert split.first_class == []
     assert len(split.second_class) == 10
 
 
 def test_classification_even_copy_degenerates():
     # bosonic statistics on the fermionic constraint shape: C identically 0
-    split = classify(EvenCopyConstraints(), Window(4))
+    split = classify(EvenCopyConstraints(), 4)
     assert split.second_class == []
     assert len(split.first_class) == 8
 
 
 def test_invert_requires_second_class():
     with pytest.raises(SingularBlockError):
-        invert_c(BosonConstraints(1, with_zero_gauge=False), Window(3))
+        invert_c(BosonConstraints(1, with_zero_gauge=False), 3)
 
 
 def test_dirac_bracket_reduced_boson_table():
@@ -201,7 +200,7 @@ def test_boson_family_holds_M_exactly(M):
     # uncached rows are compared, since equal families share one cache entry
     fam, exact = BosonConstraints(M), BosonConstraints(Fraction(M))
     assert type(fam.M) is Fraction and fam == exact
-    for p in fam.labels(Window(4)):
+    for p in fam.labels(4):
         row = fam._delta_row(p)
         assert row == exact._delta_row(p) and all(type(d) is Fraction for _, d in row)
     assert BosonConstraints(M)._delta_row(3) == ((-3, -1 / (6 * Fraction(M))),)
@@ -270,8 +269,7 @@ def test_compatibility_boson():
     reports = verify_compatibility(lm, fam, range(-5, 6))
     assert all(r.status == "pass" for r in reports)
     # [L_2, chi_3] = 3 chi_5 as an exact expression
-    from virfock.operators import build_chi_boson, commutator_with_linear
-    assert commutator_with_linear(lm, build_chi_boson(3, M)) == 3 * build_chi_boson(5, M)
+    assert commutator_with_linear(lm, fam.expr(3)) == 3 * fam.expr(5)
 
 
 def test_compatibility_fermion_half_lambda():
@@ -293,11 +291,11 @@ def test_compatibility_fermion_lambda_zero_fails():
 def test_mode_compatibility_window():
     fam = BosonConstraints(Fraction(3))
     reports = verify_compatibility(build_L("boson-unconstrained", 1, 3, 1), fam, range(-3, 4))
-    reports += mode_compatibility_reports(fam, Window(3))
+    reports += mode_compatibility_reports(fam, 3)
     assert all(r.status == "pass" for r in reports)
     fam = FermionConstraints()
     reports = verify_compatibility(build_L("fermion-unconstrained", 1, 0, H), fam, HALF_LABELS(3))
-    reports += mode_compatibility_reports(fam, Window(3))
+    reports += mode_compatibility_reports(fam, 3)
     assert all(r.status == "pass" for r in reports)
 
 
@@ -354,7 +352,7 @@ def _brute_dirac_bracket(A, B, family, window):
     [A, chi_P} (-1)^p(R) Delta^PR [chi_R, B}, Delta by elimination."""
     delta = invert_c(family, window)
     labels = family.labels(window)
-    corr = sum((_canonical_sum(A, family.expr(p)) * (-1 if family.parity(r) else 1)
+    corr = sum((_canonical_sum(A, family.expr(p)) * (-1 if family.parity else 1)
                 * delta.get((p, r), 0) * _canonical_sum(family.expr(r), B)
                 for p in labels for r in labels), Fraction(0))
     return _canonical_sum(A, B) - corr
@@ -382,7 +380,7 @@ _FERMION_LINEAR = _linear_over(FERMION, (b, bdag), HALF_LABELS(3))
                  st.tuples(st.just(FermionConstraints()), _FERMION_LINEAR)))
 def test_partners_hold_every_nonzero_bracket(case):
     family, expr = case
-    labels = family.labels(Window(3))
+    labels = family.labels(3)
     index = dirac.pairing_index([family.expr(r) for r in labels])
     nonzero = {j for j, r in enumerate(labels) if _canonical_sum(expr, family.expr(r))}
     assert nonzero <= set(dirac.partners(index, expr))
@@ -402,11 +400,22 @@ def _family_id(family):
 def test_sparse_c_rows_equal_a_dense_scan(family, n):
     # C's closed rows and the rows computed on the pairing support only,
     # against a scan that evaluates every pair: an entry either misses shows
-    labels = tuple(family.labels(Window(n)))
+    labels = tuple(family.labels(n))
     exprs = [family.expr(p) for p in labels]
     dense = [{j: v for j, y in enumerate(exprs) if (v := linear_bracket(x, y))} for x in exprs]
     assert dirac._c_rows(family, labels) == dense
     assert dirac.support_rows(family, labels) == dense
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("family", [
+    BosonConstraints(Fraction(2, 3)), BosonConstraints(-4, with_zero_gauge=False),
+    FermionConstraints(), EvenCopyConstraints()], ids=_family_id)
+def test_every_constraint_has_its_family_parity(family, n):
+    # the signs (-1)^p(R) of C's inverse and of the Dirac bracket are read off the
+    # family, not off each chi_R, so every chi_R must carry the family's parity
+    for p in family.labels(n):
+        assert family.expr(p).parity == family.parity
 
 
 # the zero-mode pair meets the gauge label a0 only through a†[0] against a[0],
@@ -418,9 +427,9 @@ def test_sparse_c_rows_equal_a_dense_scan(family, n):
     st.tuples(_Q.filter(bool).map(BosonConstraints), _BOSON_LINEAR, _BOSON_LINEAR),
     st.tuples(st.just(FermionConstraints()), _FERMION_LINEAR, _FERMION_LINEAR)))
 def test_dirac_bracket_matches_unfiltered_label_sum(case):
-    # modes reach index 5/2, so every label they bracket with lies inside Window(3)
+    # modes reach index 5/2, so every label they bracket with lies inside half-width 3
     family, A, B = case
-    assert dirac_bracket(A, B, family) == _brute_dirac_bracket(A, B, family, Window(3))
+    assert dirac_bracket(A, B, family) == _brute_dirac_bracket(A, B, family, 3)
 
 
 
@@ -446,7 +455,7 @@ def _windowed_op_bracket(op, B, family, window):
     plain = commutator_with_linear(op, B)
     linear, constant = dict(plain.linear), plain.constant
     for (p, r), d in invert_c(family, window).items():
-        scale = (-1 if family.parity(r) else 1) * d * linear_bracket(family.expr(r), B)
+        scale = (-1 if family.parity else 1) * d * linear_bracket(family.expr(r), B)
         bra = commutator_with_linear(op, family.expr(p))
         for mode, c in bra.linear:
             linear[mode] = linear.get(mode, 0) - scale * c
@@ -456,9 +465,9 @@ def _windowed_op_bracket(op, B, family, window):
 
 def _assert_op_bracket_matches_window(op, B, family):
     # B sits at |index| <= 3, so every label it brackets with, and that label's
-    # Delta partners, lie inside Window(8)
+    # Delta partners, lie inside half-width 8
     got = dirac_op_bracket(op, B, family)
-    assert (dict(got.linear), got.constant) == _windowed_op_bracket(op, B, family, Window(8))
+    assert (dict(got.linear), got.constant) == _windowed_op_bracket(op, B, family, 8)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -554,8 +563,8 @@ _NONZERO_AT_3 = {None: 0, "boson-delta-partner-shifted": 24, "boson-delta-double
 
 def _dirac_scans(family, n):
     """(name, xs, ys, want, run) of the mode-compatibility scan and the Dirac table of
-    family at Window(n): run() gives the pairs the scan finds off want, as modes."""
-    algebra, chis = family.algebra, [family.expr(r) for r in family.labels(Window(n))]
+    family at half-width n: run() gives the pairs the scan finds off want, as modes."""
+    algebra, chis = family.algebra, [family.expr(r) for r in family.labels(n)]
     ops = [mode_operator(algebra, Mode(kind, two)) for kind in algebra.kinds
            for two in range(-2 * n, 2 * n + 1) if two % 2 == kind.half_integer_moded]
     if isinstance(family, BosonConstraints):
@@ -566,7 +575,7 @@ def _dirac_scans(family, n):
     table = [mode_operator(algebra, x) for x in modes]
 
     def compatibility():
-        (report,) = mode_compatibility_reports(family, Window(n))
+        (report,) = mode_compatibility_reports(family, n)
         return report.status == "fail"
 
     return [("compatibility", ops, chis, lambda x, y: 0, compatibility),
@@ -576,7 +585,7 @@ def _dirac_scans(family, n):
              lambda: {(x, y) for x, y, _ in dirac._dirac_table(family, modes, reduced)})]
 
 
-# pairs off the expected value under each fault at Window(3), and the number of
+# pairs off the expected value under each fault at half-width 3, and the number of
 # pairs each scan probes without a fault, per (family, scan)
 _TABLE_OFF_AT_3 = {None: 0, "boson-delta-partner-shifted": 11, "boson-delta-doubled": 1,
                    "fermion-delta-flipped": 6, "boson-support-without-a0": 0,

@@ -27,7 +27,6 @@ from virfock.dirac import (
     ClosedFormMismatchError,
     FermionConstraints,
     SingularBlockError,
-    Window,
     invert_c,
     run_dirac_checks,
 )
@@ -222,9 +221,9 @@ def test_skeleton_index_looked_up_at_the_wrong_sign(monkeypatch):
         assert any(name.startswith("virasoro[") for name in failed)
 
 
-# --- Dirac reduction, at M = 2/3 on Window(3) --------------------------------
+# --- Dirac reduction, at M = 2/3 on half-width 3 -----------------------------
 
-DIRAC_M, DIRAC_WINDOW = Fraction(2, 3), Window(3)
+DIRAC_M, DIRAC_WINDOW = Fraction(2, 3), 3
 
 
 def _perturb_delta(monkeypatch, family_type, change):

@@ -29,6 +29,7 @@ from virfock.algebra import (
     red_b,
     reduced_boson,
 )
+from virfock.dirac import ZERO_GAUGE_LABEL, BosonConstraints
 from virfock.fock import BasisState, Truncation, TruncationOverflowError, VACUUM, enumerate_basis
 from virfock.fock import _apply_to_basis as mode_table
 from virfock.operators import (
@@ -42,8 +43,6 @@ from virfock.operators import (
     _skeleton,
     build_K,
     build_L,
-    build_chi_bar0,
-    build_chi_boson,
     commutator_with_linear,
     linear_bracket,
     linear_operator,
@@ -90,10 +89,11 @@ def test_B_and_chi_bracket_table():
     M = H
     assert linear_bracket(build_B(2, M), build_B(-2, M)) == -2
     M = Fraction(1)
-    assert linear_bracket(build_chi_boson(3, M), build_chi_boson(-3, M)) == 6
-    assert linear_bracket(build_B(3, M), build_chi_boson(-3, M)) == 0
-    assert linear_bracket(build_chi_boson(0, M), build_chi_bar0()) == 1
-    assert linear_bracket(build_chi_boson(5, M), build_chi_boson(4, M)) == 0
+    chi = BosonConstraints(M).expr
+    assert linear_bracket(chi(3), chi(-3)) == 6
+    assert linear_bracket(build_B(3, M), chi(-3)) == 0
+    assert linear_bracket(chi(0), chi(ZERO_GAUGE_LABEL)) == 1
+    assert linear_bracket(chi(5), chi(4)) == 0
 
 
 def test_build_K_structure():
@@ -143,8 +143,8 @@ def test_K_mode_laws_on_states():
 def test_K_chi_commutator_symbolic():
     # [K_2, chi_3] = 3 chi_5 as linear expressions
     M = Fraction(1)
-    got = commutator_with_linear(build_K(2), build_chi_boson(3, M))
-    assert got == 3 * build_chi_boson(5, M)
+    got = commutator_with_linear(build_K(2), BosonConstraints(M).expr(3))
+    assert got == 3 * BosonConstraints(M).expr(5)
     # [K_m, B_n] = n B_{m+n}
     got = commutator_with_linear(build_K(-1), build_B(4, M))
     assert got == 4 * build_B(3, M)
@@ -365,7 +365,7 @@ def add(x: OperatorSpec, y: OperatorSpec) -> OperatorSpec:
 
 def test_operator_addition_and_scaling():
     M = Fraction(1)
-    lhs = add(build_B(2, M), build_chi_boson(2, M))
+    lhs = add(build_B(2, M), BosonConstraints(M).expr(2))
     assert dict(lhs.linear) == {adag(2): 2}  # the a[2] parts cancel
     assert (0 * build_K(1)).bilinears == ()
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from virfock.algebra import BOSON, FERMION, Algebra, FieldKind, Mode, adag, reduced_boson
-from virfock.dirac import BosonConstraints, EvenCopyConstraints, FermionConstraints, Window
+from virfock.dirac import BosonConstraints, EvenCopyConstraints, FermionConstraints
 from virfock.fock import BasisState, Truncation
 from virfock.operators import OperatorSpec
 
@@ -26,7 +26,6 @@ def _spec(constant=0):
 CASES = {
     "Truncation": (lambda: Truncation(6, 4), lambda: Truncation(Fraction(6), 4),
                    lambda: [(Fraction(6), 4), Truncation(6, 3), Truncation(Fraction(11, 2), 4)]),
-    "Window": (lambda: Window(3), lambda: Window(3), lambda: [3, (3,), Window(4)]),
     "Algebra": (lambda: reduced_boson(Fraction(2)),
                 lambda: Algebra("boson-reduced", Fraction(2), (RED,), False, {(RED, RED): Fraction(-1)}, True),
                 lambda: [reduced_boson(3), Algebra("boson-reduced", Fraction(2), (RED,), True), BOSON,
@@ -88,9 +87,8 @@ def test_truncation_text_is_kept():
 
 
 @pytest.mark.parametrize("make", [lambda: Truncation(-1), lambda: Truncation(Fraction(1, 3)),
-                                  lambda: Truncation(1, -1), lambda: Window(0), lambda: BosonConstraints(0)],
-                         ids=["Truncation(-1)", "Truncation(1/3)", "Truncation(1,-1)", "Window(0)",
-                              "BosonConstraints(0)"])
+                                  lambda: Truncation(1, -1), lambda: BosonConstraints(0)],
+                         ids=["Truncation(-1)", "Truncation(1/3)", "Truncation(1,-1)", "BosonConstraints(0)"])
 def test_invalid_values_are_rejected(make):
     with pytest.raises(ValueError):
         make()

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from virfock.algebra import format_rational
 from virfock.fock import Truncation
 from virfock.operators import Commutator
-from virfock.dirac import Window, run_dirac_checks
+from virfock.dirac import run_dirac_checks
 from virfock.verify import (
     ScenarioParams,
     check_christoffel,
@@ -169,7 +169,7 @@ def test_run_family_scenario_all_pass():
 
 
 def test_run_dirac_checks_all_pass():
-    reports = run_dirac_checks(Fraction(1), Window(4))
+    reports = run_dirac_checks(Fraction(1), 4)
     assert len(reports) > 100
     assert all(r.status == "pass" for r in reports)
     names = {r.name for r in reports}
@@ -192,7 +192,7 @@ def test_dirac_check_failures_print_exact_rationals(monkeypatch):
         return delta
 
     monkeypatch.setattr(dirac, "invert_c", perturbed_invert_c)
-    M, w = Fraction(2, 3), Window(2)
+    M, w = Fraction(2, 3), 2
     assert delta_contract_residuals(BosonConstraints(M), w) == [(-2, -2, Fraction(29, 21))]
     assert delta_contract_residuals(FermionConstraints(), w) == [(-H, -H, Fraction(9, 7))]
 
