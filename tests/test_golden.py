@@ -29,3 +29,10 @@ def test_cli_output_matches_golden(capsys, monkeypatch, filename, argv):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / filename).read_bytes()
+
+
+def test_every_golden_file_is_listed_or_a_named_grid():
+    # a golden missing from cases.txt is compared by neither this test nor CI
+    grids = {Path(argv[argv.index("--sweep") + 1]).name for _, *argv in CASES if "--sweep" in argv}
+    listed = {filename for filename, *_ in CASES} | grids | {"cases.txt"}
+    assert sorted(p.name for p in GOLDEN.iterdir() if p.name not in listed) == []
