@@ -13,7 +13,7 @@ Conventions fixed across the whole package:
   occupancy of a basis state) while a[0] annihilates the vacuum;
 * the level of a mode equals its index, so creators carry positive level and
   an operator labelled ``m`` shifts level by exactly ``m``;
-* ``canonical_bracket(x, y)`` is the value of the graded commutator [x, y},
+* an algebra's bracket [x, y} is the value of the graded commutator,
   i.e. a commutator for even pairs and an anticommutator for odd pairs;
   quantization is "bracket value = graded commutator value", with no i or
   hbar factor.
@@ -163,11 +163,6 @@ def red_adag(n) -> Mode:
     return Mode(FieldKind.RED_ADAG, two)
 
 
-def red_b(r) -> Mode:
-    """Surviving mode b[r] of the reduced fermion algebra, r half-odd-integer."""
-    return Mode(FieldKind.RED_B, _doubled(r, True, "reduced b"))
-
-
 def even_b(r) -> Mode:
     """Even-parity copy of b[r] (spin-statistics probe only)."""
     return Mode(FieldKind.EVEN_B, _doubled(r, True, "even b"))
@@ -183,24 +178,31 @@ class Frozen:
 
     A subclass names its fields in _fields and sets them once, in __init__,
     through vars(self).  An instance then equals only an instance of its own
-    type with equal fields, hashes them once, and refuses assignment.
+    type with an equal key, _make_key() (by default the fields' values), and
+    refuses assignment.  The key and its hash are made once, when first
+    needed, and kept in the instance dict.
     """
 
     _fields = ()
+    _key = _hash = None  # set in the instance dict by __hash__; a cached_property would lock
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
 
     __delattr__ = __setattr__
 
-    _values = cached_property(lambda self: tuple(getattr(self, f) for f in self._fields))
-    _hash = cached_property(lambda self: hash(self._values))
+    def _make_key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
 
     def __eq__(self, other):
-        return self is other or (type(other) is type(self) and self._values == other._values)
+        return self is other or (type(other) is type(self) and hash(self) == hash(other)
+                                 and self._key == other._key)
 
     def __hash__(self):
-        return self._hash
+        if (value := self._hash) is None:  # the first call makes the key and keeps both
+            key = self._make_key()
+            vars(self).update(_key=key, _hash=(value := hash(key)))
+        return value
 
     def __repr__(self):
         return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
@@ -272,21 +274,11 @@ def paired_bracket(x: Mode, y: Mode, algebra: Algebra) -> Fraction:
     """[x, y} of two member modes whose indices sum to zero: the algebra's
     bracket table entry, weighted by the index of x where the algebra says so.
 
-    The one lookup behind canonical_bracket, the mode tables and every
-    linear bracket; the caller has checked membership and pairing.
+    The one lookup behind the mode tables and every linear bracket; the
+    caller has checked membership and pairing.
     """
     value = algebra.brackets.get((x.kind, y.kind), ZERO)
     return value * x.index if algebra.index_weighted else value
-
-
-def canonical_bracket(x: Mode, y: Mode, algebra: Algebra) -> Fraction:
-    """Value of the graded commutator [x, y} in the given algebra.
-
-    Antisymmetric on even pairs, symmetric on odd pairs; nonzero only when
-    the two indices sum to zero.
-    """
-    require_members((x, y), algebra)
-    return paired_bracket(x, y, algebra) if x.two + y.two == 0 else ZERO
 
 
 def is_creator(x: Mode) -> bool:

@@ -124,23 +124,22 @@ def _sweep(args):
     return rows
 
 
-def _summary(reports):
-    total = len(reports)
-    passed = sum(1 for r in reports if r.status == "pass")
-    failed = sum(1 for r in reports if r.status == "fail")
-    skipped = total - passed - failed
-    return {"total": total, "passed": passed, "failed": failed, "skipped": skipped}
+def _summary(statuses: list) -> dict:
+    passed, failed = statuses.count("pass"), statuses.count("fail")
+    return {"total": len(statuses), "passed": passed, "failed": failed,
+            "skipped": len(statuses) - passed - failed}
 
 
 def _emit_runs(runs, args):
     all_reports = [r for run in runs for r in run["reports"]]
+    summary = _summary([r.status for r in all_reports])
     if args.fmt == "json":
         payload = {
             "scenario": args.scenario,
             "params": {"M": format_rational(args.M), "lambda": format_rational(args.lam),
                        "level": args.level, "zmax": args.zmax, "mmax": args.mmax,
                        "window": args.window},
-            "summary": _summary(all_reports),
+            "summary": summary,
         }
         blocks = []
         for run in runs:
@@ -150,11 +149,9 @@ def _emit_runs(runs, args):
                 block["c_formula"] = format_rational(run["c_formula"])
                 block["c_oracle"] = format_rational(run["c_oracle"])
             blocks.append(block)
-        if len(runs) == 1:
-            payload["checks"] = blocks[0]["checks"]
-            if "c_formula" in blocks[0]:
-                payload["c_formula"] = blocks[0]["c_formula"]
-                payload["c_oracle"] = blocks[0]["c_oracle"]
+        if len(runs) == 1:  # the run's block, without the scenario already named above
+            del blocks[0]["scenario"]
+            payload.update(blocks[0])
         else:
             payload["runs"] = blocks
         print(json.dumps(payload, indent=2))
@@ -166,9 +163,8 @@ def _emit_runs(runs, args):
             if "c_formula" in run:
                 print(f"c_formula={format_rational(run['c_formula'])} "
                       f"c_oracle={format_rational(run['c_oracle'])}")
-        s = _summary(all_reports)
-        print(f"summary: {s['passed']}/{s['total']} passed, {s['failed']} failed, "
-              f"{s['skipped']} skipped")
+        print(f"summary: {summary['passed']}/{summary['total']} passed, {summary['failed']} failed, "
+              f"{summary['skipped']} skipped")
     return 0 if all(r.ok for r in all_reports) else 1
 
 
@@ -183,10 +179,7 @@ def _emit_sweep(rows, args):
                        "c_formula": format_rational(r["c_formula"]),
                        "c_oracle": format_rational(r["c_oracle"]),
                        "match": r["match"]} for r in rows],
-            "summary": {"total": len(rows),
-                        "passed": sum(1 for r in rows if r["match"]),
-                        "failed": sum(1 for r in rows if not r["match"]),
-                        "skipped": 0},
+            "summary": _summary(["pass" if r["match"] else "fail" for r in rows]),
         }
         print(json.dumps(payload, indent=2))
     else:

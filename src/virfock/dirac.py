@@ -538,7 +538,9 @@ def _dirac_table(family: ConstraintFamily, modes, reduced: Algebra) -> list:
 def run_dirac_checks(M, N: int) -> list:
     """Constraint-machinery suite on the labels within half-width N: inversion
     contract, bracket tables, classification, and generator compatibility for
-    both families."""
+    both families.  N < 1 raises ValueError: the fermion families have no label there."""
+    if N < 1:
+        raise ValueError(f"the constraint window needs half-width N >= 1, got {N}")
     reports = []
 
     bos = BosonConstraints(M)

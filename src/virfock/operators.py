@@ -123,31 +123,17 @@ class OperatorSpec(Frozen):
     """
 
     _fields = ("algebra", "shift", "bilinears", "linear", "constant", "parity")
-    # set in the instance dict when first needed; cached_property would lock
-    _hash = _int_key = None
 
     def __init__(self, algebra: Algebra, shift: Fraction, bilinears: tuple = (), linear: tuple = (),
                  constant: Fraction = ZERO, parity: int = 0):
         vars(self).update(algebra=algebra, shift=shift, bilinears=bilinears, linear=linear,
                           constant=constant, parity=parity)
 
-    def _key(self) -> tuple:
-        """The fields with every scalar as an integer pair; built once and kept."""
-        key = self._int_key
-        if key is None:
-            key = self.__dict__["_int_key"] = (
-                self.algebra, self.shift.as_integer_ratio(), self.constant.as_integer_ratio(), self.parity,
+    def _make_key(self) -> tuple:
+        """The fields with every scalar as an integer pair."""
+        return (self.algebra, self.shift.as_integer_ratio(), self.constant.as_integer_ratio(), self.parity,
                 tuple([(t.left, t.right, t.m, t.alpha.as_integer_ratio(), t.beta.as_integer_ratio())
                        for t in self.bilinears]), tuple([(x, c.as_integer_ratio()) for x, c in self.linear]))
-        return key
-
-    def __hash__(self):
-        if self._hash is None:
-            self.__dict__["_hash"] = hash(self._key())
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (type(other) is OperatorSpec and self._key() == other._key())
 
     @cached_property
     def checked_linear(self) -> tuple:

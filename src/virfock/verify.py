@@ -37,7 +37,6 @@ from .fock import Truncation, VACUUM, accumulate, enumerate_basis
 from .fock import _apply_to_basis as mode_table
 from .operators import (
     Commutator,
-    FAMILIES,
     GeneratorFamily,
     OperatorSpec,
     build_L,
@@ -69,8 +68,7 @@ class ScenarioParams(Frozen):
 
     def __init__(self, family: str, M=Fraction(1), lam=Fraction(1, 2), trunc: Truncation = None,
                  m_range: int = 3):
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
+        generator_family(family)  # raises ValueError for an unknown name
         if m_range < 2:
             raise ValueError("m_range must be at least 2 (the anomaly needs m^3 - m != 0)")
         vars(self).update(family=family, M=M if type(M) is Fraction else Fraction(M),
@@ -79,7 +77,7 @@ class ScenarioParams(Frozen):
 
     @property
     def generators(self) -> GeneratorFamily:
-        return FAMILIES[self.family]
+        return generator_family(self.family)
 
     @property
     def algebra(self):
@@ -192,8 +190,8 @@ def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
 
     Asserted exactly on every safe basis state, one report per (m, n), m
     outer.  Each pair m < n is composed once; the report (n, m) reads its
-    rows times sign, over the same den and safe states, and for even
-    generators [L_m, L_m] is zero without composing.  Every report still
+    rows negated, over the same den and safe states, and [L_m, L_m] of
+    these even generators is zero without composing.  Every report still
     compares its own rhs, (n-m) L_{m+n} minus its own central term, on
     every probe.
     """
@@ -212,13 +210,11 @@ def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
         for n in range(m, R + 1):
             ln = _gen(params.family, n, params.M, params.lam)
             comm = Commutator(lm, ln, trunc)
-            sign = 1 if lm.parity and ln.parity else -1  # [L_n, L_m} = sign·[L_m, L_n}
             probes = comm.probes
-            rows = ({i: comm.row(i) for i in probes} if m < n or sign > 0
-                    else dict.fromkeys(probes, ()))
+            rows = {i: comm.row(i) if m < n else () for i in probes}
             reports[m, n] = law(m, n, comm.den, rows.__getitem__, probes)
             if m < n:
-                reports[n, m] = law(n, m, comm.den, lambda i: [(j, sign * k) for j, k in rows[i]], probes)
+                reports[n, m] = law(n, m, comm.den, lambda i: [(j, -k) for j, k in rows[i]], probes)
     return [reports[m, n] for m in range(-R, R + 1) for n in range(-R, R + 1)]
 
 

@@ -18,15 +18,14 @@ from virfock.algebra import (
     adag,
     b,
     bdag,
-    canonical_bracket,
     even_b,
     even_bdag,
     format_rational,
     parse_rational,
     red_adag,
-    red_b,
     reduced_boson,
 )
+from reference import canonical_bracket, red_b
 
 H = Fraction(1, 2)
 

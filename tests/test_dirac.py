@@ -17,7 +17,6 @@ from virfock.algebra import (
     adag,
     b,
     bdag,
-    canonical_bracket,
     reduced_boson,
 )
 from virfock.operators import (
@@ -47,6 +46,7 @@ from virfock.dirac import (
     verify_compatibility,
 )
 from virfock import dirac, verify
+from reference import canonical_bracket
 
 H = Fraction(1, 2)
 HALF_LABELS = lambda n: [Fraction(t, 2) for t in range(-2 * n + 1, 2 * n, 2)]

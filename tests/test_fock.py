@@ -16,9 +16,7 @@ from virfock.algebra import (
     adag,
     b,
     bdag,
-    canonical_bracket,
     is_creator,
-    red_b,
     reduced_boson,
 )
 from virfock.fock import (
@@ -31,6 +29,7 @@ from virfock.fock import (
     enumerate_basis,
 )
 from virfock.verify import ScenarioParams, default_truncation
+from reference import canonical_bracket, red_b
 
 H = Fraction(1, 2)
 

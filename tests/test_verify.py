@@ -177,6 +177,14 @@ def test_run_dirac_checks_all_pass():
     assert "incompatibility_detected[fermion,lambda=0]" in names
 
 
+@pytest.mark.parametrize("N", [0, -1])
+def test_run_dirac_checks_rejects_an_empty_window(N):
+    # at N = 0 there is no half-odd fermion label, so the fermion reports
+    # and classify[even-copy] would pass without probing anything
+    with pytest.raises(ValueError, match="N >= 1"):
+        run_dirac_checks(Fraction(1), N)
+
+
 def test_dirac_check_failures_print_exact_rationals(monkeypatch):
     # A perturbed Delta entry must break the contract of both families, and
     # every witness must print as p/q, never as a Python repr.
