@@ -184,7 +184,7 @@ class Frozen:
     """
 
     _fields = ()
-    _key = _hash = None  # set in the instance dict by __hash__; a cached_property would lock
+    _key = _hash = None  # set in the instance dict when first needed; a cached_property would lock
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
@@ -194,14 +194,17 @@ class Frozen:
     def _make_key(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
 
+    def _keyed(self) -> tuple:
+        if (key := self._key) is None:
+            key = self.__dict__["_key"] = self._make_key()
+        return key
+
     def __eq__(self, other):
-        return self is other or (type(other) is type(self) and hash(self) == hash(other)
-                                 and self._key == other._key)
+        return self is other or (type(other) is type(self) and self._keyed() == other._keyed())
 
     def __hash__(self):
-        if (value := self._hash) is None:  # the first call makes the key and keeps both
-            key = self._make_key()
-            vars(self).update(_key=key, _hash=(value := hash(key)))
+        if (value := self._hash) is None:
+            value = self.__dict__["_hash"] = hash(self._keyed())
         return value
 
     def __repr__(self):

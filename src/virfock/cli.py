@@ -149,8 +149,7 @@ def _emit_runs(runs, args):
                 block["c_formula"] = format_rational(run["c_formula"])
                 block["c_oracle"] = format_rational(run["c_oracle"])
             blocks.append(block)
-        if len(runs) == 1:  # the run's block, without the scenario already named above
-            del blocks[0]["scenario"]
+        if len(runs) == 1:  # the run's block; its scenario is args.scenario, already first
             payload.update(blocks[0])
         else:
             payload["runs"] = blocks
@@ -163,8 +162,7 @@ def _emit_runs(runs, args):
             if "c_formula" in run:
                 print(f"c_formula={format_rational(run['c_formula'])} "
                       f"c_oracle={format_rational(run['c_oracle'])}")
-        print(f"summary: {summary['passed']}/{summary['total']} passed, {summary['failed']} failed, "
-              f"{summary['skipped']} skipped")
+        print("summary: {passed}/{total} passed, {failed} failed, {skipped} skipped".format(**summary))
     return 0 if all(r.ok for r in all_reports) else 1
 
 
