@@ -115,7 +115,7 @@ class NotSecondClassError(VirfockError):
 class ConstraintFamily(Frozen):
     """An indexed set of linear constraints chi_P over one algebra.
 
-    Each subclass gives labels(N), the labels of doubled index within [-2N, 2N]
+    Each subclass gives _labels(N), the labels of doubled index within [-2N, 2N]
     (plus a gauge label), its parity (0 unless odd), the expression of a label
     (_build_expr), support_labels(expr) (every label P with [expr, chi_P]
     possibly nonzero; exact, not sampled) and, when second class, the nonzero
@@ -130,6 +130,12 @@ class ConstraintFamily(Frozen):
     fully_second_class = False
     parity = 0
     _c_row = None
+
+    def labels(self, N: int) -> list:
+        """The labels within half-width N; N < 1 raises ValueError: the half-odd families have none."""
+        if N < 1:
+            raise ValueError(f"the constraint window needs half-width N >= 1, got {N}")
+        return self._labels(N)
 
     def expr(self, label) -> OperatorSpec:
         return _cached_expr(self, label)
@@ -181,7 +187,7 @@ class BosonConstraints(ConstraintFamily):
     def fully_second_class(self) -> bool:
         return self.with_zero_gauge
 
-    def labels(self, N: int):
+    def _labels(self, N: int):
         out = list(range(-N, N + 1))
         if self.with_zero_gauge:
             out.append(ZERO_GAUGE_LABEL)
@@ -219,7 +225,7 @@ class BosonConstraints(ConstraintFamily):
 class _HalfOddConstraints(ConstraintFamily):
     """chi_r = x[r] - y[r] on half-odd r, for the mode pair chi_modes = (x, y)."""
 
-    def labels(self, N: int):
+    def _labels(self, N: int):
         return [Fraction(t, 2) for t in range(-2 * N + 1, 2 * N, 2)]
 
     def expr(self, label) -> OperatorSpec:
@@ -538,9 +544,7 @@ def _dirac_table(family: ConstraintFamily, modes, reduced: Algebra) -> list:
 def run_dirac_checks(M, N: int) -> list:
     """Constraint-machinery suite on the labels within half-width N: inversion
     contract, bracket tables, classification, and generator compatibility for
-    both families.  N < 1 raises ValueError: the fermion families have no label there."""
-    if N < 1:
-        raise ValueError(f"the constraint window needs half-width N >= 1, got {N}")
+    both families.  N < 1 raises ValueError (ConstraintFamily.labels) before any report."""
     reports = []
 
     bos = BosonConstraints(M)

@@ -37,8 +37,8 @@ tried on every state.
 A table keeps only the integers of its coefficients: row builds and a
 Commutator (the graded commutator's row table over den_a·den_b) add and
 multiply integers by state id.  The 512 most recently used tables are kept:
-a scenario's working set is 40 to 216 of them, and a sweep, whose points
-mostly make new specs, stops growing once the cache is full.
+a scenario's working set is 40 to 238 of them, and a sweep, whose oracle
+makes tables only for shapes it has not seen, stops growing once full.
 
 The safe window of k operators (safe_ids) is stated once, from the
 operators themselves.  Applied in any order they raise a state's level by
@@ -508,10 +508,10 @@ def _apply_to_basis(op: OperatorSpec, trunc: Truncation, width) -> RowTable:
     """The row table of an operator at one kernel half-width (None: level_cap + |m|).
 
     The bound holds one scenario's working set, so no family run rebuilds a
-    table: 40 tables for boson-unconstrained at level 6, 118 for `--scenario
-    all` at default flags, 216 at `--level 4 --mmax 6`.  A sweep point makes
-    up to five, mostly never asked for again; the bound leaves room for
-    about 100 points, and generators equal at many points stay shared.
+    table: 40 tables for boson-unconstrained at level 6, 140 for `--scenario
+    all` at default flags, 238 at `--level 4 --mmax 6`.  A sweep point makes
+    none once the oracle has seen its spec shapes; a reduced-boson point at
+    a new M makes nine, so the bound leaves room for about 50 new M.
     """
     if width is None:  # an int when whole, which hashes cheaply and equals its Fraction
         two = _doubled(trunc.level_cap) + abs(_doubled(op.shift))

@@ -9,15 +9,18 @@ vacuum component of [L_m, L_-m]|0> via
 
 computed at m = 2 and cross-checked at m = 3 (a disagreement means a
 truncation-soundness bug, not a formula failure).  The closed-form claims
-are then tested against this oracle, never assumed.
+are then tested against this oracle, never assumed.  A spec is linear in its
+scalar slots, so <0|[A, B]|0> = sum a_i b_j <0|[P_i, Q_j]|0> over the slots
+a, b and unit-coefficient parts P, Q of A and B, and <0|L_0|0> is linear
+too; those part entries are cached by spec shape and truncation.  Each point
+builds its own L_0, L_±2 and L_±3 and forms each c as one Fraction of their
+integer slot numerators and the cached integer entries.
 
 The family checks and the oracle run on integer rows by state id.  Each
 check states its identity as data, a left-hand table equal to a sum of
 coefficients times tables plus a constant times the identity, and _law
 compares both sides on every probe state id as integer rows over one
-denominator.  The oracle builds its own L_0, L_±2 and L_±3 and forms each c
-as one Fraction of the integer vacuum entries of the rows of L_0 and of
-[L_m, L_-m] and their dens; elsewhere only a failure's residual is one.
+denominator; only a failure's residual is a Fraction.
 The Virasoro check composes each pair of generators once and reads the
 mirror report's rows from it negated, yet compares every report's own
 right-hand side on every probe.
@@ -29,13 +32,15 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from types import SimpleNamespace
 
-from .algebra import BOSON, Frozen, Mode, VirfockError, ZERO, adag, format_rational, red_adag
+from .algebra import BOSON, Frozen, Mode, ONE, VirfockError, ZERO, adag, format_rational, red_adag
 from .dirac import dirac_transform_adagger
 from .fock import Truncation, VACUUM, accumulate, enumerate_basis
 from .fock import _apply_to_basis as mode_table
 from .operators import (
+    BilinearTerm,
     Commutator,
     GeneratorFamily,
     OperatorSpec,
@@ -108,23 +113,58 @@ def require_oracle_caps(params: ScenarioParams) -> None:
                          f"got {trunc.zero_mode_cap}")
 
 
+def _split(op: OperatorSpec) -> tuple:
+    """(shape, numerators, den): the spec without its slot values (the
+    constant, each linear coefficient, each kernel alpha and beta), and its
+    nonzero slots as integers over den; a slot that is zero has no part."""
+    ratios = [q.as_integer_ratio() for q in (op.constant, *[c for _, c in op.linear],
+                                              *[q for t in op.bilinears for q in (t.alpha, t.beta)])]
+    shape = (op.algebra, op.shift, op.parity, tuple([x for x, _ in op.linear]),
+             tuple([(t.left, t.right, t.m) for t in op.bilinears]), tuple([n != 0 for n, _ in ratios]))
+    ratios = [(n, d) for n, d in ratios if n]
+    den = math.lcm(*[d for _, d in ratios])
+    return shape, [n * (den // d) for n, d in ratios], den
+
+
+def _parts(shape: tuple) -> list:
+    """The unit-coefficient operator of each nonzero slot of a shape, in the
+    order of _split: a spec is the sum of its slots times these."""
+    algebra, shift, parity, modes, kernels, nonzero = shape
+    parts = [((), (), ONE)] + [((), ((x, ONE),), ZERO) for x in modes]
+    parts += [((BilinearTerm(left, right, m, *unit),), (), ZERO)
+              for left, right, m in kernels for unit in ((ONE, ZERO), (ZERO, ONE))]
+    return [OperatorSpec(algebra, shift, *part, parity) for part, keep in zip(parts, nonzero) if keep]
+
+
+@lru_cache(maxsize=512)  # as the row tables: a reduced boson's shapes differ by M
+def _vacuum_form(trunc: Truncation, *shapes: tuple) -> tuple:
+    """(entries, den): as integers over one den, the vacuum entries <0|P|0> of
+    the parts of one shape, or <0|[P, Q]|0> of each pair of parts of two, in
+    the order of itertools.product."""
+    tables = [Commutator(*ps, trunc) if len(ps) == 2 else row_table(*ps, trunc)
+              for ps in product(*map(_parts, shapes))]
+    den = math.lcm(*[t.den for t in tables])
+    return [dict(t.row(v)).get(v, 0) * (den // t.den) for t in tables for v in [t.state_id(VACUUM)]], den
+
+
+def _vacuum_entry(trunc: Truncation, *ops: OperatorSpec) -> tuple:
+    """(n, den): <0|A|0> of one spec or <0|[A, B]|0> of two, as n/den, from the
+    cached form of their shapes and their own slots."""
+    shapes, slots, dens = zip(*map(_split, ops))
+    entries, den = _vacuum_form(trunc, *shapes)
+    return sum(e * math.prod(xs) for e, xs in zip(entries, product(*slots)) if e), den * math.prod(dens)
+
+
 def extract_central_charge(params: ScenarioParams) -> Fraction:
     """Central charge measured on the vacuum; the independent oracle."""
     require_oracle_caps(params)
     family, M, lam, trunc = params.family, params.M, params.lam, params.trunc
-    l0 = row_table(build_L(family, 0, M, lam), trunc)
-    vac = l0.state_id(VACUUM)
-
-    def at_vacuum(table) -> int:
-        return dict(table.row(vac)).get(vac, 0)
-
-    g = at_vacuum(l0)
+    g, g_den = _vacuum_entry(trunc, build_L(family, 0, M, lam))
 
     def c_at(m: int) -> Fraction:
         # c = -12 (f + 2 m g) / (m^3 - m), with f and g integers over their dens
-        comm = Commutator(build_L(family, m, M, lam), build_L(family, -m, M, lam), trunc)
-        return Fraction(-12 * (at_vacuum(comm) * l0.den + 2 * m * g * comm.den),
-                        comm.den * l0.den * (m ** 3 - m))
+        f, f_den = _vacuum_entry(trunc, build_L(family, m, M, lam), build_L(family, -m, M, lam))
+        return Fraction(-12 * (f * g_den + 2 * m * g * f_den), f_den * g_den * (m ** 3 - m))
 
     c2, c3 = c_at(2), c_at(3)
     if c2 != c3:

@@ -1,9 +1,13 @@
-"""Reference constructors the test modules share; the package itself needs
-neither, since it reaches brackets only through algebra.paired_bracket."""
+"""Reference constructors and the direct oracle the test modules share; the
+package itself needs none of them: it reaches brackets only through
+algebra.paired_bracket, and the central charge through cached vacuum forms."""
 
 from fractions import Fraction
 
 from virfock.algebra import ZERO, Algebra, FieldKind, Mode, _doubled, paired_bracket, require_members
+from virfock.fock import VACUUM
+from virfock.operators import Commutator, build_L, row_table
+from virfock.verify import OracleInconsistencyError, require_oracle_caps
 
 
 def red_b(r) -> Mode:
@@ -19,3 +23,28 @@ def canonical_bracket(x: Mode, y: Mode, algebra: Algebra) -> Fraction:
     """
     require_members((x, y), algebra)
     return paired_bracket(x, y, algebra) if x.two + y.two == 0 else ZERO
+
+
+def direct_central_charge(params) -> Fraction:
+    """The central-charge oracle read straight off the row tables of the
+    point's own L_0 and commutators [L_m, L_-m], with no cached form."""
+    require_oracle_caps(params)
+    family, M, lam, trunc = params.family, params.M, params.lam, params.trunc
+    l0 = row_table(build_L(family, 0, M, lam), trunc)
+    vac = l0.state_id(VACUUM)
+
+    def at_vacuum(table) -> int:
+        return dict(table.row(vac)).get(vac, 0)
+
+    g = at_vacuum(l0)
+
+    def c_at(m: int) -> Fraction:
+        # c = -12 (f + 2 m g) / (m^3 - m), with f and g integers over their dens
+        comm = Commutator(build_L(family, m, M, lam), build_L(family, -m, M, lam), trunc)
+        return Fraction(-12 * (at_vacuum(comm) * l0.den + 2 * m * g * comm.den),
+                        comm.den * l0.den * (m ** 3 - m))
+
+    c2, c3 = c_at(2), c_at(3)
+    if c2 != c3:
+        raise OracleInconsistencyError(params.family, c2, c3)
+    return c2

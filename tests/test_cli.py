@@ -18,6 +18,7 @@ import virfock.algebra as algebra
 import virfock.cli as cli
 import virfock.fock as fock
 import virfock.operators as operators
+import virfock.verify as verify
 from virfock.cli import main
 from virfock.verify import ScenarioParams, claimed_central_charge, extract_central_charge
 
@@ -143,47 +144,56 @@ def test_sweep_fermion_lambda_row(tmp_path, capsys):
     assert all(row["match"] for row in doc["sweep"])
 
 
-def test_each_sweep_point_builds_its_own_generator_tables(tmp_path, capsys):
+def test_each_sweep_point_builds_its_own_generators(tmp_path, capsys, monkeypatch):
     # the oracle's work is per point: no c may be memoized by (family, M, lambda).
-    # Each point builds the row tables of its own L_0, L_±2 and L_±3; the
-    # parameters are used by no other test, so every table is a cache miss.
-    from virfock.operators import _apply_to_basis
-    for k, row in enumerate(("7/11 -13/17\n", "-5/13 3/19\n")):
+    # Each point calls the family's builder for its own L_0, L_±2 and L_±3 and
+    # reads their vacuum entries through forms cached by spec shape, so a
+    # second point of a shape already seen adds no row-table miss, yet gives
+    # its own closed-form c
+    family = "boson-unconstrained"
+    real, calls = operators.FAMILIES[family].build, []
+    monkeypatch.setitem(operators.FAMILIES, family, operators.FAMILIES[family]._replace(
+        build=lambda m, M, lam: calls.append((m, M, lam)) or real(m, M, lam)))
+    for k, (M, lam) in enumerate([(Fraction(7, 11), Fraction(-13, 17)), (Fraction(-5, 13), Fraction(3, 19))]):
         grid = tmp_path / f"grid{k}.txt"
-        grid.write_text(row)
-        before = _apply_to_basis.cache_info().misses
-        code, _, _ = run_cli(capsys, "--scenario", "boson-reduced", "--sweep", str(grid), *FAST)
+        grid.write_text(f"{M} {lam}\n")
+        calls.clear()
+        before = operators._apply_to_basis.cache_info().misses
+        code, out, _ = run_cli(capsys, "--scenario", family, "--sweep", str(grid), *FAST)
         assert code == 0
-        assert _apply_to_basis.cache_info().misses - before == 5
+        assert sorted(calls) == [(m, M, lam) for m in (-3, -2, 0, 2, 3)]
+        c = claimed_central_charge(family, M, lam)
+        assert out.startswith(f"M={M} lambda={lam} c_formula={c} c_oracle={c} match\n")
+        if k:
+            assert operators._apply_to_basis.cache_info().misses == before
 
 
 @pytest.mark.parametrize("flags", [(), FAST], ids=["defaults", "all.txt-caps"])
 def test_scenario_all_fits_the_row_table_cache(monkeypatch, fresh_caches, flags):
     # one scenario's working set fits the bound: from a cleared cache every
-    # table is built once and none is evicted, the count an unbounded cache makes
+    # table is built once and none is evicted, the count an unbounded cache
+    # makes.  The oracle's forms are cleared too, since warm forms skip tables
     assert main(["--scenario", "all", *flags]) == 0
     bounded = operators._apply_to_basis.cache_info()
     assert bounded.misses == bounded.currsize < bounded.maxsize
     unbounded = lru_cache(maxsize=None)(operators._apply_to_basis.__wrapped__)
     monkeypatch.setattr(operators, "_apply_to_basis", unbounded)
+    verify._vacuum_form.cache_clear()
     assert main(["--scenario", "all", *flags]) == 0
     assert unbounded.cache_info().misses == bounded.misses
 
 
-def test_a_sweep_retains_no_memory_once_the_row_table_cache_is_full(fresh_caches):
-    # distinct boson-unconstrained points, run as --sweep runs them; an
-    # unbounded cache retains about 2.5 MB over the 300 points measured here
+def test_a_sweep_retains_no_memory_after_a_warm_up(fresh_caches):
+    # distinct boson-unconstrained points, run as --sweep runs them: after a
+    # warm-up, each point reads forms of shapes already seen and keeps nothing
     values = sorted({Fraction(p, q) for p in range(-6, 7) for q in range(1, 7)})
     pool = [(M, lam) for M in values if M for lam in values]
     points = iter(random.Random(1).sample(pool, 600))
     tracemalloc.start()
     try:
-        for M, lam in points:
+        for M, lam in itertools.islice(points, 300):
             params = ScenarioParams("boson-unconstrained", M, lam)
             assert extract_central_charge(params) == claimed_central_charge(params.family, M, lam)
-            info = operators._apply_to_basis.cache_info()
-            if info.currsize == info.maxsize:
-                break
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         for M, lam in itertools.islice(points, 300):
@@ -193,15 +203,15 @@ def test_a_sweep_retains_no_memory_once_the_row_table_cache_is_full(fresh_caches
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert info.currsize == info.maxsize
     assert retained < 250_000
 
 
 # the caches keyed by M, directly or through the algebra: a sweep adds
-# entries to each with every new M, so each is bounded
+# entries to each with every new M, so each is bounded; the oracle's vacuum
+# forms are keyed by the reduced boson's algebra
 def _caches_that_grow_with_m():
     return (fock._apply_to_basis, operators._skeleton, algebra.reduced_boson,
-            operators._reduced_boson_kernel)
+            operators._reduced_boson_kernel, verify._vacuum_form)
 
 
 @pytest.mark.parametrize("flags", [("--scenario", "all", "--level", "4", "--mmax", "6"),

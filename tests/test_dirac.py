@@ -102,6 +102,22 @@ def test_delta_contract_on_all_windows(n):
     assert delta_contract_residuals(FermionConstraints(), n) == []
 
 
+@pytest.mark.parametrize("N", [0, -2])
+@pytest.mark.parametrize("check", [
+    lambda N: mode_compatibility_reports(FermionConstraints(), N),
+    lambda N: mode_compatibility_reports(BosonConstraints(1), N),
+    lambda N: delta_contract_residuals(FermionConstraints(), N),
+    lambda N: classify(EvenCopyConstraints(), N),
+    lambda N: FermionConstraints().labels(N),
+], ids=["mode-compatibility-fermion", "mode-compatibility-boson", "delta-contract-fermion",
+        "classify-even-copy", "fermion-labels"])
+def test_an_empty_constraint_window_is_refused_where_the_labels_are_made(check, N):
+    # at N < 1 the half-odd families have no label, so each of these passed
+    # or came back empty without probing anything
+    with pytest.raises(ValueError, match="N >= 1"):
+        check(N)
+
+
 def test_windowed_inversion_agrees_with_closed_form():
     # invert_c raises internally on any closed-form mismatch; also spot check
     bos = BosonConstraints(2)

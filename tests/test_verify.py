@@ -6,11 +6,14 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import virfock.verify as verify
+from reference import direct_central_charge
 from virfock.algebra import format_rational
 from virfock.fock import Truncation
-from virfock.operators import Commutator
+from virfock.operators import FAMILIES, Commutator
 from virfock.dirac import run_dirac_checks
 from virfock.verify import (
+    OracleInconsistencyError,
     ScenarioParams,
     check_christoffel,
     check_jacobi,
@@ -18,6 +21,7 @@ from virfock.verify import (
     check_virasoro_relation,
     check_window_doubling,
     claimed_central_charge,
+    default_truncation,
     extract_central_charge,
     run_family_scenario,
 )
@@ -71,6 +75,43 @@ def test_oracle_internal_consistency_all_families():
     for family, M, lam in [("boson-unconstrained", 2, 1), ("boson-reduced", H, H),
                            ("fermion-unconstrained", 0, 2), ("fermion-reduced", 0, 0)]:
         extract_central_charge(small_params(family, M, lam))
+
+
+@pytest.mark.parametrize("caps", [(6, 4), (4, 2)], ids=["default-caps", "level4-zmax2"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=40, deadline=None)
+@given(_RATIONALS, _RATIONALS)
+@example(Fraction(-2, 3), Fraction(0))
+@example(Fraction(5), Fraction(0))
+@example(Fraction(-4), Fraction(7, 3))
+@example(Fraction(-1, 6), Fraction(-5, 4))
+def test_oracle_equals_the_direct_oracle(family, caps, M, lam):
+    # the cached forms against the row tables of the point's own generators;
+    # lambda = 0 drops the boson linear slots and the fermion alpha slots, so
+    # it reads forms of other shapes than lambda != 0 does
+    if family == "boson-reduced" and not M:
+        M = Fraction(1)
+    params = ScenarioParams(family, M, lam, default_truncation(family, *caps))
+    assert extract_central_charge(params) == direct_central_charge(params)
+
+
+def test_a_perturbed_form_entry_fails_the_oracle(monkeypatch, fresh_caches):
+    # one entry of the cached m = 2 form off by 1/den: m = 2 reads a c off the
+    # closed form, which m = 3 still gives, so the point ends in an error
+    real = verify._vacuum_form
+
+    def perturbed(trunc, *shapes):
+        entries, den = real(trunc, *shapes)
+        if len(shapes) == 2 and shapes[0][1] == 2:  # the form of [L_2, L_-2]
+            entries = [entries[0] + 1, *entries[1:]]
+        return entries, den
+
+    monkeypatch.setattr(verify, "_vacuum_form", perturbed)
+    family, M, lam = "boson-unconstrained", Fraction(5), Fraction(2)
+    c = claimed_central_charge(family, M, lam)
+    with pytest.raises(OracleInconsistencyError, match=f"m=3 gives c={c};") as exc:
+        extract_central_charge(ScenarioParams(family, M, lam))
+    assert exc.value.c2 != c
 
 
 def test_oracle_preconditions():
