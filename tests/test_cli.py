@@ -218,9 +218,10 @@ def _caches_that_grow_with_m():
                                    ("--scenario", "boson-reduced", "--sweep")],
                          ids=["all-mmax6", "reduced-boson-sweep"])
 def test_a_run_fits_the_caches_that_grow_with_m(tmp_path, fresh_caches, flags):
-    # nothing is evicted and room is left: 304 mode tables and 142 skeletons
-    # for --mmax 6; 1,104 mode tables, 230 skeletons and 46 algebras for every
-    # M of the benchmark's sweep grid (|p|, q <= 6), each once
+    # nothing is evicted and room is left: 304 mode tables, 142 skeletons and
+    # 12 vacuum forms for --mmax 6; 1,104 mode tables, 230 skeletons, 46
+    # algebras and 138 vacuum forms for every M of the benchmark's sweep grid
+    # (|p|, q <= 6), each once
     grid = tmp_path / "grid.txt"
     masses = sorted({Fraction(p, q) for p in range(-6, 7) for q in range(1, 7) if p})
     grid.write_text("".join(f"{M} 1/3\n" for M in masses))
