@@ -1,5 +1,6 @@
 """Central-charge oracle, Virasoro relation checks, law suites, self-checks."""
 
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -12,8 +13,8 @@ from virfock.algebra import format_rational
 from virfock.fock import Truncation
 from virfock.operators import FAMILIES, Commutator
 from virfock.dirac import run_dirac_checks
+from virfock.cli import main
 from virfock.verify import (
-    OracleInconsistencyError,
     ScenarioParams,
     check_christoffel,
     check_jacobi,
@@ -95,9 +96,9 @@ def test_oracle_equals_the_direct_oracle(family, caps, M, lam):
     assert extract_central_charge(params) == direct_central_charge(params)
 
 
-def test_a_perturbed_form_entry_fails_the_oracle(monkeypatch, fresh_caches):
+def test_a_perturbed_form_entry_fails_the_sweep(monkeypatch, capsys, tmp_path, fresh_caches):
     # one entry of the cached m = 2 form off by 1/den: m = 2 reads a c off the
-    # closed form, which m = 3 still gives, so the point ends in an error
+    # closed form, which m = 3 still gives, so the sweep ends in an error
     real = verify._vacuum_form
 
     def perturbed(trunc, *shapes):
@@ -108,10 +109,12 @@ def test_a_perturbed_form_entry_fails_the_oracle(monkeypatch, fresh_caches):
 
     monkeypatch.setattr(verify, "_vacuum_form", perturbed)
     family, M, lam = "boson-unconstrained", Fraction(5), Fraction(2)
-    c = claimed_central_charge(family, M, lam)
-    with pytest.raises(OracleInconsistencyError, match=f"m=3 gives c={c};") as exc:
-        extract_central_charge(ScenarioParams(family, M, lam))
-    assert exc.value.c2 != c
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"{M} {lam}\n")
+    assert main(["--scenario", family, "--sweep", str(grid)]) == 1
+    out = capsys.readouterr()
+    c, (c2, c3) = claimed_central_charge(family, M, lam), re.findall(r"m=[23] gives c=(-?[\d/]+)", out.err)
+    assert (out.out, Fraction(c3)) == ("", c) and Fraction(c2) != c
 
 
 def test_oracle_preconditions():
