@@ -45,6 +45,25 @@ def test_claimed_formulas():
     assert claimed_central_charge("fermion-reduced") == H
 
 
+_DEFAULT_CAPS = {  # family -> (level, zmax) -> (level_cap, zero_mode_cap), written out
+    "boson-unconstrained": lambda level, zmax: (Fraction(level), zmax),
+    "boson-reduced": lambda level, zmax: (Fraction(level), 0),
+    "fermion-unconstrained": lambda level, zmax: (Fraction(2 * level - 1, 2), 0),
+    "fermion-reduced": lambda level, zmax: (Fraction(2 * level - 1, 2), 0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_DEFAULT_CAPS))
+def test_default_truncation_caps(family):
+    # half-odd-moded kinds cap the level at (2·level-1)/2; only a†[0] reads zmax
+    for level in range(1, 9):
+        for zmax in range(5):
+            trunc = default_truncation(family, level, zmax)
+            assert (trunc.level_cap, trunc.zero_mode_cap) == _DEFAULT_CAPS[family](level, zmax)
+            assert trunc == Truncation(*_DEFAULT_CAPS[family](level, zmax))
+            assert default_truncation(family, level, zmax) is trunc
+
+
 _RATIONALS = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 
 
