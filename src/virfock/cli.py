@@ -144,7 +144,7 @@ def _emit_runs(runs, args):
         blocks = []
         for run in runs:
             block = {"scenario": run["scenario"],
-                     "checks": [r.to_dict() for r in run["reports"]]}
+                     "checks": [r._asdict() for r in run["reports"]]}
             if "c_formula" in run:
                 block["c_formula"] = format_rational(run["c_formula"])
                 block["c_oracle"] = format_rational(run["c_oracle"])

@@ -28,8 +28,8 @@ kernel coefficient's denominator times the square of the algebra's bracket
 denominator (two contractions), of each linear coefficient's times that
 denominator, and of the constant's.  The kernel's mode pairs form a skeleton
 of fock mode tables shared by every operator with the same kinds, label and
-width; it keeps per state id the terms that act on that state, a row build
-visits only those, and its realized 2r fix the kernel's share of den in O(1).
+width; it keeps per state id the terms that act on that state, and a row
+build visits only those.
 It finds them from the state's own creators, not by scanning every term: a
 term whose first factor annihilates at doubled index -k can act only on a
 state holding a creator at k, and only creating first factors and a[0] are
@@ -267,10 +267,6 @@ def _fermion_c(M: Fraction, lam: Fraction) -> Fraction:
     return Fraction(-2 * (q * q - 6 * p * q + 6 * p * p), q * q)
 
 
-def _fermion_truncation(level: int, zmax: int) -> Truncation:
-    return Truncation(Fraction(2 * level - 1, 2), 0)
-
-
 class PrimaryLaws(NamedTuple):
     """[G_m, x[n]] = coefficient(m, n, lam) x[m+n] for each listed mode kind x."""
 
@@ -284,7 +280,6 @@ class GeneratorFamily(NamedTuple):
     algebra: Callable  # M -> Algebra
     build: Callable  # (m, M, lam) -> L_m, arguments already exact
     central_charge: Callable  # (M, lam) -> the closed-form c claimed for it
-    truncation: Callable  # (level, zmax) -> default Truncation
     primary_laws: PrimaryLaws | None = None
     # (m, M, lam) -> the anomaly of [L_m, a†[-m]] in the Christoffel law
     # [L_m, a†[n]] = n a†[m+n] + anomaly delta(m+n), checked on the reduced
@@ -296,7 +291,6 @@ FAMILIES = {
     "boson-unconstrained": GeneratorFamily(
         lambda M: BOSON, _boson_L,
         lambda M, lam: _boson_c(2, M, lam),
-        lambda level, zmax: Truncation(Fraction(level), zmax),
         # lambda and M enter only through the linear part, which commutes
         # with the modes up to scalars, so the laws are stated for K_m
         PrimaryLaws(lambda m, M, lam: build_K(m),
@@ -305,19 +299,16 @@ FAMILIES = {
     "boson-reduced": GeneratorFamily(
         reduced_boson, _reduced_boson_L,
         lambda M, lam: _boson_c(1, M, lam),
-        lambda level, zmax: Truncation(Fraction(level), 0),
         christoffel_anomaly=lambda m, M, lam: -M * lam * m * (m + 1)),
     "fermion-unconstrained": GeneratorFamily(
         lambda M: FERMION, _fermion_L,
         _fermion_c,
-        _fermion_truncation,
         PrimaryLaws(_fermion_L,
                     ((FieldKind.B, lambda m, r, lam: (1 - lam) * m + r),
                      (FieldKind.BDAG, lambda m, r, lam: lam * m + r)))),
     "fermion-reduced": GeneratorFamily(
         lambda M: REDUCED_FERMION, _reduced_fermion_L,
-        lambda M, lam: Fraction(1, 2),
-        _fermion_truncation),
+        lambda M, lam: Fraction(1, 2)),
 }
 
 
@@ -359,8 +350,6 @@ class Skeleton(dict):
     def __init__(self, terms: tuple):
         super().__init__()
         self.terms = terms
-        self.first = terms[0][0] if terms else 0
-        self.step = math.gcd(*(t[0] - self.first for t in terms))  # each realized 2r is first + k·step
         self.basis = terms[0][2].basis if terms else ()
         self.always, self.by_two = [], {}
         for pos, t in enumerate(terms):
@@ -462,8 +451,8 @@ class RowTable(IdRows):
                             t.alpha.numerator * (d // t.alpha.denominator),
                             t.beta.numerator * (d // 2 // t.beta.denominator), d))
         # the lcm of nonzero (a + b·2r)/d's denominators is d/gcd(d, g), g = gcd(a + b·2r over r)
-        den = _common_denominator(op, [d // math.gcd(g, d) for sk, a, b, d in kernels if sk.terms
-                                       and (g := math.gcd(a + b * sk.first, b * sk.step))])
+        den = _common_denominator(op, [d // math.gcd(g, d) for sk, a, b, d in kernels
+                                       if (g := math.gcd(*[a + b * t[0] for t in sk.terms]))])
         super().__init__(algebra, trunc, den)
         bd = algebra.bracket_denominator
         self.op = op
@@ -513,9 +502,8 @@ def _apply_to_basis(op: OperatorSpec, trunc: Truncation, width) -> RowTable:
     none once the oracle has seen its spec shapes; a reduced-boson point at
     a new M makes nine, so the bound leaves room for about 50 new M.
     """
-    if width is None:  # an int when whole, which hashes cheaply and equals its Fraction
-        two = _doubled(trunc.level_cap) + abs(_doubled(op.shift))
-        width = two // 2 if two % 2 == 0 else Fraction(two, 2)
+    if width is None:
+        width = Fraction(_doubled(trunc.level_cap) + abs(_doubled(op.shift)), 2)
     return RowTable(op, trunc, width)
 
 

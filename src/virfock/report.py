@@ -22,10 +22,6 @@ class CheckReport(NamedTuple):
             text += f" probe={self.probe}"
         return text
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "expected": self.expected,
-                "got": self.got, "probe": self.probe}
-
 
 def report(name, ok, expected, got, probe="") -> CheckReport:
     return CheckReport(name, "pass" if ok else "fail", str(expected), str(got), str(probe))

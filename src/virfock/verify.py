@@ -64,8 +64,11 @@ class OracleInconsistencyError(VirfockError):
 
 @lru_cache(maxsize=None)
 def default_truncation(family: str, level: int = 6, zmax: int = 4) -> Truncation:
-    """Default caps: integer level for bosons, (2*level-1)/2 for fermions; one instance each."""
-    return generator_family(family).truncation(level, zmax)
+    """Default caps off the family's algebra, whose kinds are the same at every M: level cap
+    (2*level-1)/2 on half-odd-moded kinds, else level; zmax only with zero modes; one instance each."""
+    algebra = generator_family(family).algebra(ONE)
+    half_odd = any(kind.half_integer_moded for kind in algebra.kinds)
+    return Truncation(Fraction(2 * level - half_odd, 2), zmax if algebra.has_zero_modes else 0)
 
 
 class ScenarioParams(Frozen):
@@ -94,11 +97,6 @@ def claimed_central_charge(family: str, M=0, lam=0) -> Fraction:
     Fraction M or lam is used as it is."""
     M, lam = (q if isinstance(q, Fraction) else Fraction(q) for q in (M, lam))
     return generator_family(family).central_charge(M, lam)
-
-
-@lru_cache(maxsize=None)
-def _gen(family: str, m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
-    return build_L(family, m, M, lam)
 
 
 def require_oracle_caps(params: ScenarioParams) -> None:
@@ -237,19 +235,18 @@ def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
     """
     c_expected = Fraction(c_expected)
     trunc, R = params.trunc, params.m_range
+    gens = {k: build_L(params.family, k, params.M, params.lam) for k in range(-2 * R, 2 * R + 1)}
 
     def law(m, n, den, row, probes):
-        lmn = row_table(_gen(params.family, m + n, params.M, params.lam), trunc)
+        lmn = row_table(gens[m + n], trunc)
         central = c_expected * Fraction(m ** 3 - m, 12) if m + n == 0 else ZERO
         sides = _law(SimpleNamespace(den=den, row=row), [(n - m, lmn)], -central)
         return _probe(f"virasoro[m={m},n={n}]", "0", params, probes, sides, got="0")
 
     reports = {}
     for m in range(-R, R + 1):
-        lm = _gen(params.family, m, params.M, params.lam)
         for n in range(m, R + 1):
-            ln = _gen(params.family, n, params.M, params.lam)
-            comm = Commutator(lm, ln, trunc)
+            comm = Commutator(gens[m], gens[n], trunc)
             probes = comm.probes
             rows = {i: comm.row(i) if m < n else () for i in probes}
             reports[m, n] = law(m, n, comm.den, rows.__getitem__, probes)
@@ -301,7 +298,7 @@ def check_christoffel(params: ScenarioParams) -> list:
     M, lam = params.M, params.lam
     reports = []
     for m in range(-R, R + 1):
-        lm = _gen(params.family, m, M, lam)
+        lm = build_L(params.family, m, M, lam)
         for n in [k for k in range(-R, R + 1) if k != 0]:
             anomaly = Fraction(anomaly_fn(m, M, lam)) if m + n == 0 else ZERO
             comm = Commutator(lm, mode_operator(algebra, red_adag(n)), trunc)
@@ -323,7 +320,7 @@ def check_christoffel(params: ScenarioParams) -> list:
 def check_jacobi(params: ScenarioParams, triple=(1, 2, -3)) -> list:
     """Jacobi identity spot check on nested commutators of three generators."""
     trunc = params.trunc
-    ops = [_gen(params.family, m, params.M, params.lam) for m in triple]
+    ops = [build_L(params.family, m, params.M, params.lam) for m in triple]
     ta, tb, tc = (row_table(op, trunc) for op in ops)
 
     def nested(x, y, z, i):
@@ -352,7 +349,7 @@ def check_window_doubling(params: ScenarioParams, probes: int = 100, seed: int =
     """
     trunc = params.trunc
     rng = random.Random(seed)
-    ops = {m: _gen(params.family, m, params.M, params.lam)
+    ops = {m: build_L(params.family, m, params.M, params.lam)
            for m in range(-params.m_range, params.m_range + 1)}
     pools = {m: safe_ids(trunc, op) for m, op in ops.items()}
     labels = [m for m, pool in pools.items() if pool]

@@ -119,7 +119,7 @@ def test_doubled_generator_fails_mirror_reports_together(monkeypatch, family, k)
     real = operators.FAMILIES[family].build
     _replace_family(monkeypatch, family, build=lambda m, M, lam: (2 if m == k else 1) * real(m, M, lam))
     M, lam = Fraction(2, 3), Fraction(-5, 4)
-    params = ScenarioParams(family, M, lam, operators.FAMILIES[family].truncation(4, 2), 2)
+    params = ScenarioParams(family, M, lam, default_truncation(family, 4, 2), 2)
     failed = {tuple(map(int, re.fullmatch(r"virasoro\[m=(-?\d+),n=(-?\d+)\]", name).groups()))
               for name in _failed(check_virasoro_relation(params, claimed_central_charge(family, M, lam)))}
     assert failed and {(n, m) for m, n in failed} == failed
