@@ -160,12 +160,12 @@ class ConstraintFamily(Frozen):
                 "add gauge conditions (for the boson family, include the a[0] constraint)")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # bounded like each cache here, as a family carries M; 242 at --window 40
 def _cached_expr(family: ConstraintFamily, label) -> OperatorSpec:
     return family._build_expr(label)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # 162 at --window 40
 def _cached_delta_row(family: ConstraintFamily, label) -> tuple:
     return family._delta_row(label)
 
@@ -300,7 +300,7 @@ def _partner_rows(row_of, labels) -> list:
     return [{position[r]: v for r, v in row_of(p) if r in position} for p in labels]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # 5 label sets in any run
 def _c_rows(family: ConstraintFamily, labels: tuple) -> list:
     """C over labels: the family's closed rows where it states them (that they equal
     support_rows is bracket_matrix_closed_form's claim), else support_rows."""
@@ -309,7 +309,7 @@ def _c_rows(family: ConstraintFamily, labels: tuple) -> list:
     return _partner_rows(family._c_row, labels)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)  # 3 label sets in any run
 def _signed_inverse(family: ConstraintFamily, labels: tuple) -> list:
     """Sparse rows of Delta over labels, by exact elimination of (-1)^p(R) C_RS.
 
@@ -427,7 +427,7 @@ def dirac_bracket(A: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) ->
     return linear_bracket(_projected(family, A), B)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # 322 at --window 40
 def _projected(family: ConstraintFamily, A: OperatorSpec) -> OperatorSpec:
     """Ã = A - sum_{P,R} [A, chi_P} (-1)^p(R) Delta^PR chi_R over the support labels
     P of A and the Delta partners R of each, built from plain terms so that A's

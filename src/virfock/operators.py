@@ -197,7 +197,7 @@ def linear_operator(algebra: Algebra, mapping, constant=0, shift=None, parity=No
     return OperatorSpec(algebra, Fraction(shift), (), linear, Fraction(constant), parity)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=512)  # keyed through reduced_boson(M); 322 at dirac-checks --window 40
 def mode_operator(algebra: Algebra, x: Mode) -> OperatorSpec:
     """The expression 1·x, one instance per mode: caches keyed by it match by identity."""
     return linear_operator(algebra, {x: 1})

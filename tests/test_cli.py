@@ -16,10 +16,12 @@ import pytest
 import virfock
 import virfock.algebra as algebra
 import virfock.cli as cli
+import virfock.dirac as dirac
 import virfock.fock as fock
 import virfock.operators as operators
 import virfock.verify as verify
 from virfock.cli import main
+from virfock.dirac import run_dirac_checks
 from virfock.verify import ScenarioParams, claimed_central_charge, extract_central_charge
 
 
@@ -209,19 +211,34 @@ def test_a_sweep_retains_no_memory_after_a_warm_up(fresh_caches):
 # the caches keyed by M, directly or through the algebra: a sweep adds
 # entries to each with every new M, so each is bounded; the oracle's vacuum
 # forms are keyed by the reduced boson's algebra
-def _caches_that_grow_with_m():
+def _sweep_caches():
     return (fock._apply_to_basis, operators._skeleton, algebra.reduced_boson,
             operators._reduced_boson_kernel, verify._vacuum_form)
 
 
+# the caches keyed by a constraint family, which carries M, or by a reduced
+# boson's modes: each dirac-checks run and each boson-reduced family run at a
+# new M adds entries to them
+def _dirac_caches():
+    return (operators.mode_operator, dirac._cached_expr, dirac._cached_delta_row, dirac._projected,
+            dirac._c_rows, dirac._signed_inverse)
+
+
+def _caches_that_grow_with_m():
+    return _sweep_caches() + _dirac_caches()
+
+
 @pytest.mark.parametrize("flags", [("--scenario", "all", "--level", "4", "--mmax", "6"),
-                                   ("--scenario", "boson-reduced", "--sweep")],
-                         ids=["all-mmax6", "reduced-boson-sweep"])
+                                   ("--scenario", "boson-reduced", "--sweep"),
+                                   ("--scenario", "dirac-checks", "--window", "40")],
+                         ids=["all-mmax6", "reduced-boson-sweep", "dirac"])
 def test_a_run_fits_the_caches_that_grow_with_m(tmp_path, fresh_caches, flags):
-    # nothing is evicted and room is left: 304 mode tables, 142 skeletons and
-    # 12 vacuum forms for --mmax 6; 1,104 mode tables, 230 skeletons, 46
+    # nothing is evicted and room is left: 304 mode tables, 142 skeletons,
+    # 12 vacuum forms, 78 mode operators, 58 constraints, 34 Delta rows and
+    # 66 projections for --mmax 6; 1,104 mode tables, 230 skeletons, 46
     # algebras and 138 vacuum forms for every M of the benchmark's sweep grid
-    # (|p|, q <= 6), each once
+    # (|p|, q <= 6), each once; 322 mode operators, 242 constraints, 162
+    # Delta rows, 322 projections, 5 C and 3 eliminations at window 40
     grid = tmp_path / "grid.txt"
     masses = sorted({Fraction(p, q) for p in range(-6, 7) for q in range(1, 7) if p})
     grid.write_text("".join(f"{M} 1/3\n" for M in masses))
@@ -234,7 +251,7 @@ def test_a_run_fits_the_caches_that_grow_with_m(tmp_path, fresh_caches, flags):
 def test_a_reduced_boson_sweep_retains_no_memory_once_the_caches_are_full(fresh_caches):
     # every point at a new M = 1/k builds its own algebra, mode tables and
     # skeletons; unbounded caches retain about 10 MB over the 300 points measured here
-    caches = _caches_that_grow_with_m()
+    caches = _sweep_caches()
     lam, points = Fraction(1, 3), (Fraction(1, k) for k in itertools.count(1))
 
     def oracle(M):
@@ -254,6 +271,33 @@ def test_a_reduced_boson_sweep_retains_no_memory_once_the_caches_are_full(fresh_
         before = tracemalloc.get_traced_memory()[0]
         for M in itertools.islice(points, 300):
             oracle(M)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert full()
+    assert retained < 250_000
+
+
+def test_dirac_checks_retain_no_memory_once_the_caches_are_full(fresh_caches):
+    # each M = 1/k keys its own constraints, Delta rows, projections and C;
+    # unbounded caches retain about 2 MB over the 20 M measured here
+    caches = _dirac_caches()[1:]  # run_dirac_checks makes mode operators of the boson modes only
+    points = (Fraction(1, k) for k in itertools.count(1))
+
+    def full():
+        return all(c.cache_info().currsize == c.cache_info().maxsize for c in caches)
+
+    tracemalloc.start()
+    try:
+        for M in itertools.islice(points, 100):
+            run_dirac_checks(M, 8)
+            if full():
+                break
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for M in itertools.islice(points, 20):
+            run_dirac_checks(M, 8)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
