@@ -260,5 +260,5 @@ class ModeTable(IdRows):
 @lru_cache(maxsize=2048)
 def _apply_to_basis(algebra: Algebra, x: Mode, trunc: Truncation) -> ModeTable:
     """The mode table of a single mode on one truncation.  The 2048 most recently
-    used are kept: `--scenario all --level 4 --mmax 6` uses 304, a sweep 24 per reduced boson M."""
+    used are kept: `--scenario all --level 4 --mmax 6` uses 304, a reduced-boson sweep 24 at any M."""
     return ModeTable(algebra, x, trunc)

@@ -37,8 +37,8 @@ tried on every state.
 A table keeps only the integers of its coefficients: row builds and a
 Commutator (the graded commutator's row table over den_a·den_b) add and
 multiply integers by state id.  The 512 most recently used tables are kept:
-a scenario's working set is 40 to 238 of them, and a sweep, whose oracle
-makes tables only for shapes it has not seen, stops growing once full.
+a scenario's working set is 40 to 238 of them, and a sweep's oracle makes
+tables only for spec shapes it has not seen, which hold no M.
 
 The safe window of k operators (safe_ids) is stated once, from the
 operators themselves.  Applied in any order they raise a state's level by
@@ -383,7 +383,7 @@ def _skeleton(algebra: Algebra, trunc: Truncation, left: FieldKind, right: Field
     and second are the mode tables of the factor applied first and second and
     sign is the normal-ordering sign.  Shared by every operator with the same
     kinds, label and width, whatever its coefficients.  The 512 most recently
-    used are kept: `--scenario all --level 4 --mmax 6` uses 142, a sweep 5 per reduced boson M.
+    used are kept: `--scenario all --level 4 --mmax 6` uses 142, a reduced-boson sweep 5 at any M.
     """
     for kind in (left, right):
         if kind not in algebra.kinds:
@@ -499,8 +499,7 @@ def _apply_to_basis(op: OperatorSpec, trunc: Truncation, width) -> RowTable:
     The bound holds one scenario's working set, so no family run rebuilds a
     table: 40 tables for boson-unconstrained at level 6, 140 for `--scenario
     all` at default flags, 238 at `--level 4 --mmax 6`.  A sweep point makes
-    none once the oracle has seen its spec shapes; a reduced-boson point at
-    a new M makes nine, so the bound leaves room for about 50 new M.
+    none once the oracle has seen its spec shapes, which hold no M.
     """
     if width is None:
         width = Fraction(_doubled(trunc.level_cap) + abs(_doubled(op.shift)), 2)

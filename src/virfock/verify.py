@@ -12,9 +12,11 @@ truncation-soundness bug, not a formula failure).  The closed-form claims
 are then tested against this oracle, never assumed.  A spec is linear in its
 scalar slots, so <0|[A, B]|0> = sum a_i b_j <0|[P_i, Q_j]|0> over the slots
 a, b and unit-coefficient parts P, Q of A and B, and <0|L_0|0> is linear
-too; those part entries are cached by spec shape and truncation.  Each point
-builds its own L_0, L_±2 and L_±3 and forms each c as one Fraction of their
-integer slot numerators and the cached integer entries.
+too.  The part entries are cached by truncation and spec shape over the
+family's M = 1 algebra: with each bracket of the point's algebra s times the
+M = 1 one (s read off its bracket table), an entry of k modes, a sum of products
+of k/2 brackets (none for odd k), is s^(k/2) times the M = 1 entry.  Each point
+builds its own L_0, L_±2, L_±3 and stays in integers up to a single Fraction.
 
 The family checks and the oracle run on integer rows by state id.  Each
 check states its identity as data, a left-hand table equal to a sum of
@@ -35,7 +37,8 @@ from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
 
-from .algebra import BOSON, Frozen, Mode, ONE, VirfockError, ZERO, adag, format_rational, red_adag
+from .algebra import (Algebra, AlgebraMismatchError, BOSON, Frozen, Mode, ONE, VirfockError, ZERO, adag,
+                      format_rational, red_adag)
 from .dirac import dirac_transform_adagger
 from .fock import Truncation, VACUUM, accumulate, enumerate_basis
 from .fock import _apply_to_basis as mode_table
@@ -111,14 +114,20 @@ def require_oracle_caps(params: ScenarioParams) -> None:
                          f"got {trunc.zero_mode_cap}")
 
 
-def _split(op: OperatorSpec) -> tuple:
-    """(shape, numerators, den): the spec without its slot values (the
-    constant, each linear coefficient, each kernel alpha and beta), and its
-    nonzero slots as integers over den; a slot that is zero has no part."""
-    ratios = [q.as_integer_ratio() for q in (op.constant, *[c for _, c in op.linear],
-                                              *[q for t in op.bilinears for q in (t.alpha, t.beta)])]
-    shape = (op.algebra, op.shift, op.parity, tuple([x for x, _ in op.linear]),
-             tuple([(t.left, t.right, t.m) for t in op.bilinears]), tuple([n != 0 for n, _ in ratios]))
+def _split(op: OperatorSpec, unit: Algebra, linear_scale: tuple, kernel_scale: tuple) -> tuple:
+    """(shape, numerators, den): the spec over the unit algebra without its
+    slot values (the constant, each linear coefficient, each kernel alpha and
+    beta), and its nonzero slots times their scale (n, d), as integers over den."""
+    (lp, lq), (kp, kq) = linear_scale, kernel_scale
+    modes, kernels, ratios = [], [], [(op.constant.numerator, op.constant.denominator)]
+    for x, c in op.linear:
+        modes.append(x)
+        ratios.append((c.numerator * lp, c.denominator * lq))
+    for t in op.bilinears:
+        kernels.append((t.left, t.right, t.m))
+        ratios += ((t.alpha.numerator * kp, t.alpha.denominator * kq),
+                   (t.beta.numerator * kp, t.beta.denominator * kq))
+    shape = (unit, op.shift, op.parity, tuple(modes), tuple(kernels), tuple([n != 0 for n, _ in ratios]))
     ratios = [(n, d) for n, d in ratios if n]
     den = math.lcm(*[d for _, d in ratios])
     return shape, [n * (den // d) for n, d in ratios], den
@@ -134,7 +143,7 @@ def _parts(shape: tuple) -> list:
     return [OperatorSpec(algebra, shift, *part, parity) for part, keep in zip(parts, nonzero) if keep]
 
 
-@lru_cache(maxsize=512)  # as the row tables: a reduced boson's shapes differ by M
+@lru_cache(maxsize=512)  # shapes hold no M: a few per family and truncation
 def _vacuum_form(trunc: Truncation, *shapes: tuple) -> tuple:
     """(entries, den): as integers over one den, the vacuum entries <0|P|0> of
     the parts of one shape, or <0|[P, Q]|0> of each pair of parts of two, in
@@ -145,10 +154,26 @@ def _vacuum_form(trunc: Truncation, *shapes: tuple) -> tuple:
     return [dict(t.row(v)).get(v, 0) * (den // t.den) for t in tables for v in [t.state_id(VACUUM)]], den
 
 
-def _vacuum_entry(trunc: Truncation, *ops: OperatorSpec) -> tuple:
-    """(n, den): <0|A|0> of one spec or <0|[A, B]|0> of two, as n/den, from the
-    cached form of their shapes and their own slots."""
-    shapes, slots, dens = zip(*map(_split, ops))
+def _bracket_scale(algebra: Algebra, unit: Algebra) -> tuple:
+    """(p, q): each bracket of algebra is p/q times unit's; kinds, flags and keys must match."""
+    if algebra is unit:
+        return 1, 1
+    (p, q), *rest = [(b.numerator * u.denominator, b.denominator * u.numerator)
+                     for key, u in unit.brackets.items() for b in [algebra.brackets.get(key, ZERO)]]
+    if any(p * d != n * q for n, d in rest) or algebra.brackets.keys() != unit.brackets.keys() or any(
+            getattr(algebra, f) != getattr(unit, f) for f in ("kinds", "has_zero_modes", "index_weighted")):
+        raise AlgebraMismatchError(f"{algebra} is not a rescaling of {unit}")
+    return p, q
+
+
+def _vacuum_entry(trunc: Truncation, unit: Algebra, *ops: OperatorSpec) -> tuple:
+    """(n, den): <0|A|0> of one spec or <0|[A, B]|0> of two, as n/den, from the cached form of their
+    shapes and their slots, each entry of k modes times s^(k/2): s per kernel slot and per linear
+    slot of A alone, since half a part's modes rounded up in A and down in B sum to k/2."""
+    if ops[-1].algebra != ops[0].algebra:
+        raise AlgebraMismatchError("commutator of operators over different algebras")
+    s = _bracket_scale(ops[0].algebra, unit)
+    shapes, slots, dens = zip(*[_split(op, unit, (1, 1) if i else s, s) for i, op in enumerate(ops)])
     entries, den = _vacuum_form(trunc, *shapes)
     return sum(e * math.prod(xs) for e, xs in zip(entries, product(*slots)) if e), den * math.prod(dens)
 
@@ -156,18 +181,19 @@ def _vacuum_entry(trunc: Truncation, *ops: OperatorSpec) -> tuple:
 def extract_central_charge(params: ScenarioParams) -> Fraction:
     """Central charge measured on the vacuum; the independent oracle."""
     require_oracle_caps(params)
-    family, M, lam, trunc = params.family, params.M, params.lam, params.trunc
-    g, g_den = _vacuum_entry(trunc, build_L(family, 0, M, lam))
+    M, lam, trunc = params.M, params.lam, params.trunc
+    build, unit = params.generators.build, params.generators.algebra(ONE)
+    g, g_den = _vacuum_entry(trunc, unit, build(0, M, lam))
 
-    def c_at(m: int) -> Fraction:
-        # c = -12 (f + 2 m g) / (m^3 - m), with f and g integers over their dens
-        f, f_den = _vacuum_entry(trunc, build_L(family, m, M, lam), build_L(family, -m, M, lam))
-        return Fraction(-12 * (f * g_den + 2 * m * g * f_den), f_den * g_den * (m ** 3 - m))
+    def c_at(m: int) -> tuple:
+        # c = -12 (f + 2 m g) / (m^3 - m) as an integer pair, with f and g integers over their dens
+        f, f_den = _vacuum_entry(trunc, unit, build(m, M, lam), build(-m, M, lam))
+        return -12 * (f * g_den + 2 * m * g * f_den), f_den * g_den * (m ** 3 - m)
 
-    c2, c3 = c_at(2), c_at(3)
-    if c2 != c3:
-        raise OracleInconsistencyError(params.family, c2, c3)
-    return c2
+    (n2, d2), (n3, d3) = c_at(2), c_at(3)
+    if n2 * d3 != n3 * d2:
+        raise OracleInconsistencyError(params.family, Fraction(n2, d2), Fraction(n3, d3))
+    return Fraction(n2, d2)
 
 
 def _probe(name, expected, params, probes, sides, got="as expected", show=None):

@@ -3,10 +3,11 @@ package itself needs none of them: it reaches brackets only through
 algebra.paired_bracket, and the central charge through cached vacuum forms."""
 
 from fractions import Fraction
+from itertools import product
 
-from virfock.algebra import ZERO, Algebra, FieldKind, Mode, _doubled, paired_bracket, require_members
+from virfock.algebra import ONE, ZERO, Algebra, FieldKind, Mode, _doubled, paired_bracket, require_members
 from virfock.fock import VACUUM
-from virfock.operators import Commutator, build_L, row_table
+from virfock.operators import BilinearTerm, Commutator, OperatorSpec, build_L, row_table
 from virfock.verify import OracleInconsistencyError, require_oracle_caps
 
 
@@ -48,3 +49,29 @@ def direct_central_charge(params) -> Fraction:
     if c2 != c3:
         raise OracleInconsistencyError(params.family, c2, c3)
     return c2
+
+
+def unit_parts(op: OperatorSpec) -> list:
+    """(part, k) for each scalar slot of op, zero slots included: the operator
+    with that slot 1 and every other slot 0, and the number k of modes it holds
+    (0 for the constant, 1 for a linear coefficient, 2 for a kernel alpha or beta)."""
+    def part(bilinears=(), linear=(), constant=ZERO):
+        return OperatorSpec(op.algebra, op.shift, bilinears, linear, constant, op.parity)
+
+    parts = [(part(constant=ONE), 0)] + [(part(linear=((x, ONE),)), 1) for x, _ in op.linear]
+    return parts + [(part(bilinears=(BilinearTerm(t.left, t.right, t.m, *unit),)), 2)
+                    for t in op.bilinears for unit in ((ONE, ZERO), (ZERO, ONE))]
+
+
+def vacuum_part_entries(trunc, *ops) -> list:
+    """(entry, k) for each part P of one spec, entry <0|P|0>, or each pair of
+    parts P, Q of two, entry <0|[P, Q]|0>, in the order of itertools.product:
+    read off the row tables of the parts over the specs' own algebra, with k
+    the number of modes the part or the pair holds."""
+    out = []
+    for pairs in product(*map(unit_parts, ops)):
+        parts, ks = zip(*pairs)
+        table = Commutator(*parts, trunc) if len(parts) == 2 else row_table(*parts, trunc)
+        vac = table.state_id(VACUUM)
+        out.append((Fraction(dict(table.row(vac)).get(vac, 0), table.den), sum(ks)))
+    return out

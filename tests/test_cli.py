@@ -151,23 +151,24 @@ def test_each_sweep_point_builds_its_own_generators(tmp_path, capsys, monkeypatc
     # Each point calls the family's builder for its own L_0, L_±2 and L_±3 and
     # reads their vacuum entries through forms cached by spec shape, so a
     # second point of a shape already seen adds no row-table miss, yet gives
-    # its own closed-form c
-    family = "boson-unconstrained"
-    real, calls = operators.FAMILIES[family].build, []
-    monkeypatch.setitem(operators.FAMILIES, family, operators.FAMILIES[family]._replace(
-        build=lambda m, M, lam: calls.append((m, M, lam)) or real(m, M, lam)))
-    for k, (M, lam) in enumerate([(Fraction(7, 11), Fraction(-13, 17)), (Fraction(-5, 13), Fraction(3, 19))]):
-        grid = tmp_path / f"grid{k}.txt"
-        grid.write_text(f"{M} {lam}\n")
-        calls.clear()
-        before = operators._apply_to_basis.cache_info().misses
-        code, out, _ = run_cli(capsys, "--scenario", family, "--sweep", str(grid), *FAST)
-        assert code == 0
-        assert sorted(calls) == [(m, M, lam) for m in (-3, -2, 0, 2, 3)]
-        c = claimed_central_charge(family, M, lam)
-        assert out.startswith(f"M={M} lambda={lam} c_formula={c} c_oracle={c} match\n")
-        if k:
-            assert operators._apply_to_basis.cache_info().misses == before
+    # its own closed-form c; a reduced boson's shapes hold its M = 1 algebra,
+    # so its second point, at another M, adds none either
+    for family in ("boson-unconstrained", "boson-reduced"):
+        real, calls = operators.FAMILIES[family].build, []
+        monkeypatch.setitem(operators.FAMILIES, family, operators.FAMILIES[family]._replace(
+            build=lambda m, M, lam, real=real, calls=calls: calls.append((m, M, lam)) or real(m, M, lam)))
+        for k, (M, lam) in enumerate([(Fraction(7, 11), Fraction(-13, 17)), (Fraction(-5, 13), Fraction(3, 19))]):
+            grid = tmp_path / f"grid{k}.txt"
+            grid.write_text(f"{M} {lam}\n")
+            calls.clear()
+            before = operators._apply_to_basis.cache_info().misses
+            code, out, _ = run_cli(capsys, "--scenario", family, "--sweep", str(grid), *FAST)
+            assert code == 0
+            assert sorted(calls) == [(m, M, lam) for m in (-3, -2, 0, 2, 3)]
+            c = claimed_central_charge(family, M, lam)
+            assert out.startswith(f"M={M} lambda={lam} c_formula={c} c_oracle={c} match\n")
+            if k:
+                assert operators._apply_to_basis.cache_info().misses == before, family
 
 
 @pytest.mark.parametrize("flags", [(), FAST], ids=["defaults", "all.txt-caps"])
@@ -208,12 +209,16 @@ def test_a_sweep_retains_no_memory_after_a_warm_up(fresh_caches):
     assert retained < 250_000
 
 
-# the caches keyed by M, directly or through the algebra: a sweep adds
-# entries to each with every new M, so each is bounded; the oracle's vacuum
-# forms are keyed by the reduced boson's algebra
+# the caches keyed by M: a sweep adds an algebra and a kernel to them with
+# every new M, so each is bounded
 def _sweep_caches():
-    return (fock._apply_to_basis, operators._skeleton, algebra.reduced_boson,
-            operators._reduced_boson_kernel, verify._vacuum_form)
+    return (algebra.reduced_boson, operators._reduced_boson_kernel)
+
+
+# the caches keyed by a reduced boson's algebra, which carries M: each family
+# run at a new M adds entries to them, an oracle point none
+def _table_caches():
+    return (fock._apply_to_basis, operators._skeleton)
 
 
 # the caches keyed by a constraint family, which carries M, or by a reduced
@@ -225,7 +230,7 @@ def _dirac_caches():
 
 
 def _caches_that_grow_with_m():
-    return _sweep_caches() + _dirac_caches()
+    return _table_caches() + _sweep_caches() + _dirac_caches()
 
 
 @pytest.mark.parametrize("flags", [("--scenario", "all", "--level", "4", "--mmax", "6"),
@@ -234,11 +239,11 @@ def _caches_that_grow_with_m():
                          ids=["all-mmax6", "reduced-boson-sweep", "dirac"])
 def test_a_run_fits_the_caches_that_grow_with_m(tmp_path, fresh_caches, flags):
     # nothing is evicted and room is left: 304 mode tables, 142 skeletons,
-    # 12 vacuum forms, 78 mode operators, 58 constraints, 34 Delta rows and
-    # 66 projections for --mmax 6; 1,104 mode tables, 230 skeletons, 46
-    # algebras and 138 vacuum forms for every M of the benchmark's sweep grid
-    # (|p|, q <= 6), each once; 322 mode operators, 242 constraints, 162
-    # Delta rows, 322 projections, 5 C and 3 eliminations at window 40
+    # 78 mode operators, 58 constraints, 34 Delta rows and 66 projections for
+    # --mmax 6; 46 algebras and kernels for every M of the benchmark's sweep
+    # grid (|p|, q <= 6), each once, whose oracle reads the 24 mode tables and
+    # 5 skeletons of the M = 1 algebra; 322 mode operators, 242 constraints,
+    # 162 Delta rows, 322 projections, 5 C and 3 eliminations at window 40
     grid = tmp_path / "grid.txt"
     masses = sorted({Fraction(p, q) for p in range(-6, 7) for q in range(1, 7) if p})
     grid.write_text("".join(f"{M} 1/3\n" for M in masses))
@@ -249,9 +254,12 @@ def test_a_run_fits_the_caches_that_grow_with_m(tmp_path, fresh_caches, flags):
 
 
 def test_a_reduced_boson_sweep_retains_no_memory_once_the_caches_are_full(fresh_caches):
-    # every point at a new M = 1/k builds its own algebra, mode tables and
-    # skeletons; unbounded caches retain about 10 MB over the 300 points measured here
+    # every point at a new M = 1/k builds its own algebra and generators but
+    # reads the vacuum forms of the M = 1 algebra: after the first M no point
+    # adds a mode table, skeleton, row table or form, and once the caches of
+    # the algebras and kernels are full 300 more points retain under 250,000 bytes
     caches = _sweep_caches()
+    tables = _table_caches() + (operators._apply_to_basis, verify._vacuum_form)
     lam, points = Fraction(1, 3), (Fraction(1, k) for k in itertools.count(1))
 
     def oracle(M):
@@ -261,6 +269,11 @@ def test_a_reduced_boson_sweep_retains_no_memory_once_the_caches_are_full(fresh_
     def full():
         return all(c.cache_info().currsize == c.cache_info().maxsize for c in caches)
 
+    def misses():
+        return [c.cache_info().misses for c in tables]
+
+    oracle(next(points))
+    after_first = misses()
     tracemalloc.start()
     try:
         for M in itertools.islice(points, 600):
@@ -276,6 +289,7 @@ def test_a_reduced_boson_sweep_retains_no_memory_once_the_caches_are_full(fresh_
     finally:
         tracemalloc.stop()
     assert full()
+    assert misses() == after_first
     assert retained < 250_000
 
 

@@ -319,6 +319,27 @@ def test_reduced_fermion_bracket_a_quarter(monkeypatch):
     assert _failed(run_dirac_checks(DIRAC_M, DIRAC_WINDOW)) == {"dirac_bracket_fermion[N=3]"}
 
 
+def test_reduced_boson_bracket_squared_in_m(monkeypatch, capsys, tmp_path):
+    # [a†[m], a†[-m]] = -(M^2/2) m equals the true bracket at M = 1 only: the
+    # oracle reads its forms at M = 1, so it must take each point's scale off
+    # that point's bracket table, not off M, to miss the claimed c elsewhere
+    real = operators._reduced_boson_kernel
+    red = algebra.FieldKind.RED_ADAG
+
+    def kernel(M):
+        algebra_at_m, inverse = real(M)
+        return _with_brackets(algebra_at_m, {(red, red): -M * M / 2}), inverse
+
+    monkeypatch.setattr(operators, "_reduced_boson_kernel", kernel)
+    grid = tmp_path / "grid.txt"
+    grid.write_text("1 1/3\n2 1/3\n-1/3 1/3\n")
+    assert cli.main(["--scenario", "boson-reduced", "--sweep", str(grid)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "M=1 lambda=1/3 c_formula=-5/3 c_oracle=-5/3 match",
+        "M=2 lambda=1/3 c_formula=-13/3 c_oracle=-20/3 MISMATCH",
+        "M=-1/3 lambda=1/3 c_formula=17/9 c_oracle=-5/27 MISMATCH"]
+
+
 def test_fermion_support_shifted_by_one(monkeypatch):
     # every correction runs through chi[r + 1] instead of chi[r]: the fermion
     # bracket loses its correction and the modes stop commuting with the

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import virfock.verify as verify
-from reference import direct_central_charge
-from virfock.algebra import format_rational
+from reference import direct_central_charge, vacuum_part_entries
+from virfock.algebra import (BOSON, REDUCED_FERMION, Algebra, AlgebraMismatchError, FieldKind, format_rational,
+                             reduced_boson)
 from virfock.fock import Truncation
-from virfock.operators import FAMILIES, Commutator
+from virfock.operators import FAMILIES, Commutator, build_L
 from virfock.dirac import run_dirac_checks
 from virfock.cli import main
 from virfock.verify import (
@@ -113,6 +114,49 @@ def test_oracle_equals_the_direct_oracle(family, caps, M, lam):
         M = Fraction(1)
     params = ScenarioParams(family, M, lam, default_truncation(family, *caps))
     assert extract_central_charge(params) == direct_central_charge(params)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool),
+       st.fractions(min_value=-3, max_value=3, max_denominator=4))
+@example(Fraction(-1, 3), Fraction(1, 3))
+@example(Fraction(2, 5), Fraction(0))
+@example(Fraction(-4), Fraction(-5, 4))
+def test_reduced_boson_vacuum_entries_scale_as_m_to_half_their_modes(M, lam):
+    # the lemma behind the oracle's M = 1 forms: [a†[m], a†[-m]] at M is M times
+    # its value at M = 1, and a vacuum entry of k modes is a sum of products of
+    # k/2 brackets, so it is the M = 1 entry times M^(k/2); odd k has none
+    family, trunc = "boson-reduced", default_truncation("boson-reduced")
+    for labels in [(0,), (2, -2), (3, -3)]:
+        at_m = vacuum_part_entries(trunc, *[build_L(family, m, M, lam) for m in labels])
+        at_one = vacuum_part_entries(trunc, *[build_L(family, m, 1, lam) for m in labels])
+        assert [k for _, k in at_m] == [k for _, k in at_one]
+        for (entry, k), (unit_entry, _) in zip(at_m, at_one):
+            assert entry == (unit_entry * M ** (k // 2) if k % 2 == 0 else 0), (labels, k)
+            assert k % 2 == 0 or unit_entry == 0
+        # the kernel pair always reads a contraction; the linear pair does when lambda != 0
+        assert any(e for e, k in at_one if k == (4 if len(labels) == 2 else 0))
+        assert any(e for e, k in at_one if k == 2) == (len(labels) == 2 and lam != 0)
+
+
+def test_the_oracle_scale_is_read_off_the_bracket_table():
+    # a point's vacuum entries are its M = 1 entries rescaled by the ratio of
+    # the two bracket tables, which exists only if kinds, flags and keys match
+    unit = reduced_boson(1)
+    p, q = verify._bracket_scale(reduced_boson(Fraction(-2, 3)), unit)
+    assert Fraction(p, q) == Fraction(-2, 3)
+    assert verify._bracket_scale(BOSON, BOSON) == (1, 1)
+    a, adag, red = FieldKind.A, FieldKind.ADAG, FieldKind.RED_ADAG
+    doubled = Algebra(BOSON.name, None, BOSON.kinds, True, {(adag, a): Fraction(2), (a, adag): Fraction(-2)})
+    assert Fraction(*verify._bracket_scale(doubled, BOSON)) == 2
+    bracket = {(red, red): Fraction(-1)}
+    for other, base in [(Algebra(unit.name, Fraction(2), unit.kinds, False, bracket), unit),  # not index-weighted
+                        (Algebra(unit.name, Fraction(2), unit.kinds, True, bracket, True), unit),  # a zero mode
+                        (Algebra(BOSON.name, None, BOSON.kinds, True,  # two brackets, two factors
+                                 {(adag, a): Fraction(2), (a, adag): Fraction(-1)}), BOSON),
+                        (REDUCED_FERMION, unit)]:  # other kinds and keys
+        with pytest.raises(AlgebraMismatchError, match="is not a rescaling of"):
+            verify._bracket_scale(other, base)
 
 
 def test_a_perturbed_form_entry_fails_the_sweep(monkeypatch, capsys, tmp_path, fresh_caches):
@@ -284,9 +328,10 @@ def test_dirac_check_failures_print_exact_rationals(monkeypatch):
 
 @pytest.mark.parametrize("family,level", [("boson-unconstrained", 6), ("boson-reduced", 8),
                                           ("fermion-unconstrained", 8), ("fermion-reduced", 8)])
-def test_benchmark_levels_skip_nothing(monkeypatch, family, level):
+def test_benchmark_levels_skip_nothing(monkeypatch, fresh_caches, family, level):
     # Whether a check is skipped depends only on its probe set, never on the
     # action, so a zero action keeps the benchmark's caps affordable here.
+    # The oracle's forms read from the zero tables are cleared after the test.
     import virfock.verify as verify
     from virfock.verify import default_truncation
     zero = SimpleNamespace(den=1, row=lambda i: (), apply=lambda pairs: {}, state_id=lambda state: 0)
