@@ -12,11 +12,14 @@ truncation-soundness bug, not a formula failure).  The closed-form claims
 are then tested against this oracle, never assumed.  A spec is linear in its
 scalar slots, so <0|[A, B]|0> = sum a_i b_j <0|[P_i, Q_j]|0> over the slots
 a, b and unit-coefficient parts P, Q of A and B, and <0|L_0|0> is linear
-too.  The part entries are cached by truncation and spec shape over the
-family's M = 1 algebra: with each bracket of the point's algebra s times the
-M = 1 one (s read off its bracket table), an entry of k modes, a sum of products
-of k/2 brackets (none for odd k), is s^(k/2) times the M = 1 entry.  Each point
-builds its own L_0, L_±2, L_±3 and stays in integers up to a single Fraction.
+too.  Each point builds its own L_0, L_±2, L_±3, splits their slots in one
+pass, and reads all three forms from one cache entry, keyed by truncation and
+the five spec shapes over the family's M = 1 algebra: sparse lists of the
+nonzero part entries with the slot positions they multiply.  With each bracket
+of the point's algebra s times the M = 1 one (s read off its bracket table,
+once per point), an entry of k modes, a sum of products of k/2 brackets (none
+for odd k), is s^(k/2) times the M = 1 entry.  A point stays in integers up to
+a single Fraction.
 
 The family checks and the oracle run on integer rows by state id.  Each
 check states its identity as data, a left-hand table equal to a sum of
@@ -34,7 +37,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import count, product
 from types import SimpleNamespace
 
 from .algebra import (Algebra, AlgebraMismatchError, BOSON, Frozen, Mode, ONE, VirfockError, ZERO, adag,
@@ -109,49 +112,63 @@ def require_oracle_caps(params: ScenarioParams) -> None:
     if trunc.level_cap < 3:
         raise ValueError(f"{family}: central-charge extraction needs level_cap >= 3, "
                          f"got {format_rational(trunc.level_cap)}")
-    if params.algebra.has_zero_modes and trunc.zero_mode_cap < 2:
+    if params.generators.algebra(ONE).has_zero_modes and trunc.zero_mode_cap < 2:  # the same at every M
         raise ValueError(f"{family}: central-charge extraction needs zero_mode_cap >= 2 here, "
                          f"got {trunc.zero_mode_cap}")
 
 
-def _split(op: OperatorSpec, unit: Algebra, linear_scale: tuple, kernel_scale: tuple) -> tuple:
-    """(shape, numerators, den): the spec over the unit algebra without its
-    slot values (the constant, each linear coefficient, each kernel alpha and
-    beta), and its nonzero slots times their scale (n, d), as integers over den."""
-    (lp, lq), (kp, kq) = linear_scale, kernel_scale
-    modes, kernels, ratios = [], [], [(op.constant.numerator, op.constant.denominator)]
-    for x, c in op.linear:
-        modes.append(x)
-        ratios.append((c.numerator * lp, c.denominator * lq))
-    for t in op.bilinears:
-        kernels.append((t.left, t.right, t.m))
-        ratios += ((t.alpha.numerator * kp, t.alpha.denominator * kq),
-                   (t.beta.numerator * kp, t.beta.denominator * kq))
-    shape = (unit, op.shift, op.parity, tuple(modes), tuple(kernels), tuple([n != 0 for n, _ in ratios]))
-    ratios = [(n, d) for n, d in ratios if n]
-    den = math.lcm(*[d for _, d in ratios])
-    return shape, [n * (den // d) for n, d in ratios], den
+def _split(ops: list) -> tuple:
+    """(shapes, numerators, den) in one pass over the slots of specs over one algebra (each
+    constant, linear coefficient, kernel alpha and beta): each spec without its algebra and
+    slot values, and the nonzero slots of all, spec by spec, as integers over one den."""
+    shapes, nums, den = [], [], 1
+    for op in ops:
+        if op.algebra != ops[0].algebra:
+            raise AlgebraMismatchError("commutator of operators over different algebras")
+        nonzero = []
+        for value in (op.constant, *[c for _, c in op.linear], *[v for t in op.bilinears for v in t[3:]]):
+            n, d = value.as_integer_ratio()
+            nonzero.append(n != 0)
+            if n:
+                if den % d:  # widen the den so far, and the numerators over it
+                    lcm = math.lcm(den, d)
+                    nums, den = [x * (lcm // den) for x in nums], lcm
+                nums.append(n * (den // d))
+        shapes.append((op.shift, op.parity, tuple([x for x, _ in op.linear]),
+                       tuple([t[:3] for t in op.bilinears]), tuple(nonzero)))
+    return shapes, nums, den
 
 
-def _parts(shape: tuple) -> list:
-    """The unit-coefficient operator of each nonzero slot of a shape, in the
-    order of _split: a spec is the sum of its slots times these."""
-    algebra, shift, parity, modes, kernels, nonzero = shape
-    parts = [((), (), ONE)] + [((), ((x, ONE),), ZERO) for x in modes]
-    parts += [((BilinearTerm(left, right, m, *unit),), (), ZERO)
+def _parts(algebra: Algebra, shape: tuple) -> list:
+    """(k, part) for each nonzero slot of a shape, in the order of _split: a spec is the sum of
+    its slots times these unit-coefficient parts, and k is the number of modes a part holds."""
+    shift, parity, modes, kernels, nonzero = shape
+    parts = [(0, (), (), ONE)] + [(1, (), ((x, ONE),), ZERO) for x in modes]
+    parts += [(2, (BilinearTerm(left, right, m, *unit),), (), ZERO)
               for left, right, m in kernels for unit in ((ONE, ZERO), (ZERO, ONE))]
-    return [OperatorSpec(algebra, shift, *part, parity) for part, keep in zip(parts, nonzero) if keep]
+    return [(k, OperatorSpec(algebra, shift, *part, parity))
+            for (k, *part), keep in zip(parts, nonzero) if keep]
+
+
+_LABELS = (0, 2, -2, 3, -3)  # the oracle's L_0, then L_m and L_-m for m = 2 and m = 3
 
 
 @lru_cache(maxsize=512)  # shapes hold no M: a few per family and truncation
-def _vacuum_form(trunc: Truncation, *shapes: tuple) -> tuple:
-    """(entries, den): as integers over one den, the vacuum entries <0|P|0> of
-    the parts of one shape, or <0|[P, Q]|0> of each pair of parts of two, in
-    the order of itertools.product."""
-    tables = [Commutator(*ps, trunc) if len(ps) == 2 else row_table(*ps, trunc)
-              for ps in product(*map(_parts, shapes))]
-    den = math.lcm(*[t.den for t in tables])
-    return [dict(t.row(v)).get(v, 0) * (den // t.den) for t in tables for v in [t.state_id(VACUUM)]], den
+def _vacuum_form(trunc: Truncation, unit: Algebra, *shapes: tuple) -> tuple:
+    """The forms of <0|L_0|0>, <0|[L_2, L_-2]|0> and <0|[L_3, L_-3]|0> over unit, for the shapes
+    of the _LABELS: each (terms, den), a term (entry, k // 2, i) or (entry, k // 2, i, j) for each
+    nonzero <0|P_i|0> or <0|[P_i, Q_j]|0> of k modes (none of odd k), with i and j numbering the
+    parts of all five shapes in order."""
+    numbering = count()
+    parts = [[(next(numbering), k, part) for k, part in _parts(unit, shape)] for shape in shapes]
+    forms = []
+    for group in (parts[:1], parts[1:3], parts[3:]):
+        tables = [(Commutator(*ps, trunc) if len(ps) == 2 else row_table(*ps, trunc), sum(ks) // 2, positions)
+                  for positions, ks, ps in (zip(*pairs) for pairs in product(*group))]
+        den = math.lcm(*[t.den for t, _, _ in tables])
+        forms.append((tuple([(e * (den // t.den), power, *positions) for t, power, positions in tables
+                             for v in [t.state_id(VACUUM)] for e in [dict(t.row(v)).get(v, 0)] if e]), den))
+    return tuple(forms)
 
 
 def _bracket_scale(algebra: Algebra, unit: Algebra) -> tuple:
@@ -166,31 +183,24 @@ def _bracket_scale(algebra: Algebra, unit: Algebra) -> tuple:
     return p, q
 
 
-def _vacuum_entry(trunc: Truncation, unit: Algebra, *ops: OperatorSpec) -> tuple:
-    """(n, den): <0|A|0> of one spec or <0|[A, B]|0> of two, as n/den, from the cached form of their
-    shapes and their slots, each entry of k modes times s^(k/2): s per kernel slot and per linear
-    slot of A alone, since half a part's modes rounded up in A and down in B sum to k/2."""
-    if ops[-1].algebra != ops[0].algebra:
-        raise AlgebraMismatchError("commutator of operators over different algebras")
-    s = _bracket_scale(ops[0].algebra, unit)
-    shapes, slots, dens = zip(*[_split(op, unit, (1, 1) if i else s, s) for i, op in enumerate(ops)])
-    entries, den = _vacuum_form(trunc, *shapes)
-    return sum(e * math.prod(xs) for e, xs in zip(entries, product(*slots)) if e), den * math.prod(dens)
-
-
 def extract_central_charge(params: ScenarioParams) -> Fraction:
     """Central charge measured on the vacuum; the independent oracle."""
     require_oracle_caps(params)
-    M, lam, trunc = params.M, params.lam, params.trunc
-    build, unit = params.generators.build, params.generators.algebra(ONE)
-    g, g_den = _vacuum_entry(trunc, unit, build(0, M, lam))
+    M, lam, generators = params.M, params.lam, params.generators
+    ops, unit = [generators.build(m, M, lam) for m in _LABELS], generators.algebra(ONE)
+    shapes, x, den = _split(ops)
+    # an entry of k = 2h modes is s^h times unit's, s = p/q: w[h] is s^h over q^2
+    p, q = _bracket_scale(ops[0].algebra, unit)
+    (g_terms, g_den), *pairs = _vacuum_form(params.trunc, unit, *shapes)
+    w = (q * q, p * q, p * p)
+    g, g_den = sum(e * w[h] * x[i] for e, h, i in g_terms), g_den * den * q * q
 
-    def c_at(m: int) -> tuple:
+    def c_at(m: int, terms: tuple, f_den: int) -> tuple:
         # c = -12 (f + 2 m g) / (m^3 - m) as an integer pair, with f and g integers over their dens
-        f, f_den = _vacuum_entry(trunc, unit, build(m, M, lam), build(-m, M, lam))
+        f, f_den = sum(e * w[h] * x[i] * x[j] for e, h, i, j in terms), f_den * den * den * q * q
         return -12 * (f * g_den + 2 * m * g * f_den), f_den * g_den * (m ** 3 - m)
 
-    (n2, d2), (n3, d3) = c_at(2), c_at(3)
+    (n2, d2), (n3, d3) = c_at(2, *pairs[0]), c_at(3, *pairs[1])
     if n2 * d3 != n3 * d2:
         raise OracleInconsistencyError(params.family, Fraction(n2, d2), Fraction(n3, d3))
     return Fraction(n2, d2)

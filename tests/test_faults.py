@@ -111,13 +111,17 @@ def test_one_kernel_alpha_off(monkeypatch):
     assert {"virasoro[m=2,n=-1]", "virasoro[m=-1,n=2]", "christoffel[m=1,n=1]"} <= _failed(reports)
 
 
+def _doubled_at(monkeypatch, family, k):
+    real = operators.FAMILIES[family].build
+    _replace_family(monkeypatch, family, build=lambda m, M, lam: (2 if m == k else 1) * real(m, M, lam))
+
+
 @pytest.mark.parametrize("family", sorted(operators.FAMILIES))
 @pytest.mark.parametrize("k", [-2, 1])
 def test_doubled_generator_fails_mirror_reports_together(monkeypatch, family, k):
     # [L_n, L_m] = -[L_m, L_n] and [L_m, L_m] = 0 whatever L_k is, so a
     # fault fails virasoro[m=a,n=b] and virasoro[m=b,n=a] together, never m = n
-    real = operators.FAMILIES[family].build
-    _replace_family(monkeypatch, family, build=lambda m, M, lam: (2 if m == k else 1) * real(m, M, lam))
+    _doubled_at(monkeypatch, family, k)
     M, lam = Fraction(2, 3), Fraction(-5, 4)
     params = ScenarioParams(family, M, lam, default_truncation(family, 4, 2), 2)
     failed = {tuple(map(int, re.fullmatch(r"virasoro\[m=(-?\d+),n=(-?\d+)\]", name).groups()))
@@ -166,13 +170,59 @@ def test_fermion_L0_constant_dropped(monkeypatch):
     assert (c_formula, c_oracle) == (Fraction(2, 3), Fraction(5, 9))
 
 
+def _sweep_one_point(capsys, tmp_path, family, M, lam):
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"{M} {lam}\n")
+    code = cli.main(["--scenario", family, "--sweep", str(grid)])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
 def test_inconsistent_oracle_ends_a_sweep_with_an_error(monkeypatch, capsys, tmp_path):
     _drop_fermion_L0_constant(monkeypatch)
-    grid = tmp_path / "grid.txt"
-    grid.write_text("0 1/3\n")
-    assert cli.main(["--scenario", "fermion-unconstrained", "--sweep", str(grid)]) == 1
-    out = capsys.readouterr()
-    assert (out.out, out.err) == ("", f"error: {INCONSISTENT}\n")
+    assert _sweep_one_point(capsys, tmp_path, "fermion-unconstrained", 0, Fraction(1, 3)) == (
+        1, "", f"error: {INCONSISTENT}\n")
+
+
+@pytest.mark.parametrize("family", sorted(operators.FAMILIES))
+@pytest.mark.parametrize("k", [2, -2, 3, -3])
+def test_doubled_oracle_generator_moves_only_its_own_side(monkeypatch, capsys, tmp_path, family, k):
+    # the oracle reads L_k only in <0|[L_m, L_-m]|0> with m = |k|: doubled, it moves
+    # that side off the closed form, the other side still gives it, and the sweep
+    # ends in an error; each generator of the two pairs reaches the verdict through
+    # its own slot positions in the cached forms
+    _doubled_at(monkeypatch, family, k)
+    M, lam = Fraction(2), Fraction(1, 3)
+    code, out, err = _sweep_one_point(capsys, tmp_path, family, M, lam)
+    c2, c3 = map(Fraction, re.fullmatch(
+        rf"error: {family}: m=2 gives c=(\S+) but m=3 gives c=(\S+); truncation soundness is broken\n",
+        err).groups())
+    off, on = (c2, c3) if abs(k) == 2 else (c3, c2)
+    c = claimed_central_charge(family, M, lam)
+    assert (code, out, on) == (1, "", c) and off != c
+
+
+@pytest.mark.parametrize("family", sorted(operators.FAMILIES))
+def test_doubled_L0_is_seen_only_where_its_vacuum_value_is_nonzero(monkeypatch, capsys, tmp_path, family):
+    # the named exception of the test above: the oracle reads L_0 only as
+    # <0|L_0|0>, which is 0 in every family but fermion-unconstrained, so there
+    # alone a doubled L_0 moves both sides, by -8 and -3 times that value
+    _doubled_at(monkeypatch, family, 0)
+    M, lam = Fraction(2), Fraction(1, 3)
+    code, out, err = _sweep_one_point(capsys, tmp_path, family, M, lam)
+    c = claimed_central_charge(family, M, lam)
+    if family == "fermion-unconstrained":
+        assert (code, out) == (1, "") and "m=2 gives c=" in err
+    else:
+        assert (code, out, err) == (0, f"M={M} lambda={lam} c_formula={c} c_oracle={c} match\n", "")
+
+
+def test_oracle_generators_over_different_algebras(monkeypatch):
+    # L_-2 of another M is over another reduced boson algebra: no form is read
+    real = operators.FAMILIES["boson-reduced"].build
+    _replace_family(monkeypatch, "boson-reduced", build=lambda m, M, lam: real(m, M + (m == -2), lam))
+    with pytest.raises(algebra.AlgebraMismatchError, match="over different algebras"):
+        verify.extract_central_charge(ScenarioParams("boson-reduced", Fraction(2), Fraction(1, 3)))
 
 
 @pytest.mark.parametrize("family,M,lam,doubling_fails", [

@@ -164,11 +164,9 @@ def test_a_perturbed_form_entry_fails_the_sweep(monkeypatch, capsys, tmp_path, f
     # closed form, which m = 3 still gives, so the sweep ends in an error
     real = verify._vacuum_form
 
-    def perturbed(trunc, *shapes):
-        entries, den = real(trunc, *shapes)
-        if len(shapes) == 2 and shapes[0][1] == 2:  # the form of [L_2, L_-2]
-            entries = [entries[0] + 1, *entries[1:]]
-        return entries, den
+    def perturbed(trunc, unit, *shapes):
+        g, (((entry, *positions), *terms), den), f3 = real(trunc, unit, *shapes)  # g, [L_2, L_-2], [L_3, L_-3]
+        return [g, ([(entry + 1, *positions), *terms], den), f3]
 
     monkeypatch.setattr(verify, "_vacuum_form", perturbed)
     family, M, lam = "boson-unconstrained", Fraction(5), Fraction(2)
