@@ -267,11 +267,16 @@ def _fermion_c(M: Fraction, lam: Fraction) -> Fraction:
     return Fraction(-2 * (q * q - 6 * p * q + 6 * p * p), q * q)
 
 
-class PrimaryLaws(NamedTuple):
-    """[G_m, x[n]] = coefficient(m, n, lam) x[m+n] for each listed mode kind x."""
+class Law(NamedTuple):
+    """[G_m, x[n]] = coefficient(m, n, lam) x[m+n] + anomaly(m, M, lam) delta(m+n) for the modes x of
+    one kind; G_m is the family's L_m (build_L) unless generator is set, and a target mode the
+    algebra lacks (the reduced boson has no a†[0]) leaves only the anomaly."""
 
-    generator: Callable  # (m, M, lam) -> G_m
-    modes: tuple  # ((kind, coefficient), ...)
+    prefix: str  # of its report names, e.g. "primary[b†," or "christoffel["
+    kind: FieldKind
+    coefficient: Callable  # (m, n, lam)
+    anomaly: Callable | None = None  # (m, M, lam)
+    generator: Callable | None = None  # (m, M, lam) -> G_m
 
 
 class GeneratorFamily(NamedTuple):
@@ -280,11 +285,7 @@ class GeneratorFamily(NamedTuple):
     algebra: Callable  # M -> Algebra
     build: Callable  # (m, M, lam) -> L_m, arguments already exact
     central_charge: Callable  # (M, lam) -> the closed-form c claimed for it
-    primary_laws: PrimaryLaws | None = None
-    # (m, M, lam) -> the anomaly of [L_m, a†[-m]] in the Christoffel law
-    # [L_m, a†[n]] = n a†[m+n] + anomaly delta(m+n), checked on the reduced
-    # module and through the Dirac bracket of the unconstrained boson
-    christoffel_anomaly: Callable | None = None
+    laws: tuple = ()  # the Laws its generators obey on the surviving modes
 
 
 FAMILIES = {
@@ -293,19 +294,18 @@ FAMILIES = {
         lambda M, lam: _boson_c(2, M, lam),
         # lambda and M enter only through the linear part, which commutes
         # with the modes up to scalars, so the laws are stated for K_m
-        PrimaryLaws(lambda m, M, lam: build_K(m),
-                    ((FieldKind.A, lambda m, n, lam: m + n),
-                     (FieldKind.ADAG, lambda m, n, lam: n)))),
+        (Law("primary[a,", FieldKind.A, lambda m, n, lam: m + n, generator=lambda m, M, lam: build_K(m)),
+         Law("primary[a†,", FieldKind.ADAG, lambda m, n, lam: n, generator=lambda m, M, lam: build_K(m)))),
     "boson-reduced": GeneratorFamily(
         reduced_boson, _reduced_boson_L,
         lambda M, lam: _boson_c(1, M, lam),
-        christoffel_anomaly=lambda m, M, lam: -M * lam * m * (m + 1)),
+        # the Christoffel law, also checked through the Dirac bracket of the unconstrained boson
+        (Law("christoffel[", FieldKind.RED_ADAG, lambda m, n, lam: n, lambda m, M, lam: -M * lam * m * (m + 1)),)),
     "fermion-unconstrained": GeneratorFamily(
         lambda M: FERMION, _fermion_L,
         _fermion_c,
-        PrimaryLaws(_fermion_L,
-                    ((FieldKind.B, lambda m, r, lam: (1 - lam) * m + r),
-                     (FieldKind.BDAG, lambda m, r, lam: lam * m + r)))),
+        (Law("primary[b,", FieldKind.B, lambda m, r, lam: (1 - lam) * m + r),
+         Law("primary[b†,", FieldKind.BDAG, lambda m, r, lam: lam * m + r))),
     "fermion-reduced": GeneratorFamily(
         lambda M: REDUCED_FERMION, _reduced_fermion_L,
         lambda M, lam: Fraction(1, 2)),

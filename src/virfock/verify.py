@@ -25,7 +25,9 @@ The family checks and the oracle run on integer rows by state id.  Each
 check states its identity as data, a left-hand table equal to a sum of
 coefficients times tables plus a constant times the identity, and _law
 compares both sides on every probe state id as integer rows over one
-denominator; only a failure's residual is a Fraction.
+denominator; only a failure's residual is a Fraction.  check_laws is one
+loop over the family's law table (operators.Law), whose reduced a† laws it
+also checks through the Dirac bracket.
 The Virasoro check composes each pair of generators once and reads the
 mirror report's rows from it negated, yet compares every report's own
 right-hand side on every probe.
@@ -40,8 +42,8 @@ from functools import lru_cache
 from itertools import count, product
 from types import SimpleNamespace
 
-from .algebra import (Algebra, AlgebraMismatchError, BOSON, Frozen, Mode, ONE, VirfockError, ZERO, adag,
-                      format_rational, red_adag)
+from .algebra import (Algebra, AlgebraMismatchError, BOSON, FieldKind, Frozen, Mode, ONE, VirfockError, ZERO, adag,
+                      format_rational)
 from .dirac import dirac_transform_adagger
 from .fock import Truncation, VACUUM, accumulate, enumerate_basis
 from .fock import _apply_to_basis as mode_table
@@ -291,65 +293,37 @@ def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
     return [reports[m, n] for m in range(-R, R + 1) for n in range(-R, R + 1)]
 
 
-def check_primary_laws(params: ScenarioParams) -> list:
-    """Mode transformation laws [G_m, phi_n] = ((1-h)m + n) phi_{m+n}.
-
-    G_m and the modes phi are the family's stated primary laws; families
-    without them get no reports.
+def check_laws(params: ScenarioParams) -> list:
+    """The family's laws [G_m, x[n]] = coeff x[m+n] + anomaly delta(m+n), one report per
+    (m, law, n) in that order, over every doubled index of the law's kind in [-2R, 2R] but a
+    zero mode the algebra lacks.  Each reduced a† law is cross-checked right after its report
+    through the Dirac bracket of the unconstrained boson, where a†[m+n] stays only if the
+    reduced module has it.
     """
-    laws = params.generators.primary_laws
-    if laws is None:
-        return []
-    trunc, R = params.trunc, params.m_range
-    algebra = params.algebra
-    reports = []
-    for m in range(-R, R + 1):
-        gen = laws.generator(m, params.M, params.lam)
-        for kind, coeff_fn in laws.modes:
-            start = -2 * R + 1 if kind.half_integer_moded else -2 * R
-            for two in range(start, 2 * R + 1, 2):
-                x = Mode(kind, two)
-                target = Mode(kind, two + 2 * m)
-                idx = x.index
-                coeff = Fraction(coeff_fn(m, idx, params.lam))
-                comm = Commutator(gen, mode_operator(algebra, x), trunc)
-                sides = _law(comm, [(coeff, mode_table(algebra, target, trunc))])
-                reports.append(_probe(f"primary[{kind.symbol},m={m},n={idx}]",
-                                      f"{format_rational(coeff)}·{target}", params, comm.probes, sides))
-    return reports
-
-
-def check_christoffel(params: ScenarioParams) -> list:
-    """Reduced-boson transformation [L_m, a†[n]] = n a†[m+n] + anomaly delta(m+n).
-
-    Checked on the reduced Fock module (a†[0] terms skipped) and
-    cross-checked against the Dirac-bracket machinery route, for the
-    families that state a Christoffel anomaly.
-    """
-    anomaly_fn = params.generators.christoffel_anomaly
-    if anomaly_fn is None:
-        return []
-    trunc, R = params.trunc, params.m_range
-    algebra = params.algebra
+    trunc, R, algebra = params.trunc, params.m_range, params.algebra
     M, lam = params.M, params.lam
     reports = []
     for m in range(-R, R + 1):
-        lm = build_L(params.family, m, M, lam)
-        for n in [k for k in range(-R, R + 1) if k != 0]:
-            anomaly = Fraction(anomaly_fn(m, M, lam)) if m + n == 0 else ZERO
-            comm = Commutator(lm, mode_operator(algebra, red_adag(n)), trunc)
-            # the reduced module has no a†[0]: at m + n = 0 only the anomaly is left
-            phi = [(n, mode_table(algebra, red_adag(m + n), trunc))] if m + n else []
-            reports.append(_probe(f"christoffel[m={m},n={n}]",
-                                  f"{n}·a†[{m + n}]" if m + n else format_rational(anomaly), params,
-                                  comm.probes, _law(comm, phi, anomaly)))
-            # independent route through the Dirac bracket of the unconstrained form
-            via_dirac = dirac_transform_adagger(m, n, M, lam)
-            expected = linear_operator(
-                BOSON, {adag(m + n): n} if m + n != 0 else {},
-                constant=anomaly, shift=Fraction(m + n), parity=0)
-            reports.append(report(f"christoffel_dirac[m={m},n={n}]", via_dirac == expected,
-                                  str(expected), str(via_dirac)))
+        for law in params.generators.laws:
+            gen = law.generator(m, M, lam) if law.generator else build_L(params.family, m, M, lam)
+            for two in range(-2 * R + law.kind.half_integer_moded, 2 * R + 1, 2):
+                if not (two or algebra.has_zero_modes):
+                    continue
+                x, target = Mode(law.kind, two), Mode(law.kind, two + 2 * m)
+                n, kept = x.index, bool(target.two) or algebra.has_zero_modes
+                coeff = Fraction(law.coefficient(m, n, lam))
+                anomaly = Fraction(law.anomaly(m, M, lam)) if law.anomaly and not target.two else ZERO
+                comm = Commutator(gen, mode_operator(algebra, x), trunc)
+                rhs = [(coeff, mode_table(algebra, target, trunc))] if kept else []
+                text = [f"{format_rational(coeff)}·{target}"] * kept + [format_rational(anomaly)] * bool(anomaly)
+                reports.append(_probe(f"{law.prefix}m={m},n={n}]", " + ".join(text).replace("+ -", "- ") or "0",
+                                      params, comm.probes, _law(comm, rhs, anomaly)))
+                if law.kind is FieldKind.RED_ADAG:
+                    via_dirac = dirac_transform_adagger(m, n, M, lam)
+                    want = linear_operator(BOSON, {adag(target.index): coeff} if kept else {},
+                                           constant=anomaly, shift=target.index, parity=0)
+                    reports.append(report(f"christoffel_dirac[m={m},n={n}]", via_dirac == want,
+                                          str(want), str(via_dirac)))
     return reports
 
 
@@ -420,8 +394,7 @@ def run_family_scenario(params: ScenarioParams):
         c_oracle, ok, got = exc.c2, False, str(exc)
     reports = [report("central_charge", ok, format_rational(c_formula), got)]
     reports += check_virasoro_relation(params, c_formula)
-    reports += check_primary_laws(params)
-    reports += check_christoffel(params)
+    reports += check_laws(params)
     reports += check_jacobi(params)
     reports += check_window_doubling(params)
     return reports, c_formula, c_oracle

@@ -69,23 +69,21 @@ def test_central_charge_off_by_a_twelfth(monkeypatch):
 
 def test_one_primary_law_coefficient_off_by_one(monkeypatch):
     # [L_1, b†[1/2]] = (lam + 1/2) b†[3/2]; only that law reads the changed value
-    laws = operators.FAMILIES["fermion-unconstrained"].primary_laws
-    (b_kind, b_coeff), (bdag_kind, bdag_coeff) = laws.modes
+    b_law, bdag_law = operators.FAMILIES["fermion-unconstrained"].laws
 
     def off(m, r, lam):
-        return bdag_coeff(m, r, lam) + (1 if (m, r) == (1, H) else 0)
+        return bdag_law.coefficient(m, r, lam) + (1 if (m, r) == (1, H) else 0)
 
-    _replace_family(monkeypatch, "fermion-unconstrained",
-                    primary_laws=laws._replace(modes=((b_kind, b_coeff), (bdag_kind, off))))
+    _replace_family(monkeypatch, "fermion-unconstrained", laws=(b_law, bdag_law._replace(coefficient=off)))
     reports, _, _ = run_family_scenario(small_params("fermion-unconstrained", 0, Fraction(1, 3)))
     assert _failed(reports) == {"primary[b†,m=1,n=1/2]"}
 
 
 def test_christoffel_anomaly_off(monkeypatch):
     # the anomaly enters only the n = -m rows, on both the Fock and the Dirac route
-    real = operators.FAMILIES["boson-reduced"].christoffel_anomaly
+    (law,) = operators.FAMILIES["boson-reduced"].laws
     _replace_family(monkeypatch, "boson-reduced",
-                    christoffel_anomaly=lambda m, M, lam: real(m, M, lam) + 1)
+                    laws=(law._replace(anomaly=lambda m, M, lam: law.anomaly(m, M, lam) + 1),))
     reports, _, _ = run_family_scenario(small_params("boson-reduced", 1, 1))
     assert _failed(reports) == {f"christoffel{route}[m={k},n={-k}]"
                                 for route in ("", "_dirac") for k in (-2, -1, 1, 2)}
@@ -114,6 +112,17 @@ def test_one_kernel_alpha_off(monkeypatch):
 def _doubled_at(monkeypatch, family, k):
     real = operators.FAMILIES[family].build
     _replace_family(monkeypatch, family, build=lambda m, M, lam: (2 if m == k else 1) * real(m, M, lam))
+
+
+def test_doubled_generator_reaches_the_primary_laws(monkeypatch):
+    # the laws read L_m through the family's build, so a fault injected there fails every
+    # [L_1, b[r]] and [L_1, b†[r]] law as well as the Virasoro reports that compose L_1
+    _doubled_at(monkeypatch, "fermion-unconstrained", 1)
+    reports, _, _ = run_family_scenario(small_params("fermion-unconstrained", 0, Fraction(1, 3)))
+    failed = _failed(reports)
+    assert {r for r in failed if r.startswith("primary")} == {
+        f"primary[{s},m=1,n={Fraction(t, 2)}]" for s in ("b", "b†") for t in (-3, -1, 1, 3)}
+    assert len(failed) == 16
 
 
 @pytest.mark.parametrize("family", sorted(operators.FAMILIES))

@@ -17,9 +17,8 @@ from virfock.dirac import run_dirac_checks
 from virfock.cli import main
 from virfock.verify import (
     ScenarioParams,
-    check_christoffel,
     check_jacobi,
-    check_primary_laws,
+    check_laws,
     check_virasoro_relation,
     check_window_doubling,
     claimed_central_charge,
@@ -227,12 +226,21 @@ def test_virasoro_self_consistency_with_oracle_charge():
     assert all(r.status == "pass" for r in check_virasoro_relation(params, c))
 
 
-def test_primary_laws_pass():
-    for family, M, lam in [("boson-unconstrained", 1, H),
-                           ("fermion-unconstrained", 0, Fraction(1, 3))]:
-        reports = check_primary_laws(small_params(family, M, lam))
-        assert reports and all(r.status == "pass" for r in reports)
-    assert check_primary_laws(small_params("fermion-reduced")) == []
+_LAW_POINTS = {"boson-unconstrained": (1, H), "boson-reduced": (1, 1),
+               "fermion-unconstrained": (0, Fraction(1, 3)), "fermion-reduced": (1, H)}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_laws_pass(family):
+    # one report per (m, law, n): 2R+1 labels of an integer-moded kind with zero modes, else 2R,
+    # and a Dirac-route report after each reduced a† one; fermion-reduced states no law
+    params = small_params(family, *_LAW_POINTS[family])
+    R, zero_modes = params.m_range, params.algebra.has_zero_modes
+    reports = check_laws(params)
+    assert len(reports) == sum((2 * R + 1) * (2 * R + (zero_modes and not law.kind.half_integer_moded))
+                               * (2 if law.kind is FieldKind.RED_ADAG else 1) for law in FAMILIES[family].laws)
+    assert all(r.status == "pass" for r in reports)
+    assert (reports == []) == (family == "fermion-reduced")
 
 
 def test_primary_law_spot_value():
@@ -245,13 +253,6 @@ def test_primary_law_spot_value():
                       Truncation(Fraction(9, 2)))
     got = {comm.basis[j]: Fraction(n, comm.den) for j, n in comm.row(comm.state_id(VACUUM))}
     assert got == {BasisState((bdag(Fraction(5, 2)),)): Fraction(7, 6)}
-
-
-def test_christoffel_checks():
-    params = small_params("boson-reduced", 1, 1)
-    reports = check_christoffel(params)
-    assert reports and all(r.status == "pass" for r in reports)
-    assert check_christoffel(small_params("fermion-reduced")) == []
 
 
 def test_jacobi_spot_check():
@@ -380,9 +381,9 @@ def test_law_failures_show_the_residual(monkeypatch):
     fermion = small_params("fermion-unconstrained", 0, lam)
     boson = small_params("boson-reduced", 1, 1)
     cases = [
-        (check_primary_laws(fermion), "primary[b,m=1,n=1/2]", fermion,
+        (check_laws(fermion), "primary[b,m=1,n=1/2]", fermion,
          build_L("fermion-unconstrained", 1, 0, lam), mode_operator(FERMION, b(H))),
-        (check_christoffel(boson), "christoffel[m=1,n=1]", boson,
+        (check_laws(boson), "christoffel[m=1,n=1]", boson,
          build_L("boson-reduced", 1, 1, 1), mode_operator(boson.algebra, red_adag(1))),
     ]
     for reports, name, params, gen, xop in cases:
