@@ -203,12 +203,6 @@ def mode_operator(algebra: Algebra, x: Mode) -> OperatorSpec:
     return linear_operator(algebra, {x: 1})
 
 
-def build_K(m: int) -> OperatorSpec:
-    """sum_r r :a†[m-r] a[r]: over the unconstrained boson algebra."""
-    term = BilinearTerm(FieldKind.ADAG, FieldKind.A, int(m), ZERO, Fraction(1))
-    return OperatorSpec(BOSON, Fraction(m), (term,))
-
-
 @lru_cache(maxsize=512)  # as reduced_boson
 def _reduced_boson_kernel(M: Fraction) -> tuple:
     return reduced_boson(M), Fraction(M.denominator, M.numerator)  # the algebra and 1/M; raises for M = 0
@@ -268,15 +262,14 @@ def _fermion_c(M: Fraction, lam: Fraction) -> Fraction:
 
 
 class Law(NamedTuple):
-    """[G_m, x[n]] = coefficient(m, n, lam) x[m+n] + anomaly(m, M, lam) delta(m+n) for the modes x of
-    one kind; G_m is the family's L_m (build_L) unless generator is set, and a target mode the
-    algebra lacks (the reduced boson has no a†[0]) leaves only the anomaly."""
+    """[L_m, x[n]] = coefficient(m, n, lam) x[m+n] + anomaly(m, M, lam) delta(m+n) for the family's
+    own L_m and the modes x of one kind; a target mode the algebra lacks (the reduced boson has no
+    a†[0]) leaves only the anomaly."""
 
     prefix: str  # of its report names, e.g. "primary[b†," or "christoffel["
     kind: FieldKind
     coefficient: Callable  # (m, n, lam)
     anomaly: Callable | None = None  # (m, M, lam)
-    generator: Callable | None = None  # (m, M, lam) -> G_m
 
 
 class GeneratorFamily(NamedTuple):
@@ -292,10 +285,9 @@ FAMILIES = {
     "boson-unconstrained": GeneratorFamily(
         lambda M: BOSON, _boson_L,
         lambda M, lam: _boson_c(2, M, lam),
-        # lambda and M enter only through the linear part, which commutes
-        # with the modes up to scalars, so the laws are stated for K_m
-        (Law("primary[a,", FieldKind.A, lambda m, n, lam: m + n, generator=lambda m, M, lam: build_K(m)),
-         Law("primary[a†,", FieldKind.ADAG, lambda m, n, lam: n, generator=lambda m, M, lam: build_K(m)))),
+        # the linear part lam(m+1)(a†[m] + M m a[m]) brackets the modes to scalars at n = -m
+        (Law("primary[a,", FieldKind.A, lambda m, n, lam: m + n, lambda m, M, lam: lam * (m + 1)),
+         Law("primary[a†,", FieldKind.ADAG, lambda m, n, lam: n, lambda m, M, lam: -M * lam * m * (m + 1)))),
     "boson-reduced": GeneratorFamily(
         reduced_boson, _reduced_boson_L,
         lambda M, lam: _boson_c(1, M, lam),

@@ -21,13 +21,15 @@ once per point), an entry of k modes, a sum of products of k/2 brackets (none
 for odd k), is s^(k/2) times the M = 1 entry.  A point stays in integers up to
 a single Fraction.
 
-The family checks and the oracle run on integer rows by state id.  Each
-check states its identity as data, a left-hand table equal to a sum of
-coefficients times tables plus a constant times the identity, and _law
-compares both sides on every probe state id as integer rows over one
-denominator; only a failure's residual is a Fraction.  check_laws is one
-loop over the family's law table (operators.Law), whose reduced a† laws it
-also checks through the Dirac bracket.
+The other family checks and the oracle run on integer rows by state id.  Each
+check states its identity as data, a left-hand table equal to a coefficient
+times a table plus a constant times the identity, and _law compares both
+sides on every probe state id as integer rows over one denominator; only a
+failure's residual is a Fraction.  check_laws is one loop over the family's
+law table (operators.Law): each law has a linear right side, so it is proved
+as one identity of OperatorSpecs through commutator_with_linear, on the whole
+module with no truncation and no probe state, and each reduced a† law is also
+checked through the Dirac bracket.
 The Virasoro check composes each pair of generators once and reads the
 mirror report's rows from it negated, yet compares every report's own
 right-hand side on every probe.
@@ -46,13 +48,13 @@ from .algebra import (Algebra, AlgebraMismatchError, BOSON, FieldKind, Frozen, M
                       format_rational)
 from .dirac import dirac_transform_adagger
 from .fock import Truncation, VACUUM, accumulate, enumerate_basis
-from .fock import _apply_to_basis as mode_table
 from .operators import (
     BilinearTerm,
     Commutator,
     GeneratorFamily,
     OperatorSpec,
     build_L,
+    commutator_with_linear,
     generator_family,
     linear_operator,
     mode_operator,
@@ -233,27 +235,20 @@ def _probe(name, expected, params, probes, sides, got="as expected", show=None):
     return report(name, True, expected, got)
 
 
-def _law(lhs, terms, constant=ZERO):
-    """sides(i) for _probe of the identity lhs = sum of c·table + constant·1.
+def _law(lhs, c, table, constant=ZERO):
+    """sides(i) for _probe of the identity lhs = c·table + constant·1.
 
-    lhs and each table of terms, a sequence of (c, table) with c rational,
-    give integer rows by state id over their own den.  Both sides are scaled
-    once to the lcm of every denominator, so each probe adds and multiplies
-    integers only.
+    lhs and table give integer rows by state id over their own den, and c is
+    rational.  Both sides are scaled once to the lcm of every denominator, so
+    each probe adds and multiplies integers only.
     """
-    constant = Fraction(constant)
-    terms = [(Fraction(c), table) for c, table in terms]
-    top = math.lcm(lhs.den, constant.denominator,
-                   *(c.denominator * table.den for c, table in terms))
-    s_lhs = top // lhs.den
-    scaled = [(c.numerator * (top // (c.denominator * table.den)), table)
-              for c, table in terms if c]
+    c, constant = Fraction(c), Fraction(constant)
+    top = math.lcm(lhs.den, c.denominator * table.den, constant.denominator)
+    s_lhs, s_table = top // lhs.den, c.numerator * (top // (c.denominator * table.den))
     s_constant = constant.numerator * (top // constant.denominator)
 
     def sides(i):
-        rhs = {}
-        for s, table in scaled:
-            accumulate(rhs, table.row(i), s)
+        rhs = accumulate({}, table.row(i), s_table) if s_table else {}
         if s_constant:
             accumulate(rhs, ((i, s_constant),))
         return {j: s_lhs * n for j, n in lhs.row(i)}, rhs, top
@@ -278,7 +273,7 @@ def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
     def law(m, n, den, row, probes):
         lmn = row_table(gens[m + n], trunc)
         central = c_expected * Fraction(m ** 3 - m, 12) if m + n == 0 else ZERO
-        sides = _law(SimpleNamespace(den=den, row=row), [(n - m, lmn)], -central)
+        sides = _law(SimpleNamespace(den=den, row=row), n - m, lmn, -central)
         return _probe(f"virasoro[m={m},n={n}]", "0", params, probes, sides, got="0")
 
     reports = {}
@@ -294,18 +289,18 @@ def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
 
 
 def check_laws(params: ScenarioParams) -> list:
-    """The family's laws [G_m, x[n]] = coeff x[m+n] + anomaly delta(m+n), one report per
+    """The family's laws [L_m, x[n]] = coeff x[m+n] + anomaly delta(m+n), one report per
     (m, law, n) in that order, over every doubled index of the law's kind in [-2R, 2R] but a
-    zero mode the algebra lacks.  Each reduced a† law is cross-checked right after its report
-    through the Dirac bracket of the unconstrained boson, where a†[m+n] stays only if the
-    reduced module has it.
+    zero mode the algebra lacks.  Each is one identity of linear specs on the whole module: the
+    bracket computed by commutator_with_linear against the right side, which is its got on a
+    failure.  Each reduced a† law is cross-checked right after its report through the Dirac
+    bracket of the unconstrained boson, where a†[m+n] stays only if the reduced module has it.
     """
-    trunc, R, algebra = params.trunc, params.m_range, params.algebra
-    M, lam = params.M, params.lam
+    R, algebra, M, lam = params.m_range, params.algebra, params.M, params.lam
     reports = []
     for m in range(-R, R + 1):
+        gen = build_L(params.family, m, M, lam)
         for law in params.generators.laws:
-            gen = law.generator(m, M, lam) if law.generator else build_L(params.family, m, M, lam)
             for two in range(-2 * R + law.kind.half_integer_moded, 2 * R + 1, 2):
                 if not (two or algebra.has_zero_modes):
                     continue
@@ -313,11 +308,13 @@ def check_laws(params: ScenarioParams) -> list:
                 n, kept = x.index, bool(target.two) or algebra.has_zero_modes
                 coeff = Fraction(law.coefficient(m, n, lam))
                 anomaly = Fraction(law.anomaly(m, M, lam)) if law.anomaly and not target.two else ZERO
-                comm = Commutator(gen, mode_operator(algebra, x), trunc)
-                rhs = [(coeff, mode_table(algebra, target, trunc))] if kept else []
+                want = linear_operator(algebra, {target: coeff} if kept else {}, constant=anomaly,
+                                       shift=target.index, parity=x.parity)
+                got = commutator_with_linear(gen, mode_operator(algebra, x))
                 text = [f"{format_rational(coeff)}·{target}"] * kept + [format_rational(anomaly)] * bool(anomaly)
-                reports.append(_probe(f"{law.prefix}m={m},n={n}]", " + ".join(text).replace("+ -", "- ") or "0",
-                                      params, comm.probes, _law(comm, rhs, anomaly)))
+                ok = got == want
+                reports.append(report(f"{law.prefix}m={m},n={n}]", ok, " + ".join(text).replace("+ -", "- ") or "0",
+                                      "as expected" if ok else got))
                 if law.kind is FieldKind.RED_ADAG:
                     via_dirac = dirac_transform_adagger(m, n, M, lam)
                     want = linear_operator(BOSON, {adag(target.index): coeff} if kept else {},
@@ -373,7 +370,7 @@ def check_window_doubling(params: ScenarioParams, probes: int = 100, seed: int =
     for m in labels:
         op = ops[m]
         wide = row_table(op, trunc, window=2 * (trunc.level_cap + abs(op.shift)))
-        laws[m] = _law(row_table(op, trunc), [(1, wide)])
+        laws[m] = _law(row_table(op, trunc), 1, wide)
 
     basis = enumerate_basis(params.algebra, trunc)
     return [_probe(f"window_doubling[{probes} probes]", "identical action", params, draws,

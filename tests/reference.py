@@ -5,10 +5,17 @@ algebra.paired_bracket, and the central charge through cached vacuum forms."""
 from fractions import Fraction
 from itertools import product
 
-from virfock.algebra import ONE, ZERO, Algebra, FieldKind, Mode, _doubled, paired_bracket, require_members
+from virfock.algebra import BOSON, ONE, ZERO, Algebra, FieldKind, Mode, _doubled, paired_bracket, require_members
 from virfock.fock import VACUUM
 from virfock.operators import BilinearTerm, Commutator, OperatorSpec, build_L, row_table
 from virfock.verify import OracleInconsistencyError, require_oracle_caps
+
+
+def build_K(m: int) -> OperatorSpec:
+    """sum_r r :a†[m-r] a[r]: over the unconstrained boson algebra, the part of
+    boson-unconstrained's L_m that holds neither M nor lambda."""
+    term = BilinearTerm(FieldKind.ADAG, FieldKind.A, int(m), ZERO, Fraction(1))
+    return OperatorSpec(BOSON, Fraction(m), (term,))
 
 
 def red_b(r) -> Mode:

@@ -382,18 +382,19 @@ def test_failed_check_exits_one(capsys):
 
 
 def test_empty_probe_sets_are_skipped_not_passed(capsys):
-    # at level 3 the pairs with max(0, m, n, m+n) > 3 have no safe state
+    # at level 3 the pairs with max(0, m, n, m+n) > 3 have no safe state; the laws are
+    # operator identities on the whole module and need none
     code, out, _ = run_cli(capsys, "--scenario", "boson-reduced", "--level", "3",
                            "--format", "json")
     assert code == 0
     doc = json.loads(out)
     skipped = [c["name"] for c in doc["checks"] if c["status"] == "skipped"]
-    assert doc["summary"]["skipped"] == len(skipped) == 12
-    assert sum(name.startswith("virasoro[") for name in skipped) == 6
-    assert sum(name.startswith("christoffel[") for name in skipped) == 6
+    assert doc["summary"]["skipped"] == len(skipped) == 6
+    assert all(name.startswith("virasoro[") for name in skipped)
+    assert any(c["name"].startswith("christoffel[") for c in doc["checks"])
     code, out, _ = run_cli(capsys, "--scenario", "boson-reduced", "--level", "3")
     assert code == 0
-    assert out.splitlines()[-1] == "summary: 124/136 passed, 0 failed, 12 skipped"
+    assert out.splitlines()[-1] == "summary: 130/136 passed, 0 failed, 6 skipped"
 
 
 def test_negative_rational_parameters_parse_in_both_spellings(capsys):

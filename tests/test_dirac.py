@@ -20,7 +20,6 @@ from virfock.algebra import (
     reduced_boson,
 )
 from virfock.operators import (
-    build_K,
     build_L,
     commutator_with_linear,
     linear_bracket,
@@ -46,7 +45,7 @@ from virfock.dirac import (
     verify_compatibility,
 )
 from virfock import dirac, verify
-from reference import canonical_bracket
+from reference import build_K, canonical_bracket
 
 H = Fraction(1, 2)
 HALF_LABELS = lambda n: [Fraction(t, 2) for t in range(-2 * n + 1, 2 * n, 2)]

@@ -80,7 +80,7 @@ def test_one_primary_law_coefficient_off_by_one(monkeypatch):
 
 
 def test_christoffel_anomaly_off(monkeypatch):
-    # the anomaly enters only the n = -m rows, on both the Fock and the Dirac route
+    # the anomaly enters only the n = -m rows, on both the operator and the Dirac route
     (law,) = operators.FAMILIES["boson-reduced"].laws
     _replace_family(monkeypatch, "boson-reduced",
                     laws=(law._replace(anomaly=lambda m, M, lam: law.anomaly(m, M, lam) + 1),))
@@ -89,21 +89,20 @@ def test_christoffel_anomaly_off(monkeypatch):
                                 for route in ("", "_dirac") for k in (-2, -1, 1, 2)}
 
 
+def _kernel_shifted(op, **by):
+    (term,) = op.bilinears
+    return OperatorSpec(op.algebra, op.shift, (term._replace(**{k: getattr(term, k) + v for k, v in by.items()}),),
+                        op.linear, op.constant, op.parity)
+
+
 def test_one_kernel_alpha_off(monkeypatch):
     # L_1 gains delta = (sum_r :a†[1-r]a†[r]:); the oracle never reads L_1, and
     # [L_2, L_-1] = -3 L_1 must now miss -3 delta, [L_1, a†[1]] must change
     family = "boson-reduced"
     real = operators.FAMILIES[family].build
 
-    def build(m, M, lam):
-        op = real(m, M, lam)
-        if m != 1:
-            return op
-        (term,) = op.bilinears
-        return OperatorSpec(op.algebra, op.shift, (term._replace(alpha=term.alpha + 1),),
-                            op.linear, op.constant, op.parity)
-
-    _replace_family(monkeypatch, family, build=build)
+    _replace_family(monkeypatch, family,
+                    build=lambda m, M, lam: _kernel_shifted(real(m, M, lam), alpha=1) if m == 1 else real(m, M, lam))
     reports, c_formula, c_oracle = run_family_scenario(small_params(family, 1, 1))
     assert c_formula == c_oracle
     assert {"virasoro[m=2,n=-1]", "virasoro[m=-1,n=2]", "christoffel[m=1,n=1]"} <= _failed(reports)
@@ -123,6 +122,30 @@ def test_doubled_generator_reaches_the_primary_laws(monkeypatch):
     assert {r for r in failed if r.startswith("primary")} == {
         f"primary[{s},m=1,n={Fraction(t, 2)}]" for s in ("b", "b†") for t in (-3, -1, 1, 3)}
     assert len(failed) == 16
+
+
+def _a_coefficient_doubled(op):
+    return OperatorSpec(op.algebra, op.shift, op.bilinears,
+                        tuple((x, 2 * c if x.kind is algebra.FieldKind.A else c) for x, c in op.linear),
+                        op.constant, op.parity)
+
+
+@pytest.mark.parametrize("mutant,only", [
+    (lambda op: 2 * op, None),
+    (lambda op: _kernel_shifted(op, alpha=1), None),
+    (lambda op: _kernel_shifted(op, beta=1), None),
+    # lam(m+1) M m a[m] brackets only a†[-m], to a scalar
+    (_a_coefficient_doubled, {"primary[a†,m=1,n=-1]"}),
+], ids=["doubled", "alpha+1", "beta+1", "a-coefficient-doubled"])
+def test_boson_L1_mutants_reach_the_primary_laws(monkeypatch, mutant, only):
+    # the laws are stated for the family's own L_m, linear part included
+    real = operators.FAMILIES["boson-unconstrained"].build
+    _replace_family(monkeypatch, "boson-unconstrained",
+                    build=lambda m, M, lam: mutant(real(m, M, lam)) if m == 1 else real(m, M, lam))
+    reports, _, _ = run_family_scenario(small_params("boson-unconstrained", Fraction(2, 3), Fraction(-5, 4)))
+    laws = {name for name in _failed(reports) if name.startswith("primary[")}
+    assert laws and all(name.startswith(("primary[a,m=1,", "primary[a†,m=1,")) for name in laws)
+    assert only is None or laws == only
 
 
 @pytest.mark.parametrize("family", sorted(operators.FAMILIES))
@@ -449,15 +472,22 @@ def test_even_copy_built_on_the_fermion_pair(monkeypatch):
 def test_commutator_with_linear_without_its_graded_sign(monkeypatch):
     # [:XY:, z} = [Y,z} X + [X,z} Y for every z: on the odd fermion pair the
     # second term has the wrong sign, so [L_m, chi_r] = (m/2 + r) chi[m+r]
-    # fails wherever m/2 + r != 0; the boson family is even and untouched
+    # fails wherever m/2 + r != 0, and so does every [L_m, b[r]} law, where b
+    # contracts the kernel's odd b†; [L_m, b†[r]} contracts the first term, and
+    # the boson families are even and untouched
     source = inspect.getsource(operators.commutator_with_linear)
     graded = "sign = -1 if (z.parity and y.parity) else 1"
     assert source.count(graded) == 1
     namespace = dict(vars(operators))
     exec(source.replace(graded, "sign = 1"), namespace)
-    for module in (operators, dirac):
+    for module in (operators, dirac, verify):
         monkeypatch.setattr(module, "commutator_with_linear", namespace["commutator_with_linear"])
     reports = run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
     half5 = [Fraction(t, 2) for t in range(-9, 10, 2)]
     assert _failed(reports) == {f"chi_transform[m={m},n={n}]" for m in range(-5, 6) for n in half5
                                 if m + 2 * n != 0}
+    failed = set()
+    for family in operators.FAMILIES:
+        failed |= _failed(run_family_scenario(small_params(family, 1 if family.startswith("boson") else 0,
+                                                           Fraction(1, 3)))[0])
+    assert failed == {f"primary[b,m={m},n={Fraction(t, 2)}]" for m in range(-2, 3) for t in (-3, -1, 1, 3)}

@@ -2,8 +2,9 @@
 
 tests/golden/cases.txt lists each golden file with the virfock arguments whose
 output it holds, and says what each one pins.  Every case runs here in process,
-from the repository root.  After a deliberate output change the goldens are
-rewritten, from the repository root, with
+from the repository root; CI compares each through the installed console script.
+After a deliberate output change the goldens are rewritten, from the repository
+root, with
 
     grep '^[^#]' tests/golden/cases.txt | while read -r file args; do
         PYTHONPATH=src python -m virfock.cli $args < /dev/null > "tests/golden/$file"

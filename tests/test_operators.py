@@ -39,7 +39,6 @@ from virfock.operators import (
     _apply_to_basis,
     _norm_linear,
     _skeleton,
-    build_K,
     build_L,
     commutator_with_linear,
     linear_bracket,
@@ -48,7 +47,8 @@ from virfock.operators import (
     row_table,
     safe_ids,
 )
-from reference import canonical_bracket, red_b
+from virfock.verify import ScenarioParams, check_laws
+from reference import build_K, canonical_bracket, red_b
 
 H = Fraction(1, 2)
 
@@ -265,6 +265,21 @@ def test_primary_field_law_matches_conformal_weight():
             for n in indices:
                 coeff = (1 - h) * m + n
                 assert _obeys_law(op, mode_operator(algebra, ctor(n)), coeff, ctor(n + m), trunc), (m, n)
+
+
+def test_christoffel_law_on_states():
+    # the reduced boson's law at n != -m, where a†[m+n] exists, on every safe state: its
+    # row tables meet the law table's coefficient here, not in check_laws
+    M, lam, trunc = Fraction(2, 3), Fraction(-5, 4), Truncation(Fraction(6), 0)
+    (law,) = FAMILIES["boson-reduced"].laws
+    algebra = FAMILIES["boson-reduced"].algebra(M)
+    for m, n in itertools.product(range(-3, 4), repeat=2):
+        if n and m + n:
+            op, x = build_L("boson-reduced", m, M, lam), mode_operator(algebra, red_adag(n))
+            assert _pair_ids(op, x, trunc), (m, n)
+            assert _obeys_law(op, x, law.coefficient(m, n, lam), red_adag(m + n), trunc), (m, n)
+    assert not _obeys_law(build_L("boson-reduced", 1, M, lam), mode_operator(algebra, red_adag(2)), 3,
+                          red_adag(3), trunc)
 
 
 def test_window_widening_changes_nothing():
@@ -782,46 +797,23 @@ def test_linear_bracket_rejects_a_foreign_mode(expr, foreign_first):
             linear_bracket(*((foreign, expr) if foreign_first else (expr, foreign)))
 
 
-def _law_bracket(family, law, m, x, M, lam):
-    """[G_m, x] by commutator_with_linear, and the entry's right-hand side as a linear spec."""
-    algebra = FAMILIES[family].algebra(M)
-    gen = law.generator(m, M, lam) if law.generator else build_L(family, m, M, lam)
-    target = Mode(x.kind, x.two + 2 * m)
-    kept = bool(target.two) or algebra.has_zero_modes
-    anomaly = law.anomaly(m, M, lam) if law.anomaly and not target.two else 0
-    want = linear_operator(algebra, {target: law.coefficient(m, x.index, lam)} if kept else {},
-                           constant=anomaly, shift=target.index, parity=x.parity)
-    return commutator_with_linear(gen, mode_operator(algebra, x)), want
-
-
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @settings(max_examples=20, deadline=None)
 @given(_RATIONALS.filter(bool), _RATIONALS)
 @example(Fraction(5), Fraction(2))
 def test_each_law_is_an_operator_identity(family, M, lam):
-    # every entry of the family's law table, on the whole module: no truncation, no probes
-    algebra = FAMILIES[family].algebra(M)
-    for law in FAMILIES[family].laws:
-        for m, two in itertools.product(range(-3, 4), range(-6 + law.kind.half_integer_moded, 7, 2)):
-            if two or algebra.has_zero_modes:
-                got, want = _law_bracket(family, law, m, Mode(law.kind, two), M, lam)
-                assert got == want, (law.prefix, m, two)
+    # every report of check_laws, each law an identity of linear specs on the whole module
+    reports = check_laws(ScenarioParams(family, M, lam, m_range=3))
+    assert [r.name for r in reports if r.status != "pass"] == []
 
 
 @settings(max_examples=20, deadline=None)
 @given(_RATIONALS.filter(bool), _RATIONALS)
 @example(Fraction(5), Fraction(2))
 def test_laws_no_report_states_are_operator_identities(M, lam):
-    # boson-unconstrained's L_m differs from K_m by lam(m+1)(a†[m] + M m a[m]), whose brackets
-    # with the modes leave scalars at n = -m; the reduced fermion's modes have weight 1/2
-    for m in range(-3, 4):
-        lm = build_L("boson-unconstrained", m, M, lam)
-        assert commutator_with_linear(lm, mode_operator(BOSON, a(-m))) == linear_operator(
-            BOSON, {}, constant=lam * (m + 1), shift=0, parity=0)
-        assert commutator_with_linear(lm, mode_operator(BOSON, adag(-m))) == linear_operator(
-            BOSON, {adag(0): -m}, constant=-M * lam * m * (m + 1), shift=0, parity=0)
-        for two in range(-5, 6, 2):
-            x, target = Mode(FieldKind.RED_B, two), Mode(FieldKind.RED_B, two + 2 * m)
-            got = commutator_with_linear(build_L("fermion-reduced", m, M, lam), mode_operator(REDUCED_FERMION, x))
-            want = linear_operator(REDUCED_FERMION, {target: Fraction(m, 2) + x.index}, shift=target.index, parity=1)
-            assert got == want, (m, two)
+    # the reduced fermion's modes have weight 1/2; its law table is still empty
+    for m, two in itertools.product(range(-3, 4), range(-5, 6, 2)):
+        x, target = Mode(FieldKind.RED_B, two), Mode(FieldKind.RED_B, two + 2 * m)
+        got = commutator_with_linear(build_L("fermion-reduced", m, M, lam), mode_operator(REDUCED_FERMION, x))
+        want = linear_operator(REDUCED_FERMION, {target: Fraction(m, 2) + x.index}, shift=target.index, parity=1)
+        assert got == want, (m, two)

@@ -9,8 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import virfock.verify as verify
 from reference import direct_central_charge, vacuum_part_entries
-from virfock.algebra import (BOSON, REDUCED_FERMION, Algebra, AlgebraMismatchError, FieldKind, format_rational,
-                             reduced_boson)
+from virfock.algebra import BOSON, REDUCED_FERMION, Algebra, AlgebraMismatchError, FieldKind, reduced_boson
 from virfock.fock import Truncation
 from virfock.operators import FAMILIES, Commutator, build_L
 from virfock.dirac import run_dirac_checks
@@ -337,7 +336,6 @@ def test_benchmark_levels_skip_nothing(monkeypatch, fresh_caches, family, level)
     monkeypatch.setattr(verify, "Commutator", lambda op_a, op_b, trunc: SimpleNamespace(
         **vars(zero), probes=verify.safe_ids(trunc, op_a, op_b)))
     monkeypatch.setattr(verify, "row_table", lambda op, trunc, window=None: zero)
-    monkeypatch.setattr(verify, "mode_table", lambda algebra, x, trunc: zero)
     params = ScenarioParams(family, 1, H, default_truncation(family, level), 3)
     reports, _, _ = run_family_scenario(params)
     assert reports and not [r.name for r in reports if r.status == "skipped"]
@@ -363,35 +361,21 @@ def test_window_doubling_failure_names_its_draw(monkeypatch):
     assert r.got.startswith("-1·")  # the residual narrow - wide = -psi
 
 
-def _residual_text(table, i) -> str:
-    """Row i of a table as a failure report prints it: by state id, p/q·state."""
-    return " + ".join(f"{format_rational(Fraction(n, table.den))}·{table.basis[j]}"
-                      for j, n in sorted(table.row(i))).replace("+ -", "- ")
-
-
-def test_law_failures_show_the_residual(monkeypatch):
-    # with every mode table on the right-hand side replaced by zero rows, each
-    # failing law's residual is its commutator on the witness state
-    import virfock.verify as verify
-    from virfock.algebra import FERMION, b, red_adag
-    from virfock.operators import build_L, mode_operator
-    monkeypatch.setattr(verify, "mode_table",
-                        lambda algebra, x, trunc: SimpleNamespace(den=1, row=lambda i: ()))
-    lam = Fraction(1, 3)
-    fermion = small_params("fermion-unconstrained", 0, lam)
-    boson = small_params("boson-reduced", 1, 1)
-    cases = [
-        (check_laws(fermion), "primary[b,m=1,n=1/2]", fermion,
-         build_L("fermion-unconstrained", 1, 0, lam), mode_operator(FERMION, b(H))),
-        (check_laws(boson), "christoffel[m=1,n=1]", boson,
-         build_L("boson-reduced", 1, 1, 1), mode_operator(boson.algebra, red_adag(1))),
-    ]
-    for reports, name, params, gen, xop in cases:
-        (r,) = [r for r in reports if r.name == name]
-        assert r.status == "fail"
-        comm = Commutator(gen, xop, params.trunc)
-        i = [str(s) for s in comm.basis].index(r.probe)
-        assert comm.row(i) and r.got == _residual_text(comm, i)
+def test_law_failures_show_the_bracket(monkeypatch):
+    # a law is one identity of linear specs on the whole module: a failure's got is the
+    # computed bracket, with no probe state
+    b_law, bdag_law = FAMILIES["fermion-unconstrained"].laws
+    (christoffel,) = FAMILIES["boson-reduced"].laws
+    monkeypatch.setitem(FAMILIES, "fermion-unconstrained", FAMILIES["fermion-unconstrained"]._replace(laws=(
+        b_law, bdag_law._replace(coefficient=lambda m, r, lam: bdag_law.coefficient(m, r, lam) + 1))))
+    monkeypatch.setitem(FAMILIES, "boson-reduced", FAMILIES["boson-reduced"]._replace(laws=(
+        christoffel._replace(anomaly=lambda m, M, lam: christoffel.anomaly(m, M, lam) + 1),)))
+    fermion = {r.name: r for r in check_laws(small_params("fermion-unconstrained", 0, Fraction(1, 3)))}
+    boson = {r.name: r for r in check_laws(small_params("boson-reduced", 1, 1))}
+    assert [fermion["primary[b†,m=1,n=1/2]"].line(), boson["christoffel[m=1,n=-1]"].line()] == [
+        "primary[b†,m=1,n=1/2] expected=11/6·b†[3/2] got=5/6·b†[3/2] fail",
+        "christoffel[m=1,n=-1] expected=-1 got=-2 fail"]
+    assert fermion["primary[b,m=1,n=1/2]"].status == boson["christoffel[m=1,n=1]"].status == "pass"
 
 
 def test_virasoro_failure_text_is_pinned(monkeypatch):
