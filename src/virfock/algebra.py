@@ -155,14 +155,6 @@ def bdag(r) -> Mode:
     return Mode(FieldKind.BDAG, _doubled(r, True, "b†"))
 
 
-def red_adag(n) -> Mode:
-    """Surviving mode a†[n] of the reduced boson algebra, n a nonzero integer."""
-    two = _doubled(n, False, "reduced a†")
-    if two == 0:
-        raise ValueError("the reduced boson algebra has no zero mode; a†[0] is constrained away")
-    return Mode(FieldKind.RED_ADAG, two)
-
-
 def even_b(r) -> Mode:
     """Even-parity copy of b[r] (spin-statistics probe only)."""
     return Mode(FieldKind.EVEN_B, _doubled(r, True, "even b"))

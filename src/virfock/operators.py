@@ -38,7 +38,7 @@ A table keeps only the integers of its coefficients: row builds and a
 Commutator (the graded commutator's row table over den_a·den_b) add and
 multiply integers by state id.  The 512 most recently used tables are kept:
 a scenario's working set is 40 to 238 of them, and a sweep's oracle makes
-tables only for spec shapes it has not seen, which hold no M.
+tables only for masks of nonzero slots it has not seen, which hold no M.
 
 The safe window of k operators (safe_ids) is stated once, from the
 operators themselves.  Applied in any order they raise a state's level by
@@ -68,7 +68,6 @@ from .algebra import (
     FieldKind,
     Frozen,
     Mode,
-    ONE,
     REDUCED_FERMION,
     VirfockError,
     ZERO,
@@ -203,49 +202,35 @@ def mode_operator(algebra: Algebra, x: Mode) -> OperatorSpec:
     return linear_operator(algebra, {x: 1})
 
 
-@lru_cache(maxsize=512)  # as reduced_boson
-def _reduced_boson_kernel(M: Fraction) -> tuple:
-    return reduced_boson(M), Fraction(M.denominator, M.numerator)  # the algebra and 1/M; raises for M = 0
-
-
-# Builders form each coefficient once from integer numerators and denominators,
-# shift m an int, in normalized form: linear terms sorted, zero ones dropped.
-def _boson_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
+# Each family states its L_m once, as integer slots (den, constant, *linear coefficients, alpha,
+# beta) over a positive den, M's sign in a numerator: build_L and the sweep oracle both read them.
+def _boson_slots(m: int, M: Fraction, lam: Fraction) -> tuple:
     # K[m] + lam*(m+1)*(a†[m] + M*m*a[m])
-    term = BilinearTerm(FieldKind.ADAG, FieldKind.A, m, ZERO, ONE)
-    s, q = lam.numerator * (m + 1), lam.denominator
-    sMm = s * M.numerator * m
-    lin = ((Mode(FieldKind.A, 2 * m), Fraction(sMm, q * M.denominator)),) if sMm else ()
-    lin += ((Mode(FieldKind.ADAG, 2 * m), Fraction(s, q)),) if s else ()
-    return OperatorSpec(BOSON, m, (term,), lin)
+    s, q, d = lam.numerator * (m + 1), lam.denominator, M.denominator
+    return q * d, 0, s * M.numerator * m, s * d, 0, q * d
 
 
-def _reduced_boson_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
+def _reduced_boson_slots(m: int, M: Fraction, lam: Fraction) -> tuple:
     # sum_r (1/M) :a†[m-r]a†[r]: + 2*lam*(m+1)*a†[m], every a†[0] factor skipped
-    algebra, inverse = _reduced_boson_kernel(M)
-    term = BilinearTerm(FieldKind.RED_ADAG, FieldKind.RED_ADAG, m, inverse, ZERO)
-    c = 2 * lam.numerator * (m + 1)
-    lin = ((Mode(FieldKind.RED_ADAG, 2 * m), Fraction(c, lam.denominator)),) if m and c else ()
-    return OperatorSpec(algebra, m, (term,), lin)
+    n, q = abs(M.numerator), lam.denominator
+    c = 2 * lam.numerator * (m + 1) * n if m else 0
+    return q * n, 0, c, q * M.denominator * (1 if M.numerator > 0 else -1), 0
 
 
-def _fermion_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
+def _fermion_slots(m: int, M: Fraction, lam: Fraction) -> tuple:
     # -sum_r (-lam*m + r) :b†[m-r] b[r]:
     p, q = lam.numerator, lam.denominator
-    term = BilinearTerm(FieldKind.BDAG, FieldKind.B, m, Fraction(p * m, q), -1)
     # Zero-mode normal-ordering constant.  On the half-odd-integer mode
     # lattice the kernel's subtraction point sits at r = 0, not at the
     # weight-lam Fourier origin, so L_0 must carry -(1-2*lam)^2/8 for the
     # commutator anomaly to close on the (m^3 - m) shape (it vanishes at
     # lam = 1/2, where the lattice and the weight agree).
-    const = Fraction(-(q - 2 * p) ** 2, 8 * q * q) if m == 0 else ZERO
-    return OperatorSpec(FERMION, m, (term,), (), const)
+    return 8 * q * q, -(q - 2 * p) ** 2 if m == 0 else 0, 8 * q * p * m, -8 * q * q
 
 
-def _reduced_fermion_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
+def _reduced_fermion_slots(m: int, M: Fraction, lam: Fraction) -> tuple:
     # -sum_r (-m/2 + r) :b[m-r] b[r]:
-    term = BilinearTerm(FieldKind.RED_B, FieldKind.RED_B, m, Fraction(m, 2), -1)
-    return OperatorSpec(REDUCED_FERMION, m, (term,))
+    return 2, 0, m, -2
 
 
 # The claimed central charges, each formed once from integer numerators and denominators.
@@ -273,33 +258,37 @@ class Law(NamedTuple):
 
 
 class GeneratorFamily(NamedTuple):
-    """Everything that differs between the four Virasoro generator families."""
+    """Everything that differs between the four Virasoro generator families.  L_m is stated
+    once: sum_r (alpha + beta*r) :X[m-r] Y[r]: + sum_i c_i kind_i[m] + constant, with
+    slots(m, M, lam) = (den, constant, c_1, ..., alpha, beta), ints over a positive den."""
 
     algebra: Callable  # M -> Algebra
-    build: Callable  # (m, M, lam) -> L_m, arguments already exact
+    kernel: tuple  # the kinds (X, Y)
+    linear: tuple  # the kinds of the linear terms at index m, in canonical (FieldKind value) order
+    slots: Callable  # (m, M, lam) -> the slots of L_m, M and lam already exact and m an int
     central_charge: Callable  # (M, lam) -> the closed-form c claimed for it
     laws: tuple = ()  # the Laws its generators obey on the surviving modes
 
 
 FAMILIES = {
     "boson-unconstrained": GeneratorFamily(
-        lambda M: BOSON, _boson_L,
+        lambda M: BOSON, (FieldKind.ADAG, FieldKind.A), (FieldKind.A, FieldKind.ADAG), _boson_slots,
         lambda M, lam: _boson_c(2, M, lam),
         # the linear part lam(m+1)(a†[m] + M m a[m]) brackets the modes to scalars at n = -m
         (Law("primary[a,", FieldKind.A, lambda m, n, lam: m + n, lambda m, M, lam: lam * (m + 1)),
          Law("primary[a†,", FieldKind.ADAG, lambda m, n, lam: n, lambda m, M, lam: -M * lam * m * (m + 1)))),
     "boson-reduced": GeneratorFamily(
-        reduced_boson, _reduced_boson_L,
+        reduced_boson, (FieldKind.RED_ADAG,) * 2, (FieldKind.RED_ADAG,), _reduced_boson_slots,
         lambda M, lam: _boson_c(1, M, lam),
         # the Christoffel law, also checked through the Dirac bracket of the unconstrained boson
         (Law("christoffel[", FieldKind.RED_ADAG, lambda m, n, lam: n, lambda m, M, lam: -M * lam * m * (m + 1)),)),
     "fermion-unconstrained": GeneratorFamily(
-        lambda M: FERMION, _fermion_L,
+        lambda M: FERMION, (FieldKind.BDAG, FieldKind.B), (), _fermion_slots,
         _fermion_c,
         (Law("primary[b,", FieldKind.B, lambda m, r, lam: (1 - lam) * m + r),
          Law("primary[b†,", FieldKind.BDAG, lambda m, r, lam: lam * m + r))),
     "fermion-reduced": GeneratorFamily(
-        lambda M: REDUCED_FERMION, _reduced_fermion_L,
+        lambda M: REDUCED_FERMION, (FieldKind.RED_B,) * 2, (), _reduced_fermion_slots,
         lambda M, lam: Fraction(1, 2)),
 }
 
@@ -311,10 +300,15 @@ def generator_family(family: str) -> GeneratorFamily:
 
 
 def build_L(family: str, m: int, M=0, lam=0) -> OperatorSpec:
-    """The Virasoro generator labelled m of one of the four families; a
-    Fraction M or lam is used as it is."""
+    """The Virasoro generator labelled m of one of the four families, read off its slots with
+    the zero linear terms dropped; a Fraction M or lam is used as it is."""
     M, lam = (q if isinstance(q, Fraction) else Fraction(q) for q in (M, lam))
-    return generator_family(family).build(int(m), M, lam)
+    gen, m = generator_family(family), int(m)
+    algebra = gen.algebra(M)  # before any slot: the reduced boson raises for M = 0
+    den, constant, *coefficients, alpha, beta = gen.slots(m, M, lam)
+    linear = tuple((Mode(kind, 2 * m), Fraction(c, den)) for kind, c in zip(gen.linear, coefficients) if c)
+    term = BilinearTerm(*gen.kernel, m, Fraction(alpha, den), Fraction(beta, den))
+    return OperatorSpec(algebra, m, (term,), linear, Fraction(constant, den))
 
 
 def _kernel_modes(left: FieldKind, right: FieldKind, m: int, two_r: int):
@@ -491,7 +485,7 @@ def _apply_to_basis(op: OperatorSpec, trunc: Truncation, width) -> RowTable:
     The bound holds one scenario's working set, so no family run rebuilds a
     table: 40 tables for boson-unconstrained at level 6, 140 for `--scenario
     all` at default flags, 238 at `--level 4 --mmax 6`.  A sweep point makes
-    none once the oracle has seen its spec shapes, which hold no M.
+    none once the oracle has seen its masks of nonzero slots, which hold no M.
     """
     if width is None:
         width = Fraction(_doubled(trunc.level_cap) + abs(_doubled(op.shift)), 2)

@@ -12,14 +12,15 @@ truncation-soundness bug, not a formula failure).  The closed-form claims
 are then tested against this oracle, never assumed.  A spec is linear in its
 scalar slots, so <0|[A, B]|0> = sum a_i b_j <0|[P_i, Q_j]|0> over the slots
 a, b and unit-coefficient parts P, Q of A and B, and <0|L_0|0> is linear
-too.  Each point builds its own L_0, L_±2, L_±3, splits their slots in one
-pass, and reads all three forms from one cache entry, keyed by truncation and
-the five spec shapes over the family's M = 1 algebra: sparse lists of the
-nonzero part entries with the slot positions they multiply.  With each bracket
-of the point's algebra s times the M = 1 one (s read off its bracket table,
-once per point), an entry of k modes, a sum of products of k/2 brackets (none
-for odd k), is s^(k/2) times the M = 1 entry.  A point stays in integers up to
-a single Fraction.
+too.  Each point forms the integer slots of its own L_0, L_±2, L_±3 from the
+family's one statement (GeneratorFamily.slots), builds no spec, and reads all
+three forms from one cache entry, keyed by truncation, the family's M = 1
+algebra, kernel and linear kinds and the five masks of nonzero slots: sparse
+lists of the nonzero part entries with the slot positions they multiply.
+With each bracket of the point's algebra s times the M = 1 one (s read off
+its bracket table, once per point), an entry of k modes, a sum of products of
+k/2 brackets (none for odd k), is s^(k/2) times the M = 1 entry.  A point
+stays in integers up to a single Fraction.
 
 The other family checks and the oracle run on integer rows by state id.  Each
 check states its identity as data, a left-hand table equal to a coefficient
@@ -121,50 +122,27 @@ def require_oracle_caps(params: ScenarioParams) -> None:
                          f"got {trunc.zero_mode_cap}")
 
 
-def _split(ops: list) -> tuple:
-    """(shapes, numerators, den) in one pass over the slots of specs over one algebra (each
-    constant, linear coefficient, kernel alpha and beta): each spec without its algebra and
-    slot values, and the nonzero slots of all, spec by spec, as integers over one den."""
-    shapes, nums, den = [], [], 1
-    for op in ops:
-        if op.algebra != ops[0].algebra:
-            raise AlgebraMismatchError("commutator of operators over different algebras")
-        nonzero = []
-        for value in (op.constant, *[c for _, c in op.linear], *[v for t in op.bilinears for v in t[3:]]):
-            n, d = value.as_integer_ratio()
-            nonzero.append(n != 0)
-            if n:
-                if den % d:  # widen the den so far, and the numerators over it
-                    lcm = math.lcm(den, d)
-                    nums, den = [x * (lcm // den) for x in nums], lcm
-                nums.append(n * (den // d))
-        shapes.append((op.shift, op.parity, tuple([x for x, _ in op.linear]),
-                       tuple([t[:3] for t in op.bilinears]), tuple(nonzero)))
-    return shapes, nums, den
-
-
-def _parts(algebra: Algebra, shape: tuple) -> list:
-    """(k, part) for each nonzero slot of a shape, in the order of _split: a spec is the sum of
-    its slots times these unit-coefficient parts, and k is the number of modes a part holds."""
-    shift, parity, modes, kernels, nonzero = shape
-    parts = [(0, (), (), ONE)] + [(1, (), ((x, ONE),), ZERO) for x in modes]
-    parts += [(2, (BilinearTerm(left, right, m, *unit),), (), ZERO)
-              for left, right, m in kernels for unit in ((ONE, ZERO), (ZERO, ONE))]
-    return [(k, OperatorSpec(algebra, shift, *part, parity))
-            for (k, *part), keep in zip(parts, nonzero) if keep]
+def _parts(algebra: Algebra, kernel: tuple, linear: tuple, m: int, nonzero: tuple) -> list:
+    """(k, part) for each nonzero slot of a family's L_m (GeneratorFamily: its kernel and linear
+    kinds), in slot order: L_m is the sum of its slots over den times these unit-coefficient
+    parts, and k is the number of modes a part holds."""
+    parts = [(0, (), (), ONE)] + [(1, (), ((Mode(kind, 2 * m), ONE),), ZERO) for kind in linear]
+    parts += [(2, (BilinearTerm(*kernel, m, *unit),), (), ZERO) for unit in ((ONE, ZERO), (ZERO, ONE))]
+    return [(k, OperatorSpec(algebra, m, *part)) for (k, *part), keep in zip(parts, nonzero) if keep]
 
 
 _LABELS = (0, 2, -2, 3, -3)  # the oracle's L_0, then L_m and L_-m for m = 2 and m = 3
 
 
-@lru_cache(maxsize=512)  # shapes hold no M: a few per family and truncation
-def _vacuum_form(trunc: Truncation, unit: Algebra, *shapes: tuple) -> tuple:
-    """The forms of <0|L_0|0>, <0|[L_2, L_-2]|0> and <0|[L_3, L_-3]|0> over unit, for the shapes
-    of the _LABELS: each (terms, den), a term (entry, k // 2, i) or (entry, k // 2, i, j) for each
-    nonzero <0|P_i|0> or <0|[P_i, Q_j]|0> of k modes (none of odd k), with i and j numbering the
-    parts of all five shapes in order."""
+@lru_cache(maxsize=512)  # masks hold no M: a few per family and truncation
+def _vacuum_form(trunc: Truncation, unit: Algebra, kernel: tuple, linear: tuple, *masks: tuple) -> tuple:
+    """The forms of <0|L_0|0>, <0|[L_2, L_-2]|0> and <0|[L_3, L_-3]|0> over unit, for the nonzero
+    masks of the _LABELS' slots: each (terms, den), a term (entry, k // 2, i) or (entry, k // 2, i, j)
+    for each nonzero <0|P_i|0> or <0|[P_i, Q_j]|0> of k modes (none of odd k), with i and j
+    numbering the parts of all five generators in order."""
     numbering = count()
-    parts = [[(next(numbering), k, part) for k, part in _parts(unit, shape)] for shape in shapes]
+    parts = [[(next(numbering), k, part) for k, part in _parts(unit, kernel, linear, m, mask)]
+             for m, mask in zip(_LABELS, masks)]
     forms = []
     for group in (parts[:1], parts[1:3], parts[3:]):
         tables = [(Commutator(*ps, trunc) if len(ps) == 2 else row_table(*ps, trunc), sum(ks) // 2, positions)
@@ -190,21 +168,24 @@ def _bracket_scale(algebra: Algebra, unit: Algebra) -> tuple:
 def extract_central_charge(params: ScenarioParams) -> Fraction:
     """Central charge measured on the vacuum; the independent oracle."""
     require_oracle_caps(params)
-    M, lam, generators = params.M, params.lam, params.generators
-    ops, unit = [generators.build(m, M, lam) for m in _LABELS], generators.algebra(ONE)
-    shapes, x, den = _split(ops)
+    M, lam, gen = params.M, params.lam, params.generators
+    unit = gen.algebra(ONE)
     # an entry of k = 2h modes is s^h times unit's, s = p/q: w[h] is s^h over q^2
-    p, q = _bracket_scale(ops[0].algebra, unit)
-    (g_terms, g_den), *pairs = _vacuum_form(params.trunc, unit, *shapes)
+    p, q = _bracket_scale(gen.algebra(M), unit)
+    slots = [gen.slots(m, M, lam) for m in _LABELS]
+    d = [den for den, *_ in slots]
+    x = [v for _, *values in slots for v in values if v]  # each over the d of its own L_m
+    (g_terms, g_den), *pairs = _vacuum_form(params.trunc, unit, gen.kernel, gen.linear,
+                                            *[tuple([v != 0 for v in values]) for _, *values in slots])
     w = (q * q, p * q, p * p)
-    g, g_den = sum(e * w[h] * x[i] for e, h, i in g_terms), g_den * den * q * q
+    g, g_den = sum(e * w[h] * x[i] for e, h, i in g_terms), g_den * d[0] * q * q
 
-    def c_at(m: int, terms: tuple, f_den: int) -> tuple:
+    def c_at(m: int, terms: tuple, f_den: int, slot_den: int) -> tuple:
         # c = -12 (f + 2 m g) / (m^3 - m) as an integer pair, with f and g integers over their dens
-        f, f_den = sum(e * w[h] * x[i] * x[j] for e, h, i, j in terms), f_den * den * den * q * q
+        f, f_den = sum(e * w[h] * x[i] * x[j] for e, h, i, j in terms), f_den * slot_den * q * q
         return -12 * (f * g_den + 2 * m * g * f_den), f_den * g_den * (m ** 3 - m)
 
-    (n2, d2), (n3, d3) = c_at(2, *pairs[0]), c_at(3, *pairs[1])
+    (n2, d2), (n3, d3) = c_at(2, *pairs[0], d[1] * d[2]), c_at(3, *pairs[1], d[3] * d[4])
     if n2 * d3 != n3 * d2:
         raise OracleInconsistencyError(params.family, Fraction(n2, d2), Fraction(n3, d3))
     return Fraction(n2, d2)

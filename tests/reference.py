@@ -1,11 +1,13 @@
 """Reference constructors and the direct oracle the test modules share; the
 package itself needs none of them: it reaches brackets only through
-algebra.paired_bracket, and the central charge through cached vacuum forms."""
+algebra.paired_bracket, the central charge through cached vacuum forms, and
+each generator through its family's slots."""
 
 from fractions import Fraction
 from itertools import product
 
-from virfock.algebra import BOSON, ONE, ZERO, Algebra, FieldKind, Mode, _doubled, paired_bracket, require_members
+from virfock.algebra import (BOSON, FERMION, ONE, REDUCED_FERMION, ZERO, Algebra, FieldKind, Mode, _doubled,
+                             paired_bracket, reduced_boson, require_members)
 from virfock.fock import VACUUM
 from virfock.operators import BilinearTerm, Commutator, OperatorSpec, build_L, row_table
 from virfock.verify import OracleInconsistencyError, require_oracle_caps
@@ -16,6 +18,14 @@ def build_K(m: int) -> OperatorSpec:
     boson-unconstrained's L_m that holds neither M nor lambda."""
     term = BilinearTerm(FieldKind.ADAG, FieldKind.A, int(m), ZERO, Fraction(1))
     return OperatorSpec(BOSON, Fraction(m), (term,))
+
+
+def red_adag(n) -> Mode:
+    """Surviving mode a†[n] of the reduced boson algebra, n a nonzero integer."""
+    two = _doubled(n, False, "reduced a†")
+    if two == 0:
+        raise ValueError("the reduced boson algebra has no zero mode; a†[0] is constrained away")
+    return Mode(FieldKind.RED_ADAG, two)
 
 
 def red_b(r) -> Mode:
@@ -82,3 +92,51 @@ def vacuum_part_entries(trunc, *ops) -> list:
         vac = table.state_id(VACUUM)
         out.append((Fraction(dict(table.row(vac)).get(vac, 0), table.den), sum(ks)))
     return out
+
+
+# The generator builders as they were before each family stated its L_m as slots, each spec
+# formed from the integers of M and lam: build_L is held equal to them field for field.
+def _reduced_boson_kernel(M: Fraction) -> tuple:
+    return reduced_boson(M), Fraction(M.denominator, M.numerator)  # the algebra and 1/M; raises for M = 0
+
+
+def _boson_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
+    # K[m] + lam*(m+1)*(a†[m] + M*m*a[m])
+    term = BilinearTerm(FieldKind.ADAG, FieldKind.A, m, ZERO, ONE)
+    s, q = lam.numerator * (m + 1), lam.denominator
+    sMm = s * M.numerator * m
+    lin = ((Mode(FieldKind.A, 2 * m), Fraction(sMm, q * M.denominator)),) if sMm else ()
+    lin += ((Mode(FieldKind.ADAG, 2 * m), Fraction(s, q)),) if s else ()
+    return OperatorSpec(BOSON, m, (term,), lin)
+
+
+def _reduced_boson_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
+    # sum_r (1/M) :a†[m-r]a†[r]: + 2*lam*(m+1)*a†[m], every a†[0] factor skipped
+    algebra, inverse = _reduced_boson_kernel(M)
+    term = BilinearTerm(FieldKind.RED_ADAG, FieldKind.RED_ADAG, m, inverse, ZERO)
+    c = 2 * lam.numerator * (m + 1)
+    lin = ((Mode(FieldKind.RED_ADAG, 2 * m), Fraction(c, lam.denominator)),) if m and c else ()
+    return OperatorSpec(algebra, m, (term,), lin)
+
+
+def _fermion_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
+    # -sum_r (-lam*m + r) :b†[m-r] b[r]:
+    p, q = lam.numerator, lam.denominator
+    term = BilinearTerm(FieldKind.BDAG, FieldKind.B, m, Fraction(p * m, q), -1)
+    # Zero-mode normal-ordering constant.  On the half-odd-integer mode
+    # lattice the kernel's subtraction point sits at r = 0, not at the
+    # weight-lam Fourier origin, so L_0 must carry -(1-2*lam)^2/8 for the
+    # commutator anomaly to close on the (m^3 - m) shape (it vanishes at
+    # lam = 1/2, where the lattice and the weight agree).
+    const = Fraction(-(q - 2 * p) ** 2, 8 * q * q) if m == 0 else ZERO
+    return OperatorSpec(FERMION, m, (term,), (), const)
+
+
+def _reduced_fermion_L(m: int, M: Fraction, lam: Fraction) -> OperatorSpec:
+    # -sum_r (-m/2 + r) :b[m-r] b[r]:
+    term = BilinearTerm(FieldKind.RED_B, FieldKind.RED_B, m, Fraction(m, 2), -1)
+    return OperatorSpec(REDUCED_FERMION, m, (term,))
+
+
+REFERENCE_L = {"boson-unconstrained": _boson_L, "boson-reduced": _reduced_boson_L,
+               "fermion-unconstrained": _fermion_L, "fermion-reduced": _reduced_fermion_L}

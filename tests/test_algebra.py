@@ -22,10 +22,9 @@ from virfock.algebra import (
     even_bdag,
     format_rational,
     parse_rational,
-    red_adag,
     reduced_boson,
 )
-from reference import canonical_bracket, red_b
+from reference import canonical_bracket, red_adag, red_b
 
 H = Fraction(1, 2)
 

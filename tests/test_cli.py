@@ -148,15 +148,15 @@ def test_sweep_fermion_lambda_row(tmp_path, capsys):
 
 def test_each_sweep_point_builds_its_own_generators(tmp_path, capsys, monkeypatch):
     # the oracle's work is per point: no c may be memoized by (family, M, lambda).
-    # Each point calls the family's builder for its own L_0, L_±2 and L_±3 and
-    # reads their vacuum entries through forms cached by spec shape, so a
-    # second point of a shape already seen adds no row-table miss, yet gives
-    # its own closed-form c; a reduced boson's shapes hold its M = 1 algebra,
-    # so its second point, at another M, adds none either
+    # Each point forms the slots of its own L_0, L_±2 and L_±3 from the family's
+    # statement and reads their vacuum entries through forms cached by their
+    # masks of nonzero slots, so a second point of masks already seen adds no
+    # row-table miss, yet gives its own closed-form c; a reduced boson's forms
+    # are over its M = 1 algebra, so its second point, at another M, adds none either
     for family in ("boson-unconstrained", "boson-reduced"):
-        real, calls = operators.FAMILIES[family].build, []
+        real, calls = operators.FAMILIES[family].slots, []
         monkeypatch.setitem(operators.FAMILIES, family, operators.FAMILIES[family]._replace(
-            build=lambda m, M, lam, real=real, calls=calls: calls.append((m, M, lam)) or real(m, M, lam)))
+            slots=lambda m, M, lam, real=real, calls=calls: calls.append((m, M, lam)) or real(m, M, lam)))
         for k, (M, lam) in enumerate([(Fraction(7, 11), Fraction(-13, 17)), (Fraction(-5, 13), Fraction(3, 19))]):
             grid = tmp_path / f"grid{k}.txt"
             grid.write_text(f"{M} {lam}\n")
@@ -216,10 +216,10 @@ def test_a_sweep_retains_no_memory_after_a_warm_up(fresh_caches):
     assert retained < 250_000
 
 
-# the caches keyed by M: a sweep adds an algebra and a kernel to them with
-# every new M, so each is bounded
+# the cache keyed by M: a sweep adds an algebra to it with every new M, so it
+# is bounded
 def _sweep_caches():
-    return (algebra.reduced_boson, operators._reduced_boson_kernel)
+    return (algebra.reduced_boson,)
 
 
 # the caches keyed by a reduced boson's algebra, which carries M: each family
@@ -247,7 +247,7 @@ def _caches_that_grow_with_m():
 def test_a_run_fits_the_caches_that_grow_with_m(tmp_path, fresh_caches, flags):
     # nothing is evicted and room is left: 304 mode tables, 142 skeletons,
     # 78 mode operators, 58 constraints, 34 Delta rows and 66 projections for
-    # --mmax 6; 46 algebras and kernels for every M of the benchmark's sweep
+    # --mmax 6; 46 algebras for every M of the benchmark's sweep
     # grid (|p|, q <= 6), each once, whose oracle reads the 24 mode tables and
     # 5 skeletons of the M = 1 algebra; 322 mode operators, 242 constraints,
     # 162 Delta rows, 322 projections, 5 C and 3 eliminations at window 40

@@ -21,7 +21,6 @@ import virfock.operators as operators
 import virfock.verify as verify
 from virfock.algebra import FERMION, b, bdag
 from virfock.fock import Truncation
-from virfock.operators import OperatorSpec
 from virfock.dirac import (
     BosonConstraints,
     ClosedFormMismatchError,
@@ -89,32 +88,40 @@ def test_christoffel_anomaly_off(monkeypatch):
                                 for route in ("", "_dirac") for k in (-2, -1, 1, 2)}
 
 
-def _kernel_shifted(op, **by):
-    (term,) = op.bilinears
-    return OperatorSpec(op.algebra, op.shift, (term._replace(**{k: getattr(term, k) + v for k, v in by.items()}),),
-                        op.linear, op.constant, op.parity)
+def _slots_at(monkeypatch, family, k, mutant):
+    """The family's statement of L_k replaced by mutant(its slots), for both readers: build_L and the oracle."""
+    real = operators.FAMILIES[family].slots
+    _replace_family(monkeypatch, family,
+                    slots=lambda m, M, lam: mutant(real(m, M, lam)) if m == k else real(m, M, lam))
+
+
+def _kernel_shifted(alpha=0, beta=0):
+    def mutant(slots):
+        den, *rest, a, b = slots
+        return (den, *rest, a + alpha * den, b + beta * den)
+    return mutant
 
 
 def test_one_kernel_alpha_off(monkeypatch):
     # L_1 gains delta = (sum_r :a†[1-r]a†[r]:); the oracle never reads L_1, and
     # [L_2, L_-1] = -3 L_1 must now miss -3 delta, [L_1, a†[1]] must change
     family = "boson-reduced"
-    real = operators.FAMILIES[family].build
-
-    _replace_family(monkeypatch, family,
-                    build=lambda m, M, lam: _kernel_shifted(real(m, M, lam), alpha=1) if m == 1 else real(m, M, lam))
+    _slots_at(monkeypatch, family, 1, _kernel_shifted(alpha=1))
     reports, c_formula, c_oracle = run_family_scenario(small_params(family, 1, 1))
     assert c_formula == c_oracle
     assert {"virasoro[m=2,n=-1]", "virasoro[m=-1,n=2]", "christoffel[m=1,n=1]"} <= _failed(reports)
 
 
+def _doubled(slots):
+    return (slots[0], *[2 * v for v in slots[1:]])
+
+
 def _doubled_at(monkeypatch, family, k):
-    real = operators.FAMILIES[family].build
-    _replace_family(monkeypatch, family, build=lambda m, M, lam: (2 if m == k else 1) * real(m, M, lam))
+    _slots_at(monkeypatch, family, k, _doubled)
 
 
 def test_doubled_generator_reaches_the_primary_laws(monkeypatch):
-    # the laws read L_m through the family's build, so a fault injected there fails every
+    # the laws read L_m through the family's slots, so a fault injected there fails every
     # [L_1, b[r]] and [L_1, b†[r]] law as well as the Virasoro reports that compose L_1
     _doubled_at(monkeypatch, "fermion-unconstrained", 1)
     reports, _, _ = run_family_scenario(small_params("fermion-unconstrained", 0, Fraction(1, 3)))
@@ -124,24 +131,21 @@ def test_doubled_generator_reaches_the_primary_laws(monkeypatch):
     assert len(failed) == 16
 
 
-def _a_coefficient_doubled(op):
-    return OperatorSpec(op.algebra, op.shift, op.bilinears,
-                        tuple((x, 2 * c if x.kind is algebra.FieldKind.A else c) for x, c in op.linear),
-                        op.constant, op.parity)
+def _a_coefficient_doubled(slots):
+    den, constant, a, adag, alpha, beta = slots  # the linear kinds (a, a†) of boson-unconstrained
+    return den, constant, 2 * a, adag, alpha, beta
 
 
 @pytest.mark.parametrize("mutant,only", [
-    (lambda op: 2 * op, None),
-    (lambda op: _kernel_shifted(op, alpha=1), None),
-    (lambda op: _kernel_shifted(op, beta=1), None),
+    (_doubled, None),
+    (_kernel_shifted(alpha=1), None),
+    (_kernel_shifted(beta=1), None),
     # lam(m+1) M m a[m] brackets only a†[-m], to a scalar
     (_a_coefficient_doubled, {"primary[a†,m=1,n=-1]"}),
 ], ids=["doubled", "alpha+1", "beta+1", "a-coefficient-doubled"])
 def test_boson_L1_mutants_reach_the_primary_laws(monkeypatch, mutant, only):
     # the laws are stated for the family's own L_m, linear part included
-    real = operators.FAMILIES["boson-unconstrained"].build
-    _replace_family(monkeypatch, "boson-unconstrained",
-                    build=lambda m, M, lam: mutant(real(m, M, lam)) if m == 1 else real(m, M, lam))
+    _slots_at(monkeypatch, "boson-unconstrained", 1, mutant)
     reports, _, _ = run_family_scenario(small_params("boson-unconstrained", Fraction(2, 3), Fraction(-5, 4)))
     laws = {name for name in _failed(reports) if name.startswith("primary[")}
     assert laws and all(name.startswith(("primary[a,m=1,", "primary[a†,m=1,")) for name in laws)
@@ -176,14 +180,7 @@ def test_normal_ordering_sign_flipped(monkeypatch, family, lam):
 
 
 def _drop_fermion_L0_constant(monkeypatch):
-    family = "fermion-unconstrained"
-    real = operators.FAMILIES[family].build
-
-    def build(m, M, lam):
-        op = real(m, M, lam)
-        return OperatorSpec(op.algebra, op.shift, op.bilinears, op.linear, Fraction(0), op.parity)
-
-    _replace_family(monkeypatch, family, build=build)
+    _slots_at(monkeypatch, "fermion-unconstrained", 0, lambda slots: (slots[0], 0, *slots[2:]))
 
 
 INCONSISTENT = "fermion-unconstrained: m=2 gives c=5/9 but m=3 gives c=5/8; truncation soundness is broken"
@@ -247,14 +244,6 @@ def test_doubled_L0_is_seen_only_where_its_vacuum_value_is_nonzero(monkeypatch, 
         assert (code, out) == (1, "") and "m=2 gives c=" in err
     else:
         assert (code, out, err) == (0, f"M={M} lambda={lam} c_formula={c} c_oracle={c} match\n", "")
-
-
-def test_oracle_generators_over_different_algebras(monkeypatch):
-    # L_-2 of another M is over another reduced boson algebra: no form is read
-    real = operators.FAMILIES["boson-reduced"].build
-    _replace_family(monkeypatch, "boson-reduced", build=lambda m, M, lam: real(m, M + (m == -2), lam))
-    with pytest.raises(algebra.AlgebraMismatchError, match="over different algebras"):
-        verify.extract_central_charge(ScenarioParams("boson-reduced", Fraction(2), Fraction(1, 3)))
 
 
 @pytest.mark.parametrize("family,M,lam,doubling_fails", [
@@ -405,14 +394,10 @@ def test_reduced_boson_bracket_squared_in_m(monkeypatch, capsys, tmp_path):
     # [a†[m], a†[-m]] = -(M^2/2) m equals the true bracket at M = 1 only: the
     # oracle reads its forms at M = 1, so it must take each point's scale off
     # that point's bracket table, not off M, to miss the claimed c elsewhere
-    real = operators._reduced_boson_kernel
+    real = operators.FAMILIES["boson-reduced"].algebra
     red = algebra.FieldKind.RED_ADAG
-
-    def kernel(M):
-        algebra_at_m, inverse = real(M)
-        return _with_brackets(algebra_at_m, {(red, red): -M * M / 2}), inverse
-
-    monkeypatch.setattr(operators, "_reduced_boson_kernel", kernel)
+    _replace_family(monkeypatch, "boson-reduced",
+                    algebra=lambda M: _with_brackets(real(M), {(red, red): -M * M / 2}))
     grid = tmp_path / "grid.txt"
     grid.write_text("1 1/3\n2 1/3\n-1/3 1/3\n")
     assert cli.main(["--scenario", "boson-reduced", "--sweep", str(grid)]) == 1
@@ -452,8 +437,8 @@ def test_fermion_chi_transform_coefficient_off_by_one(monkeypatch):
 def test_fermion_generator_ignores_lambda(monkeypatch):
     # every fermion generator is built at lambda = 1/2, where it keeps the
     # constraint ideal, so the lambda = 0 probe finds nothing to report
-    real = operators.FAMILIES["fermion-unconstrained"].build
-    _replace_family(monkeypatch, "fermion-unconstrained", build=lambda m, M, lam: real(m, M, H))
+    real = operators.FAMILIES["fermion-unconstrained"].slots
+    _replace_family(monkeypatch, "fermion-unconstrained", slots=lambda m, M, lam: real(m, M, H))
     reports = run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
     assert _failed(reports) == {"incompatibility_detected[fermion,lambda=0]"}
     (probe,) = (r for r in reports if r.name == "incompatibility_detected[fermion,lambda=0]")

@@ -1,9 +1,11 @@
 """Generator builders, normal-ordered application, graded commutator action."""
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +26,6 @@ from virfock.algebra import (
     b,
     bdag,
     is_creator,
-    red_adag,
     reduced_boson,
 )
 from virfock.dirac import ZERO_GAUGE_LABEL, BosonConstraints
@@ -47,8 +48,8 @@ from virfock.operators import (
     row_table,
     safe_ids,
 )
-from virfock.verify import ScenarioParams, check_laws
-from reference import build_K, canonical_bracket, red_b
+from virfock.verify import ScenarioParams, _parts, check_laws
+from reference import REFERENCE_L, build_K, canonical_bracket, red_adag, red_b
 
 H = Fraction(1, 2)
 
@@ -64,10 +65,12 @@ def _pair_ids(op_a, op_b, trunc):
 
 
 def _obeys_law(op_a, op_b, coeff, target, trunc) -> bool:
-    """[A, B} = coeff·target on every safe state of the pair, target a mode."""
+    """[A, B} = coeff·target on every safe state of the pair, target a mode; a pair
+    without a safe state fails the test, since the law would hold there vacuously."""
     comm, table = Commutator(op_a, op_b, trunc), mode_table(op_a.algebra, target, trunc)
-    return all(_image(comm, i) == {s: coeff * q for s, q in _image(table, i).items() if coeff}
-               for i in _pair_ids(op_a, op_b, trunc))
+    ids = _pair_ids(op_a, op_b, trunc)
+    assert ids, f"no safe state for shifts ({op_a.shift}, {op_b.shift}) at {trunc}"
+    return all(_image(comm, i) == {s: coeff * q for s, q in _image(table, i).items() if coeff} for i in ids)
 
 
 def build_B(m: int, M) -> OperatorSpec:
@@ -245,15 +248,16 @@ def test_conformal_weight_metadata():
 
 
 def test_primary_field_law_matches_conformal_weight():
-    # [G_m, phi_n] = ((1-h) m + n) phi_{m+n} with h the mode's weight metadata
+    # [G_m, phi_n] = ((1-h) m + n) phi_{m+n} with h the mode's weight metadata; each cap
+    # is the largest shift sum, 3 + 3 and 3 + 5/2, so every case has a safe state
     lam = Fraction(1, 3)
     cases = [
-        (BOSON, build_K, None, a, FieldKind.A, Truncation(Fraction(5), 3)),
-        (BOSON, build_K, None, adag, FieldKind.ADAG, Truncation(Fraction(5), 3)),
+        (BOSON, build_K, None, a, FieldKind.A, Truncation(Fraction(6), 3)),
+        (BOSON, build_K, None, adag, FieldKind.ADAG, Truncation(Fraction(6), 3)),
         (FERMION, lambda m: build_L("fermion-unconstrained", m, 0, lam), lam,
-         b, FieldKind.B, Truncation(Fraction(9, 2))),
+         b, FieldKind.B, Truncation(Fraction(11, 2))),
         (FERMION, lambda m: build_L("fermion-unconstrained", m, 0, lam), lam,
-         bdag, FieldKind.BDAG, Truncation(Fraction(9, 2))),
+         bdag, FieldKind.BDAG, Truncation(Fraction(11, 2))),
     ]
     for algebra, gen, wlam, ctor, kind, trunc in cases:
         h = conformal_weight(kind, wlam)
@@ -276,7 +280,6 @@ def test_christoffel_law_on_states():
     for m, n in itertools.product(range(-3, 4), repeat=2):
         if n and m + n:
             op, x = build_L("boson-reduced", m, M, lam), mode_operator(algebra, red_adag(n))
-            assert _pair_ids(op, x, trunc), (m, n)
             assert _obeys_law(op, x, law.coefficient(m, n, lam), red_adag(m + n), trunc), (m, n)
     assert not _obeys_law(build_L("boson-reduced", 1, M, lam), mode_operator(algebra, red_adag(2)), 3,
                           red_adag(3), trunc)
@@ -540,6 +543,48 @@ def test_direct_generators_equal_their_composition(family, m, M, lam):
     assert direct.parity == 0  # the Virasoro suite reads a mirror's rows negated, as for even operands
     if family.startswith("boson") and (m == -1 or lam == 0):
         assert direct.linear == ()  # the linear term carries lam*(m+1)
+
+
+_SLOT_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(-6, 6), _SLOT_RATIONALS, _SLOT_RATIONALS)
+@example("boson-reduced", 2, Fraction(-2, 3), Fraction(5, 4))  # M's sign in alpha's numerator
+@example("boson-reduced", 0, Fraction(-3), Fraction(1, 2))  # no a†[0] term
+@example("boson-reduced", 1, Fraction(0), Fraction(1))  # no slot before reduced_boson(0) raises
+@example("boson-unconstrained", -1, Fraction(2), Fraction(1, 3))  # lam(m+1) = 0 drops both linear terms
+@example("boson-unconstrained", 3, Fraction(0), Fraction(1, 3))  # M = 0 drops a[m]
+@example("fermion-unconstrained", 0, Fraction(0), Fraction(1, 3))  # L_0's constant
+def test_build_L_equals_the_reference_builders(family, m, M, lam):
+    # build_L reads the family's slots; the builders it replaced formed each spec directly
+    reference = REFERENCE_L[family]
+    if family == "boson-reduced" and not M:
+        for build in (lambda: build_L(family, m, M, lam), lambda: reference(m, M, lam)):
+            with pytest.raises(ValueError, match="needs M != 0"):
+                build()
+        return
+    direct, expected = build_L(family, m, M, lam), reference(m, M, lam)
+    fields = attrgetter(*OperatorSpec._fields)
+    assert fields(direct) == fields(expected)
+    assert direct == expected and hash(direct) == hash(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(-6, 6), _SLOT_RATIONALS.filter(bool), _SLOT_RATIONALS)
+@example("boson-reduced", 0, Fraction(-3), Fraction(1, 2))
+@example("boson-unconstrained", -1, Fraction(2), Fraction(1, 3))
+@example("fermion-unconstrained", 0, Fraction(-1), Fraction(1, 3))
+@example("fermion-reduced", 0, Fraction(1), Fraction(0))  # alpha = 0: the beta part alone
+def test_slots_times_the_oracle_parts_sum_to_build_L(family, m, M, lam):
+    # the oracle's reader of the statement, a unit part per nonzero slot, against build_L's
+    gen = FAMILIES[family]
+    den, *values = gen.slots(m, M, lam)
+    assert den > 0
+    parts = _parts(gen.algebra(M), gen.kernel, gen.linear, m, tuple(v != 0 for v in values))
+    assert [k for k, _ in parts] == [2 * len(p.bilinears) + len(p.linear) for _, p in parts]
+    terms = [Fraction(v, den) * part for v, (_, part) in zip([v for v in values if v], parts, strict=True)]
+    assert functools.reduce(add, terms) == build_L(family, m, M, lam)
 
 
 def test_equal_specs_share_one_row_table():
