@@ -1,6 +1,8 @@
 """Command line behaviour: scenarios, sweeps, exit codes, output formats."""
 
+import contextlib
 import gc
+import io
 import itertools
 import json
 import os
@@ -12,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, strategies as st
 
 import virfock
 import virfock.algebra as algebra
@@ -335,11 +338,37 @@ def test_sweep_empty_grid_is_config_error(tmp_path, capsys):
     assert "empty" in err
 
 
-def test_sweep_malformed_row(tmp_path, capsys):
+@pytest.mark.parametrize("row,error", [
+    ("1 2 3", "sweep rows are 'M lambda' pairs, got '1 2 3'"),
+    ("x 1", "bad rational in sweep row 'x 1': Invalid literal for Fraction: 'x'"),
+    ("1/0 1", "bad rational in sweep row '1/0 1': Fraction(1, 0)")])
+def test_sweep_malformed_row(tmp_path, capsys, row, error):
+    # after a good row whose texts are parsed first; a second run in the same
+    # process fails the same way, so no failed parse is kept
     grid = tmp_path / "grid.txt"
-    grid.write_text("1 2 3\n")
-    code, _, _ = run_cli(capsys, "--scenario", "fermion-reduced", "--sweep", str(grid))
-    assert code == 2
+    grid.write_text(f"1 1\n{row}\n")
+    for _ in range(2):
+        assert run_cli(capsys, "--scenario", "fermion-reduced", "--sweep", str(grid)) == (
+            2, "", f"error: {error}\n")
+
+
+@given(st.sampled_from(tuple(operators.FAMILIES)),
+       st.lists(st.tuples(*[st.fractions()] * 4, st.booleans()), max_size=4))
+def test_sweep_json_is_the_stdlib_encoding_of_its_rows(family, points):
+    # the rows of every golden match; these pass or fail at random, and may be none
+    args = cli._parse_args(["--scenario", family, "--format", "json"])
+    keys = ("M", "lambda", "c_formula", "c_oracle")
+    rows = [dict(zip(keys + ("match",), point)) for point in points]
+    failed = sum(not row["match"] for row in rows)
+    payload = {
+        "scenario": family,
+        "params": {"level": 6, "zmax": 4, "mmax": 3, "window": 8},
+        "sweep": [{**{k: algebra.format_rational(row[k]) for k in keys}, "match": row["match"]}
+                  for row in rows],
+        "summary": {"total": len(rows), "passed": len(rows) - failed, "failed": failed, "skipped": 0}}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli._emit_sweep(rows, args) == (1 if failed else 0)
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
 def test_sweep_needs_family_scenario(tmp_path, capsys):

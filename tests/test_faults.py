@@ -8,6 +8,7 @@ never seen by another test.
 """
 
 import inspect
+import json
 import re
 import textwrap
 from fractions import Fraction
@@ -390,7 +391,7 @@ def test_reduced_fermion_bracket_a_quarter(monkeypatch):
     assert _failed(run_dirac_checks(DIRAC_M, DIRAC_WINDOW)) == {"dirac_bracket_fermion[N=3]"}
 
 
-def test_reduced_boson_bracket_squared_in_m(monkeypatch, capsys, tmp_path):
+def _square_the_reduced_boson_bracket(monkeypatch, tmp_path):
     # [a†[m], a†[-m]] = -(M^2/2) m equals the true bracket at M = 1 only: the
     # oracle reads its forms at M = 1, so it must take each point's scale off
     # that point's bracket table, not off M, to miss the claimed c elsewhere
@@ -400,11 +401,27 @@ def test_reduced_boson_bracket_squared_in_m(monkeypatch, capsys, tmp_path):
                     algebra=lambda M: _with_brackets(real(M), {(red, red): -M * M / 2}))
     grid = tmp_path / "grid.txt"
     grid.write_text("1 1/3\n2 1/3\n-1/3 1/3\n")
-    assert cli.main(["--scenario", "boson-reduced", "--sweep", str(grid)]) == 1
+    return ["--scenario", "boson-reduced", "--sweep", str(grid)]
+
+
+def test_reduced_boson_bracket_squared_in_m(monkeypatch, capsys, tmp_path):
+    assert cli.main(_square_the_reduced_boson_bracket(monkeypatch, tmp_path)) == 1
     assert capsys.readouterr().out.splitlines() == [
         "M=1 lambda=1/3 c_formula=-5/3 c_oracle=-5/3 match",
         "M=2 lambda=1/3 c_formula=-13/3 c_oracle=-20/3 MISMATCH",
         "M=-1/3 lambda=1/3 c_formula=17/9 c_oracle=-5/27 MISMATCH"]
+
+
+def test_mismatch_rows_print_as_the_json_encoder_would(monkeypatch, capsys, tmp_path):
+    # no golden holds a failing sweep row, so this is what pins a "match": false row
+    argv = _square_the_reduced_boson_bracket(monkeypatch, tmp_path) + ["--format", "json"]
+    assert cli.main(argv) == 1
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert [(row["c_oracle"], row["match"]) for row in doc["sweep"]] == [
+        ("-5/3", True), ("-20/3", False), ("-5/27", False)]
+    assert doc["summary"] == {"total": 3, "passed": 1, "failed": 2, "skipped": 0}
+    assert out == json.dumps(doc, indent=2) + "\n"
 
 
 def test_fermion_support_shifted_by_one(monkeypatch):

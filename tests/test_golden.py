@@ -11,6 +11,7 @@ root, with
     done
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,8 @@ def test_cli_output_matches_golden(capsys, monkeypatch, filename, argv):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / filename).read_bytes()
+    if filename.endswith(".json"):  # whatever prints the JSON, it prints what the stdlib encoder does
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_every_golden_file_is_listed_or_a_named_grid():
