@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from .algebra import format_rational, parse_rational
 from .dirac import run_dirac_checks
 from .operators import FAMILIES
@@ -100,7 +101,7 @@ def _sweep(args):
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read sweep file: {exc}") from exc
-    grid = []
+    grid, parse = [], lru_cache(maxsize=None)(parse_rational)  # each text once a sweep; no error kept
     for line in lines:
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -109,7 +110,7 @@ def _sweep(args):
         if len(parts) != 2:
             raise ConfigError(f"sweep rows are 'M lambda' pairs, got {text!r}")
         try:
-            grid.append((parse_rational(parts[0]), parse_rational(parts[1])))
+            grid.append((parse(parts[0]), parse(parts[1])))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"bad rational in sweep row {text!r}: {exc}") from exc
     if not grid:
@@ -166,6 +167,12 @@ def _emit_runs(runs, args):
     return 0 if all(r.ok for r in all_reports) else 1
 
 
+# A sweep row byte for byte as json.dumps(..., indent=2) prints it, without its slow pure-Python
+# encoder: each value is format_rational's -?\d+(/\d+)?, which needs no escape; match is true/false.
+_SWEEP_ROW = ('    {{\n      "M": "{}",\n      "lambda": "{}",\n      "c_formula": "{}",\n'
+              '      "c_oracle": "{}",\n      "match": {}\n    }}')
+
+
 def _emit_sweep(rows, args):
     ok = all(row["match"] for row in rows)
     if args.fmt == "json":
@@ -173,13 +180,16 @@ def _emit_sweep(rows, args):
             "scenario": args.scenario,
             "params": {"level": args.level, "zmax": args.zmax, "mmax": args.mmax,
                        "window": args.window},
-            "sweep": [{"M": format_rational(r["M"]), "lambda": format_rational(r["lambda"]),
-                       "c_formula": format_rational(r["c_formula"]),
-                       "c_oracle": format_rational(r["c_oracle"]),
-                       "match": r["match"]} for r in rows],
+            "sweep": [],
             "summary": _summary(["pass" if r["match"] else "fail" for r in rows]),
         }
-        print(json.dumps(payload, indent=2))
+        text = json.dumps(payload, indent=2)
+        if rows:  # no rows stay the stdlib's []
+            body = ",\n".join(_SWEEP_ROW.format(
+                *map(format_rational, (r["M"], r["lambda"], r["c_formula"], r["c_oracle"])),
+                "true" if r["match"] else "false") for r in rows)
+            text = text.replace('"sweep": []', f'"sweep": [\n{body}\n  ]', 1)
+        print(text)
     else:
         for r in rows:
             print(f"M={format_rational(r['M'])} lambda={format_rational(r['lambda'])} "

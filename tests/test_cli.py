@@ -352,6 +352,20 @@ def test_sweep_malformed_row(tmp_path, capsys, row, error):
             2, "", f"error: {error}\n")
 
 
+def test_a_sweep_parses_each_distinct_text_once(tmp_path, capsys, monkeypatch):
+    # a text repeated in the grid is parsed once, and nothing parsed outlives its
+    # sweep: the second run parses every text again. --M and --lambda are parsed
+    # too, at their defaults 1 and 1/2
+    calls = []
+    monkeypatch.setattr(cli, "parse_rational", lambda text: calls.append(text) or algebra.parse_rational(text))
+    grid = tmp_path / "grid.txt"
+    grid.write_text("1/2 0\n2/4 0\n1/2 -0  # 1/2 again\n1/2 0\n")
+    for run in (1, 2):
+        code, out, _ = run_cli(capsys, "--scenario", "fermion-reduced", "--sweep", str(grid))
+        assert (code, out.count("M=1/2 lambda=0 ")) == (0, 4)
+        assert sorted(calls) == sorted(["1", "1/2", "1/2", "0", "2/4", "-0"] * run)
+
+
 @given(st.sampled_from(tuple(operators.FAMILIES)),
        st.lists(st.tuples(*[st.fractions()] * 4, st.booleans()), max_size=4))
 def test_sweep_json_is_the_stdlib_encoding_of_its_rows(family, points):
