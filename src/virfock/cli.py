@@ -101,7 +101,7 @@ def _sweep(args):
             lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read sweep file: {exc}") from exc
-    grid, parse = [], lru_cache(maxsize=None)(parse_rational)  # each text once a sweep; no error kept
+    grid, parse = [], lru_cache(maxsize=None)(parse_rational)  # each distinct text once a sweep; errors not cached
     for line in lines:
         text = line.split("#", 1)[0].strip()
         if not text:
