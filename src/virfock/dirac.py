@@ -146,7 +146,7 @@ class ConstraintFamily(Frozen):
     def delta_row(self, p):
         """Nonzero (R, Delta^PR) partners of a fixed first label (second class required)."""
         self._require_second_class()
-        return _cached_delta_row(self, p)
+        return self._delta_row(p)
 
     def _require_second_class(self, *operands: OperatorSpec):
         """Also the Dirac brackets' operand check: each operand lies over the
@@ -163,11 +163,6 @@ class ConstraintFamily(Frozen):
 @lru_cache(maxsize=512)  # bounded like each cache here, as a family carries M; 242 at --window 40
 def _cached_expr(family: ConstraintFamily, label) -> OperatorSpec:
     return family._build_expr(label)
-
-
-@lru_cache(maxsize=512)  # 162 at --window 40
-def _cached_delta_row(family: ConstraintFamily, label) -> tuple:
-    return family._delta_row(label)
 
 
 class BosonConstraints(ConstraintFamily):

@@ -26,19 +26,18 @@ op|basis[i]> = sum of (n/den)|basis[j]>.  The common denominator den is
 fixed by the operator before any row exists: the lcm of each realized
 kernel coefficient's denominator times the square of the algebra's bracket
 denominator (two contractions), of each linear coefficient's times that
-denominator, and of the constant's.  The kernel's mode pairs form a skeleton
-of fock mode tables shared by every operator with the same kinds, label and
-width; it keeps per state id the terms that act on that state, and a row
-build visits only those.
-It finds them from the state's own creators, not by scanning every term: a
-term whose first factor annihilates at doubled index -k can act only on a
-state holding a creator at k, and only creating first factors and a[0] are
-tried on every state.
+denominator, and of the constant's.  The kernel's realized terms are pairs
+of fock mode tables, resolved when the table is made.  A row build tries
+them from the state's own creators, not by scanning every term: a term
+whose first factor annihilates at doubled index -k can act only on a state
+holding a creator at k, and only creating first factors and a[0] are tried
+on every state.
 A table keeps only the integers of its coefficients: row builds and a
 Commutator (the graded commutator's row table over den_a·den_b) add and
 multiply integers by state id.  The 512 most recently used tables are kept:
-a scenario's working set is 40 to 238 of them, and a sweep's oracle makes
-tables only for masks of nonzero slots it has not seen, which hold no M.
+a scenario's working set at default flags is 35 to 154 of them, 216 at
+`--scenario all --level 4 --mmax 6`, and a sweep's oracle makes tables for
+one unit part per slot, once per family and truncation, which hold no M.
 
 The safe window of k operators (safe_ids) is stated once, from the
 operators themselves.  Applied in any order they raise a state's level by
@@ -80,7 +79,6 @@ from .algebra import (
 from .fock import (
     IdRows,
     Truncation,
-    TruncationOverflowError,
     _basis,
     accumulate,
 )
@@ -320,61 +318,23 @@ def _kernel_modes(left: FieldKind, right: FieldKind, m: int, two_r: int):
     return x, y
 
 
-class Skeleton(dict):
-    """The realized terms of one kernel (see _skeleton).  skeleton[i], computed
-    once per state id, keeps the terms whose first factor acts on basis[i] or
-    raises there: every other term sends that state to zero.
-
-    A first factor that annihilates at a doubled index two < 0 contracts only
-    a creator at -two and never overflows, so it can act only on a state that
-    holds one; those term positions are indexed by two, once.  Creating first
-    factors and a[0] are candidates on every state.  skeleton[i] tests these
-    and the terms indexed under -two of each creator of basis[i], in term
-    order, so it is the tuple a scan of every term would give.
-    """
-
-    def __init__(self, terms: tuple):
-        super().__init__()
-        self.terms = terms
-        self.basis = terms[0][2].basis if terms else ()
-        self.always, self.by_two = [], {}
-        for pos, t in enumerate(terms):
-            two = t[2].mode.two
-            (self.by_two.setdefault(two, []) if two < 0 else self.always).append(pos)
-
-    def __missing__(self, i: int) -> tuple:
-        terms, by_two = self.terms, self.by_two
-        candidates = self.always.copy()
-        for two in {c.two for c in self.basis[i].creators}:
-            candidates += by_two.get(-two, ())
-        candidates.sort()
-        acting = self[i] = tuple(terms[p] for p in candidates if _acts(terms[p][2], i))
-        return acting
-
-
-def _acts(table, i: int) -> bool:
-    try:
-        return bool(table.row(i))
-    except TruncationOverflowError:
-        return True
-
-
-@lru_cache(maxsize=512)
 def _skeleton(algebra: Algebra, trunc: Truncation, left: FieldKind, right: FieldKind,
-              m: int, width: Fraction) -> Skeleton:
+              m: int, width: Fraction) -> tuple:
     """The coefficient-free expansion of sum_r :left[m-r] right[r]: over
-    |r| <= width, on one truncation.
+    |r| <= width, on one truncation, as (terms, always, by_two).
 
-    Its terms are one (2r, sign, first, second) per realized term, where first
+    terms holds one (2r, sign, first, second) per realized term, where first
     and second are the mode tables of the factor applied first and second and
-    sign is the normal-ordering sign.  Shared by every operator with the same
-    kinds, label and width, whatever its coefficients.  The 512 most recently
-    used are kept: `--scenario all --level 4 --mmax 6` uses 142, a reduced-boson sweep 5 at any M.
+    sign is the normal-ordering sign.  A first factor that annihilates at a
+    doubled index two < 0 contracts only a creator at -two and never
+    overflows, so it can act only on a state that holds one: by_two lists
+    those terms under two, and always lists the others (creating first
+    factors and a[0]), which are tried on every state.
     """
     for kind in (left, right):
         if kind not in algebra.kinds:
             raise AlgebraMismatchError(f"mode kind {kind.symbol} does not belong to {algebra}")
-    out = []
+    terms, always, by_two = [], [], {}
     odd_bit = 1 if left.half_integer_moded else 0
     two_w = math.floor(2 * width)
     for two_r in range(-two_w, two_w + 1):
@@ -384,10 +344,13 @@ def _skeleton(algebra: Algebra, trunc: Truncation, left: FieldKind, right: Field
         x, y = modes
         if not is_creator(x) and is_creator(y):
             sign = -1 if (x.parity and y.parity) else 1
-            out.append((two_r, sign, mode_table(algebra, x, trunc), mode_table(algebra, y, trunc)))
+            t = (two_r, sign, mode_table(algebra, x, trunc), mode_table(algebra, y, trunc))
         else:
-            out.append((two_r, 1, mode_table(algebra, y, trunc), mode_table(algebra, x, trunc)))
-    return Skeleton(tuple(out))
+            t = (two_r, 1, mode_table(algebra, y, trunc), mode_table(algebra, x, trunc))
+        terms.append(t)
+        two = t[2].mode.two
+        (by_two.setdefault(two, []) if two < 0 else always).append(t)
+    return tuple(terms), always, by_two
 
 
 def _common_denominator(op: OperatorSpec, kernel_denominators) -> int:
@@ -419,10 +382,14 @@ class RowTable(IdRows):
     Rows are built on demand and kept in a dict, since most tables are
     asked for few rows.  The mode tables are resolved when the table is
     made, so a row build only indexes lists and adds and multiplies
-    integers.  Each bilinear term is held as its shared skeleton and the
-    integers (a, b, d) with kernel coefficient·den/bd² = (a + b·2r)/d at
-    each realized r, bd being the algebra's bracket denominator; a scaled
-    coefficient that is not an integer raises ArithmeticError.
+    integers.  Each bilinear term is held as its realized terms, split as
+    _skeleton splits them, and the integers (a, b, d) with kernel
+    coefficient·den/bd² = (a + b·2r)/d at each realized r, bd being the
+    algebra's bracket denominator; a scaled coefficient that is not an
+    integer raises ArithmeticError.  A row build tries the always terms, then
+    those indexed under -two of each creator at two of the state, so its
+    entries come in that order, not the kernel's term order: every reader
+    takes a row as a dict.
     """
 
     __slots__ = ("op", "terms", "linear", "constant")
@@ -433,16 +400,17 @@ class RowTable(IdRows):
         kernels = []
         for t in op.bilinears:
             d = 2 * math.lcm(t.alpha.denominator, t.beta.denominator)
-            kernels.append((_skeleton(algebra, trunc, t.left, t.right, t.m, width),
+            kernels.append((*_skeleton(algebra, trunc, t.left, t.right, t.m, width),
                             t.alpha.numerator * (d // t.alpha.denominator),
                             t.beta.numerator * (d // 2 // t.beta.denominator), d))
         # the lcm of nonzero (a + b·2r)/d's denominators is d/gcd(d, g), g = gcd(a + b·2r over r)
-        den = _common_denominator(op, [d // math.gcd(g, d) for sk, a, b, d in kernels
-                                       if (g := math.gcd(*[a + b * t[0] for t in sk.terms]))])
+        den = _common_denominator(op, [d // math.gcd(g, d) for terms, _, _, a, b, d in kernels
+                                       if (g := math.gcd(*[a + b * t[0] for t in terms]))])
         super().__init__(algebra, trunc, den)
         bd = algebra.bracket_denominator
         self.op = op
-        self.terms = tuple((sk, a * den, b * den, d * bd * bd) for sk, a, b, d in kernels)
+        self.terms = tuple((always, by_two, a * den, b * den, d * bd * bd)
+                           for _, always, by_two, a, b, d in kernels)
         self.linear = tuple((mode_table(algebra, mode, trunc), _integer(c, den, bd, "coefficient"))
                             for mode, c in op.linear)
         self.constant = _integer(op.constant, den, 1, "constant")
@@ -456,17 +424,19 @@ class RowTable(IdRows):
 
     def _build(self, i: int) -> tuple:
         acc = {}
-        for skeleton, a, b, d in self.terms:
-            for two_r, sign, first, second in skeleton[i]:
-                c, rem = divmod(a + b * two_r, d)
-                if rem:
-                    raise ArithmeticError(
-                        f"kernel coefficient of {self.op} at 2r={two_r} is not a multiple "
-                        f"of 1/{self.den} over the bracket denominator squared")
-                if c:
-                    c *= sign
-                    for mid, w in first.row(i):
-                        accumulate(acc, second.row(mid), c * w)
+        twos = {c.two for c in self.basis[i].creators}
+        for always, by_two, a, b, d in self.terms:
+            for terms in (always, *[by_two.get(-two, ()) for two in twos]):
+                for two_r, sign, first, second in terms:
+                    c, rem = divmod(a + b * two_r, d)
+                    if rem:
+                        raise ArithmeticError(
+                            f"kernel coefficient of {self.op} at 2r={two_r} is not a multiple "
+                            f"of 1/{self.den} over the bracket denominator squared")
+                    if c:
+                        c *= sign
+                        for mid, w in first.row(i):
+                            accumulate(acc, second.row(mid), c * w)
         for table, c in self.linear:
             accumulate(acc, table.row(i), c)
         if self.constant:
@@ -483,9 +453,10 @@ def _apply_to_basis(op: OperatorSpec, trunc: Truncation, width) -> RowTable:
     """The row table of an operator at one kernel half-width (None: level_cap + |m|).
 
     The bound holds one scenario's working set, so no family run rebuilds a
-    table: 40 tables for boson-unconstrained at level 6, 140 for `--scenario
-    all` at default flags, 238 at `--level 4 --mmax 6`.  A sweep point makes
-    none once the oracle has seen its masks of nonzero slots, which hold no M.
+    table: at default flags 45 tables for boson-unconstrained, 39 for
+    boson-reduced, 35 for either fermion and 154 for `--scenario all`; 216 at
+    `--scenario all --level 4 --mmax 6`.  A sweep point makes none once the
+    oracle has built its family's form, which holds no M.
     """
     if width is None:
         width = Fraction(_doubled(trunc.level_cap) + abs(_doubled(op.shift)), 2)

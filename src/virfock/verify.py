@@ -14,9 +14,10 @@ scalar slots, so <0|[A, B]|0> = sum a_i b_j <0|[P_i, Q_j]|0> over the slots
 a, b and unit-coefficient parts P, Q of A and B, and <0|L_0|0> is linear
 too.  Each point forms the integer slots of its own L_0, L_±2, L_±3 from the
 family's one statement (GeneratorFamily.slots), builds no spec, and reads all
-three forms from one cache entry, keyed by truncation, the family's M = 1
-algebra, kernel and linear kinds and the five masks of nonzero slots: sparse
-lists of the nonzero part entries with the slot positions they multiply.
+three forms from one cache entry, keyed by truncation and the family's M = 1
+algebra, kernel and linear kinds, so one per family and truncation: sparse
+lists of the nonzero part entries with the slot positions they multiply, a
+part for every slot, zero or not.
 With each bracket of the point's algebra s times the M = 1 one (s read off
 its bracket table, once per point), an entry of k modes, a sum of products of
 k/2 brackets (none for odd k), is s^(k/2) times the M = 1 entry.  A point
@@ -122,27 +123,27 @@ def require_oracle_caps(params: ScenarioParams) -> None:
                          f"got {trunc.zero_mode_cap}")
 
 
-def _parts(algebra: Algebra, kernel: tuple, linear: tuple, m: int, nonzero: tuple) -> list:
-    """(k, part) for each nonzero slot of a family's L_m (GeneratorFamily: its kernel and linear
-    kinds), in slot order: L_m is the sum of its slots over den times these unit-coefficient
-    parts, and k is the number of modes a part holds."""
+def _parts(algebra: Algebra, kernel: tuple, linear: tuple, m: int) -> list:
+    """(k, part) for each slot of a family's L_m (GeneratorFamily: its kernel and linear kinds), in
+    slot order, zero slots included: L_m is the sum of its slots over den times these
+    unit-coefficient parts, and k is the number of modes a part holds."""
     parts = [(0, (), (), ONE)] + [(1, (), ((Mode(kind, 2 * m), ONE),), ZERO) for kind in linear]
     parts += [(2, (BilinearTerm(*kernel, m, *unit),), (), ZERO) for unit in ((ONE, ZERO), (ZERO, ONE))]
-    return [(k, OperatorSpec(algebra, m, *part)) for (k, *part), keep in zip(parts, nonzero) if keep]
+    return [(k, OperatorSpec(algebra, m, *part)) for k, *part in parts]
 
 
 _LABELS = (0, 2, -2, 3, -3)  # the oracle's L_0, then L_m and L_-m for m = 2 and m = 3
 
 
-@lru_cache(maxsize=512)  # masks hold no M: a few per family and truncation
-def _vacuum_form(trunc: Truncation, unit: Algebra, kernel: tuple, linear: tuple, *masks: tuple) -> tuple:
-    """The forms of <0|L_0|0>, <0|[L_2, L_-2]|0> and <0|[L_3, L_-3]|0> over unit, for the nonzero
-    masks of the _LABELS' slots: each (terms, den), a term (entry, k // 2, i) or (entry, k // 2, i, j)
-    for each nonzero <0|P_i|0> or <0|[P_i, Q_j]|0> of k modes (none of odd k), with i and j
-    numbering the parts of all five generators in order."""
+@lru_cache(maxsize=512)  # one entry per family and truncation
+def _vacuum_form(trunc: Truncation, unit: Algebra, kernel: tuple, linear: tuple) -> tuple:
+    """The forms of <0|L_0|0>, <0|[L_2, L_-2]|0> and <0|[L_3, L_-3]|0> over unit: each (terms, den),
+    a term (entry, k // 2, i) or (entry, k // 2, i, j) for each nonzero <0|P_i|0> or <0|[P_i, Q_j]|0>
+    of k modes (none of odd k), with i and j numbering the slots of all five generators in order."""
+    # the reduced boson's m = 0 linear slot is always 0; its part a†[0] is no creator
+    # (algebra.is_creator), so its row is empty and it adds no entry
     numbering = count()
-    parts = [[(next(numbering), k, part) for k, part in _parts(unit, kernel, linear, m, mask)]
-             for m, mask in zip(_LABELS, masks)]
+    parts = [[(next(numbering), k, part) for k, part in _parts(unit, kernel, linear, m)] for m in _LABELS]
     forms = []
     for group in (parts[:1], parts[1:3], parts[3:]):
         tables = [(Commutator(*ps, trunc) if len(ps) == 2 else row_table(*ps, trunc), sum(ks) // 2, positions)
@@ -174,9 +175,8 @@ def extract_central_charge(params: ScenarioParams) -> Fraction:
     p, q = _bracket_scale(gen.algebra(M), unit)
     slots = [gen.slots(m, M, lam) for m in _LABELS]
     d = [den for den, *_ in slots]
-    x = [v for _, *values in slots for v in values if v]  # each over the d of its own L_m
-    (g_terms, g_den), *pairs = _vacuum_form(params.trunc, unit, gen.kernel, gen.linear,
-                                            *[tuple([v != 0 for v in values]) for _, *values in slots])
+    x = [v for _, *values in slots for v in values]  # each over the d of its own L_m
+    (g_terms, g_den), *pairs = _vacuum_form(params.trunc, unit, gen.kernel, gen.linear)
     w = (q * q, p * q, p * p)
     g, g_den = sum(e * w[h] * x[i] for e, h, i in g_terms), g_den * d[0] * q * q
 

@@ -152,9 +152,9 @@ def test_sweep_fermion_lambda_row(tmp_path, capsys):
 def test_each_sweep_point_builds_its_own_generators(tmp_path, capsys, monkeypatch):
     # the oracle's work is per point: no c may be memoized by (family, M, lambda).
     # Each point forms the slots of its own L_0, L_±2 and L_±3 from the family's
-    # statement and reads their vacuum entries through forms cached by their
-    # masks of nonzero slots, so a second point of masks already seen adds no
-    # row-table miss, yet gives its own closed-form c; a reduced boson's forms
+    # statement and reads their vacuum entries through forms cached by family
+    # and truncation, so a second point adds no row-table miss, yet gives its
+    # own closed-form c; a reduced boson's forms
     # are over its M = 1 algebra, so its second point, at another M, adds none either
     for family in ("boson-unconstrained", "boson-reduced"):
         real, calls = operators.FAMILIES[family].slots, []
@@ -198,7 +198,7 @@ def test_scenario_all_fits_the_row_table_cache(monkeypatch, fresh_caches, flags)
 
 def test_a_sweep_retains_no_memory_after_a_warm_up(fresh_caches):
     # distinct boson-unconstrained points, run as --sweep runs them: after a
-    # warm-up, each point reads forms of shapes already seen and keeps nothing
+    # warm-up, each point reads the one form already built and keeps nothing
     values = sorted({Fraction(p, q) for p in range(-6, 7) for q in range(1, 7)})
     pool = [(M, lam) for M in values if M for lam in values]
     points = iter(random.Random(1).sample(pool, 600))
@@ -228,15 +228,15 @@ def _sweep_caches():
 # the caches keyed by a reduced boson's algebra, which carries M: each family
 # run at a new M adds entries to them, an oracle point none
 def _table_caches():
-    return (fock._apply_to_basis, operators._skeleton)
+    return (fock._apply_to_basis,)
 
 
 # the caches keyed by a constraint family, which carries M, or by a reduced
 # boson's modes: each dirac-checks run and each boson-reduced family run at a
 # new M adds entries to them
 def _dirac_caches():
-    return (operators.mode_operator, dirac._cached_expr, dirac._cached_delta_row, dirac._projected,
-            dirac._c_rows, dirac._signed_inverse)
+    return (operators.mode_operator, dirac._cached_expr, dirac._projected, dirac._c_rows,
+            dirac._signed_inverse)
 
 
 def _caches_that_grow_with_m():
@@ -248,12 +248,11 @@ def _caches_that_grow_with_m():
                                    ("--scenario", "dirac-checks", "--window", "40")],
                          ids=["all-mmax6", "reduced-boson-sweep", "dirac"])
 def test_a_run_fits_the_caches_that_grow_with_m(tmp_path, fresh_caches, flags):
-    # nothing is evicted and room is left: 304 mode tables, 142 skeletons,
-    # 78 mode operators, 58 constraints, 34 Delta rows and 66 projections for
-    # --mmax 6; 46 algebras for every M of the benchmark's sweep
-    # grid (|p|, q <= 6), each once, whose oracle reads the 24 mode tables and
-    # 5 skeletons of the M = 1 algebra; 322 mode operators, 242 constraints,
-    # 162 Delta rows, 322 projections, 5 C and 3 eliminations at window 40
+    # nothing is evicted and room is left: 305 mode tables, 78 mode operators,
+    # 58 constraints and 66 projections for --mmax 6; 46 algebras for every M
+    # of the benchmark's sweep grid (|p|, q <= 6), each once, whose oracle
+    # reads the 25 mode tables of the M = 1 algebra; 322 mode operators,
+    # 242 constraints, 322 projections, 5 C and 3 eliminations at window 40
     grid = tmp_path / "grid.txt"
     masses = sorted({Fraction(p, q) for p in range(-6, 7) for q in range(1, 7) if p})
     grid.write_text("".join(f"{M} 1/3\n" for M in masses))
@@ -266,7 +265,7 @@ def test_a_run_fits_the_caches_that_grow_with_m(tmp_path, fresh_caches, flags):
 def test_a_reduced_boson_sweep_retains_no_memory_once_the_caches_are_full(fresh_caches):
     # every point at a new M = 1/k builds its own algebra and generators but
     # reads the vacuum forms of the M = 1 algebra: after the first M no point
-    # adds a mode table, skeleton, row table or oracle cache entry, and once the caches of
+    # adds a mode table, row table or oracle cache entry, and once the caches of
     # the algebras and kernels are full 300 more points retain under 250,000 bytes
     caches = _sweep_caches()
     tables = _table_caches() + (operators._apply_to_basis, *_oracle_caches())
@@ -304,7 +303,7 @@ def test_a_reduced_boson_sweep_retains_no_memory_once_the_caches_are_full(fresh_
 
 
 def test_dirac_checks_retain_no_memory_once_the_caches_are_full(fresh_caches):
-    # each M = 1/k keys its own constraints, Delta rows, projections and C;
+    # each M = 1/k keys its own constraints, projections and C;
     # unbounded caches retain about 2 MB over the 20 M measured here
     caches = _dirac_caches()[1:]  # run_dirac_checks makes mode operators of the boson modes only
     points = (Fraction(1, k) for k in itertools.count(1))

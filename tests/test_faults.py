@@ -172,9 +172,14 @@ def test_normal_ordering_sign_flipped(monkeypatch, family, lam):
     # every swapped odd pair of the kernel loses its -1: L_0 stops grading by
     # level, so [L_0, L_2] = 2 L_2 fails
     real = operators._skeleton
-    monkeypatch.setattr(operators, "_skeleton",
-                        lambda *key: operators.Skeleton(tuple(
-                            (two_r, 1, first, second) for two_r, _, first, second in real(*key).terms)))
+
+    def unsigned(*key):
+        def drop(terms):
+            return [(two_r, 1, first, second) for two_r, _, first, second in terms]
+        terms, always, by_two = real(*key)
+        return drop(terms), drop(always), {two: drop(ts) for two, ts in by_two.items()}
+
+    monkeypatch.setattr(operators, "_skeleton", unsigned)
     params = small_params(family, 0, lam)
     failed = _failed(check_virasoro_relation(params, claimed_central_charge(family, 0, lam)))
     assert {"virasoro[m=0,n=2]", "virasoro[m=2,n=0]"} <= failed
@@ -280,12 +285,12 @@ def test_skeleton_index_looked_up_at_the_wrong_sign(monkeypatch):
     # from a creator at two; looked up under +two it is never a candidate, so
     # no kernel term contracts a creator: L_0 no longer counts a state's level
     # and [L_m, L_-m]|0> loses the contractions the oracle reads, in every family
-    source = textwrap.dedent(inspect.getsource(operators.Skeleton.__missing__))
+    source = textwrap.dedent(inspect.getsource(operators.RowTable._build))
     lookup = "by_two.get(-two, ())"
     assert source.count(lookup) == 1
     namespace = dict(vars(operators))
     exec(source.replace(lookup, "by_two.get(two, ())"), namespace)
-    monkeypatch.setattr(operators.Skeleton, "__missing__", namespace["__missing__"])
+    monkeypatch.setattr(operators.RowTable, "_build", namespace["_build"])
     for family in operators.FAMILIES:  # at the caps of tests/golden/all.txt
         reports, _, _ = run_family_scenario(ScenarioParams(family, 1, H, default_truncation(family, 4, 2), 2))
         failed = _failed(reports)

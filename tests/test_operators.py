@@ -458,12 +458,12 @@ def test_rows_are_integers_over_the_common_denominator():
                                               index[BasisState((red_adag(2),))]: 108}
 
 
-def _walked_den(op, skeleton):
-    """den of a one-kernel operator, by a walk over every realized term of
-    its skeleton with the kernel coefficient in Fractions."""
+def _walked_den(op, terms):
+    """den of a one-kernel operator, by a walk over every realized term
+    (_skeleton's term tuple) with the kernel coefficient in Fractions."""
     (t,) = op.bilinears
     bd = op.algebra.bracket_denominator
-    coefficients = [t.alpha + t.beta * Fraction(two_r, 2) for two_r, *_ in skeleton.terms]
+    coefficients = [t.alpha + t.beta * Fraction(two_r, 2) for two_r, *_ in terms]
     return math.lcm(*(c.denominator * bd * bd for c in coefficients if c), op.constant.denominator)
 
 
@@ -500,8 +500,8 @@ def test_row_table_den_equals_a_walk_over_the_realized_terms(kinds, m, two_w, M,
     algebra = algebra(M)
     width = Fraction(two_w, 2)
     op = OperatorSpec(algebra, Fraction(m), (BilinearTerm(left, right, m, alpha, beta),), (), constant)
-    skeleton = _skeleton(algebra, trunc, left, right, m, width)
-    assert _apply_to_basis(op, trunc, width).den == _walked_den(op, skeleton)
+    terms = _skeleton(algebra, trunc, left, right, m, width)[0]
+    assert _apply_to_basis(op, trunc, width).den == _walked_den(op, terms)
 
 
 def _composed_L(family, m, M, lam):
@@ -577,13 +577,13 @@ def test_build_L_equals_the_reference_builders(family, m, M, lam):
 @example("fermion-unconstrained", 0, Fraction(-1), Fraction(1, 3))
 @example("fermion-reduced", 0, Fraction(1), Fraction(0))  # alpha = 0: the beta part alone
 def test_slots_times_the_oracle_parts_sum_to_build_L(family, m, M, lam):
-    # the oracle's reader of the statement, a unit part per nonzero slot, against build_L's
+    # the oracle's reader of the statement, a unit part per slot, zero slots included, against build_L's
     gen = FAMILIES[family]
     den, *values = gen.slots(m, M, lam)
     assert den > 0
-    parts = _parts(gen.algebra(M), gen.kernel, gen.linear, m, tuple(v != 0 for v in values))
+    parts = _parts(gen.algebra(M), gen.kernel, gen.linear, m)
     assert [k for k, _ in parts] == [2 * len(p.bilinears) + len(p.linear) for _, p in parts]
-    terms = [Fraction(v, den) * part for v, (_, part) in zip([v for v in values if v], parts, strict=True)]
+    terms = [Fraction(v, den) * part for v, (_, part) in zip(values, parts, strict=True)]
     assert functools.reduce(add, terms) == build_L(family, m, M, lam)
 
 
@@ -649,13 +649,16 @@ def test_spec_equality_and_hash_agree_with_a_field_by_field_reference(specs):
         assert op != other and other != op
 
 
-def _acts_on(x, state, algebra, trunc) -> bool:
-    """Whether applying x to the state gives a nonzero row or overflows."""
-    table = mode_table(algebra, x, trunc)
-    try:
-        return bool(table.row(table.state_id(state)))
-    except TruncationOverflowError:
-        return True
+def _scanned_row(terms, alpha, beta, i) -> dict:
+    """Row i of sum_r (alpha + beta*r) :X[m-r] Y[r]: by a scan of every realized term, each
+    factor's row read as Fractions; an overflowing factor raises."""
+    acc = {}
+    for two_r, sign, first, second in terms:
+        coefficient = sign * (alpha + beta * Fraction(two_r, 2))
+        for mid, w in first.row(i):
+            for j, n in second.row(mid):
+                acc[j] = acc.get(j, ZERO) + coefficient * Fraction(w, first.den) * Fraction(n, second.den)
+    return {j: q for j, q in acc.items() if q}
 
 
 # the default half-width, and the doubled one that check_window_doubling reads
@@ -667,17 +670,25 @@ def _acts_on(x, state, algebra, trunc) -> bool:
     (REDUCED_FERMION, FieldKind.RED_B, FieldKind.RED_B, Truncation(Fraction(7, 2))),
 ])
 @pytest.mark.parametrize("m", [-2, 0, 3])
-def test_each_state_visits_only_the_kernel_terms_acting_on_it(algebra, left, right, trunc, m, widen):
-    # the reference is the full scan: every term whose first factor acts on the state
-    skeleton = _skeleton(algebra, trunc, left, right, m, widen * (trunc.level_cap + abs(m)))
-    basis = enumerate_basis(algebra, trunc)
-    for i, state in enumerate(basis):
-        assert skeleton[i] == tuple(t for t in skeleton.terms
-                                    if _acts_on(t[2].mode, state, algebra, trunc))
-    # on the vacuum only creating first factors act
-    vacuum_terms = skeleton[basis.index(VACUUM)]
-    assert all(is_creator(first.mode) for _, _, first, _ in vacuum_terms)
-    assert len(vacuum_terms) < len(skeleton.terms)
+def test_each_row_equals_a_scan_of_every_realized_term(algebra, left, right, trunc, m, widen):
+    # a row build tries only the terms the state's creators index; the reference scans every
+    # term, so a term that acts but is never tried shows here.  alpha + beta*r is nonzero at
+    # every r, so every term counts
+    alpha, beta, width = Fraction(1, 3), ONE, widen * (trunc.level_cap + abs(m))
+    terms = _skeleton(algebra, trunc, left, right, m, width)[0]
+    table = _apply_to_basis(OperatorSpec(algebra, Fraction(m), (BilinearTerm(left, right, m, alpha, beta),)),
+                            trunc, width)
+    rows = 0
+    for i in range(len(table.basis)):
+        try:
+            want = _scanned_row(terms, alpha, beta, i)
+        except TruncationOverflowError:
+            with pytest.raises(TruncationOverflowError):
+                table.row(i)
+            continue
+        assert {j: Fraction(n, table.den) for j, n in table.row(i)} == want
+        rows += bool(want)
+    assert rows
 
 
 def test_zero_coefficient_term_is_skipped_before_its_row():

@@ -176,6 +176,17 @@ def test_a_perturbed_form_entry_fails_the_sweep(monkeypatch, capsys, tmp_path, f
     assert (out.out, Fraction(c3)) == ("", c) and Fraction(c2) != c
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_a_sweep_builds_one_oracle_form_per_family_and_truncation(tmp_path, capsys, fresh_caches, family):
+    # the forms hold a unit part for every slot, zero or not, so points whose zero slots differ
+    # (lambda = 0 zeroes a linear slot, M = 1 and 2/3 give the fermion's L_0 constant or not) share one
+    grid = tmp_path / "grid.txt"
+    grid.write_text("".join(f"{M} {lam}\n" for M in ("1", "2/3") for lam in ("0", "1/2", "1/3")))
+    assert main(["--scenario", family, "--sweep", str(grid)]) == 0
+    assert capsys.readouterr().out.count(" match\n") == 6
+    assert verify._vacuum_form.cache_info().misses == 1
+
+
 def test_oracle_preconditions():
     p = ScenarioParams("fermion-reduced", trunc=Truncation(Fraction(5, 2)))
     with pytest.raises(ValueError):
