@@ -17,11 +17,10 @@ the level grading guarantees nothing ever leaves the truncation.
 The basis of one truncation is enumerated once per mode kinds and zero
 modes, and shared by every algebra that has them; a state's id is its
 position in that tuple.  A single mode acts through its ModeTable, one per
-(algebra, truncation, mode), the 2048 most recently used kept: a list
-indexed by state id whose row i is ((j, w), ...) with x|basis[i]> = sum of
-(w/bd)|basis[j]>, w an integer and bd the algebra's bracket denominator.
-Rows are built on demand and kept, so the operator and verification layers
-run on integers.
+(algebra, truncation, mode), the 2048 most recently used kept, whose row i
+is ((j, w), ...) with x|basis[i]> = sum of (w/bd)|basis[j]>, w an integer
+and bd the algebra's bracket denominator.  Rows are built on demand and
+kept, so the operator and verification layers run on integers.
 """
 
 from __future__ import annotations
@@ -53,9 +52,9 @@ class TruncationOverflowError(VirfockError):
 class Truncation(Frozen):
     """Caps for a truncated Fock module.
 
-    level_cap bounds the total level (sum of creator indices), a Fraction;
-    zero_mode_cap bounds the a†[0] occupancy and only matters for algebras
-    with zero modes.
+    level_cap bounds the total level (sum of creator indices), a Fraction,
+    and two_cap, outside the key, is twice it as an int; zero_mode_cap
+    bounds the a†[0] occupancy and only matters for algebras with zero modes.
     """
 
     _fields = ("level_cap", "zero_mode_cap")
@@ -66,7 +65,7 @@ class Truncation(Frozen):
             raise ValueError("level_cap must be a non-negative half-integer multiple")
         if zero_mode_cap < 0:
             raise ValueError("zero_mode_cap must be non-negative")
-        vars(self).update(level_cap=cap, zero_mode_cap=zero_mode_cap)
+        vars(self).update(level_cap=cap, zero_mode_cap=zero_mode_cap, two_cap=int(2 * cap))
 
 
 class BasisState(NamedTuple):
@@ -122,11 +121,10 @@ def _state_key(state: BasisState):
 def _basis(kinds: tuple, has_zero_modes: bool, trunc: Truncation) -> tuple:
     """(states, index, two_levels) of the module of the given mode kinds;
     every algebra with these kinds and zero modes shares it."""
-    two_cap = 2 * trunc.level_cap.numerator // trunc.level_cap.denominator  # levels doubled, as ints
     modes = []
     for kind in kinds:
         two = 1 if kind.half_integer_moded else 2
-        while two <= two_cap:
+        while two <= trunc.two_cap:  # levels doubled, as ints
             modes.append(Mode(kind, two))
             two += 2
     modes.sort(key=lambda m: m.sort_key)
@@ -144,7 +142,7 @@ def _basis(kinds: tuple, has_zero_modes: bool, trunc: Truncation) -> tuple:
             grow(j + 1 if m.parity else j, prefix, remaining - m.two)
             prefix.pop()
 
-    grow(0, [], two_cap)
+    grow(0, [], trunc.two_cap)
 
     occs = range(trunc.zero_mode_cap + 1) if has_zero_modes else (0,)
     states = tuple(sorted((BasisState(c, z) for c in combos for z in occs), key=_state_key))
@@ -168,8 +166,9 @@ class IdRows:
 
     map|basis[i]> = sum of (n / den)|basis[j]> over (j, n) in row(i); each
     row lists every image state once, with a nonzero integer.  Subclasses
-    build the rows; a row whose build raises is never stored, so it raises
-    again each time it is asked for.
+    build the rows (_build); row keeps each in a dict by state id, since most
+    tables are asked for few rows, and a row whose build raises is never
+    stored, so it raises again each time it is asked for.
     """
 
     __slots__ = ("algebra", "trunc", "den", "basis", "index", "rows")
@@ -177,12 +176,19 @@ class IdRows:
     def __init__(self, algebra: Algebra, trunc: Truncation, den: int):
         self.algebra, self.trunc, self.den = algebra, trunc, den
         self.basis, self.index, _ = _basis(algebra.kinds, algebra.has_zero_modes, trunc)
+        self.rows = {}
 
     def state_id(self, state: BasisState) -> int:
         i = self.index.get(state)
         if i is None:
             raise TruncationOverflowError(f"state {state} is not a basis state within {self.trunc}")
         return i
+
+    def row(self, i: int) -> tuple:
+        row = self.rows.get(i)
+        if row is None:
+            row = self.rows[i] = self._build(i)
+        return row
 
     def apply(self, pairs) -> dict:
         """The map applied to sum of n|basis[j]> over the (j, n) of pairs, as
@@ -196,8 +202,8 @@ class IdRows:
 class ModeTable(IdRows):
     """One mode on one truncation; den is the algebra's bracket denominator.
 
-    Rows are kept in a list indexed by state id.  A row that would leave the
-    caps raises TruncationOverflowError every time it is asked for.
+    A row that would leave the caps raises TruncationOverflowError every
+    time it is asked for.
     """
 
     __slots__ = ("mode",)
@@ -206,13 +212,6 @@ class ModeTable(IdRows):
         require_members((x,), algebra)
         super().__init__(algebra, trunc, algebra.bracket_denominator)
         self.mode = x
-        self.rows = [None] * len(self.basis)
-
-    def row(self, i: int) -> tuple:
-        row = self.rows[i]
-        if row is None:
-            row = self.rows[i] = self._build(i)
-        return row
 
     def _build(self, i: int) -> tuple:
         x, trunc, den, index = self.mode, self.trunc, self.den, self.index
@@ -226,7 +225,7 @@ class ModeTable(IdRows):
                 return ((index[BasisState(creators, z + 1)], den),)
             if x.parity and x in creators:
                 return ()
-            if state.level + x.index > trunc.level_cap:
+            if state.two_level + x.two > trunc.two_cap:
                 raise TruncationOverflowError(
                     f"level {state.level + x.index} exceeds level_cap {trunc.level_cap} "
                     f"applying {x} to {state}")

@@ -26,15 +26,15 @@ op|basis[i]> = sum of (n/den)|basis[j]>.  The common denominator den is
 fixed by the operator before any row exists: the lcm of each realized
 kernel coefficient's denominator times the square of the algebra's bracket
 denominator (two contractions), of each linear coefficient's times that
-denominator, and of the constant's.  The kernel's realized terms are pairs
-of fock mode tables, resolved when the table is made.  A row build tries
-them from the state's own creators, not by scanning every term: a term
-whose first factor annihilates at doubled index -k can act only on a state
-holding a creator at k, and only creating first factors and a[0] are tried
-on every state.
-A table keeps only the integers of its coefficients: row builds and a
-Commutator (the graded commutator's row table over den_a·den_b) add and
-multiply integers by state id.  The 512 most recently used tables are kept:
+denominator, and of the constant's.  The kernel's realized terms with a
+nonzero coefficient are pairs of fock mode tables, resolved when the table
+is made, and every coefficient becomes an integer over den there, so row
+builds and a Commutator (the graded commutator's row table over
+den_a·den_b) only add and multiply integers by state id.  A row build
+tries the kernel terms from the state's own creators, not by scanning every
+term: a term whose first factor annihilates at doubled index -k can act
+only on a state holding a creator at k, and only creating first factors and
+a[0] are tried on every state.  The 512 most recently used tables are kept:
 a scenario's working set at default flags is 35 to 154 of them, 216 at
 `--scenario all --level 4 --mmax 6`, and a sweep's oracle makes tables for
 one unit part per slot, once per family and truncation, which hold no M.
@@ -318,39 +318,33 @@ def _kernel_modes(left: FieldKind, right: FieldKind, m: int, two_r: int):
     return x, y
 
 
-def _skeleton(algebra: Algebra, trunc: Truncation, left: FieldKind, right: FieldKind,
-              m: int, width: Fraction) -> tuple:
-    """The coefficient-free expansion of sum_r :left[m-r] right[r]: over
-    |r| <= width, on one truncation, as (terms, always, by_two).
+def _expand(algebra: Algebra, trunc: Truncation, t: BilinearTerm, width: Fraction) -> tuple:
+    """(d, terms): the realized terms of t over |r| <= width, on one
+    truncation, whose coefficient is nonzero.
 
-    terms holds one (2r, sign, first, second) per realized term, where first
-    and second are the mode tables of the factor applied first and second and
-    sign is the normal-ordering sign.  A first factor that annihilates at a
-    doubled index two < 0 contracts only a creator at -two and never
-    overflows, so it can act only on a state that holds one: by_two lists
-    those terms under two, and always lists the others (creating first
-    factors and a[0]), which are tried on every state.
+    terms holds one (2r, n, first, second) per term, where first and second
+    are the mode tables of the factor applied first and second, and n/d is
+    the coefficient alpha + beta*r with the normal-ordering sign, n = ±(a +
+    b·2r) in integers over d = 2·lcm of alpha's and beta's denominators.
     """
-    for kind in (left, right):
+    for kind in (t.left, t.right):
         if kind not in algebra.kinds:
             raise AlgebraMismatchError(f"mode kind {kind.symbol} does not belong to {algebra}")
-    terms, always, by_two = [], [], {}
-    odd_bit = 1 if left.half_integer_moded else 0
+    d = 2 * math.lcm(t.alpha.denominator, t.beta.denominator)
+    a, b = t.alpha.numerator * (d // t.alpha.denominator), t.beta.numerator * (d // 2 // t.beta.denominator)
+    odd_bit = 1 if t.left.half_integer_moded else 0
     two_w = math.floor(2 * width)
+    terms = []
     for two_r in range(-two_w, two_w + 1):
-        modes = (two_r & 1) == odd_bit and _kernel_modes(left, right, m, two_r)
+        n = a + b * two_r
+        modes = n and (two_r & 1) == odd_bit and _kernel_modes(t.left, t.right, t.m, two_r)
         if not modes:
             continue
-        x, y = modes
+        x, y = modes  # the term is x·y, y applied first, unless normal order swaps them
         if not is_creator(x) and is_creator(y):
-            sign = -1 if (x.parity and y.parity) else 1
-            t = (two_r, sign, mode_table(algebra, x, trunc), mode_table(algebra, y, trunc))
-        else:
-            t = (two_r, 1, mode_table(algebra, y, trunc), mode_table(algebra, x, trunc))
-        terms.append(t)
-        two = t[2].mode.two
-        (by_two.setdefault(two, []) if two < 0 else always).append(t)
-    return tuple(terms), always, by_two
+            n, x, y = -n if x.parity and y.parity else n, y, x
+        terms.append((two_r, n, mode_table(algebra, y, trunc), mode_table(algebra, x, trunc)))
+    return d, terms
 
 
 def _common_denominator(op: OperatorSpec, kernel_denominators) -> int:
@@ -368,75 +362,56 @@ def _common_denominator(op: OperatorSpec, kernel_denominators) -> int:
                     op.constant.denominator)
 
 
-def _integer(q: Fraction, scale: int, divisor: int, what: str) -> int:
-    """q·scale/divisor, which must be an integer, computed in integers."""
-    n, rem = divmod(q.numerator * scale, q.denominator * divisor)
+def _integer(n: int, d: int, scale: int, divisor: int, what: str) -> int:
+    """(n/d)·scale/divisor, which must be an integer, computed in integers."""
+    c, rem = divmod(n * scale, d * divisor)
     if rem:
-        raise ArithmeticError(f"{what} {q}·{scale}/{divisor} is not an integer")
-    return n
+        raise ArithmeticError(f"{what} {Fraction(n, d)}·{scale}/{divisor} is not an integer")
+    return c
 
 
 class RowTable(IdRows):
     """An operator on one truncation, as integer rows by state id.
 
-    Rows are built on demand and kept in a dict, since most tables are
-    asked for few rows.  The mode tables are resolved when the table is
-    made, so a row build only indexes lists and adds and multiplies
-    integers.  Each bilinear term is held as its realized terms, split as
-    _skeleton splits them, and the integers (a, b, d) with kernel
-    coefficient·den/bd² = (a + b·2r)/d at each realized r, bd being the
-    algebra's bracket denominator; a scaled coefficient that is not an
-    integer raises ArithmeticError.  A row build tries the always terms, then
-    those indexed under -two of each creator at two of the state, so its
-    entries come in that order, not the kernel's term order: every reader
-    takes a row as a dict.
+    When the table is made, every amplitude becomes an integer over den:
+    each kernel term of _expand its coefficient·den/bd², bd being the
+    algebra's bracket denominator, each linear coefficient ·den/bd and the
+    constant ·den; one that is not an integer raises ArithmeticError.  The
+    kernel terms are split there too: by_two lists those whose first factor
+    annihilates at a doubled index two < 0 under two (it contracts only a
+    creator at -two and never overflows), always lists the others.  A row
+    build tries always, then by_two under -two of each creator at two of
+    the state, so its entries come in that order: every reader takes a row
+    as a dict.
     """
 
-    __slots__ = ("op", "terms", "linear", "constant")
+    __slots__ = ("op", "always", "by_two", "linear", "constant")
 
     def __init__(self, op: OperatorSpec, trunc: Truncation, width: Fraction):
         algebra = op.algebra
-        # each kernel coefficient alpha + beta r as (a + b·2r) / d in integers
-        kernels = []
-        for t in op.bilinears:
-            d = 2 * math.lcm(t.alpha.denominator, t.beta.denominator)
-            kernels.append((*_skeleton(algebra, trunc, t.left, t.right, t.m, width),
-                            t.alpha.numerator * (d // t.alpha.denominator),
-                            t.beta.numerator * (d // 2 // t.beta.denominator), d))
-        # the lcm of nonzero (a + b·2r)/d's denominators is d/gcd(d, g), g = gcd(a + b·2r over r)
-        den = _common_denominator(op, [d // math.gcd(g, d) for terms, _, _, a, b, d in kernels
-                                       if (g := math.gcd(*[a + b * t[0] for t in terms]))])
+        kernels = [_expand(algebra, trunc, t, width) for t in op.bilinears]
+        # the lcm of the nonzero n/d's denominators is d/gcd(d, n over the terms)
+        den = _common_denominator(op, [d // math.gcd(d, *[n for _, n, _, _ in terms])
+                                       for d, terms in kernels if terms])
         super().__init__(algebra, trunc, den)
         bd = algebra.bracket_denominator
-        self.op = op
-        self.terms = tuple((always, by_two, a * den, b * den, d * bd * bd)
-                           for _, always, by_two, a, b, d in kernels)
-        self.linear = tuple((mode_table(algebra, mode, trunc), _integer(c, den, bd, "coefficient"))
+        self.op, self.always, self.by_two = op, [], {}
+        for d, terms in kernels:
+            for _, n, first, second in terms:
+                two = first.mode.two
+                (self.by_two.setdefault(two, []) if two < 0 else self.always).append(
+                    (_integer(n, d, den, bd * bd, "kernel coefficient"), first, second))
+        self.linear = tuple((mode_table(algebra, mode, trunc), _integer(*c.as_integer_ratio(), den, bd, "coefficient"))
                             for mode, c in op.linear)
-        self.constant = _integer(op.constant, den, 1, "constant")
-        self.rows = {}
-
-    def row(self, i: int) -> tuple:
-        row = self.rows.get(i)
-        if row is None:
-            row = self.rows[i] = self._build(i)
-        return row
+        self.constant = _integer(*op.constant.as_integer_ratio(), den, 1, "constant")
 
     def _build(self, i: int) -> tuple:
         acc = {}
         twos = {c.two for c in self.basis[i].creators}
-        for always, by_two, a, b, d in self.terms:
-            for terms in (always, *[by_two.get(-two, ()) for two in twos]):
-                for two_r, sign, first, second in terms:
-                    c, rem = divmod(a + b * two_r, d)
-                    if rem:
-                        raise ArithmeticError(
-                            f"kernel coefficient of {self.op} at 2r={two_r} is not a multiple "
-                            f"of 1/{self.den} over the bracket denominator squared")
-                    if c:
-                        c *= sign
-                        for mid, w in first.row(i):
-                            accumulate(acc, second.row(mid), c * w)
+        for terms in (self.always, *[self.by_two.get(-two, ()) for two in twos]):
+            for c, first, second in terms:
+                for mid, w in first.row(i):
+                    accumulate(acc, second.row(mid), c * w)
         for table, c in self.linear:
             accumulate(acc, table.row(i), c)
         if self.constant:
@@ -459,7 +434,7 @@ def _apply_to_basis(op: OperatorSpec, trunc: Truncation, width) -> RowTable:
     oracle has built its family's form, which holds no M.
     """
     if width is None:
-        width = Fraction(_doubled(trunc.level_cap) + abs(_doubled(op.shift)), 2)
+        width = Fraction(trunc.two_cap + abs(_doubled(op.shift)), 2)
     return RowTable(op, trunc, width)
 
 
@@ -474,7 +449,7 @@ def _safe_window(kinds: tuple, has_zero_modes: bool, trunc: Truncation, two_rise
     """(ids, is_safe): the safe state ids in increasing order and membership
     of them, for a doubled level rise and a number of a†[0] uses.  Keyed by
     what the rule reads, so the reduced boson algebras of every M share it."""
-    top = _doubled(trunc.level_cap) - two_rise
+    top = trunc.two_cap - two_rise
     zmax = trunc.zero_mode_cap - uses if has_zero_modes else math.inf
     basis, _, levels = _basis(kinds, has_zero_modes, trunc)
     ids = tuple(i for i, s in enumerate(basis) if levels[i] <= top and s.zero_occ <= zmax)

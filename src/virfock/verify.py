@@ -305,10 +305,10 @@ def check_laws(params: ScenarioParams) -> list:
     return reports
 
 
-def check_jacobi(params: ScenarioParams, triple=(1, 2, -3)) -> list:
-    """Jacobi identity spot check on nested commutators of three generators."""
+def check_jacobi(params: ScenarioParams) -> list:
+    """Jacobi identity spot check on nested commutators of L_1, L_2 and L_-3."""
     trunc = params.trunc
-    ops = [build_L(params.family, m, params.M, params.lam) for m in triple]
+    ops = [build_L(params.family, m, params.M, params.lam) for m in (1, 2, -3)]
     ta, tb, tc = (row_table(op, trunc) for op in ops)
 
     def nested(x, y, z, i):
@@ -325,18 +325,18 @@ def check_jacobi(params: ScenarioParams, triple=(1, 2, -3)) -> list:
         accumulate(total, nested(tc, ta, tb, i).items())
         return total, {}, ta.den * tb.den * tc.den
 
-    return [_probe(f"jacobi[{triple[0]},{triple[1]},{triple[2]}]", "0", params,
+    return [_probe("jacobi[1,2,-3]", "0", params,
                    safe_ids(trunc, *ops), sides, got="0")]
 
 
-def check_window_doubling(params: ScenarioParams, probes: int = 100, seed: int = 7) -> list:
+def check_window_doubling(params: ScenarioParams, probes: int = 100) -> list:
     """Widening the kernel window beyond level_cap + |m| must change nothing.
 
     Draws `probes` (label, state) pairs, each state from the safe pool of its
     label; labels whose pool is empty are never drawn.
     """
     trunc = params.trunc
-    rng = random.Random(seed)
+    rng = random.Random(7)  # a fixed seed: every run draws the same pairs
     ops = {m: build_L(params.family, m, params.M, params.lam)
            for m in range(-params.m_range, params.m_range + 1)}
     pools = {m: safe_ids(trunc, op) for m, op in ops.items()}

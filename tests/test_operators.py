@@ -38,8 +38,8 @@ from virfock.operators import (
     OperatorSpec,
     UnsafeLevelError,
     _apply_to_basis,
+    _expand,
     _norm_linear,
-    _skeleton,
     build_L,
     commutator_with_linear,
     linear_bracket,
@@ -458,12 +458,20 @@ def test_rows_are_integers_over_the_common_denominator():
                                               index[BasisState((red_adag(2),))]: 108}
 
 
-def _walked_den(op, terms):
+def _realized(t, width) -> list:
+    """The doubled r of every term of the kernel t over |r| <= width whose two modes exist:
+    r on the kinds' ladder, and neither factor a reduced-boson zero mode."""
+    two_w, odd = math.floor(2 * width), 1 if t.left.half_integer_moded else 0
+    return [two_r for two_r in range(-two_w, two_w + 1) if two_r % 2 == odd and not any(
+        kind is FieldKind.RED_ADAG and two == 0 for kind, two in ((t.left, 2 * t.m - two_r), (t.right, two_r)))]
+
+
+def _walked_den(op, width):
     """den of a one-kernel operator, by a walk over every realized term
-    (_skeleton's term tuple) with the kernel coefficient in Fractions."""
+    with the kernel coefficient in Fractions."""
     (t,) = op.bilinears
     bd = op.algebra.bracket_denominator
-    coefficients = [t.alpha + t.beta * Fraction(two_r, 2) for two_r, *_ in terms]
+    coefficients = [t.alpha + t.beta * Fraction(two_r, 2) for two_r in _realized(t, width)]
     return math.lcm(*(c.denominator * bd * bd for c in coefficients if c), op.constant.denominator)
 
 
@@ -499,9 +507,12 @@ def test_row_table_den_equals_a_walk_over_the_realized_terms(kinds, m, two_w, M,
     algebra, left, right, trunc = _KERNEL_KINDS[kinds]
     algebra = algebra(M)
     width = Fraction(two_w, 2)
-    op = OperatorSpec(algebra, Fraction(m), (BilinearTerm(left, right, m, alpha, beta),), (), constant)
-    terms = _skeleton(algebra, trunc, left, right, m, width)[0]
-    assert _apply_to_basis(op, trunc, width).den == _walked_den(op, terms)
+    t = BilinearTerm(left, right, m, alpha, beta)
+    op = OperatorSpec(algebra, Fraction(m), (t,), (), constant)
+    assert _apply_to_basis(op, trunc, width).den == _walked_den(op, width)
+    # the expansion keeps exactly the realized terms whose coefficient is nonzero
+    assert [two_r for two_r, *_ in _expand(algebra, trunc, t, width)[1]] == [
+        two_r for two_r in _realized(t, width) if alpha + beta * Fraction(two_r, 2)]
 
 
 def _composed_L(family, m, M, lam):
@@ -649,12 +660,16 @@ def test_spec_equality_and_hash_agree_with_a_field_by_field_reference(specs):
         assert op != other and other != op
 
 
-def _scanned_row(terms, alpha, beta, i) -> dict:
-    """Row i of sum_r (alpha + beta*r) :X[m-r] Y[r]: by a scan of every realized term, each
-    factor's row read as Fractions; an overflowing factor raises."""
+def _scanned_row(algebra, trunc, t, width, i) -> dict:
+    """Row i of the kernel t = sum_r (alpha + beta*r) :X[m-r] Y[r]: by a scan of every realized
+    term, normal ordered here, each factor's row read as Fractions; an overflowing factor raises."""
     acc = {}
-    for two_r, sign, first, second in terms:
-        coefficient = sign * (alpha + beta * Fraction(two_r, 2))
+    for two_r in _realized(t, width):
+        x, y, sign = Mode(t.left, 2 * t.m - two_r), Mode(t.right, two_r), 1
+        if not is_creator(x) and is_creator(y):  # :X Y: = ±Y X, X applied first
+            x, y, sign = y, x, -1 if x.parity and y.parity else 1
+        coefficient = sign * (t.alpha + t.beta * Fraction(two_r, 2))
+        first, second = mode_table(algebra, y, trunc), mode_table(algebra, x, trunc)
         for mid, w in first.row(i):
             for j, n in second.row(mid):
                 acc[j] = acc.get(j, ZERO) + coefficient * Fraction(w, first.den) * Fraction(n, second.den)
@@ -675,13 +690,12 @@ def test_each_row_equals_a_scan_of_every_realized_term(algebra, left, right, tru
     # term, so a term that acts but is never tried shows here.  alpha + beta*r is nonzero at
     # every r, so every term counts
     alpha, beta, width = Fraction(1, 3), ONE, widen * (trunc.level_cap + abs(m))
-    terms = _skeleton(algebra, trunc, left, right, m, width)[0]
-    table = _apply_to_basis(OperatorSpec(algebra, Fraction(m), (BilinearTerm(left, right, m, alpha, beta),)),
-                            trunc, width)
+    t = BilinearTerm(left, right, m, alpha, beta)
+    table = _apply_to_basis(OperatorSpec(algebra, Fraction(m), (t,)), trunc, width)
     rows = 0
     for i in range(len(table.basis)):
         try:
-            want = _scanned_row(terms, alpha, beta, i)
+            want = _scanned_row(algebra, trunc, t, width, i)
         except TruncationOverflowError:
             with pytest.raises(TruncationOverflowError):
                 table.row(i)
@@ -699,19 +713,22 @@ def test_zero_coefficient_term_is_skipped_before_its_row():
     assert row_table(build_L("fermion-reduced", 1), trunc).row(0) == ()
     flat = OperatorSpec(REDUCED_FERMION, Fraction(1),
                         (BilinearTerm(FieldKind.RED_B, FieldKind.RED_B, 1, ONE, ZERO),))
-    with pytest.raises(TruncationOverflowError):
-        row_table(flat, trunc).row(0)
+    table = row_table(flat, trunc)
+    for _ in range(2):  # raises on every request; never kept as an empty row
+        with pytest.raises(TruncationOverflowError):
+            table.row(0)
+    assert 0 not in table.rows
 
 
 def test_non_integral_scaled_amplitude_raises(monkeypatch):
     import virfock.operators as operators
-    # a denominator too small for L_0 = (1/7)(1/2)... on b[1/2]|0>; the scaled
-    # operator and the caps are used nowhere else, so no other test sees the table
+    # a denominator too small for L_0/7, whose kernel coefficients -r/7 are no
+    # integers over it: the table is refused when it is made, before any row,
+    # so it is never kept where another test could see it
     monkeypatch.setattr(operators, "_common_denominator", lambda op, realized: 1)
     op = Fraction(1, 7) * build_L("fermion-reduced", 0)
-    table = row_table(op, Truncation(Fraction(13, 2)))
     with pytest.raises(ArithmeticError):
-        table.row(table.state_id(BasisState((red_b(H),))))
+        row_table(op, Truncation(Fraction(13, 2)))
 
 
 def test_input_state_outside_the_truncation_raises():
