@@ -856,6 +856,47 @@ def test_linear_bracket_matches_canonical_reference(pair):
     assert linear_bracket(x, y) == _reference_linear_bracket(x, y)
 
 
+def _reference_commutator_with_linear(op, lin):
+    """[op, lin} as a Fraction walk over every kernel index r of a window wider than any
+    pairing, through canonical_bracket: [:XY:, z} = [Y,z} X + (-1)^{p(z)p(Y)} [X,z} Y,
+    and [w, z} for each linear pair; the constants commute away."""
+    algebra, acc, constant = op.algebra, {}, Fraction(0)
+    for z, cz in lin.linear:
+        for t in op.bilinears:
+            span = abs(z.two) + 2 * abs(t.m) + 4
+            for two_r in range(-span, span + 1):
+                if two_r % 2 != (1 if t.right.half_integer_moded else 0):
+                    continue
+                x, y = Mode(t.left, 2 * t.m - two_r), Mode(t.right, two_r)
+                if FieldKind.RED_ADAG in (x.kind, y.kind) and 0 in (x.two, y.two):
+                    continue  # the reduced boson has no zero mode
+                coeff = cz * (t.alpha + t.beta * Fraction(two_r, 2))
+                acc[x] = acc.get(x, 0) + coeff * canonical_bracket(y, z, algebra)
+                acc[y] = acc.get(y, 0) + (-1) ** (z.parity * y.parity) * coeff * canonical_bracket(x, z, algebra)
+        for w, cw in op.linear:
+            constant += cw * cz * canonical_bracket(w, z, algebra)
+    linear = tuple(sorted(((m, c) for m, c in acc.items() if c), key=lambda mc: mc[0].sort_key))
+    return OperatorSpec(algebra, op.shift + lin.shift, (), linear, constant, (op.parity + lin.parity) % 2)
+
+
+def _operator_and_linear(algebra):
+    """(op, lin): op one or two random kernels plus a random linear part and
+    constant, lin a random linear expression, over the algebra."""
+    kinds = st.sampled_from(algebra.kinds)
+    term = st.builds(BilinearTerm, kinds, kinds, st.integers(-3, 3), _RATIONALS, _RATIONALS)
+    op = st.builds(lambda terms, base: OperatorSpec(algebra, Fraction(terms[0].m), tuple(terms), base.linear,
+                                                    base.constant, 0),
+                   st.lists(term, min_size=1, max_size=2), _linear_exprs(algebra))
+    return st.tuples(op, _linear_exprs(algebra))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_LINEAR_ALGEBRAS).flatmap(_operator_and_linear))
+def test_commutator_with_linear_matches_canonical_reference(pair):
+    op, lin = pair
+    assert commutator_with_linear(op, lin) == _reference_commutator_with_linear(op, lin)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(_LINEAR_ALGEBRAS).flatmap(_linear_exprs), st.booleans())
 def test_linear_bracket_rejects_a_foreign_mode(expr, foreign_first):
@@ -868,6 +909,8 @@ def test_linear_bracket_rejects_a_foreign_mode(expr, foreign_first):
     for _ in range(2):  # a repeated call raises too: no check result is kept as a pass
         with pytest.raises(AlgebraMismatchError):
             linear_bracket(*((foreign, expr) if foreign_first else (expr, foreign)))
+        with pytest.raises(AlgebraMismatchError):
+            commutator_with_linear(expr, foreign)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
