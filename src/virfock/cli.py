@@ -80,8 +80,9 @@ def _run_scenarios(args):
     runs = []
     names = SCENARIOS[:-1] if args.scenario == "all" else (args.scenario,)
     families = {name: _scenario_params(name, args.M, args.lam, args) for name in names if name in FAMILIES}
-    for params in families.values():  # caps too small for one family waste no other's suite
+    for params in families.values():  # bad caps or M for one family waste no other's suite
         require_oracle_caps(params)
+        params.algebra  # the reduced boson's raises for M = 0
     for name in names:
         if name == "dirac-checks":
             reports = run_dirac_checks(args.M, args.window)

@@ -87,11 +87,12 @@ from .algebra import (
 )
 from .operators import (
     OperatorSpec,
-    _norm_linear,
+    bracket_pair,
     build_L,
     commutator_with_linear,
     linear_bracket,
     linear_operator,
+    linear_sum,
     mode_operator,
 )
 from .report import report
@@ -268,7 +269,7 @@ def pairing_index(exprs) -> dict:
     """{doubled index: positions j whose exprs[j] has a mode there}; one per scan."""
     index = {}
     for j, expr in enumerate(exprs):
-        for two in expr.linear_by_two:
+        for two in expr.integer_linear[1]:
             index.setdefault(two, []).append(j)
     return index
 
@@ -277,7 +278,7 @@ def partners(index: dict, expr: OperatorSpec, family: ConstraintFamily = None) -
     """The sorted positions j where [expr, exprs[j]} can be nonzero; given a family,
     where dirac_bracket(expr, exprs[j], family) can, the partners of the projected expr."""
     expr = _projected(family, expr) if family else expr
-    return sorted({j for two in expr.linear_by_two for j in index.get(-two, ())})
+    return sorted({j for two in expr.integer_linear[1] for j in index.get(-two, ())})
 
 
 def support_rows(family: ConstraintFamily, labels) -> list:
@@ -427,14 +428,14 @@ def _projected(family: ConstraintFamily, A: OperatorSpec) -> OperatorSpec:
     """Ã = A - sum_{P,R} [A, chi_P} (-1)^p(R) Delta^PR chi_R over the support labels
     P of A and the Delta partners R of each, built from plain terms so that A's
     stated shift and parity are kept as they are."""
-    terms = list(A.linear)
+    sign, terms = 1 if family.parity else -1, [(mode, *c.as_integer_ratio()) for mode, c in A.linear]
     for p in family.support_labels(A):
-        bra = linear_bracket(A, family.expr(p))
-        if bra:
+        n, q = bracket_pair(A, family.expr(p))
+        if n:
             for r, d in family.delta_row(p):
-                scale = bra * d if family.parity else -bra * d
-                terms += ((mode, scale * c) for mode, c in family.expr(r).linear)
-    return OperatorSpec(A.algebra, A.shift, A.bilinears, _norm_linear(terms), A.constant, A.parity)
+                terms += ((mode, sign * n * d.numerator * c.numerator, q * d.denominator * c.denominator)
+                          for mode, c in family.expr(r).linear)
+    return OperatorSpec(A.algebra, A.shift, A.bilinears, linear_sum(terms), A.constant, A.parity)
 
 
 def dirac_op_bracket(op: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) -> OperatorSpec:

@@ -72,7 +72,7 @@ from .algebra import (
     ZERO,
     is_creator,
     format_rational,
-    paired_bracket,
+    paired_numerator,
     reduced_boson,
     require_members,
 )
@@ -99,16 +99,19 @@ class BilinearTerm(NamedTuple):
     beta: Fraction
 
 
+def linear_sum(terms) -> tuple:
+    """The linear part sum of n/d·mode over (mode, n, d) terms, sorted by sort_key: added as
+    integers over the lcm of the d's, one Fraction per mode whose sum is nonzero."""
+    den, acc = math.lcm(*(d for _, _, d in terms)), {}
+    for mode, n, d in terms:
+        acc[mode] = acc.get(mode, 0) + n * (den // d)
+    return tuple((mode, Fraction(n, den)) for mode, n in sorted(acc.items(), key=lambda mn: mn[0].sort_key) if n)
+
+
 def _norm_linear(items) -> tuple:
-    acc = {}
+    """The linear part of {mode: c} or (mode, c) pairs: summed, sorted by sort_key, zeros dropped."""
     pairs = items.items() if isinstance(items, dict) else items
-    for mode, c in pairs:
-        c = Fraction(c)
-        if not c:
-            continue
-        acc[mode] = acc.get(mode, ZERO) + c
-    return tuple(sorted(((m, c) for m, c in acc.items() if c),
-                        key=lambda mc: mc[0].sort_key))
+    return linear_sum([(mode, *Fraction(c).as_integer_ratio()) for mode, c in pairs])
 
 
 class OperatorSpec(Frozen):
@@ -133,18 +136,14 @@ class OperatorSpec(Frozen):
                        for t in self.bilinears]), tuple([(x, c.as_integer_ratio()) for x, c in self.linear]))
 
     @cached_property
-    def checked_linear(self) -> tuple:
-        """The linear terms, checked against the algebra once; a foreign mode raises every time."""
+    def integer_linear(self) -> tuple:
+        """(den, {two: [(mode, n), ...]}): the linear terms as integers n over one den, grouped
+        by doubled index.  Checked against the algebra when made, so a foreign mode raises every time."""
         require_members((mode for mode, _ in self.linear), self.algebra)
-        return self.linear
-
-    @cached_property
-    def linear_by_two(self) -> dict:
-        """The checked linear terms grouped by doubled index: {two: [(mode, c), ...]}."""
-        out = {}
-        for mode, c in self.checked_linear:
-            out.setdefault(mode.two, []).append((mode, c))
-        return out
+        den, by_two = math.lcm(*(c.denominator for _, c in self.linear)), {}
+        for mode, c in self.linear:
+            by_two.setdefault(mode.two, []).append((mode, c.numerator * (den // c.denominator)))
+        return den, by_two
 
     @property
     def is_linear(self) -> bool:
@@ -318,6 +317,12 @@ def _kernel_modes(left: FieldKind, right: FieldKind, m: int, two_r: int):
     return x, y
 
 
+def _affine(t: BilinearTerm) -> tuple:
+    """(d, a, b): t's coefficient alpha + beta*r as (a + b·2r)/d in integers, d = 2·lcm of their denominators."""
+    d = 2 * math.lcm(t.alpha.denominator, t.beta.denominator)
+    return d, t.alpha.numerator * (d // t.alpha.denominator), t.beta.numerator * (d // 2 // t.beta.denominator)
+
+
 def _expand(algebra: Algebra, trunc: Truncation, t: BilinearTerm, width: Fraction) -> tuple:
     """(d, terms): the realized terms of t over |r| <= width, on one
     truncation, whose coefficient is nonzero.
@@ -325,13 +330,12 @@ def _expand(algebra: Algebra, trunc: Truncation, t: BilinearTerm, width: Fractio
     terms holds one (2r, n, first, second) per term, where first and second
     are the mode tables of the factor applied first and second, and n/d is
     the coefficient alpha + beta*r with the normal-ordering sign, n = ±(a +
-    b·2r) in integers over d = 2·lcm of alpha's and beta's denominators.
+    b·2r) over d (_affine).
     """
     for kind in (t.left, t.right):
         if kind not in algebra.kinds:
             raise AlgebraMismatchError(f"mode kind {kind.symbol} does not belong to {algebra}")
-    d = 2 * math.lcm(t.alpha.denominator, t.beta.denominator)
-    a, b = t.alpha.numerator * (d // t.alpha.denominator), t.beta.numerator * (d // 2 // t.beta.denominator)
+    d, a, b = _affine(t)
     odd_bit = 1 if t.left.half_integer_moded else 0
     two_w = math.floor(2 * width)
     terms = []
@@ -498,25 +502,30 @@ class Commutator(IdRows):
         return tuple(accumulate(ta.apply(tb.row(i)), tb.apply(ta.row(i)).items(), self.sign).items())
 
 
+def bracket_pair(x: OperatorSpec, y: OperatorSpec) -> tuple:
+    """(n, den) with [x, y} = n/den for two linear expressions over one algebra, in integers:
+    each mode of y meets only the modes of x at the opposite doubled index."""
+    (dx, xs), (dy, ys), algebra = x.integer_linear, y.integer_linear, x.algebra
+    total = 0
+    for two, group in ys.items():
+        for mx, nx in xs.get(-two, ()):
+            for my, ny in group:
+                total += nx * ny * paired_numerator(mx, my, algebra)
+    return total, 2 * algebra.bracket_denominator * dx * dy
+
+
 def linear_bracket(x: OperatorSpec, y: OperatorSpec) -> Fraction:
     """Graded bracket of two linear expressions; a scalar, computed exactly.
 
-    Each expression's modes are checked against the algebra once; each mode
-    of y meets only the modes of x at the opposite doubled index.
+    Each expression's modes are checked once, in its integer view, and the
+    bracket is one Fraction of bracket_pair's integer sum.
     """
     if not (x.is_linear and y.is_linear):
         raise ValueError("linear_bracket needs linear expressions on both sides")
-    algebra = x.algebra
-    if y.algebra != algebra:
+    if y.algebra != x.algebra:
         raise AlgebraMismatchError("bracket of expressions over different algebras")
-    xs, ys = x.linear_by_two, y.checked_linear
-    total = ZERO
-    for my, cy in ys:
-        for mx, cx in xs.get(-my.two, ()):
-            val = paired_bracket(mx, my, algebra)
-            if val:
-                total += cx * cy * val
-    return total
+    total, den = bracket_pair(x, y)
+    return Fraction(total, den) if total else ZERO
 
 
 def commutator_with_linear(op: OperatorSpec, lin: OperatorSpec) -> OperatorSpec:
@@ -526,32 +535,33 @@ def commutator_with_linear(op: OperatorSpec, lin: OperatorSpec) -> OperatorSpec:
     ordering constant commutes away), so the result is linear and the sum
     over the kernel index has support of at most two points per mode of
     `lin`: the r where Y[r] pairs with z and the r where X[m-r] does.
-    Exact; no windowing involved.
+    Exact, in integers: kernel coefficients (_affine) and brackets
+    (paired_numerator) meet in linear_sum; no windowing involved.
     """
     if op.algebra != lin.algebra:
         raise AlgebraMismatchError("commutator of expressions over different algebras")
     if not lin.is_linear:
         raise ValueError("second argument must be a linear expression")
     algebra = op.algebra
-    require_members((mode for mode, _ in lin.linear + op.linear), algebra)
-    out_linear = []
-    out_const = ZERO
-    for z, cz in lin.linear:
-        for term in op.bilinears:
-            for two_r in {-z.two, 2 * term.m + z.two}:
-                coeff = term.alpha + term.beta * Fraction(two_r, 2)
-                modes = _kernel_modes(term.left, term.right, term.m, two_r)
-                if not coeff or modes is None:
+    (dz, zs), (dw, ws) = lin.integer_linear, op.integer_linear
+    kernels = [(t, *_affine(t)) for t in op.bilinears]
+    scale = 2 * algebra.bracket_denominator * dz  # a bracket's denominator and lin's
+    terms, out_const = [], 0
+    for z, nz in [zn for group in zs.values() for zn in group]:
+        for t, d, a, b in kernels:
+            for two_r in {-z.two, 2 * t.m + z.two}:
+                n = nz * (a + b * two_r)
+                modes = n and _kernel_modes(t.left, t.right, t.m, two_r)
+                if not modes:
                     continue
                 x, y = modes
                 require_members(modes, algebra)
-                if y.two + z.two == 0 and (by := paired_bracket(y, z, algebra)):
-                    out_linear.append((x, cz * coeff * by))
-                if x.two + z.two == 0 and (bx := paired_bracket(x, z, algebra)):
+                if y.two + z.two == 0 and (by := paired_numerator(y, z, algebra)):
+                    terms.append((x, n * by, d * scale))
+                if x.two + z.two == 0 and (bx := paired_numerator(x, z, algebra)):
                     sign = -1 if (z.parity and y.parity) else 1
-                    out_linear.append((y, cz * coeff * sign * bx))
-        for w, cw in op.linear:
-            if w.two + z.two == 0 and (val := paired_bracket(w, z, algebra)):
-                out_const += cw * cz * val
-    return OperatorSpec(algebra, op.shift + lin.shift, (), _norm_linear(out_linear),
-                        out_const, (op.parity + lin.parity) % 2)
+                    terms.append((y, n * sign * bx, d * scale))
+        for w, nw in ws.get(-z.two, ()):
+            out_const += nz * nw * paired_numerator(w, z, algebra)
+    return OperatorSpec(algebra, op.shift + lin.shift, (), linear_sum(terms),
+                        Fraction(out_const, dw * scale), (op.parity + lin.parity) % 2)

@@ -76,6 +76,17 @@ def test_caps_are_checked_for_every_family_before_any_suite_runs(capsys, monkeyp
     assert err == "error: fermion-unconstrained: central-charge extraction needs level_cap >= 3, got 5/2\n"
 
 
+def test_an_M_one_family_rejects_is_checked_before_any_suite_runs(capsys, monkeypatch):
+    # boson-reduced, the second family of `all`, has no algebra at M = 0
+    calls = []
+    real = cli.run_family_scenario
+    monkeypatch.setattr(cli, "run_family_scenario", lambda params: calls.append(params) or real(params))
+    code, out, err = run_cli(capsys, "--scenario", "all", "--M", "0")
+    assert (code, out, calls) == (2, "", [])
+    assert err == ("error: reduced boson algebra needs M != 0 "
+                   "(the brackets scale with M and the generator kernel carries 1/M)\n")
+
+
 def test_bad_rational_is_config_error(capsys):
     code, _, err = run_cli(capsys, "--scenario", "fermion-reduced", "--M", "0.5x")
     assert code == 2

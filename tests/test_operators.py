@@ -911,6 +911,7 @@ def test_linear_bracket_rejects_a_foreign_mode(expr, foreign_first):
             linear_bracket(*((foreign, expr) if foreign_first else (expr, foreign)))
         with pytest.raises(AlgebraMismatchError):
             commutator_with_linear(expr, foreign)
+    assert "integer_linear" not in vars(foreign)  # the raising view kept nothing
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
