@@ -82,7 +82,7 @@ def _run_scenarios(args):
     families = {name: _scenario_params(name, args.M, args.lam, args) for name in names if name in FAMILIES}
     for params in families.values():  # bad caps or M for one family waste no other's suite
         require_oracle_caps(params)
-        params.algebra  # the reduced boson's raises for M = 0
+        params.algebra  # reduced_boson(0) raises here
     for name in names:
         if name == "dirac-checks":
             reports = run_dirac_checks(args.M, args.window)

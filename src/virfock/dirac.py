@@ -31,10 +31,12 @@ dirac_bracket projects A, dirac_op_bracket (op bilinear) its linear B.
 Either side is exact, [Ã, B} = [A, B̃}, since Delta inverts a graded-
 antisymmetric C: antisymmetric for the even boson family, symmetric with
 (-1)^{p(R)} = -1 for the odd fermion family.  A projection is built once
-per operand, and brackets pair modes by doubled index before any Fraction
-arithmetic.  Every cache is keyed by the family, which hashes once, and by
-a label (by doubled index for half-odd expressions), a label tuple (C and
-its elimination) or the projected operand.
+per operand, its terms added as integers over one lcm with one Fraction per
+mode (linear_sum); brackets pair modes by doubled index and sum integer
+numerators (bracket_pair), which the projection uses as they are.  Every
+cache is keyed by the family, which hashes once, and by a label (by doubled
+index for half-odd expressions), a label tuple (C and its elimination) or
+the projected operand.
 
 The pair scans evaluate a bracket only at the partners of an expression, the
 positions whose expressions have a mode at the opposite doubled index of one
@@ -426,9 +428,10 @@ def dirac_bracket(A: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) ->
 @lru_cache(maxsize=512)  # 322 at --window 40
 def _projected(family: ConstraintFamily, A: OperatorSpec) -> OperatorSpec:
     """Ã = A - sum_{P,R} [A, chi_P} (-1)^p(R) Delta^PR chi_R over the support labels
-    P of A and the Delta partners R of each, built from plain terms so that A's
-    stated shift and parity are kept as they are."""
-    sign, terms = 1 if family.parity else -1, [(mode, *c.as_integer_ratio()) for mode, c in A.linear]
+    P of A and the Delta partners R of each, built from plain integer terms summed in
+    linear_sum, so that A's stated shift and parity are kept as they are."""
+    sign = 1 if family.parity else -1
+    terms = [(mode, *c.as_integer_ratio()) for mode, c in A.linear]
     for p in family.support_labels(A):
         n, q = bracket_pair(A, family.expr(p))
         if n:
