@@ -149,6 +149,40 @@ def test_sweep_boson_reduced(tmp_path, capsys):
     assert "M=1/2 lambda=1 c_formula=-11 c_oracle=-11 match" in lines
 
 
+@pytest.mark.parametrize("family,rows,flags,error", [
+    ("boson-reduced", "1 1/2\n", ("--level", "2"),
+     "error: boson-reduced: central-charge extraction needs level_cap >= 3, got 2\n"),
+    ("boson-unconstrained", "1 1/2\n", ("--zmax", "1"),
+     "error: boson-unconstrained: central-charge extraction needs zero_mode_cap >= 2 here, got 1\n"),
+    ("boson-reduced", "1 1/2\n0 1\n", (), "error: reduced boson algebra needs M != 0 "
+     "(the brackets scale with M and the generator kernel carries 1/M)\n")],
+    ids=["level-cap", "zero-mode-cap", "reduced-boson-M-zero"])
+def test_sweep_errors_exit_two_with_one_line_and_no_output(tmp_path, capsys, family, rows, flags, error):
+    # a sweep whose caps cannot hold the oracle, or whose grid reaches M = 0 for the
+    # reduced boson after a good point, prints no row: one stderr line and exit 2
+    grid = tmp_path / "grid.txt"
+    grid.write_text(rows)
+    for fmt in ("text", "json"):
+        assert run_cli(capsys, "--scenario", family, "--sweep", str(grid), "--format", fmt, *flags) == (2, "", error)
+
+
+def test_a_fault_between_two_sweeps_reaches_the_second(tmp_path, capsys, monkeypatch):
+    # nothing of the oracle outlives its sweep: slots doubled after a first sweep in the
+    # same process double the second sweep's L_m, so with <0|L_0|0> = 0 its c_oracle is 4c
+    family, M, lam = "boson-unconstrained", Fraction(2, 3), Fraction(-1, 5)
+    grid = tmp_path / "grid.txt"
+    grid.write_text(f"{M} {lam}\n")
+    c = claimed_central_charge(family, M, lam)
+    assert run_cli(capsys, "--scenario", family, "--sweep", str(grid), *FAST)[:2] == (
+        0, f"M={M} lambda={lam} c_formula={c} c_oracle={c} match\n")
+    real = operators.FAMILIES[family].slots
+    monkeypatch.setitem(operators.FAMILIES, family, operators.FAMILIES[family]._replace(
+        slots=lambda m, M, lam: (lambda den, *values: (den, *[2 * v for v in values]))(*real(m, M, lam))))
+    code, out, _ = run_cli(capsys, "--scenario", family, "--sweep", str(grid), *FAST)
+    oracle = Fraction(out.split("c_oracle=")[1].split()[0])
+    assert (code, out.endswith(" MISMATCH\n"), oracle) == (1, True, 4 * c)
+
+
 def test_sweep_fermion_lambda_row(tmp_path, capsys):
     grid = tmp_path / "grid.txt"
     grid.write_text("0 0\n0 1/2\n0 1\n")
