@@ -487,9 +487,14 @@ def verify_compatibility(op: OperatorSpec, family: ConstraintFamily, index_range
     reports = []
     for label in index_range:
         coeff, target_label = family.chi_transform(m, label)
-        got = commutator_with_linear(op, family.expr(label))
+        got, target = commutator_with_linear(op, family.expr(label)), family.expr(target_label)
         want = f"{format_rational(coeff)}·{family.label_of_expr(target_label)}"
-        ok = got == coeff * family.expr(target_label)
+        # got == coeff * target in integers, each field spec equality compares; coeff 0 wants got 0
+        (p, q), (den, by_two) = coeff.as_integer_ratio(), target.integer_linear
+        terms = {mode: p * n for pairs in by_two.values() for mode, n in pairs} if p else {}
+        ok = ((got.algebra, got.shift, got.parity) == (target.algebra, target.shift, target.parity)
+              and not got.bilinears and got.constant * q == p * target.constant and len(got.linear) == len(terms)
+              and all(c.numerator * q * den == c.denominator * terms.get(mode, 0) for mode, c in got.linear))
         reports.append(report(f"chi_transform[m={m},n={label}]", ok, want,
                               want if ok else str(got)))
     return reports

@@ -36,7 +36,7 @@ from .algebra import (
     Mode,
     VirfockError,
     is_creator,
-    paired_bracket,
+    paired_numerator,
     require_members,
 )
 
@@ -203,15 +203,17 @@ class ModeTable(IdRows):
     """One mode on one truncation; den is the algebra's bracket denominator.
 
     A row that would leave the caps raises TruncationOverflowError every
-    time it is asked for.
+    time it is asked for.  paired[kind], read once per table, is [x, c} over
+    den for c of that kind at -x: paired_numerator halved, as index-weighted
+    brackets are integer-moded.
     """
 
-    __slots__ = ("mode",)
+    __slots__ = ("mode", "paired")
 
     def __init__(self, algebra: Algebra, x: Mode, trunc: Truncation):
         require_members((x,), algebra)
         super().__init__(algebra, trunc, algebra.bracket_denominator)
-        self.mode = x
+        self.mode, self.paired = x, {k: paired_numerator(x, Mode(k, -x.two), algebra) // 2 for k in algebra.kinds}
 
     def _build(self, i: int) -> tuple:
         x, trunc, den, index = self.mode, self.trunc, self.den, self.index
@@ -245,9 +247,9 @@ class ModeTable(IdRows):
         acc = {}
         sign = 1
         for j, c in enumerate(creators):
-            if x.two + c.two == 0 and (val := paired_bracket(x, c, self.algebra)):
+            if x.two + c.two == 0 and (val := self.paired[c.kind]):
                 image = index[BasisState(creators[:j] + creators[j + 1:], z)]
-                accumulate(acc, ((image, sign * val.numerator * (den // val.denominator)),))
+                accumulate(acc, ((image, sign * val),))
             if x.parity and c.parity:
                 sign = -sign
         if x.two == 0 and x.kind is FieldKind.A and z > 0:

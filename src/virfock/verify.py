@@ -166,29 +166,37 @@ def _bracket_scale(algebra: Algebra, unit: Algebra) -> tuple:
     return p, q
 
 
-def extract_central_charge(params: ScenarioParams) -> Fraction:
-    """Central charge measured on the vacuum; the independent oracle."""
+def central_charge_oracle(params: ScenarioParams):
+    """The oracle bound once to params' family and truncation (caps, slots, forms): (M, lam) -> c."""
     require_oracle_caps(params)
-    M, lam, gen = params.M, params.lam, params.generators
-    unit = gen.algebra(ONE)
-    # an entry of k = 2h modes is s^h times unit's, s = p/q: w[h] is s^h over q^2
-    p, q = _bracket_scale(gen.algebra(M), unit)
-    slots = [gen.slots(m, M, lam) for m in _LABELS]
-    d = [den for den, *_ in slots]
-    x = [v for _, *values in slots for v in values]  # each over the d of its own L_m
+    family, gen = params.family, params.generators
+    algebra, slots, unit = gen.algebra, gen.slots, gen.algebra(ONE)
     (g_terms, g_den), *pairs = _vacuum_form(params.trunc, unit, gen.kernel, gen.linear)
-    w = (q * q, p * q, p * p)
-    g, g_den = sum(e * w[h] * x[i] for e, h, i in g_terms), g_den * d[0] * q * q
 
-    def c_at(m: int, terms: tuple, f_den: int, slot_den: int) -> tuple:
-        # c = -12 (f + 2 m g) / (m^3 - m) as an integer pair, with f and g integers over their dens
-        f, f_den = sum(e * w[h] * x[i] * x[j] for e, h, i, j in terms), f_den * slot_den * q * q
-        return -12 * (f * g_den + 2 * m * g * f_den), f_den * g_den * (m ** 3 - m)
+    def oracle(M: Fraction, lam: Fraction) -> Fraction:
+        # an entry of k = 2h modes is s^h times unit's, s = p/q: w[h] is s^h over q^2
+        p, q = _bracket_scale(algebra(M), unit)
+        point = [slots(m, M, lam) for m in _LABELS]
+        d = [den for den, *_ in point]
+        x = [v for _, *values in point for v in values]  # each over the d of its own L_m
+        w = (q * q, p * q, p * p)
+        g, gd = sum(e * w[h] * x[i] for e, h, i in g_terms), g_den * d[0] * q * q
+        c = []
+        for m, (terms, f_den), slot_den in ((2, pairs[0], d[1] * d[2]), (3, pairs[1], d[3] * d[4])):
+            # c = -12 (f + 2 m g) / (m^3 - m) as an integer pair, with f and g integers over their dens
+            f, f_den = sum(e * w[h] * x[i] * x[j] for e, h, i, j in terms), f_den * slot_den * q * q
+            c.append((-12 * (f * gd + 2 * m * g * f_den), f_den * gd * (m ** 3 - m)))
+        (n2, d2), (n3, d3) = c
+        if n2 * d3 != n3 * d2:
+            raise OracleInconsistencyError(family, Fraction(n2, d2), Fraction(n3, d3))
+        return Fraction(n2, d2)
 
-    (n2, d2), (n3, d3) = c_at(2, *pairs[0], d[1] * d[2]), c_at(3, *pairs[1], d[3] * d[4])
-    if n2 * d3 != n3 * d2:
-        raise OracleInconsistencyError(params.family, Fraction(n2, d2), Fraction(n3, d3))
-    return Fraction(n2, d2)
+    return oracle
+
+
+def extract_central_charge(params: ScenarioParams) -> Fraction:
+    """Central charge measured on the vacuum; the independent oracle, at params' own point."""
+    return central_charge_oracle(params)(params.M, params.lam)
 
 
 def _probe(name, expected, params, probes, sides, got="as expected", show=None):

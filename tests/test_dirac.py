@@ -11,6 +11,7 @@ from virfock.algebra import (
     AlgebraMismatchError,
     BOSON,
     FERMION,
+    FieldKind,
     REDUCED_FERMION,
     Mode,
     a,
@@ -20,6 +21,8 @@ from virfock.algebra import (
     reduced_boson,
 )
 from virfock.operators import (
+    BilinearTerm,
+    OperatorSpec,
     build_L,
     commutator_with_linear,
     linear_bracket,
@@ -301,6 +304,40 @@ def test_compatibility_fermion_lambda_zero_fails():
     lm = build_L("fermion-unconstrained", 2, 0, 0)
     reports = verify_compatibility(lm, fam, HALF_LABELS(3))
     assert any(r.status == "fail" for r in reports)
+
+
+_ONE_FIELD_OFF = {  # (label, field, its value from the right bracket got)
+    "constant": (3, "constant", lambda got: got.constant + 1),
+    "shift": (3, "shift", lambda got: got.shift + 1),
+    "parity": (3, "parity", lambda got: 1 - got.parity),
+    "algebra": (3, "algebra", lambda got: FERMION),
+    "bilinears": (3, "bilinears", lambda got: (BilinearTerm(FieldKind.ADAG, FieldKind.A, 5, H, H),)),
+    "a-term-scaled": (3, "linear", lambda got: ((got.linear[0][0], got.linear[0][1] + 1), *got.linear[1:])),
+    "a-term-dropped": (3, "linear", lambda got: got.linear[1:]),
+    "a-term-added": (3, "linear", lambda got: (*got.linear, (adag(4), H))),
+    "zero-coeff-constant": (0, "constant", lambda got: H),
+    "zero-coeff-linear": (0, "linear", lambda got: ((adag(2), H),)),
+}
+
+
+@pytest.mark.parametrize("label,field,value", _ONE_FIELD_OFF.values(), ids=_ONE_FIELD_OFF)
+def test_a_bracket_off_in_any_field_spec_equality_compares_fails_its_transform(monkeypatch, label, field, value):
+    # [L_2, chi_n] = n chi[2+n] compared in integers still reads every field of the spec: a
+    # bracket off in one field at one label fails that label's report, and no other; at
+    # n = 0 the coefficient is 0, so a constant or a term is enough to fail
+    M = Fraction(2, 3)
+    fam, lm, real = BosonConstraints(M), build_L("boson-unconstrained", 2, M, H), dirac.commutator_with_linear
+
+    def off(op, expr):
+        got = real(op, expr)
+        if expr is not fam.expr(label):
+            return got
+        return OperatorSpec(*[value(got) if f == field else getattr(got, f) for f in OperatorSpec._fields])
+
+    assert all(r.status == "pass" for r in verify_compatibility(lm, fam, range(-5, 6)))
+    monkeypatch.setattr(dirac, "commutator_with_linear", off)
+    reports = verify_compatibility(lm, fam, range(-5, 6))
+    assert [r.name for r in reports if r.status == "fail"] == [f"chi_transform[m=2,n={label}]"]
 
 
 def test_mode_compatibility_window():

@@ -453,6 +453,20 @@ def test_fermion_chi_transform_coefficient_off_by_one(monkeypatch):
     assert (law.expected, law.got) == ("5/2·chi[5/2]", "3/2·b[5/2] - 3/2·b†[5/2]")
 
 
+def test_boson_chi_transform_coefficient_off_by_one(monkeypatch):
+    # the stated law [L_m, chi_n] = n chi[m+n] gains 1, so every boson transform misses
+    # it: at n = 0 an empty bracket against chi[m], at n = -1 a coefficient 0 against a
+    # nonzero bracket; the fermion transforms are untouched
+    real = dirac.BosonConstraints.chi_transform
+    monkeypatch.setattr(dirac.BosonConstraints, "chi_transform",
+                        lambda self, m, label: (real(self, m, label)[0] + 1, real(self, m, label)[1]))
+    reports = run_dirac_checks(DIRAC_M, DIRAC_WINDOW)
+    assert _failed(reports) == {f"chi_transform[m={m},n={n}]" for m in range(-5, 6) for n in range(-5, 6)}
+    laws = {r.name: (r.expected, r.got) for r in reports}
+    assert laws["chi_transform[m=2,n=0]"] == ("1·chi[2]", "0")
+    assert laws["chi_transform[m=2,n=-1]"] == ("0·chi[1]", "2/3·a[1] - 1·a†[1]")
+
+
 def test_fermion_generator_ignores_lambda(monkeypatch):
     # every fermion generator is built at lambda = 1/2, where it keeps the
     # constraint ideal, so the lambda = 0 probe finds nothing to report

@@ -345,3 +345,21 @@ def test_mode_table_rows_match_fraction_reference(algebra, two_cap, zmax, data):
         row = table.row(i)
         assert len({j for j, _ in row}) == len(row) and all(w for _, w in row)
         assert {basis[j]: Fraction(w, table.den) for j, w in row} == want, (x, state)
+
+
+@pytest.mark.parametrize("algebra", [BOSON, FERMION, REDUCED_FERMION, BOSONIZED_FERMION,
+                                     reduced_boson(Fraction(-3, 4))], ids=str)
+def test_every_annihilator_row_is_the_paired_brackets(algebra):
+    # every entry of every annihilator's table at small caps: the integers each table reads
+    # once through paired_numerator against the Fraction reference through paired_bracket
+    trunc = Truncation(Fraction(7, 2), 2)
+    basis = enumerate_basis(algebra, trunc)
+    modes = [Mode(kind, two) for kind in algebra.kinds for two in range(-trunc.two_cap, 1)
+             if two % 2 == kind.half_integer_moded and (two or algebra.has_zero_modes)]
+    assert any(m.two == 0 for m in modes) == algebra.has_zero_modes
+    for x in (m for m in modes if not is_creator(m)):
+        table = _apply_to_basis(algebra, x, trunc)
+        for i, state in enumerate(basis):
+            row = table.row(i)
+            assert len({j for j, _ in row}) == len(row) and all(w for _, w in row)
+            assert {basis[j]: Fraction(w, table.den) for j, w in row} == _reference_action(algebra, x, state), (x, state)

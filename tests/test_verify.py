@@ -114,6 +114,24 @@ def test_oracle_equals_the_direct_oracle(family, caps, M, lam):
     assert extract_central_charge(params) == direct_central_charge(params)
 
 
+_SMALL_RATIONALS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.tuples(_SMALL_RATIONALS, _SMALL_RATIONALS), min_size=1, max_size=8))
+def test_one_bound_oracle_equals_the_one_point_oracles_at_every_point(family, points):
+    # the binding a sweep makes once, bound at another point and evaluated at many in
+    # turn, against the one-point oracle and the row tables of each point's own generators
+    trunc = default_truncation(family, 4, 2)
+    oracle = verify.central_charge_oracle(ScenarioParams(family, Fraction(7, 5), Fraction(-3), trunc))
+    for M, lam in points:
+        if family == "boson-reduced" and not M:
+            M = Fraction(1)
+        params = ScenarioParams(family, M, lam, trunc)
+        assert oracle(M, lam) == extract_central_charge(params) == direct_central_charge(params), (M, lam)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool),
        st.fractions(min_value=-3, max_value=3, max_denominator=4))
