@@ -12,12 +12,13 @@ truncation-soundness bug, not a formula failure).  The closed-form claims
 are then tested against this oracle, never assumed.  A spec is linear in its
 scalar slots, so <0|[A, B]|0> = sum a_i b_j <0|[P_i, Q_j]|0> over the slots
 a, b and unit-coefficient parts P, Q of A and B, and <0|L_0|0> is linear
-too.  Each point forms the integer slots of its own L_0, L_±2, L_±3 from the
-family's one statement (GeneratorFamily.slots), builds no spec, and reads all
-three forms from one cache entry, keyed by truncation and the family's M = 1
-algebra, kernel and linear kinds, so one per family and truncation: sparse
-lists of the nonzero part entries with the slot positions they multiply, a
-part for every slot, zero or not.
+too.  The oracle is bound once per family and truncation (central_charge_oracle;
+a sweep binds once, extract_central_charge is the one-point call): the caps, the
+family's one statement (GeneratorFamily.slots) and its three forms, one cache
+entry keyed by truncation and the family's M = 1 algebra, kernel and linear
+kinds, sparse lists of the nonzero part entries with the slot positions they
+multiply, a part for every slot, zero or not.  Each point forms the integer
+slots of its own L_0, L_±2, L_±3 and builds no spec.
 With each bracket of the point's algebra s times the M = 1 one (s read off
 its bracket table, once per point), an entry of k modes, a sum of products of
 k/2 brackets (none for odd k), is s^(k/2) times the M = 1 entry.  A point
@@ -169,14 +170,13 @@ def _bracket_scale(algebra: Algebra, unit: Algebra) -> tuple:
 def central_charge_oracle(params: ScenarioParams):
     """The oracle bound once to params' family and truncation (caps, slots, forms): (M, lam) -> c."""
     require_oracle_caps(params)
-    family, gen = params.family, params.generators
-    algebra, slots, unit = gen.algebra, gen.slots, gen.algebra(ONE)
+    family, gen, unit = params.family, params.generators, params.generators.algebra(ONE)
     (g_terms, g_den), *pairs = _vacuum_form(params.trunc, unit, gen.kernel, gen.linear)
 
     def oracle(M: Fraction, lam: Fraction) -> Fraction:
         # an entry of k = 2h modes is s^h times unit's, s = p/q: w[h] is s^h over q^2
-        p, q = _bracket_scale(algebra(M), unit)
-        point = [slots(m, M, lam) for m in _LABELS]
+        p, q = _bracket_scale(gen.algebra(M), unit)
+        point = [gen.slots(m, M, lam) for m in _LABELS]
         d = [den for den, *_ in point]
         x = [v for _, *values in point for v in values]  # each over the d of its own L_m
         w = (q * q, p * q, p * p)
