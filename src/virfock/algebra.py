@@ -265,20 +265,11 @@ def require_members(modes, algebra: Algebra):
             raise AlgebraMismatchError(f"mode {x} does not belong to {algebra}")
 
 
-def paired_bracket(x: Mode, y: Mode, algebra: Algebra) -> Fraction:
-    """[x, y} of two member modes whose indices sum to zero: the algebra's
-    bracket table entry, weighted by the index of x where the algebra says so.
-
-    The one lookup behind the mode tables; the caller has checked membership
-    and pairing.
-    """
-    value = algebra.brackets.get((x.kind, y.kind), ZERO)
-    return value * x.index if algebra.index_weighted else value
-
-
 def paired_numerator(x: Mode, y: Mode, algebra: Algebra) -> int:
-    """paired_bracket(x, y, algebra) as an integer over 2·bracket_denominator,
-    the index weight of x read as x.two; the linear brackets sum these."""
+    """[x, y} of two member modes whose indices sum to zero, as an integer over
+    2·bracket_denominator: the bracket table entry, weighted by the index of x
+    (read as x.two) where the algebra says so.  The one lookup into the table;
+    the caller has checked membership and pairing."""
     q = algebra.brackets.get((x.kind, y.kind), ZERO)
     return q.numerator * (algebra.bracket_denominator // q.denominator) * (x.two if algebra.index_weighted else 2)
 

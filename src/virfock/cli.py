@@ -30,8 +30,9 @@ class ConfigError(Exception):
 
 
 def _build_parser():
+    # no prefixes: _parse_args joins a value to --M and --lambda only, so --lam -1/2 would read as two flags
     p = argparse.ArgumentParser(
-        prog="virfock",
+        prog="virfock", allow_abbrev=False,
         description="Exact verification of free-field and constrained Virasoro Fock modules.")
     p.add_argument("--scenario", default="all", choices=SCENARIOS)
     p.add_argument("--M", default="1", help="mass-like parameter, exact rational p/q")

@@ -84,7 +84,7 @@ from .algebra import (
     even_b,
     even_bdag,
     format_rational,
-    paired_bracket,
+    paired_numerator,
     reduced_boson,
 )
 from .operators import (
@@ -418,7 +418,7 @@ def dirac_bracket(A: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) ->
     The correction is linear in B, so the bracket is [Ã, B} with A projected
     once per family (_projected).
     """
-    if not (A.is_linear and B.is_linear):
+    if A.bilinears or B.bilinears:
         raise ValueError("dirac_bracket of non-linear expressions; "
                          "use the reduced algebras for bilinears")
     family._require_second_class(A, B)
@@ -443,7 +443,7 @@ def _projected(family: ConstraintFamily, A: OperatorSpec) -> OperatorSpec:
 
 def dirac_op_bracket(op: OperatorSpec, B: OperatorSpec, family: ConstraintFamily) -> OperatorSpec:
     """Dirac bracket [op, B̃} of an operator (bilinear allowed) with a linear B (_projected)."""
-    if not B.is_linear:
+    if B.bilinears:
         raise ValueError("second argument must be linear")
     family._require_second_class(op, B)
     return commutator_with_linear(op, _projected(family, B))
@@ -539,9 +539,9 @@ def _witnesses(template: str, bad) -> str:
 def _dirac_table(family: ConstraintFamily, modes, reduced: Algebra) -> list:
     """(x, y, [x, y]*) of each pair of modes off the bracket of the reduced algebra's
     modes at the same doubled indices: paired where x.two + y.two = 0, 0 elsewhere."""
-    (kind,) = reduced.kinds
+    (kind,), den = reduced.kinds, 2 * reduced.bracket_denominator
     return _dirac_scan(family, modes, {y: mode_operator(family.algebra, y) for y in modes},
-                       lambda x, y: paired_bracket(Mode(kind, x.two), Mode(kind, y.two), reduced)
+                       lambda x, y: Fraction(paired_numerator(Mode(kind, x.two), Mode(kind, y.two), reduced), den)
                        if x.two + y.two == 0 else 0)
 
 

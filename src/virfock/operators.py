@@ -145,21 +145,6 @@ class OperatorSpec(Frozen):
             by_two.setdefault(mode.two, []).append((mode, c.numerator * (den // c.denominator)))
         return den, by_two
 
-    @property
-    def is_linear(self) -> bool:
-        return not self.bilinears
-
-    def __rmul__(self, scalar) -> "OperatorSpec":
-        scalar = Fraction(scalar)
-        if not scalar:
-            return OperatorSpec(self.algebra, self.shift, (), (), ZERO, self.parity)
-        return OperatorSpec(
-            self.algebra, self.shift,
-            tuple(BilinearTerm(t.left, t.right, t.m, scalar * t.alpha, scalar * t.beta)
-                  for t in self.bilinears),
-            tuple((m, scalar * c) for m, c in self.linear),
-            scalar * self.constant, self.parity)
-
     def __str__(self):
         bits = []
         for t in self.bilinears:
@@ -520,7 +505,7 @@ def linear_bracket(x: OperatorSpec, y: OperatorSpec) -> Fraction:
     Each expression's modes are checked once, in its integer view, and the
     bracket is one Fraction of bracket_pair's integer sum.
     """
-    if not (x.is_linear and y.is_linear):
+    if x.bilinears or y.bilinears:
         raise ValueError("linear_bracket needs linear expressions on both sides")
     if y.algebra != x.algebra:
         raise AlgebraMismatchError("bracket of expressions over different algebras")
@@ -540,7 +525,7 @@ def commutator_with_linear(op: OperatorSpec, lin: OperatorSpec) -> OperatorSpec:
     """
     if op.algebra != lin.algebra:
         raise AlgebraMismatchError("commutator of expressions over different algebras")
-    if not lin.is_linear:
+    if lin.bilinears:
         raise ValueError("second argument must be a linear expression")
     algebra = op.algebra
     (dz, zs), (dw, ws) = lin.integer_linear, op.integer_linear

@@ -45,7 +45,6 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, product
-from types import SimpleNamespace
 
 from .algebra import (Algebra, AlgebraMismatchError, BOSON, FieldKind, Frozen, Mode, ONE, VirfockError, ZERO, adag,
                       format_rational)
@@ -199,7 +198,7 @@ def extract_central_charge(params: ScenarioParams) -> Fraction:
     return central_charge_oracle(params)(params.M, params.lam)
 
 
-def _probe(name, expected, params, probes, sides, got="as expected", show=None):
+def _probe(name, expected, params, probes, sides, got, show=None):
     """One report for an identity lhs == rhs asserted on every probe.
 
     A probe is a state id of the truncation's basis (or a draw that show
@@ -224,23 +223,23 @@ def _probe(name, expected, params, probes, sides, got="as expected", show=None):
     return report(name, True, expected, got)
 
 
-def _law(lhs, c, table, constant=ZERO):
+def _law(den, row, c, table, constant=ZERO):
     """sides(i) for _probe of the identity lhs = c·table + constant·1.
 
-    lhs and table give integer rows by state id over their own den, and c is
-    rational.  Both sides are scaled once to the lcm of every denominator, so
-    each probe adds and multiplies integers only.
+    row(i) gives the lhs's integer row of state id i over den, table its rows
+    over its own den, and c is rational.  Both sides are scaled once to the lcm
+    of every denominator, so each probe adds and multiplies integers only.
     """
     c, constant = Fraction(c), Fraction(constant)
-    top = math.lcm(lhs.den, c.denominator * table.den, constant.denominator)
-    s_lhs, s_table = top // lhs.den, c.numerator * (top // (c.denominator * table.den))
+    top = math.lcm(den, c.denominator * table.den, constant.denominator)
+    s_lhs, s_table = top // den, c.numerator * (top // (c.denominator * table.den))
     s_constant = constant.numerator * (top // constant.denominator)
 
     def sides(i):
         rhs = accumulate({}, table.row(i), s_table) if s_table else {}
         if s_constant:
             accumulate(rhs, ((i, s_constant),))
-        return {j: s_lhs * n for j, n in lhs.row(i)}, rhs, top
+        return {j: s_lhs * n for j, n in row(i)}, rhs, top
 
     return sides
 
@@ -262,7 +261,7 @@ def check_virasoro_relation(params: ScenarioParams, c_expected) -> list:
     def law(m, n, den, row, probes):
         lmn = row_table(gens[m + n], trunc)
         central = c_expected * Fraction(m ** 3 - m, 12) if m + n == 0 else ZERO
-        sides = _law(SimpleNamespace(den=den, row=row), n - m, lmn, -central)
+        sides = _law(den, row, n - m, lmn, -central)
         return _probe(f"virasoro[m={m},n={n}]", "0", params, probes, sides, got="0")
 
     reports = {}
@@ -359,7 +358,8 @@ def check_window_doubling(params: ScenarioParams, probes: int = 100) -> list:
     for m in labels:
         op = ops[m]
         wide = row_table(op, trunc, window=2 * (trunc.level_cap + abs(op.shift)))
-        laws[m] = _law(row_table(op, trunc), 1, wide)
+        narrow = row_table(op, trunc)
+        laws[m] = _law(narrow.den, narrow.row, 1, wide)
 
     basis = enumerate_basis(params.algebra, trunc)
     return [_probe(f"window_doubling[{probes} probes]", "identical action", params, draws,

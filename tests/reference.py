@@ -1,13 +1,13 @@
 """Reference constructors and the direct oracle the test modules share; the
 package itself needs none of them: it reaches brackets only through
-algebra.paired_bracket, the central charge through cached vacuum forms, and
+algebra.paired_numerator, the central charge through cached vacuum forms, and
 each generator through its family's slots."""
 
 from fractions import Fraction
 from itertools import product
 
 from virfock.algebra import (BOSON, FERMION, ONE, REDUCED_FERMION, ZERO, Algebra, FieldKind, Mode, _doubled,
-                             paired_bracket, reduced_boson, require_members)
+                             reduced_boson, require_members)
 from virfock.fock import VACUUM
 from virfock.operators import BilinearTerm, Commutator, OperatorSpec, build_L, row_table
 from virfock.verify import OracleInconsistencyError, require_oracle_caps
@@ -31,6 +31,14 @@ def red_adag(n) -> Mode:
 def red_b(r) -> Mode:
     """Surviving mode b[r] of the reduced fermion algebra, r half-odd-integer."""
     return Mode(FieldKind.RED_B, _doubled(r, True, "reduced b"))
+
+
+def paired_bracket(x: Mode, y: Mode, algebra: Algebra) -> Fraction:
+    """[x, y} of two member modes whose indices sum to zero, in Fractions: the
+    algebra's bracket table entry, weighted by the index of x where the algebra
+    says so.  Read off the table here, independent of algebra.paired_numerator."""
+    value = algebra.brackets.get((x.kind, y.kind), ZERO)
+    return value * x.index if algebra.index_weighted else value
 
 
 def canonical_bracket(x: Mode, y: Mode, algebra: Algebra) -> Fraction:
@@ -66,6 +74,17 @@ def direct_central_charge(params) -> Fraction:
     if c2 != c3:
         raise OracleInconsistencyError(params.family, c2, c3)
     return c2
+
+
+def scale(c, op: OperatorSpec) -> OperatorSpec:
+    """c·op with every scalar slot scaled, the composition reference's scaling;
+    c = 0 gives the empty operator of op's algebra, shift and parity."""
+    c = Fraction(c)
+    if not c:
+        return OperatorSpec(op.algebra, op.shift, (), (), ZERO, op.parity)
+    return OperatorSpec(op.algebra, op.shift,
+                        tuple(BilinearTerm(t.left, t.right, t.m, c * t.alpha, c * t.beta) for t in op.bilinears),
+                        tuple((x, c * q) for x, q in op.linear), c * op.constant, op.parity)
 
 
 def unit_parts(op: OperatorSpec) -> list:

@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import inspect
 import io
 import itertools
 import json
@@ -12,6 +13,7 @@ import sys
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -492,6 +494,76 @@ def test_negative_rational_parameters_parse_in_both_spellings(capsys):
     assert spaced == joined
     assert spaced[0] == 0
     assert "c_formula=-11 c_oracle=-11" in spaced[1]
+
+
+@pytest.mark.parametrize("argv", [("--lam", "1/2"), ("--lam", "-1/2"), ("--lev", "4"), ("--sc", "fermion-reduced")],
+                         ids=" ".join)
+def test_a_prefix_of_a_flag_is_a_usage_error(capsys, argv):
+    # one spelling per flag: a value is joined to --lambda alone, so a prefix would run 1/2 and reject -1/2
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: bad command line"
+
+
+def _named_functions(code, prefix=""):
+    """{(file, first line, name): qualified name} of every named function and method in a
+    module's compiled code, by the nesting of its code objects (3.10 has no co_qualname).
+    Class bodies give their methods a prefix; lambdas and comprehensions are left out."""
+    out = {}
+    for const in code.co_consts:
+        if not isinstance(const, type(code)) or const.co_name.startswith("<"):
+            continue
+        qualname = prefix + const.co_name
+        if const.co_flags & inspect.CO_NEWLOCALS:  # a function; a class body has none
+            out[const.co_filename, const.co_firstlineno, const.co_name] = qualname
+            out.update(_named_functions(const, qualname + ".<locals>."))
+        else:
+            out.update(_named_functions(const, qualname + "."))
+    return out
+
+
+# Named functions of src/ that no CLI run calls, each for its reason; any other is reached only by
+# tests, or by nothing, and does not belong in src/.
+UNCALLED = {
+    "algebra.FieldKind.__new__",  # runs at import only, when the enum members are made
+    # failure, error and debug paths
+    "algebra.Frozen.__setattr__",  # an assignment to an immutable value raises
+    "algebra.Frozen.__repr__",  # shows a value when debugging
+    "algebra.Algebra.__str__",  # names the algebra in a mismatch error
+    "fock.BasisState.level",  # names a state's level in an overflow or unsafe-window error
+    "fock.BasisState.__str__",  # names a failure's witness state
+    "verify.OracleInconsistencyError.__init__",  # the m = 2 and m = 3 oracles disagree
+    "dirac._witnesses",  # names a failed Dirac check's first probes
+}
+
+
+def test_every_named_function_of_src_is_called_by_some_cli_run(capsys, fresh_caches):
+    # every scenario in both formats and a sweep of each family in both, from cold caches, so
+    # that no table built earlier hides a call
+    named = {}
+    for path in sorted(Path(virfock.__file__).parent.glob("*.py")):
+        for (file, line, name), qualname in _named_functions(compile(path.read_text(), str(path), "exec")).items():
+            named[os.path.realpath(file), line, name] = f"{path.stem}.{qualname}"
+    grid = str(Path(__file__).parent / "golden" / "sweep_grid.txt")
+    runs = [("--scenario", "all", *FAST), ("--scenario", "all", *FAST, "--format", "json"),
+            ("--scenario", "fermion-unconstrained", *FAST, "--format", "json")]
+    runs += [("--scenario", family, "--sweep", grid, *fmt) for family in operators.FAMILIES
+             for fmt in ((), ("--format", "json"))]
+    called, previous = set(), sys.getprofile()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        codes = [main(list(argv)) for argv in runs]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [0] * len(runs)
+    reached = {named.get((os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name)) for c in called}
+    assert sorted(set(named.values()) - reached) == sorted(UNCALLED)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():

@@ -49,7 +49,7 @@ from virfock.operators import (
     safe_ids,
 )
 from virfock.verify import ScenarioParams, _parts, check_laws
-from reference import REFERENCE_L, build_K, canonical_bracket, red_adag, red_b
+from reference import REFERENCE_L, build_K, canonical_bracket, red_adag, red_b, scale
 
 H = Fraction(1, 2)
 
@@ -146,10 +146,10 @@ def test_K_chi_commutator_symbolic():
     # [K_2, chi_3] = 3 chi_5 as linear expressions
     M = Fraction(1)
     got = commutator_with_linear(build_K(2), BosonConstraints(M).expr(3))
-    assert got == 3 * BosonConstraints(M).expr(5)
+    assert got == scale(3, BosonConstraints(M).expr(5))
     # [K_m, B_n] = n B_{m+n}
     got = commutator_with_linear(build_K(-1), build_B(4, M))
-    assert got == 4 * build_B(3, M)
+    assert got == scale(4, build_B(3, M))
     # [L_m, a_0] = m a_m + lam delta(m)
     lam = Fraction(2, 3)
     got = commutator_with_linear(build_L("boson-unconstrained", 2, 1, lam),
@@ -384,7 +384,7 @@ def test_operator_addition_and_scaling():
     M = Fraction(1)
     lhs = add(build_B(2, M), BosonConstraints(M).expr(2))
     assert dict(lhs.linear) == {adag(2): 2}  # the a[2] parts cancel
-    assert (0 * build_K(1)).bilinears == ()
+    assert scale(0, build_K(1)).bilinears == ()
     with pytest.raises(ValueError):
         add(build_K(1), build_K(2))  # inhomogeneous sum
 
@@ -516,10 +516,10 @@ def test_row_table_den_equals_a_walk_over_the_realized_terms(kinds, m, two_w, M,
 
 
 def _composed_L(family, m, M, lam):
-    """L_m composed by add and OperatorSpec scaling, which normalize the sum:
+    """L_m composed by add and scale (reference.py), which normalize the sum:
     the generators' defining expressions, built term by term."""
     if family == "boson-unconstrained":
-        return add(build_K(m), (lam * (m + 1)) * build_B(m, M))
+        return add(build_K(m), scale(lam * (m + 1), build_B(m, M)))
     algebra = FAMILIES[family].algebra(M)
     if family == "boson-reduced":
         kernel = BilinearTerm(FieldKind.RED_ADAG, FieldKind.RED_ADAG, m, 1 / M, Fraction(0))
@@ -594,7 +594,7 @@ def test_slots_times_the_oracle_parts_sum_to_build_L(family, m, M, lam):
     assert den > 0
     parts = _parts(gen.algebra(M), gen.kernel, gen.linear, m)
     assert [k for k, _ in parts] == [2 * len(p.bilinears) + len(p.linear) for _, p in parts]
-    terms = [Fraction(v, den) * part for v, (_, part) in zip(values, parts, strict=True)]
+    terms = [scale(Fraction(v, den), part) for v, (_, part) in zip(values, parts, strict=True)]
     assert functools.reduce(add, terms) == build_L(family, m, M, lam)
 
 
@@ -726,7 +726,7 @@ def test_non_integral_scaled_amplitude_raises(monkeypatch):
     # integers over it: the table is refused when it is made, before any row,
     # so it is never kept where another test could see it
     monkeypatch.setattr(operators, "_common_denominator", lambda op, realized: 1)
-    op = Fraction(1, 7) * build_L("fermion-reduced", 0)
+    op = scale(Fraction(1, 7), build_L("fermion-reduced", 0))
     with pytest.raises(ArithmeticError):
         row_table(op, Truncation(Fraction(13, 2)))
 
